@@ -230,11 +230,6 @@ def expectation(op: Operator, rho: Operator) -> complex:
     return complex(np.trace(op.matrix @ rho.matrix))
 
 
-def adjoint(op: Operator) -> Operator:
-    """Hermitian adjoint, same as op.dag()."""
-    return op.dag()
-
-
 def adjoint_action(u: Operator, op: Operator) -> Operator:
     """U op U^dag."""
     return Operator(op.space, u.matrix @ op.matrix @ u.matrix.conj().T)

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .fock import DensityMatrix, HilbertSpace, InvalidStateError, annihilation
+from .fock import (DensityMatrix, HilbertSpace, InvalidStateError,
+                   annihilation, displacement)
 from .gaussian import GaussianState, to_fock
 from .lindblad import LindbladTerm, dissipator
 
@@ -197,6 +198,22 @@ def mf_ansatz(fbar_mag: float, c_prime: float, r: float, space: HilbertSpace,
     The free phase is integrated out with a uniform midpoint rule, which
     converges spectrally because the integrand is periodic; n_phases
     below 16 is rejected as too coarse.
+
+    The members share one covariance and differ only in the displacement
+    fbar_mag e^{i theta}.  With R_theta = exp(i theta a^dag a) =
+    diag(e^{i theta n}),
+
+        D(alpha e^{i theta}) = R_theta D(alpha) R_theta^dag,
+
+    which holds exactly on the truncated space too, because the truncated
+    a is a single off-diagonal.  So the undisplaced core and D(fbar_mag)
+    are built once, and each member is
+
+        R_theta D (R_theta^dag core R_theta) D^dag R_theta^dag,
+
+    where the inner conjugation scales entry (m, n) by e^{-i theta (m - n)}
+    and the outer one by e^{+i theta (m - n)}.  Every member is still
+    validated as a state.
     """
     if fbar_mag < 0:
         raise ValueError("fbar_mag must be non-negative")
@@ -204,10 +221,15 @@ def mf_ansatz(fbar_mag: float, c_prime: float, r: float, space: HilbertSpace,
         return to_fock(gaussian_mf_solution(0j, c_prime, r), space)
     if n_phases < 16:
         raise ValueError("n_phases must be at least 16")
+    core = to_fock(gaussian_mf_solution(0j, c_prime, r), space).matrix
+    disp = displacement(space, fbar_mag).matrix
+    disp_dag = disp.conj().T
+    levels = np.arange(space.field_dim)
     acc = np.zeros((space.dim, space.dim), dtype=complex)
     for k in range(n_phases):
         theta = 2 * math.pi * (k + 0.5) / n_phases
-        fbar = fbar_mag * complex(math.cos(theta), math.sin(theta))
-        member = to_fock(gaussian_mf_solution(fbar, c_prime, r), space)
-        acc += member.matrix
+        ket = np.exp(1j * theta * levels)
+        phases = np.outer(ket, ket.conj())
+        member = phases * (disp @ (phases.conj() * core) @ disp_dag)
+        acc += DensityMatrix(space, member).matrix
     return DensityMatrix(space, acc / n_phases)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from squeezed_lasing import fock, meanfield
 from squeezed_lasing.fock import (
+    DensityMatrix,
     HilbertSpace,
     InvalidStateError,
     annihilation,
@@ -294,3 +298,68 @@ def test_ansatz_members_are_coherent_in_bare_basis():
         math.cosh(2 * r) * fmag**2, abs=1e-7)
     assert expectation(bare @ bare, rho) == pytest.approx(
         -math.sinh(2 * r) * fmag**2, abs=1e-7)
+
+
+def _ansatz_reference(fbar_mag, c_prime, r, space, n_phases):
+    """The ring mixture built member by member, one to_fock per phase."""
+    acc = np.zeros((space.dim, space.dim), dtype=complex)
+    for k in range(n_phases):
+        theta = 2 * math.pi * (k + 0.5) / n_phases
+        fbar = fbar_mag * complex(math.cos(theta), math.sin(theta))
+        member = to_fock(gaussian_mf_solution(fbar, c_prime, r), space)
+        acc += member.matrix
+    return DensityMatrix(space, acc / n_phases)
+
+
+@pytest.mark.filterwarnings("ignore::squeezed_lasing.fock.TruncationWarning")
+@settings(max_examples=25, deadline=None)
+@given(field_dim=st.integers(8, 32), fbar_mag=st.floats(0.1, 2.0),
+       c_prime=st.floats(0.0, 20.0), r=st.floats(0.0, 1.2),
+       n_phases=st.sampled_from([16, 17, 64]))
+def test_ansatz_matches_member_loop(field_dim, fbar_mag, c_prime, r,
+                                    n_phases):
+    space = HilbertSpace(n_qubits=0, field_dim=field_dim)
+    rho = mf_ansatz(fbar_mag, c_prime, r, space, n_phases=n_phases)
+    ref = _ansatz_reference(fbar_mag, c_prime, r, space, n_phases)
+    assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::squeezed_lasing.fock.TruncationWarning")
+@settings(max_examples=25, deadline=None)
+@given(field_dim=st.integers(8, 32), fbar_mag=st.floats(0.1, 2.0),
+       theta=st.floats(0.0, 2 * math.pi))
+def test_displacement_phase_covariance(field_dim, fbar_mag, theta):
+    # D(alpha e^{i theta}) = R D(alpha) R^dag with R = diag(e^{i theta n}),
+    # exactly on the truncated space, where a is a single off-diagonal
+    space = HilbertSpace(n_qubits=0, field_dim=field_dim)
+    rot = np.exp(1j * theta * np.arange(field_dim))
+    rotated = displacement(space, fbar_mag * complex(math.cos(theta),
+                                                     math.sin(theta)))
+    conjugated = (rot[:, None] * displacement(space, fbar_mag).matrix
+                  * rot.conj()[None, :])
+    assert np.max(np.abs(rotated.matrix - conjugated)) <= 1e-13
+
+
+def test_ansatz_work_does_not_grow_with_phases(monkeypatch):
+    # the core squeeze and the displacement are built once per call;
+    # only diagonal phases and two products are paid per member
+    counts = {"to_fock": 0, "expm": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(meanfield, "to_fock",
+                        counting("to_fock", meanfield.to_fock))
+    monkeypatch.setattr(fock, "matrix_exponential",
+                        counting("expm", fock.matrix_exponential))
+    space = HilbertSpace(n_qubits=0, field_dim=30)
+    expm_counts = []
+    for n_phases in (16, 64):
+        counts.update(to_fock=0, expm=0)
+        mf_ansatz(1.2, 10.0, 1.15, space, n_phases=n_phases)
+        assert counts["to_fock"] == 1
+        expm_counts.append(counts["expm"])
+    assert expm_counts[0] == expm_counts[1] > 0
