@@ -88,8 +88,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides = _merge(overrides, parse_set_override(item))
         config = build_config(args.scenario, preset=args.preset,
                               file_data=file_data, overrides=overrides)
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
     except ConfigError as exc:
         log.error("%s", exc)
         return 2

@@ -248,20 +248,32 @@ def fock_populations(rho: Operator) -> np.ndarray:
     return diag.reshape((2**nq if nq else 1, d)).sum(axis=0)
 
 
+def _edge_levels(field_dim: int) -> int:
+    return max(1, int(math.ceil(_EDGE_FRACTION * field_dim)))
+
+
+def truncation_edge(rho: Operator) -> float:
+    """Population in the top levels of the Fock ladder, without warning.
+
+    Zero when the ladder is too short to have an edge.
+    """
+    d = rho.space.field_dim
+    n_edge = _edge_levels(d)
+    if n_edge >= d:
+        return 0.0
+    return float(fock_populations(rho)[d - n_edge:].sum())
+
+
 def check_truncation_health(rho: Operator) -> float:
     """Warn if the top levels of the Fock ladder hold non-negligible weight.
 
     Returns the edge population so callers can decide to enlarge the space.
     """
-    d = rho.space.field_dim
-    n_edge = max(1, int(math.ceil(_EDGE_FRACTION * d)))
-    if n_edge >= d:
-        return 0.0
-    pops = fock_populations(rho)
-    edge = float(pops[d - n_edge:].sum())
+    edge = truncation_edge(rho)
     if edge >= _EDGE_TOL:
+        d = rho.space.field_dim
         warnings.warn(
-            f"population {edge:.3e} in the top {n_edge} of {d} Fock levels; "
-            "results may be truncation-limited",
+            f"population {edge:.3e} in the top {_edge_levels(d)} of {d} Fock "
+            "levels; results may be truncation-limited",
             TruncationWarning, stacklevel=2)
     return edge

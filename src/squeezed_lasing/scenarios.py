@@ -2,10 +2,21 @@
 
 A :class:`RunConfig` names a scenario, a flat parameter mapping, an
 optional 1-D sweep, and numerical settings.  ``run_scenario`` resolves
-the parameters, dispatches sweep points to a worker pool, and returns
-tables, Wigner grids, and a report; ``write_outputs`` serializes them
-(CSV for sweeps, JSON for the manifest, plain x/p/w triples for Wigner
-fields) with the configuration hash embedded in every file.
+the parameters and returns tables, Wigner grids, and a report;
+``write_outputs`` serializes them (CSV for sweeps, JSON for the
+manifest, plain x/p/w triples for Wigner fields) with the configuration
+hash embedded in every file.
+
+Every sweep point, and every Wigner panel, runs one pipeline: a
+``_Point`` resolves the rates and the dressed coupling of its model and
+solves the steady state, growing the field dimension while the top Fock
+levels hold weight.  Each column of a scenario's spec then names a
+quantity of the point (reduced-field observables, mean field, ansatz
+fidelity, effective vs full model), computed once, on first use.
+Sweep points run in the calling thread or, with ``threads > 1``, on a
+thread pool.  Truncation health comes back as a value (the row's
+``truncation_flag``); nothing here changes the process-wide warning
+filters.
 
 Two parameter families are understood.  Dimensionless keys
 (``kappa_over_gamma``, ``c_tilde``, ...) drive the solvers directly in
@@ -23,9 +34,10 @@ import hashlib
 import json
 import logging
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +56,9 @@ from .dressing import (
 from .fock import (
     HilbertSpace,
     annihilation,
-    check_truncation_health,
     expectation,
     qubit_ops,
+    truncation_edge,
 )
 from .fock import _EDGE_TOL as _TRUNCATION_TOL
 from .lindblad import (
@@ -463,16 +475,16 @@ def _solve_steady_checked(build, field_dim: int, retries: int):
 
     ``build(field_dim)`` returns (master equation, tuple of factor indices
     keeping the field).  Returns (full state, reduced field state,
-    field_dim used, flagged).
+    field_dim used, flagged).  The edge population of each attempt is read
+    without warning; a truncation-limited state still warns where it is
+    built.
     """
     fd = field_dim
     for attempt in range(retries + 1):
         me, keep = build(fd)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rho = steady_state(me)
-            reduced = partial_trace(rho, keep=keep)
-            edge = check_truncation_health(reduced)
+        rho = steady_state(me)
+        reduced = partial_trace(rho, keep=keep)
+        edge = truncation_edge(reduced)
         if edge < _TRUNCATION_TOL:
             return rho, reduced, fd, False
         if attempt < retries:
@@ -485,208 +497,199 @@ def _solve_steady_checked(build, field_dim: int, retries: int):
     return rho, reduced, fd, True
 
 
-def _purity(rho) -> float:
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+class _Point:
+    """One sweep point of one model and what its columns derive from it.
+
+    ``model`` is "single" (one-qubit laser), "effective" (the squeezed
+    laser after adiabatic elimination) or "two_qubit".  Construction
+    resolves rates and dressing and runs the checked steady state; every
+    other quantity is computed once, on first use.  ``memo`` holds
+    effective-model fields (by field_dim) and ansatz states (by field_dim
+    and |F|); a point shares it with its two-qubit sibling ``full``.
+    """
+
+    def __init__(self, params: dict, numerics: NumericsSpec, model: str,
+                 memo: dict | None = None):
+        self.params, self.numerics, self.model = params, numerics, model
+        self._memo = {} if memo is None else memo
+        self.rates = r = resolve_rates(params, need_c_prime=model != "single")
+        if model != "single":
+            self.dressed = resolve_dressing(params, r.g_tilde)
+        if model == "two_qubit":
+            self.gprime_ratio = resolve_gprime_ratio(params)
+            self.g_tilde_prime = r.c_prime * r.kappa / self.gprime_ratio
+            self.gamma_prime = self.g_tilde_prime / self.gprime_ratio
+            self.aux = resolve_aux_dressing(params, self.g_tilde_prime)
+        self.rho, self.field, self.field_dim, flagged = _solve_steady_checked(
+            self._build, numerics.field_dim, numerics.truncation_retries)
+        self.truncation_flag = int(flagged)
+        if model == "effective":
+            self._memo["field", self.field_dim] = self.field
+
+    def _build(self, fd: int, model: str | None = None):
+        model = model or self.model
+        r = self.rates
+        space = HilbertSpace(n_qubits=2 if model == "two_qubit" else 1,
+                             field_dim=fd)
+        if model == "single":
+            g = math.sqrt(r.c_tilde * r.gamma * r.kappa)
+            me = model_single_qubit_laser(g, r.gamma, r.kappa, space)
+        elif model == "two_qubit":
+            me = model_two_qubit_full(self.dressed, self.aux, r.gamma,
+                                      self.gamma_prime, r.kappa, space)
+        else:
+            me = model_squeezed_laser_effective(self.dressed, r.gamma,
+                                                r.kappa, r.c_prime, space)
+        return me, [space.n_qubits]
+
+    @cached_property
+    def trace_error(self) -> float:
+        return float(abs(np.trace(self.rho.matrix).real - 1.0))
+
+    @cached_property
+    def hermiticity_error(self) -> float:
+        m = self.rho.matrix
+        return float(np.max(np.abs(m - m.conj().T)))
+
+    @cached_property
+    def purity(self) -> float:
+        return float(np.trace(self.field.matrix @ self.field.matrix).real)
+
+    @cached_property
+    def n_mode(self) -> float:
+        mode = annihilation(self.field.space)
+        return expectation(mode.dag() @ mode, self.field).real
+
+    @cached_property
+    def n_bare(self) -> float:
+        a_op = self.dressed.bare_from_mode(self.field.space)
+        return expectation(a_op.dag() @ a_op, self.field).real
+
+    @cached_property
+    def inversion(self) -> float:
+        _, sigma_z, _ = qubit_ops(self.rho.space, 0)
+        return expectation(sigma_z, self.rho).real
+
+    @cached_property
+    def mf(self):
+        # two-qubit rows take the free ring phase as 0, where |F| is exact
+        theta = (0.0 if self.model == "two_qubit"
+                 else float(self.params.get("theta", 0.0)))
+        r = self.rates
+        return mf_steady(MFParams(g_tilde=r.g_tilde, gamma=r.gamma,
+                                  kappa=r.kappa, C_tilde_prime=r.c_prime,
+                                  r=self.dressed.r), theta=theta)
+
+    @cached_property
+    def mf_f_squared(self) -> float:
+        return abs(self.mf.F) ** 2
+
+    @cached_property
+    def mf_n_mode(self) -> float:
+        return self.mf_f_squared + (math.cosh(2 * self.dressed.r) - 1.0) \
+            / (2.0 * (1.0 + self.rates.c_prime))
+
+    @cached_property
+    def fidelity_ansatz(self) -> float:
+        f_mag = abs(self.mf.F)
+        key = ("ansatz", self.field_dim, f_mag)
+        if key not in self._memo:
+            self._memo[key] = mf_ansatz(f_mag, self.rates.c_prime,
+                                        self.dressed.r, self.field.space,
+                                        n_phases=self.numerics.n_phases)
+        return fidelity(self.field, self._memo[key])
+
+    @cached_property
+    def gaussian_residual(self) -> float:
+        fbar = complex(abs(self.mf.F))
+        c_prime, r = self.rates.c_prime, self.dressed.r
+        return mf_residual(gaussian_mf_solution(fbar, c_prime, r), fbar,
+                           c_prime, r, self.field.space)
+
+    @cached_property
+    def fidelity_vs_effective(self) -> float:
+        """Against the effective model's field at this field_dim, from an
+        unchecked solve unless the point already holds one."""
+        key = ("field", self.field_dim)
+        if key not in self._memo:
+            me, keep = self._build(self.field_dim, "effective")
+            self._memo[key] = partial_trace(steady_state(me), keep=keep)
+        return fidelity(self.field, self._memo[key])
+
+    @cached_property
+    def adiabatic_ok(self) -> int:
+        ok = adiabatic_elimination_ok(self.gamma_prime, self.g_tilde_prime,
+                                      self.n_bare)
+        log.info("adiabatic elimination %s at gprime_ratio=%.4g "
+                 "(gamma'=%.4g, g~'=%.4g, <a^dag a>=%.4g)",
+                 "valid" if ok else "questionable", self.gprime_ratio,
+                 self.gamma_prime, self.g_tilde_prime, self.n_bare)
+        return int(ok)
+
+    @cached_property
+    def full(self) -> "_Point":
+        """The two-qubit model at the same parameters."""
+        return _Point(self.params, self.numerics, "two_qubit", self._memo)
+
+    @cached_property
+    def truncation_flag_with_full(self) -> int:
+        return max(self.truncation_flag, self.full.truncation_flag)
 
 
-def _state_checks(rho) -> dict:
-    m = rho.matrix
-    return {"trace_error": float(abs(np.trace(m).real - 1.0)),
-            "hermiticity_error": float(np.max(np.abs(m - m.conj().T)))}
-
-
-def _bare_number(dressed: DressedCoupling, rho_field) -> float:
-    a_op = dressed.bare_from_mode(rho_field.space)
-    return expectation(a_op.dag() @ a_op, rho_field).real
-
-
-def _mode_number(rho_field) -> float:
-    mode = annihilation(rho_field.space)
-    return expectation(mode.dag() @ mode, rho_field).real
-
-
-# --- sweepable point evaluators --------------------------------------------
-
-def _point_single_laser(params: dict, numerics: NumericsSpec) -> dict:
-    rates = resolve_rates(params, need_c_prime=False)
-    g = math.sqrt(rates.c_tilde * rates.gamma * rates.kappa)
-
-    def build(fd):
-        space = HilbertSpace(n_qubits=1, field_dim=fd)
-        return model_single_qubit_laser(g, rates.gamma, rates.kappa, space), [1]
-
-    rho, rho_f, fd, flagged = _solve_steady_checked(
-        build, numerics.field_dim, numerics.truncation_retries)
-    _, sigma_z, _ = qubit_ops(rho.space, 0)
-    return {
-        "c_tilde": rates.c_tilde,
-        "n_photons": _mode_number(rho_f),
-        "inversion_d": expectation(sigma_z, rho).real,
-        "purity": _purity(rho_f),
-        "field_dim": fd,
-        "truncation_flag": int(flagged),
-        **_state_checks(rho),
-    }
-
-
-def _squeezed_point_core(params: dict, numerics: NumericsSpec):
-    rates = resolve_rates(params)
-    dressed = resolve_dressing(params, rates.g_tilde)
-
-    def build(fd):
-        space = HilbertSpace(n_qubits=1, field_dim=fd)
-        me = model_squeezed_laser_effective(dressed, rates.gamma, rates.kappa,
-                                            rates.c_prime, space)
-        return me, [1]
-
-    rho, rho_f, fd, flagged = _solve_steady_checked(
-        build, numerics.field_dim, numerics.truncation_retries)
-    mf = mf_steady(MFParams(g_tilde=rates.g_tilde, gamma=rates.gamma,
-                            kappa=rates.kappa, C_tilde_prime=rates.c_prime,
-                            r=dressed.r),
-                   theta=float(params.get("theta", 0.0)))
-    return rates, dressed, rho, rho_f, fd, flagged, mf
-
-
-def _ansatz_for(rho_f, mf_f_mag: float, c_prime: float, r: float,
-                n_phases: int):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return mf_ansatz(mf_f_mag, c_prime, r, rho_f.space, n_phases=n_phases)
-
-
-def _point_squeezed_laser(params: dict, numerics: NumericsSpec) -> dict:
-    rates, dressed, rho, rho_f, fd, flagged, mf = _squeezed_point_core(
-        params, numerics)
-    ansatz = _ansatz_for(rho_f, abs(mf.F), rates.c_prime, dressed.r,
-                         numerics.n_phases)
-    _, sigma_z, _ = qubit_ops(rho.space, 0)
-    return {
-        "c_tilde": rates.c_tilde,
-        "c_prime": rates.c_prime,
-        "n_mode": _mode_number(rho_f),
-        "n_bare": _bare_number(dressed, rho_f),
-        "inversion_d": expectation(sigma_z, rho).real,
-        "mf_f_squared": abs(mf.F) ** 2,
-        "fidelity_ansatz": fidelity(rho_f, ansatz),
-        "purity": _purity(rho_f),
-        "field_dim": fd,
-        "truncation_flag": int(flagged),
-        **_state_checks(rho),
-    }
-
-
-def _point_two_qubit_full(params: dict, numerics: NumericsSpec) -> dict:
-    rates = resolve_rates(params)
-    ratio = resolve_gprime_ratio(params)
-    g_tilde_prime = rates.c_prime * rates.kappa / ratio
-    gamma_prime = g_tilde_prime / ratio
-    dressed = resolve_dressing(params, rates.g_tilde)
-    aux = resolve_aux_dressing(params, g_tilde_prime)
-
-    def build(fd):
-        space = HilbertSpace(n_qubits=2, field_dim=fd)
-        me = model_two_qubit_full(dressed, aux, rates.gamma, gamma_prime,
-                                  rates.kappa, space)
-        return me, [2]
-
-    rho, rho_f, fd, flagged = _solve_steady_checked(
-        build, numerics.field_dim, numerics.truncation_retries)
-
-    eff_space = HilbertSpace(n_qubits=1, field_dim=fd)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eff_f = partial_trace(steady_state(model_squeezed_laser_effective(
-            dressed, rates.gamma, rates.kappa, rates.c_prime, eff_space)),
-            keep=[1])
-    mf = mf_steady(MFParams(g_tilde=rates.g_tilde, gamma=rates.gamma,
-                            kappa=rates.kappa, C_tilde_prime=rates.c_prime,
-                            r=dressed.r))
-    ansatz = _ansatz_for(rho_f, abs(mf.F), rates.c_prime, dressed.r,
-                         numerics.n_phases)
-    n_bare = _bare_number(dressed, rho_f)
-    adiabatic = adiabatic_elimination_ok(gamma_prime, g_tilde_prime, n_bare)
-    log.info("adiabatic elimination %s at gprime_ratio=%.4g "
-             "(gamma'=%.4g, g~'=%.4g, <a^dag a>=%.4g)",
-             "valid" if adiabatic else "questionable", ratio, gamma_prime,
-             g_tilde_prime, n_bare)
-    return {
-        "gprime_ratio": ratio,
-        "c_tilde": rates.c_tilde,
-        "n_mode": _mode_number(rho_f),
-        "n_bare": n_bare,
-        "fidelity_ansatz": fidelity(rho_f, ansatz),
-        "fidelity_vs_effective": fidelity(rho_f, eff_f),
-        "purity": _purity(rho_f),
-        "adiabatic_ok": int(adiabatic),
-        "field_dim": fd,
-        "truncation_flag": int(flagged),
-        **_state_checks(rho),
-    }
-
-
-def _point_fidelity_sweep(params: dict, numerics: NumericsSpec) -> dict:
-    rates, dressed, rho, rho_f, fd, flagged, mf = _squeezed_point_core(
-        params, numerics)
-    ansatz = _ansatz_for(rho_f, abs(mf.F), rates.c_prime, dressed.r,
-                         numerics.n_phases)
-    _, sigma_z, _ = qubit_ops(rho.space, 0)
-    out = {
-        "c_tilde": rates.c_tilde,
-        "fidelity_effective": fidelity(rho_f, ansatz),
-        "n_mode": _mode_number(rho_f),
-        "n_bare": _bare_number(dressed, rho_f),
-        "inversion_d": expectation(sigma_z, rho).real,
-        "purity": _purity(rho_f),
-        "field_dim": fd,
-        "truncation_flag": int(flagged),
-        **_state_checks(rho),
-    }
-    if bool(params.get("include_full", 0.0)):
-        full = _point_two_qubit_full(params, numerics)
-        out["gprime_ratio"] = full["gprime_ratio"]
-        out["fidelity_full"] = full["fidelity_ansatz"]
-        out["fidelity_full_vs_effective"] = full["fidelity_vs_effective"]
-        out["truncation_flag"] = max(out["truncation_flag"],
-                                     full["truncation_flag"])
-    return out
-
-
-def _point_mf_compare(params: dict, numerics: NumericsSpec) -> dict:
-    rates, dressed, rho, rho_f, fd, flagged, mf = _squeezed_point_core(
-        params, numerics)
-    ansatz = _ansatz_for(rho_f, abs(mf.F), rates.c_prime, dressed.r,
-                         numerics.n_phases)
-    _, sigma_z, _ = qubit_ops(rho.space, 0)
-    gaussian = gaussian_mf_solution(complex(abs(mf.F)), rates.c_prime,
-                                    dressed.r)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        residual = mf_residual(gaussian, complex(abs(mf.F)), rates.c_prime,
-                               dressed.r, rho_f.space)
-    return {
-        "c_tilde": rates.c_tilde,
-        "mf_f_squared": abs(mf.F) ** 2,
-        "mf_inversion": mf.D,
-        "exact_inversion": expectation(sigma_z, rho).real,
-        "mf_n_mode": abs(mf.F) ** 2 + (math.cosh(2 * dressed.r) - 1.0)
-        / (2.0 * (1.0 + rates.c_prime)),
-        "exact_n_mode": _mode_number(rho_f),
-        "fidelity_ansatz": fidelity(rho_f, ansatz),
-        "gaussian_residual": residual,
-        "field_dim": fd,
-        "truncation_flag": int(flagged),
-        **_state_checks(rho),
-    }
-
-
-_POINT_FUNCS = {
-    "single_laser": _point_single_laser,
-    "squeezed_laser": _point_squeezed_laser,
-    "two_qubit_full": _point_two_qubit_full,
-    "fidelity_sweep": _point_fidelity_sweep,
-    "mf_compare": _point_mf_compare,
+# per scenario: the model, then each column as (name, attribute path on
+# _Point); the names and their order are the artefact format
+_CHECKS = (("field_dim", "field_dim"), ("truncation_flag", "truncation_flag"),
+           ("trace_error", "trace_error"),
+           ("hermiticity_error", "hermiticity_error"))
+_FIDELITY_SWEEP = (
+    ("c_tilde", "rates.c_tilde"), ("fidelity_effective", "fidelity_ansatz"),
+    ("n_mode", "n_mode"), ("n_bare", "n_bare"), ("inversion_d", "inversion"),
+    ("purity", "purity"))
+_COLUMNS = {
+    "single_laser": ("single", (
+        ("c_tilde", "rates.c_tilde"), ("n_photons", "n_mode"),
+        ("inversion_d", "inversion"), ("purity", "purity"), *_CHECKS)),
+    "squeezed_laser": ("effective", (
+        ("c_tilde", "rates.c_tilde"), ("c_prime", "rates.c_prime"),
+        ("n_mode", "n_mode"), ("n_bare", "n_bare"),
+        ("inversion_d", "inversion"), ("mf_f_squared", "mf_f_squared"),
+        ("fidelity_ansatz", "fidelity_ansatz"), ("purity", "purity"),
+        *_CHECKS)),
+    "two_qubit_full": ("two_qubit", (
+        ("gprime_ratio", "gprime_ratio"), ("c_tilde", "rates.c_tilde"),
+        ("n_mode", "n_mode"), ("n_bare", "n_bare"),
+        ("fidelity_ansatz", "fidelity_ansatz"),
+        ("fidelity_vs_effective", "fidelity_vs_effective"),
+        ("purity", "purity"), ("adiabatic_ok", "adiabatic_ok"), *_CHECKS)),
+    "fidelity_sweep": ("effective", _FIDELITY_SWEEP + _CHECKS),
+    "mf_compare": ("effective", (
+        ("c_tilde", "rates.c_tilde"), ("mf_f_squared", "mf_f_squared"),
+        ("mf_inversion", "mf.D"), ("exact_inversion", "inversion"),
+        ("mf_n_mode", "mf_n_mode"), ("exact_n_mode", "n_mode"),
+        ("fidelity_ansatz", "fidelity_ansatz"),
+        ("gaussian_residual", "gaussian_residual"), *_CHECKS)),
 }
+# fidelity_sweep with include_full: the flag covers both models, and the
+# two-qubit columns follow the checks
+_FIDELITY_SWEEP_FULL = _FIDELITY_SWEEP + (
+    ("field_dim", "field_dim"),
+    ("truncation_flag", "truncation_flag_with_full"), *_CHECKS[2:],
+    ("gprime_ratio", "full.gprime_ratio"),
+    ("fidelity_full", "full.fidelity_ansatz"),
+    ("fidelity_full_vs_effective", "full.fidelity_vs_effective"))
+
+
+def _evaluate_point(scenario: str, params: dict,
+                    numerics: NumericsSpec) -> dict:
+    model, columns = _COLUMNS[scenario]
+    if scenario == "fidelity_sweep" and bool(params.get("include_full", 0.0)):
+        columns = _FIDELITY_SWEEP_FULL
+    point = _Point(params, numerics, model)
+    return {name: attrgetter(path)(point) for name, path in columns}
+
+
+# scenario -> fn(params, numerics) -> one row as a dict
+_POINT_FUNCS = {name: partial(_evaluate_point, name) for name in _COLUMNS}
 
 
 def _run_sweep(config: RunConfig, threads: int) -> ScenarioOutput:
@@ -709,21 +712,13 @@ def _run_sweep(config: RunConfig, threads: int) -> ScenarioOutput:
 
     results: list[dict | None] = [None] * len(values)
     errors: list[dict] = []
-    if threads > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(evaluate, v) for v in values]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except ConfigError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - point isolation
-                    errors.append({"index": i, "axis_value": values[i],
-                                   "error": f"{type(exc).__name__}: {exc}"})
-    else:
-        for i, value in enumerate(values):
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # with one thread, each point runs here when its result is read
+        calls = ([pool.submit(evaluate, v).result for v in values]
+                 if threads > 1 else [partial(evaluate, v) for v in values])
+        for i, call in enumerate(calls):
             try:
-                results[i] = evaluate(value)
+                results[i] = call()
             except ConfigError:
                 raise
             except Exception as exc:  # noqa: BLE001 - point isolation
@@ -868,20 +863,11 @@ def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
     for cp in wanted:
         point = dict(params)
         point["c_prime"] = cp
-        rates = resolve_rates(point)
-        dressed = resolve_dressing(point, rates.g_tilde)
-
-        def build(fd):
-            space = HilbertSpace(n_qubits=1, field_dim=fd)
-            me = model_squeezed_laser_effective(
-                dressed, rates.gamma, rates.kappa, rates.c_prime, space)
-            return me, [1]
-
-        _, rho_f, fd, flagged = _solve_steady_checked(
-            build, config.numerics.field_dim, config.numerics.truncation_retries)
+        steady = _Point(point, config.numerics, "effective")
+        rho_f = steady.field
         grid = grid_for_density(rho_f, points=config.numerics.grid_points)
         w_mode = wigner_from_density(rho_f, grid)
-        w_bare = wigner_change_basis(w_mode, dressed.r)
+        w_bare = wigner_change_basis(w_mode, steady.dressed.r)
         tag = f"{cp:g}"
         for label, panel in (("lasing", w_mode), ("bare", w_bare)):
             name = f"wigner_c{tag}_{label}"
@@ -889,7 +875,8 @@ def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
             var_x, var_p, ratio = ring_cut_anisotropy(panel)
             summary_rows.append((cp, label, panel.mass,
                                  float(panel.values.min()), var_x, var_p,
-                                 ratio, fd, int(flagged)))
+                                 ratio, steady.field_dim,
+                                 steady.truncation_flag))
             panel_info[name] = {"mass": panel.mass,
                                 "min_value": float(panel.values.min()),
                                 "cut_variance_x": var_x,

@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from squeezed_lasing.dressing import dress
-from squeezed_lasing.fock import HilbertSpace
+from squeezed_lasing.fock import HilbertSpace, TruncationWarning
 from squeezed_lasing.lindblad import model_single_qubit_laser, partial_trace, steady_state
 from squeezed_lasing.scenarios import (
     ConfigError,
@@ -272,16 +273,20 @@ class TestSweeps:
         assert row["n_photons"] == pytest.approx(n_ref, rel=1e-10)
         assert row["truncation_flag"] == 0
 
-    def test_axis_ordering_and_thread_invariance(self):
+    @pytest.mark.parametrize("scenario", [
+        "single_laser", "squeezed_laser", "two_qubit_full", "fidelity_sweep",
+        "mf_compare"])
+    def test_axis_ordering_and_thread_invariance(self, scenario):
         over = {"sweep": {"param": "c_tilde", "start": 1.0, "stop": 3.0,
                           "steps": 3},
-                "numerics": {"field_dim": 18}}
-        cfg = build_config("single_laser", preset="desk", file_data=over)
+                "numerics": {"field_dim": 8 if scenario == "two_qubit_full"
+                             else 18, "n_phases": 16}}
+        cfg = build_config(scenario, preset="desk", file_data=over)
         serial = run_scenario(cfg, threads=1)
         threaded = run_scenario(cfg, threads=3)
-        assert serial.tables["single_laser"].rows == \
-            threaded.tables["single_laser"].rows
-        axis = [row[0] for row in serial.tables["single_laser"].rows]
+        table = serial.tables[scenario]
+        assert table.rows == threaded.tables[scenario].rows
+        axis = [dict(zip(table.columns, row))["c_tilde"] for row in table.rows]
         assert axis == [1.0, 2.0, 3.0]
 
     def test_truncation_retry_escalates_field_dim(self):
@@ -309,6 +314,27 @@ class TestSweeps:
         assert row["field_dim"] == 6
         assert out.report["invariants"]["truncation_flagged"] == 1
 
+    def test_truncation_is_reported_without_touching_warning_filters(self):
+        # a flagged point reaches a library caller as a TruncationWarning
+        # and still commits its flag
+        cfg = build_config(
+            "single_laser", preset="desk",
+            overrides={"numerics": {"field_dim": 6,
+                                    "truncation_retries": 0}})
+        with pytest.warns(TruncationWarning):
+            out = run_scenario(cfg)
+        row = dict(zip(out.tables["single_laser"].columns,
+                       out.tables["single_laser"].rows[0]))
+        assert row["truncation_flag"] == 1
+        # the process-wide filters are not the workers' to change
+        over = {"sweep": {"param": "c_tilde", "start": 1.0, "stop": 3.0,
+                          "steps": 3},
+                "numerics": {"field_dim": 12, "n_phases": 16}}
+        before = list(warnings.filters)
+        run_scenario(build_config("squeezed_laser", preset="desk",
+                                  file_data=over), threads=3)
+        assert warnings.filters == before
+
     def test_failed_point_is_isolated(self, monkeypatch):
         import squeezed_lasing.scenarios as scen
         real = scen._POINT_FUNCS["single_laser"]
@@ -323,12 +349,39 @@ class TestSweeps:
                           "steps": 3},
                 "numerics": {"field_dim": 18}}
         cfg = build_config("single_laser", preset="desk", file_data=over)
+        for threads in (1, 2):
+            out = run_scenario(cfg, threads=threads)
+            axis = [row[0] for row in out.tables["single_laser"].rows]
+            assert axis == [1.0, 3.0]
+            assert len(out.failed_points) == 1
+            assert out.failed_points[0]["axis_value"] == 2.0
+            assert "synthetic solver blowup" in out.failed_points[0]["error"]
+
+    def test_fidelity_sweep_solves_effective_model_once_per_point(
+            self, monkeypatch):
+        # with include_full, the two-qubit comparison reuses the point's
+        # effective-model field and ansatz at the same field_dim
+        import squeezed_lasing.scenarios as scen
+        calls = {"steady_state": 0, "mf_ansatz": 0}
+
+        def counting(name):
+            real = getattr(scen, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(scen, name, counting(name))
+        cfg = build_config("fidelity_sweep", preset="desk", overrides={
+            "sweep": {"steps": 2}, "params": {"include_full": 1},
+            "numerics": {"field_dim": 12, "n_phases": 16}})
         out = run_scenario(cfg)
-        axis = [row[0] for row in out.tables["single_laser"].rows]
-        assert axis == [1.0, 3.0]
-        assert len(out.failed_points) == 1
-        assert out.failed_points[0]["axis_value"] == 2.0
-        assert "synthetic solver blowup" in out.failed_points[0]["error"]
+        table = out.tables["fidelity_sweep"]
+        assert [dict(zip(table.columns, row))["field_dim"]
+                for row in table.rows] == [12, 12]
+        assert calls == {"steady_state": 4, "mf_ansatz": 2}
 
     def test_squeezed_laser_reports_mf_anchor(self):
         cfg = build_config("squeezed_laser", preset="desk",
