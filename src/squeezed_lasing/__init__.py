@@ -4,9 +4,10 @@ Two bichromatic flux drives dress a transversal qubit-cavity coupling into
 an interaction with a Bogoliubov field mode.  With a single lossy qubit this
 produces lasing into a squeezed vacuum of that mode; an auxiliary qubit adds
 engineered dissipation that pins the squeezing axis.  The package covers the
-operator-level model, the drive-dressing algebra, time-dependent Lindblad
-dynamics, the mean-field description, Gaussian steady states, and Wigner
-tomography, plus a deterministic scenario runner.
+operator-level model, the drive-dressing algebra, Lindblad dynamics and
+the Schrödinger check of the rotating-wave step, the mean-field
+description, Gaussian steady states, and Wigner tomography, plus a
+deterministic scenario runner.
 """
 
 __version__ = "0.1.0"

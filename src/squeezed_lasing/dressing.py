@@ -20,8 +20,10 @@ counter-rotating coupling above into a rotating one; this is how the
 auxiliary qubit used for engineered dissipation is driven.
 
 The module also audits the discarded sidebands for near-resonances and
-builds the lab-frame, interaction-picture, and effective Hamiltonians
-used to validate the rotating-wave step.
+builds the lab-frame Hamiltonian (an Operator at one time), the
+interaction-picture Hamiltonian (a closure t -> dense matrix, for
+``schrodinger_evolve``) and the static effective Hamiltonian used to
+validate the rotating-wave step.
 """
 
 from __future__ import annotations
@@ -269,30 +271,16 @@ def lab_frame_H(params: SystemParams, space: HilbertSpace, t: float) -> Operator
     H(t) = omega a^dag a + [epsilon/2 + sum_j eta_j Omega_j cos(Omega_j t)] sigma_z
            + g sigma_x (a + a^dag)
     """
-    static, drive = lab_frame_parts(params, space)
-    return static + drive(t) * _sigma_z(params, space)
-
-
-def lab_frame_parts(params: SystemParams, space: HilbertSpace):
-    """(static Operator, drive coefficient t -> real) with H(t) = static + drive(t) sigma_z."""
     if space.n_qubits < 1:
         raise ValueError("lab-frame model needs at least one qubit")
     a = annihilation(space)
-    sigma, sigma_z, sigma_x = qubit_ops(space, 0)
+    _, sigma_z, sigma_x = qubit_ops(space, 0)
     static = (params.omega * (a.dag() @ a)
               + (params.epsilon / 2) * sigma_z
               + params.g * (sigma_x @ (a + a.dag())))
-
-    def drive(t: float) -> float:
-        return (params.eta1 * params.Omega1 * math.cos(params.Omega1 * t)
-                + params.eta2 * params.Omega2 * math.cos(params.Omega2 * t))
-
-    return static, drive
-
-
-def _sigma_z(params: SystemParams, space: HilbertSpace) -> Operator:
-    _, sigma_z, _ = qubit_ops(space, 0)
-    return sigma_z
+    drive = (params.eta1 * params.Omega1 * math.cos(params.Omega1 * t)
+             + params.eta2 * params.Omega2 * math.cos(params.Omega2 * t))
+    return static + drive * sigma_z
 
 
 def frame_unitary(params: SystemParams, space: HilbertSpace, t: float) -> Operator:
@@ -314,12 +302,15 @@ def frame_unitary(params: SystemParams, space: HilbertSpace, t: float) -> Operat
     return Operator(space, np.diag(np.exp(-1j * exponent)))
 
 
-def interaction_picture_H(params: SystemParams, space: HilbertSpace, t: float,
-                          bessel_cutoff: int = 8) -> Operator:
+def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace,
+                                    bessel_cutoff: int = 8):
     """Interaction-picture Hamiltonian with all Bessel sidebands retained.
 
-    H_I(t) = g [alpha(t) a sigma^dag + beta(t) a sigma] + h.c., where the
-    phase factors carry the full drive modulation,
+    Returns t -> H_I(t) as a dense matrix, where
+
+        H_I(t) = g [alpha(t) a sigma^dag + beta(t) a sigma] + h.c.,
+
+    and the phase factors carry the full drive modulation,
 
         alpha(t) = e^{-i (omega - epsilon) t} f_1(t) f_2(t),
         beta(t)  = e^{-i (omega + epsilon) t} conj(f_1 f_2),
@@ -328,12 +319,6 @@ def interaction_picture_H(params: SystemParams, space: HilbertSpace, t: float,
     The product f_1 f_2 is the double Bessel sum truncated at
     |n_1|, |n_2| <= bessel_cutoff.
     """
-    return interaction_picture_hamiltonian(params, space, bessel_cutoff)(t)
-
-
-def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace,
-                                    bessel_cutoff: int = 8):
-    """Factory form of :func:`interaction_picture_H`: returns t -> Operator."""
     if bessel_cutoff < 1:
         raise ValueError("bessel_cutoff must be at least 1")
     a = annihilation(space)
@@ -344,13 +329,13 @@ def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace,
     j1 = scipy.special.jv(orders, 2 * params.eta1)
     j2 = scipy.special.jv(orders, 2 * params.eta2)
 
-    def hamiltonian(t: float) -> Operator:
+    def hamiltonian(t: float) -> np.ndarray:
         f1 = np.sum(j1 * np.exp(1j * orders * params.Omega1 * t))
         f2 = np.sum(j2 * np.exp(1j * orders * params.Omega2 * t))
         alpha = np.exp(-1j * (params.omega - params.epsilon) * t) * f1 * f2
         beta = np.exp(-1j * (params.omega + params.epsilon) * t) * np.conj(f1 * f2)
         half = params.g * (alpha * raising + beta * lowering)
-        return Operator(space, half + half.conj().T)
+        return half + half.conj().T
 
     return hamiltonian
 

@@ -17,9 +17,8 @@ past the dimensions where dense storage stops fitting in memory.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,8 +34,6 @@ from .fock import (
     annihilation,
     qubit_ops,
 )
-
-HamiltonianLike = Union[Operator, Callable[[float], Operator]]
 
 # Dense SVD screening for nonunique steady states is affordable only on
 # small systems; larger models in scope are known to be ergodic.
@@ -65,42 +62,28 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class MasterEquation:
-    """Hamiltonian plus Lindblad terms on a shared Hilbert space.
+    """Time-independent Hermitian Hamiltonian plus Lindblad terms on a
+    shared Hilbert space.
 
-    ``hamiltonian`` is either a (Hermitian) Operator or a callable
-    t -> Operator for time-dependent problems.
+    Time-dependent Hamiltonians appear only in the pure-state RWA check,
+    which propagates them with :func:`schrodinger_evolve`.
     """
 
-    hamiltonian: HamiltonianLike
+    hamiltonian: Operator
     terms: tuple[LindbladTerm, ...]
     space: HilbertSpace
 
     def __post_init__(self):
+        if not isinstance(self.hamiltonian, Operator):
+            raise TypeError("hamiltonian must be an Operator, got "
+                            f"{type(self.hamiltonian).__name__}")
         object.__setattr__(self, "terms", tuple(self.terms))
         for term in self.terms:
             if term.jump.space != self.space:
                 raise ValueError("jump operator lives on a different space")
-        if isinstance(self.hamiltonian, Operator):
-            self._check_hermitian(self.hamiltonian)
-
-    @staticmethod
-    def _check_hermitian(h: Operator):
-        scale = max(1.0, float(np.max(np.abs(h.matrix))))
-        if not h.is_hermitian(tol=1e-10 * scale):
+        scale = max(1.0, float(np.max(np.abs(self.hamiltonian.matrix))))
+        if not self.hamiltonian.is_hermitian(tol=1e-10 * scale):
             raise ValueError("Hamiltonian is not Hermitian")
-
-    @property
-    def is_time_dependent(self) -> bool:
-        return not isinstance(self.hamiltonian, Operator)
-
-    def hamiltonian_at(self, t: float) -> Operator:
-        if isinstance(self.hamiltonian, Operator):
-            return self.hamiltonian
-        h = self.hamiltonian(t)
-        if h.space != self.space:
-            raise ValueError("time-dependent Hamiltonian changed space")
-        self._check_hermitian(h)
-        return h
 
 
 @dataclass(frozen=True)
@@ -156,10 +139,10 @@ def dissipator(term: LindbladTerm, rho) -> np.ndarray:
     return term.rate * (2.0 * (o_rho @ o.conj().T) - odo @ rho - rho @ odo)
 
 
-def rhs(me: MasterEquation, rho, t: float = 0.0) -> np.ndarray:
-    """-i[H(t), rho] plus all dissipators; the full generator output."""
+def rhs(me: MasterEquation, rho) -> np.ndarray:
+    """-i[H, rho] plus all dissipators; the full generator output."""
     rho = _as_matrix(rho, me.space)
-    h = me.hamiltonian_at(t).matrix
+    h = me.hamiltonian.matrix
     out = -1j * (h @ rho - rho @ h)
     for term in me.terms:
         out += dissipator(term, rho)
@@ -178,9 +161,6 @@ def _unvec(y: np.ndarray, d: int) -> np.ndarray:
 
 def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
     """Sparse matrix L with vec(rhs(rho)) = L vec(rho)."""
-    if me.is_time_dependent:
-        raise TypeError("Liouvillian matrix requires a time-independent "
-                        "Hamiltonian")
     d = me.space.dim
     eye = sp.identity(d, format="csr")
     h = sp.csr_matrix(me.hamiltonian.matrix)
@@ -210,6 +190,32 @@ def _state_from_vec(y: np.ndarray, space: HilbertSpace) -> DensityMatrix:
     return DensityMatrix(space, m / np.trace(m).real)
 
 
+def _rk45_samples(fun, y0: np.ndarray, t_final: float, rtol: float,
+                  atol: float, n_store: int, check):
+    """Step RK45 from 0 to ``t_final`` and sample ``n_store`` uniform times.
+
+    ``check(y, t)`` runs after every accepted step; samples that fall
+    inside a step come from its dense output.  Returns (times, samples),
+    with ``y0`` as the first sample.
+    """
+    sample_times = np.linspace(0.0, t_final, max(2, n_store))
+    stepper = RK45(fun, 0.0, y0, t_final, rtol=rtol, atol=atol)
+    samples = [y0]
+    next_sample = 1
+    while stepper.status == "running":
+        message = stepper.step()
+        if stepper.status == "failed":
+            raise SteadyStateConvergenceError(f"integrator failed: {message}")
+        check(stepper.y, stepper.t)
+        while (next_sample < len(sample_times)
+               and sample_times[next_sample] <= stepper.t + 1e-15):
+            ts = sample_times[next_sample]
+            y = stepper.dense_output()(ts) if ts < stepper.t else stepper.y
+            samples.append(y)
+            next_sample += 1
+    return sample_times[:next_sample], samples
+
+
 def evolve(me: MasterEquation, rho0: DensityMatrix, t_final: float,
            tol: float = 1e-8, *, n_store: int = 25) -> Trajectory:
     """Integrate the master equation with an embedded RK45 stepper.
@@ -225,78 +231,45 @@ def evolve(me: MasterEquation, rho0: DensityMatrix, t_final: float,
         raise ValueError("initial state lives on a different space")
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    d = me.space.dim
-    diag_idx = np.arange(d) * (d + 1)
-    sample_times = np.linspace(0.0, t_final, max(2, n_store))
     if t_final == 0.0:
         return Trajectory(times=np.array([0.0]), states=(rho0,))
+    d = me.space.dim
+    diag_idx = np.arange(d) * (d + 1)
+    lmat = liouvillian_matrix(me).matrix.tocsr()
 
-    if me.is_time_dependent:
-        def fun(t, y):
-            return _vec(rhs(me, _unvec(y, d), t))
-    else:
-        lmat = liouvillian_matrix(me).matrix.tocsr()
+    def check(y, t):
+        _step_invariants(y, d, diag_idx, f"step to t={t:.4g}")
 
-        def fun(t, y):
-            return lmat @ y
-
-    stepper = RK45(fun, 0.0, _vec(rho0.matrix).astype(complex), t_final,
-                   rtol=tol, atol=tol * 1e-2)
-    states: list[DensityMatrix] = [rho0]
-    times = [0.0]
-    next_sample = 1
-    while stepper.status == "running":
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise SteadyStateConvergenceError(f"integrator failed: {message}")
-        _step_invariants(stepper.y, d, diag_idx, f"step to t={stepper.t:.4g}")
-        while (next_sample < len(sample_times)
-               and sample_times[next_sample] <= stepper.t + 1e-15):
-            ts = sample_times[next_sample]
-            y = stepper.dense_output()(ts) if ts < stepper.t else stepper.y
-            states.append(_state_from_vec(y, me.space))
-            times.append(ts)
-            next_sample += 1
-    return Trajectory(times=np.asarray(times), states=tuple(states))
+    times, ys = _rk45_samples(lambda t, y: lmat @ y,
+                              _vec(rho0.matrix).astype(complex), t_final,
+                              tol, tol * 1e-2, n_store, check)
+    states = [_state_from_vec(y, me.space) for y in ys[1:]]
+    return Trajectory(times=times, states=(rho0, *states))
 
 
-def schrodinger_evolve(hamiltonian: Callable[[float], Operator],
+def schrodinger_evolve(hamiltonian: Callable[[float], np.ndarray],
                        psi0: np.ndarray, t_final: float, *,
                        rtol: float = 1e-8, atol: float = 1e-10,
                        n_store: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Pure-state propagation under a time-dependent Hamiltonian.
 
-    Returns (times, psis) with psis[k] the state at times[k].  Norm is
-    asserted after every accepted step but states are not renormalized.
+    ``hamiltonian`` maps t to the dense Hamiltonian matrix.  Returns
+    (times, psis) with psis[k] the state at times[k].  Norm is asserted
+    after every accepted step but states are not renormalized.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     norm0 = np.linalg.norm(psi0)
     if abs(norm0 - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
 
-    def fun(t, psi):
-        return -1j * (hamiltonian(t).matrix @ psi)
-
-    sample_times = np.linspace(0.0, t_final, max(2, n_store))
-    stepper = RK45(fun, 0.0, psi0, t_final, rtol=rtol, atol=atol)
-    psis = [psi0]
-    times = [0.0]
-    next_sample = 1
-    while stepper.status == "running":
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise SteadyStateConvergenceError(f"integrator failed: {message}")
-        norm = np.linalg.norm(stepper.y)
+    def check(psi, t):
+        norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-7:
             raise FloatingPointError(f"norm drifted to {norm}")
-        while (next_sample < len(sample_times)
-               and sample_times[next_sample] <= stepper.t + 1e-15):
-            ts = sample_times[next_sample]
-            y = stepper.dense_output()(ts) if ts < stepper.t else stepper.y
-            psis.append(y)
-            times.append(ts)
-            next_sample += 1
-    return np.asarray(times), np.asarray(psis)
+
+    times, psis = _rk45_samples(lambda t, psi: -1j * (hamiltonian(t) @ psi),
+                                psi0, t_final, rtol, atol, n_store, check)
+    return times, np.asarray(psis)
 
 
 def _screen_uniqueness(lmat: sp.spmatrix):
@@ -378,9 +351,6 @@ def steady_state(me: MasterEquation, method: str = "direct", *,
     small enough for a dense SVD the direct branch also screens for a
     degenerate stationary subspace (override with ``check_uniqueness``).
     """
-    if me.is_time_dependent:
-        raise TypeError("steady states are defined for time-independent "
-                        "generators only")
     lmat = liouvillian_matrix(me).matrix
     if method == "direct":
         return _steady_direct(me, lmat, check_uniqueness)

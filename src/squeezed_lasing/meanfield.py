@@ -212,8 +212,9 @@ def mf_ansatz(fbar_mag: float, c_prime: float, r: float, space: HilbertSpace,
         R_theta D (R_theta^dag core R_theta) D^dag R_theta^dag,
 
     where the inner conjugation scales entry (m, n) by e^{-i theta (m - n)}
-    and the outer one by e^{+i theta (m - n)}.  Every member is still
-    validated as a state.
+    and the outer one by e^{+i theta (m - n)}.  Each member is an exact
+    unitary conjugate of the core, so only the core (in ``to_fock``) and
+    the final mixture are validated as states.
     """
     if fbar_mag < 0:
         raise ValueError("fbar_mag must be non-negative")
@@ -231,5 +232,5 @@ def mf_ansatz(fbar_mag: float, c_prime: float, r: float, space: HilbertSpace,
         ket = np.exp(1j * theta * levels)
         phases = np.outer(ket, ket.conj())
         member = phases * (disp @ (phases.conj() * core) @ disp_dag)
-        acc += DensityMatrix(space, member).matrix
+        acc += member
     return DensityMatrix(space, acc / n_phases)

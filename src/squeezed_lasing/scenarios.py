@@ -799,7 +799,7 @@ def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
     reference = dress(system.eta1, system.eta2, g=system.g)
     t_final = float(params.get("gt_max", 3.0)) / reference.g_tilde
     h_full = interaction_picture_hamiltonian(system, space)
-    h_eff = effective_H(reference, space)
+    h_eff = effective_H(reference, space).matrix
     psi0 = np.zeros(space.dim, dtype=complex)
     excited = bool(params.get("start_excited", 1.0))
     psi0[0 if excited else space.field_dim] = 1.0

@@ -252,10 +252,34 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     mass = float(values.sum()) * grid.cell_area
     if abs(mass - 1.0) > MASS_TOL:
         x_lo, x_hi, p_lo, p_hi = _operator_extents(rho_A)
+        if (grid.x_min <= x_lo and x_hi <= grid.x_max
+                and grid.p_min <= p_lo and p_hi <= grid.p_max):
+            raise GridCoverageError(
+                f"grid captures mass {mass:.6f} although it spans the "
+                "moment extents; the quadrature is too coarse: suggest "
+                f"{_resolving_points(rho_A, grid)} grid points per axis "
+                f"(have {grid.nx} x {grid.np})")
         raise GridCoverageError(
             f"grid captures mass {mass:.6f}; suggest extents "
             f"x in [{x_lo:.2f}, {x_hi:.2f}], p in [{p_lo:.2f}, {p_hi:.2f}]")
     return WignerField(grid=grid, values=values, basis_tag=ModeBasis.MODE_A)
+
+
+def _resolving_points(rho_A: DensityMatrix, grid: PhaseGrid) -> int:
+    """Points per axis at which the midpoint rule resolves the state.
+
+    The rule's mass error is the characteristic function at the alias
+    frequency 2 pi / h.  For |n><n| that function, exp(-k^2/2) L_n(k^2),
+    dies off beyond k^2 = 4n + 2, so the spacing h must stay below
+    2 pi / sqrt(4N + 2), with N the highest level whose tail population
+    exceeds MASS_TOL.
+    """
+    pops = np.clip(np.diagonal(rho_A.matrix).real, 0.0, None)
+    tail = np.cumsum(pops[::-1])[::-1]
+    top = int(np.flatnonzero(tail > MASS_TOL)[-1])
+    k_max = math.sqrt(4 * top + 2)
+    width = max(grid.x_max - grid.x_min, grid.p_max - grid.p_min)
+    return max(grid.nx, grid.np, math.ceil(width * k_max / (2 * math.pi)))
 
 
 def gaussian_wigner(gs: GaussianState, grid: PhaseGrid) -> WignerField:

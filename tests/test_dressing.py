@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezed_lasing.dressing import (
     DegenerateDressingError,
@@ -12,10 +14,8 @@ from squeezed_lasing.dressing import (
     dress,
     effective_H,
     frame_unitary,
-    interaction_picture_H,
     interaction_picture_hamiltonian,
     lab_frame_H,
-    lab_frame_parts,
     resonance_audit,
     small_amplitude_estimates,
 )
@@ -81,6 +81,23 @@ def test_dress_bogoliubov_property_grid():
             assert dev <= 1e-12 * max(1.0, dc.u**2 + dc.v**2)
             checked += 1
     assert checked >= 360  # only the degenerate balance points drop out
+
+
+@settings(max_examples=50, deadline=None)
+@given(eta1=st.floats(0.01, 0.9), gap=st.floats(0.01, 0.2))
+def test_dress_bogoliubov_signature_property(eta1, gap):
+    # below the first zero of J_0(2 eta), J_1/J_0 grows with eta, so
+    # eta1 < eta2 puts the dressing on the lasing branch
+    eta2 = eta1 + gap
+    fwd = dress(eta1, eta2)
+    tol = 1e-12 * max(1.0, fwd.u**2 + fwd.v**2)
+    assert abs(fwd.u**2 - fwd.v**2 - 1.0) <= tol
+    assert fwd.u > 0
+    assert fwd.r == pytest.approx(math.atanh(fwd.v / fwd.u), rel=1e-12,
+                                  abs=1e-15)
+    bwd = dress(eta2, eta1)
+    assert abs(bwd.u**2 - bwd.v**2 + 1.0) <= tol
+    assert bwd.signature == -1
 
 
 def test_dress_exact_limit():
@@ -250,18 +267,17 @@ def test_interaction_picture_matches_frame_conjugation():
     """
     params = integer_params()
     space = HilbertSpace(n_qubits=1, field_dim=6)
-    static, _ = lab_frame_parts(params, space)
     a = annihilation(space)
     _, _, sigma_x = qubit_ops(space, 0)
     h_int = params.g * (sigma_x @ (a + a.dag()))
     h_factory = interaction_picture_hamiltonian(params, space, bessel_cutoff=16)
+    h_default = interaction_picture_hamiltonian(params, space)
     for t in (0.0, 0.123, 0.77, 2.5):
         u = frame_unitary(params, space, t)
         exact = u.dag() @ h_int @ u
-        np.testing.assert_allclose(h_factory(t).matrix, exact.matrix, atol=1e-12)
+        np.testing.assert_allclose(h_factory(t), exact.matrix, atol=1e-12)
         # default cutoff loses only the |n| > 8 Bessel tails
-        approx = interaction_picture_H(params, space, t)
-        np.testing.assert_allclose(approx.matrix, exact.matrix, atol=1e-9)
+        np.testing.assert_allclose(h_default(t), exact.matrix, atol=1e-9)
 
 
 def test_interaction_picture_no_drive_limit():
@@ -270,13 +286,14 @@ def test_interaction_picture_no_drive_limit():
     space = HilbertSpace(n_qubits=1, field_dim=5)
     a = annihilation(space)
     sigma, _, _ = qubit_ops(space, 0)
+    h_factory = interaction_picture_hamiltonian(params, space)
     for t in (0.0, 0.41):
-        h = interaction_picture_H(params, space, t)
+        h = h_factory(t)
         alpha = np.exp(-1j * (params.omega - params.epsilon) * t)
         beta = np.exp(-1j * (params.omega + params.epsilon) * t)
         half = params.g * (alpha * (a @ sigma.dag()).matrix
                            + beta * (a @ sigma).matrix)
-        np.testing.assert_allclose(h.matrix, half + half.conj().T, atol=1e-12)
+        np.testing.assert_allclose(h, half + half.conj().T, atol=1e-12)
 
 
 def test_interaction_picture_time_average_extracts_kept_term():
@@ -289,7 +306,7 @@ def test_interaction_picture_time_average_extracts_kept_term():
     g1 = space.basis_index(1, 1)
     n_samples = 1024
     samples = [
-        h_factory((k + 0.5) * 2 * math.pi / n_samples).matrix[e0, g1]
+        h_factory((k + 0.5) * 2 * math.pi / n_samples)[e0, g1]
         for k in range(n_samples)
     ]
     avg = sum(samples) / n_samples
@@ -303,7 +320,7 @@ def test_interaction_picture_cutoff_convergence():
     h8 = interaction_picture_hamiltonian(params, space, bessel_cutoff=8)
     h10 = interaction_picture_hamiltonian(params, space, bessel_cutoff=10)
     for t in (0.1, 1.3):
-        assert np.max(np.abs(h8(t).matrix - h10(t).matrix)) < 1e-10
+        assert np.max(np.abs(h8(t) - h10(t))) < 1e-10
 
 
 def test_frame_unitary_properties():

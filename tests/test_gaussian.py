@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezed_lasing.fock import (
     HilbertSpace,
@@ -149,6 +151,38 @@ def test_compose_decompose_round_trip():
     again = compose(decompose(gs))
     np.testing.assert_allclose(again.mean, gs.mean, atol=1e-10)
     np.testing.assert_allclose(again.cov, gs.cov, atol=1e-10)
+
+
+def decompositions(max_alpha, max_r, max_n):
+    return st.builds(GaussianDecomposition,
+                     alpha=st.complex_numbers(max_magnitude=max_alpha),
+                     phi=st.floats(-0.78, 0.78),
+                     r_tilde=st.floats(-max_r, max_r),
+                     n_tilde=st.floats(0.0, max_n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dec=decompositions(max_alpha=5.0, max_r=2.0, max_n=5.0))
+def test_compose_decompose_round_trip_property(dec):
+    gs = compose(dec)
+    again = compose(decompose(gs))
+    np.testing.assert_allclose(again.mean, gs.mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(again.cov, gs.cov, rtol=0,
+                               atol=1e-12 * np.max(np.abs(gs.cov)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(dec=decompositions(max_alpha=1.0, max_r=0.5, max_n=0.2))
+def test_fock_moment_round_trip_property(dec):
+    # field_dim 80 leaves every drawn state a top-decile tail below 1e-14,
+    # so the moments see no truncation
+    space = HilbertSpace(n_qubits=0, field_dim=80)
+    gs = compose(dec)
+    rho = to_fock(gs, space)
+    assert np.real(np.diag(rho.matrix))[-8:].sum() < 1e-14
+    again = moments_from_fock(rho)
+    np.testing.assert_allclose(again.mean, gs.mean, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(again.cov, gs.cov, rtol=0, atol=1e-9)
 
 
 def test_to_fock_vacuum():

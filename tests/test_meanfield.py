@@ -341,9 +341,10 @@ def test_displacement_phase_covariance(field_dim, fbar_mag, theta):
 
 
 def test_ansatz_work_does_not_grow_with_phases(monkeypatch):
-    # the core squeeze and the displacement are built once per call;
-    # only diagonal phases and two products are paid per member
-    counts = {"to_fock": 0, "expm": 0}
+    # the core squeeze and the displacement are built once per call, and
+    # only the core and the mixture are validated as states; only
+    # diagonal phases and two products are paid per member
+    counts = {"to_fock": 0, "expm": 0, "state": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -355,11 +356,15 @@ def test_ansatz_work_does_not_grow_with_phases(monkeypatch):
                         counting("to_fock", meanfield.to_fock))
     monkeypatch.setattr(fock, "matrix_exponential",
                         counting("expm", fock.matrix_exponential))
+    monkeypatch.setattr(DensityMatrix, "__init__",
+                        counting("state", DensityMatrix.__init__))
     space = HilbertSpace(n_qubits=0, field_dim=30)
-    expm_counts = []
+    expm_counts, state_counts = [], []
     for n_phases in (16, 64):
-        counts.update(to_fock=0, expm=0)
+        counts.update(to_fock=0, expm=0, state=0)
         mf_ansatz(1.2, 10.0, 1.15, space, n_phases=n_phases)
         assert counts["to_fock"] == 1
         expm_counts.append(counts["expm"])
+        state_counts.append(counts["state"])
     assert expm_counts[0] == expm_counts[1] > 0
+    assert state_counts[0] == state_counts[1] > 0

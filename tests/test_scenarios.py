@@ -1,10 +1,12 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from squeezed_lasing.cli import main
 from squeezed_lasing.dressing import dress
 from squeezed_lasing.fock import HilbertSpace, TruncationWarning
 from squeezed_lasing.lindblad import model_single_qubit_laser, partial_trace, steady_state
@@ -409,6 +411,29 @@ class TestWignerPanels:
         table = out.tables["wigner_summary"]
         assert len(table.rows) == 4
         assert set(out.report["panels"]) == set(out.grids)
+
+    @pytest.mark.parametrize("points", [17, 21])
+    def test_coarse_grid_error_suggests_more_points(self, points, tmp_path):
+        # the grid spans the moment extents, but its midpoint rule
+        # aliases the ring's fine structure: the remedy is resolution
+        def simulate(n, out):
+            return main(["wigner_panels", "--preset", "desk",
+                         "--set", "params.c_prime=0.01",
+                         "--set", "params.c_prime_alt=0.01",
+                         "--set", "numerics.field_dim=36",
+                         "--set", f"numerics.grid_points={n}",
+                         "--out", str(out)])
+
+        assert simulate(points, tmp_path / "coarse") == 3
+        manifest = json.loads(
+            (tmp_path / "coarse" / "manifest.json").read_text())
+        error = manifest["error"]
+        assert error.startswith("GridCoverageError")
+        assert "too coarse" in error and "extents x in" not in error
+        suggested = int(re.search(r"suggest (\d+) grid points",
+                                  error).group(1))
+        assert suggested > points
+        assert simulate(suggested, tmp_path / "fine") == 0
 
     def test_duplicate_alt_collapses_to_one_pair(self):
         over = {"params": {"c_prime": 1.0, "c_prime_alt": 1.0},

@@ -155,7 +155,7 @@ def test_undersized_grid_reports_suggestion():
     alpha = 2.5
     gs = from_moments(alpha, abs(alpha) ** 2, alpha**2)
     rho = to_fock(gs, space)
-    with pytest.raises(GridCoverageError, match="suggest"):
+    with pytest.raises(GridCoverageError, match="suggest extents"):
         wigner_from_density(rho, symmetric_grid(3.0))
 
 
