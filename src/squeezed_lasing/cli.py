@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, type=Path,
                         help="output directory (created if missing)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep points")
+                        help="kept for scripts that pass it; sweep points "
+                             "run serially, so only 1 is accepted")
     parser.add_argument("--preset", choices=sorted(PRESETS), default="desk",
                         help="base parameter set")
     return parser
@@ -79,6 +80,10 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     # solver-internal truncation retries already surface through flags
     warnings.simplefilter("ignore", TruncationWarning)
+    if args.threads != 1:
+        log.error("--threads %d: sweep points run serially; only "
+                  "--threads 1 is accepted", args.threads)
+        return 2
 
     try:
         file_data = (_load_config_file(args.config)
@@ -96,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
              config.config_hash)
     hard_failure = None
     try:
-        result = run_scenario(config, threads=args.threads)
+        result = run_scenario(config)
     except ConfigError as exc:
         log.error("%s", exc)
         return 2

@@ -29,7 +29,7 @@ validate the rotating-wave step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.special
@@ -58,9 +58,8 @@ def bessel_J(order: int, x: float) -> float:
 class SystemParams:
     """Physical parameters of the driven qubit-cavity model.
 
-    All frequencies and rates are angular.  ``eta1``/``eta2`` are the
-    dimensionless drive depths (drive amplitude over drive frequency).
-    ``g_prime``/``gamma_prime`` describe the optional auxiliary qubit.
+    All frequencies are angular.  ``eta1``/``eta2`` are the dimensionless
+    drive depths (drive amplitude over drive frequency).
     """
 
     epsilon: float
@@ -70,26 +69,21 @@ class SystemParams:
     eta2: float
     Omega1: float
     Omega2: float
-    gamma: float = 0.0
-    kappa: float = 0.0
-    g_prime: float = 0.0
-    gamma_prime: float = 0.0
 
     def __post_init__(self):
-        for name in ("epsilon", "omega", "g", "eta1", "eta2", "Omega1", "Omega2",
-                     "gamma", "kappa", "g_prime", "gamma_prime"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
         if not self.epsilon > self.omega:
             raise ValueError("epsilon must exceed omega (the difference sideband "
                              "epsilon - omega must be a positive drive frequency)")
 
     @classmethod
     def at_sidebands(cls, epsilon: float, omega: float, g: float,
-                     eta1: float, eta2: float, **rates) -> "SystemParams":
+                     eta1: float, eta2: float) -> "SystemParams":
         """Parameters with the drives placed exactly on the two sidebands."""
         return cls(epsilon=epsilon, omega=omega, g=g, eta1=eta1, eta2=eta2,
-                   Omega1=epsilon - omega, Omega2=epsilon + omega, **rates)
+                   Omega1=epsilon - omega, Omega2=epsilon + omega)
 
     @property
     def on_sidebands(self) -> bool:
@@ -340,9 +334,8 @@ def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace,
     return hamiltonian
 
 
-def effective_H(dressed: DressedCoupling, space: HilbertSpace,
-                which_qubit: int = 0) -> Operator:
+def effective_H(dressed: DressedCoupling, space: HilbertSpace) -> Operator:
     """Static dressed Hamiltonian -g_tilde (A^dag sigma^dag + A sigma)."""
-    sigma, _, _ = qubit_ops(space, which_qubit)
+    sigma, _, _ = qubit_ops(space, 0)
     mode = dressed.mode_operator(space)
     return -dressed.g_tilde * (mode.dag() @ sigma.dag() + mode @ sigma)

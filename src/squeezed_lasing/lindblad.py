@@ -284,12 +284,9 @@ def _screen_uniqueness(lmat: sp.spmatrix):
             f"{svals[-2] / scale:.2e}); stationary state is not unique")
 
 
-def _steady_direct(me: MasterEquation, lmat: sp.csc_matrix,
-                   check_uniqueness) -> DensityMatrix:
+def _steady_direct(me: MasterEquation, lmat: sp.csc_matrix) -> DensityMatrix:
     d = me.space.dim
-    if check_uniqueness is None:
-        check_uniqueness = d <= UNIQUENESS_SCREEN_MAX_DIM
-    if check_uniqueness:
+    if d <= UNIQUENESS_SCREEN_MAX_DIM:
         _screen_uniqueness(lmat)
     # Row 0 carries d(rho_00)/dt.  Trace preservation makes the diagonal
     # rows sum to zero, so replacing this one row keeps full rank and
@@ -341,19 +338,18 @@ def _steady_evolve(me: MasterEquation, lmat: sp.csc_matrix) -> DensityMatrix:
         f"(t = {stepper.t:.3g})")
 
 
-def steady_state(me: MasterEquation, method: str = "direct", *,
-                 check_uniqueness: bool | None = None) -> DensityMatrix:
+def steady_state(me: MasterEquation, method: str = "direct") -> DensityMatrix:
     """Stationary state of a time-independent master equation.
 
     method="direct" solves L vec(rho) = 0 with the trace pinned through
     a bordered sparse LU; method="evolve" relaxes from the maximally
     mixed state until the generator norm falls below 1e-10.  On systems
     small enough for a dense SVD the direct branch also screens for a
-    degenerate stationary subspace (override with ``check_uniqueness``).
+    degenerate stationary subspace.
     """
     lmat = liouvillian_matrix(me).matrix
     if method == "direct":
-        return _steady_direct(me, lmat, check_uniqueness)
+        return _steady_direct(me, lmat)
     if method == "evolve":
         return _steady_evolve(me, lmat)
     raise ValueError(f"unknown method {method!r}")

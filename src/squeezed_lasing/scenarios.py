@@ -13,10 +13,10 @@ solves the steady state, growing the field dimension while the top Fock
 levels hold weight.  Each column of a scenario's spec then names a
 quantity of the point (reduced-field observables, mean field, ansatz
 fidelity, effective vs full model), computed once, on first use.
-Sweep points run in the calling thread or, with ``threads > 1``, on a
-thread pool.  Truncation health comes back as a value (the row's
-``truncation_flag``); nothing here changes the process-wide warning
-filters.
+Sweep points run serially, in axis order, in the calling thread: each
+is one sparse LU, which holds the GIL.  Truncation health comes back as
+a value (the row's ``truncation_flag``); nothing here changes the
+process-wide warning filters.
 
 Two parameter families are understood.  Dimensionless keys
 (``kappa_over_gamma``, ``c_tilde``, ...) drive the solvers directly in
@@ -24,8 +24,7 @@ units of the qubit decay.  Physical keys carry the circuit values in
 GHz (``epsilon_ghz``, ...); ratios are derived from them when the
 dimensionless key is absent, and absolute angular frequencies (rad/ns)
 are formed with the 2*pi factor only where a Hamiltonian needs them.
-Everything stays deterministic: no randomness, no timestamps, and
-worker results are committed in axis order.
+Everything stays deterministic: no randomness and no timestamps.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import hashlib
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
@@ -281,27 +279,43 @@ def build_config(scenario: str, preset: str = "desk",
     if file_scenario is not None and file_scenario != scenario:
         raise ConfigError(f"config file names scenario {file_scenario!r} "
                           f"but {scenario!r} was requested")
-    known = {"params", "sweep", "numerics", "output"}
-    bad = set(data) - known
+    bad = set(data) - {"params", "sweep", "numerics"}
     if bad:
         raise ConfigError(f"unknown config sections: {sorted(bad)}")
+    for name in ("params", "numerics", "sweep"):
+        if not isinstance(data.get(name, {}), dict):
+            raise ConfigError(f"config section {name!r} must be an object")
     sweep_data = data.get("sweep")
     sweep = None
     if sweep_data:
         try:
-            sweep = SweepSpec(param=str(sweep_data["param"]),
-                              start=float(sweep_data["start"]),
-                              stop=float(sweep_data["stop"]),
-                              steps=int(sweep_data["steps"]))
+            sweep = SweepSpec(
+                param=str(sweep_data["param"]),
+                start=_number(sweep_data["start"], "sweep.start"),
+                stop=_number(sweep_data["stop"], "sweep.stop"),
+                steps=_integer(sweep_data["steps"], "sweep.steps"))
         except KeyError as exc:
             raise ConfigError(f"sweep spec is missing {exc}") from None
     try:
-        numerics = NumericsSpec(**{k: int(v)
-                                   for k, v in data.get("numerics", {}).items()})
+        numerics = NumericsSpec(**{k: _integer(v, f"numerics.{k}")
+                                   for k, v in data["numerics"].items()})
     except TypeError as exc:
         raise ConfigError(f"bad numerics section: {exc}") from None
-    return RunConfig(scenario=scenario, params=dict(data.get("params", {})),
+    return RunConfig(scenario=scenario, params=dict(data["params"]),
                      sweep=sweep, numerics=numerics)
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """An int, or a float with no fractional part (JSON's ``60.0``)."""
+    if _number(value, name).is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def parse_set_override(item: str) -> dict:
@@ -430,7 +444,7 @@ def resolve_gprime_ratio(params: dict) -> float:
     return ratio
 
 
-def resolve_system_params(params: dict, **rates) -> SystemParams:
+def resolve_system_params(params: dict) -> SystemParams:
     """Absolute drive/system frequencies for the Hamiltonian builders.
 
     GHz inputs are ordinary frequencies; the 2*pi enters here and only
@@ -449,8 +463,7 @@ def resolve_system_params(params: dict, **rates) -> SystemParams:
     return SystemParams(
         epsilon=eps, omega=om, g=g, eta1=eta1, eta2=eta2,
         Omega1=eps - om + float(params.get("shift_omega1_over_g", 0.0)) * g,
-        Omega2=eps + om + float(params.get("shift_omega2_over_g", 0.0)) * g,
-        **rates)
+        Omega2=eps + om + float(params.get("shift_omega2_over_g", 0.0)) * g)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +705,7 @@ def _evaluate_point(scenario: str, params: dict,
 _POINT_FUNCS = {name: partial(_evaluate_point, name) for name in _COLUMNS}
 
 
-def _run_sweep(config: RunConfig, threads: int) -> ScenarioOutput:
+def _run_sweep(config: RunConfig) -> ScenarioOutput:
     point_fn = _POINT_FUNCS[config.scenario]
     if config.sweep is not None:
         axis = config.sweep.param
@@ -704,56 +717,44 @@ def _run_sweep(config: RunConfig, threads: int) -> ScenarioOutput:
             and "include_full" not in base_params):
         base_params["include_full"] = 1.0
 
-    def evaluate(value):
+    returned: list[dict] = []
+    rows: list[tuple] = []
+    failed: list[dict] = []
+    for i, value in enumerate(values):
         params = dict(base_params)
         if axis is not None:
             params[axis] = value
-        return point_fn(params, config.numerics)
+        try:
+            rec = point_fn(params, config.numerics)
+        except ConfigError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - point isolation
+            error = f"{type(exc).__name__}: {exc}"
+            log.error("sweep point %s (%s=%s) failed: %s", i, axis, value,
+                      error)
+            failed.append({"index": i, "axis_value": value, "error": error})
+            continue
+        if returned and tuple(rec) != tuple(returned[0]):
+            raise RuntimeError("sweep points produced inconsistent columns")
+        returned.append(rec)
+        row = tuple(rec.values())
+        if all(math.isfinite(float(v)) for v in row):
+            rows.append(row)
+        else:
+            failed.append({"index": i, "axis_value": value,
+                           "error": "non-finite output"})
 
-    results: list[dict | None] = [None] * len(values)
-    errors: list[dict] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # with one thread, each point runs here when its result is read
-        calls = ([pool.submit(evaluate, v).result for v in values]
-                 if threads > 1 else [partial(evaluate, v) for v in values])
-        for i, call in enumerate(calls):
-            try:
-                results[i] = call()
-            except ConfigError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - point isolation
-                errors.append({"index": i, "axis_value": values[i],
-                               "error": f"{type(exc).__name__}: {exc}"})
-    for err in errors:
-        log.error("sweep point %s (%s=%s) failed: %s", err["index"], axis,
-                  err["axis_value"], err["error"])
-
-    committed = [r for r in results if r is not None]
-    if not committed:
-        out = ScenarioOutput(failed_points=errors)
+    out = ScenarioOutput(failed_points=failed)
+    if not returned:
         out.report["error"] = "no sweep point completed"
         return out
-    columns = tuple(committed[0].keys())
-    rows = []
-    for i, rec in enumerate(results):
-        if rec is None:
-            continue
-        if tuple(rec.keys()) != columns:
-            raise RuntimeError("sweep points produced inconsistent columns")
-        row = tuple(rec[c] for c in columns)
-        if not all(math.isfinite(float(v)) for v in row):
-            errors.append({"index": i, "axis_value": values[i],
-                           "error": "non-finite output"})
-            continue
-        rows.append(row)
-    out = ScenarioOutput(failed_points=errors)
-    out.tables[config.scenario] = Table(columns=columns, rows=rows)
+    out.tables[config.scenario] = Table(columns=tuple(returned[0]), rows=rows)
     out.report["invariants"] = {
-        "max_trace_error": max(r["trace_error"] for r in committed),
+        "max_trace_error": max(r["trace_error"] for r in returned),
         "max_hermiticity_error": max(r["hermiticity_error"]
-                                     for r in committed),
+                                     for r in returned),
         "truncation_flagged": sum(int(r["truncation_flag"])
-                                  for r in committed),
+                                  for r in returned),
     }
     return out
 
@@ -893,17 +894,15 @@ def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
     return out
 
 
-def run_scenario(config: RunConfig, threads: int = 1) -> ScenarioOutput:
+def run_scenario(config: RunConfig) -> ScenarioOutput:
     """Execute one scenario and return its in-memory products."""
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
     if config.scenario == "dress_audit":
         return _run_dress_audit(config)
     if config.scenario == "rwa_validate":
         return _run_rwa_validate(config)
     if config.scenario == "wigner_panels":
         return _run_wigner_panels(config)
-    return _run_sweep(config, threads)
+    return _run_sweep(config)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,7 @@ def test_successful_run_writes_artifacts(tmp_path):
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["single_laser", "--out", str(a), *FAST_SWEEP]) == 0
-    assert main(["single_laser", "--out", str(b), "--threads", "2",
-                 *FAST_SWEEP]) == 0
+    assert main(["single_laser", "--out", str(b), *FAST_SWEEP]) == 0
     for name in ("manifest.json", "single_laser.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -86,6 +85,31 @@ def test_unknown_param_exits_2(tmp_path):
 def test_zero_threads_exits_2(tmp_path):
     assert main(["single_laser", "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == 2
+
+
+def test_more_than_one_thread_exits_2(tmp_path):
+    # sweep points run serially; --threads only accepts 1
+    assert main(["single_laser", "--out", str(tmp_path / "o"),
+                 "--threads", "2"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fragments", [
+    ["--set", "numerics.field_dim=abc"],
+    ["--set", "numerics.field_dim=12.7"],
+    ["--set", "numerics.truncation_retries=true"],
+    ["--set", "numerics=3"],
+    ["--set", "params=5"],
+    ["--set", "sweep=5"],
+    ["--set", "output.foo=1"],
+    [*FAST_SWEEP, "--set", "sweep.start=abc"],
+    [*FAST_SWEEP, "--set", "sweep.steps=2.5"],
+    [*FAST_SWEEP, "--set", "sweep.steps=true"],
+], ids=lambda fragments: fragments[-1])
+def test_malformed_config_exits_2(tmp_path, fragments):
+    assert main(["single_laser", "--out", str(tmp_path / "o"),
+                 *fragments]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_output_path_collision_exits_4(tmp_path):

@@ -103,6 +103,16 @@ class TestConfigAssembly:
             build_config("dress_audit", preset="paper-2013",
                          file_data={"sweep": sweep})
 
+    def test_integral_floats_read_as_integers(self):
+        sweep = {"param": "c_tilde", "start": 1, "stop": 2, "steps": 3}
+        ints = build_config("single_laser", overrides={
+            "numerics": {"field_dim": 60}, "sweep": sweep})
+        floats = build_config("single_laser", overrides={
+            "numerics": {"field_dim": 60.0}, "sweep": {**sweep, "steps": 3.0}})
+        assert type(floats.numerics.field_dim) is int
+        assert type(floats.sweep.steps) is int
+        assert floats.config_hash == ints.config_hash
+
     def test_numerics_bounds(self):
         with pytest.raises(ConfigError):
             NumericsSpec(field_dim=1)
@@ -278,16 +288,14 @@ class TestSweeps:
     @pytest.mark.parametrize("scenario", [
         "single_laser", "squeezed_laser", "two_qubit_full", "fidelity_sweep",
         "mf_compare"])
-    def test_axis_ordering_and_thread_invariance(self, scenario):
+    def test_axis_ordering_and_rerun_determinism(self, scenario):
         over = {"sweep": {"param": "c_tilde", "start": 1.0, "stop": 3.0,
                           "steps": 3},
                 "numerics": {"field_dim": 8 if scenario == "two_qubit_full"
                              else 18, "n_phases": 16}}
         cfg = build_config(scenario, preset="desk", file_data=over)
-        serial = run_scenario(cfg, threads=1)
-        threaded = run_scenario(cfg, threads=3)
-        table = serial.tables[scenario]
-        assert table.rows == threaded.tables[scenario].rows
+        table = run_scenario(cfg).tables[scenario]
+        assert table.rows == run_scenario(cfg).tables[scenario].rows
         axis = [dict(zip(table.columns, row))["c_tilde"] for row in table.rows]
         assert axis == [1.0, 2.0, 3.0]
 
@@ -328,13 +336,13 @@ class TestSweeps:
         row = dict(zip(out.tables["single_laser"].columns,
                        out.tables["single_laser"].rows[0]))
         assert row["truncation_flag"] == 1
-        # the process-wide filters are not the workers' to change
+        # the process-wide filters are not the sweep's to change
         over = {"sweep": {"param": "c_tilde", "start": 1.0, "stop": 3.0,
                           "steps": 3},
                 "numerics": {"field_dim": 12, "n_phases": 16}}
         before = list(warnings.filters)
         run_scenario(build_config("squeezed_laser", preset="desk",
-                                  file_data=over), threads=3)
+                                  file_data=over))
         assert warnings.filters == before
 
     def test_failed_point_is_isolated(self, monkeypatch):
@@ -351,13 +359,36 @@ class TestSweeps:
                           "steps": 3},
                 "numerics": {"field_dim": 18}}
         cfg = build_config("single_laser", preset="desk", file_data=over)
-        for threads in (1, 2):
-            out = run_scenario(cfg, threads=threads)
-            axis = [row[0] for row in out.tables["single_laser"].rows]
-            assert axis == [1.0, 3.0]
-            assert len(out.failed_points) == 1
-            assert out.failed_points[0]["axis_value"] == 2.0
-            assert "synthetic solver blowup" in out.failed_points[0]["error"]
+        out = run_scenario(cfg)
+        axis = [row[0] for row in out.tables["single_laser"].rows]
+        assert axis == [1.0, 3.0]
+        assert len(out.failed_points) == 1
+        assert out.failed_points[0]["axis_value"] == 2.0
+        assert "synthetic solver blowup" in out.failed_points[0]["error"]
+
+    def test_failed_points_are_listed_in_axis_order(self, monkeypatch):
+        # a non-finite row and a later raising point fail in axis order
+        import squeezed_lasing.scenarios as scen
+        real = scen._POINT_FUNCS["single_laser"]
+
+        def faulty(params, numerics):
+            if params["c_tilde"] == 2.0:
+                raise RuntimeError("synthetic solver blowup")
+            row = real(params, numerics)
+            if params["c_tilde"] == 1.0:
+                row["purity"] = float("nan")
+            return row
+
+        monkeypatch.setitem(scen._POINT_FUNCS, "single_laser", faulty)
+        over = {"sweep": {"param": "c_tilde", "start": 1.0, "stop": 3.0,
+                          "steps": 3},
+                "numerics": {"field_dim": 18}}
+        out = run_scenario(build_config("single_laser", preset="desk",
+                                        file_data=over))
+        assert [f["index"] for f in out.failed_points] == [0, 1]
+        assert out.failed_points[0]["error"] == "non-finite output"
+        assert "synthetic solver blowup" in out.failed_points[1]["error"]
+        assert [row[0] for row in out.tables["single_laser"].rows] == [3.0]
 
     def test_fidelity_sweep_solves_effective_model_once_per_point(
             self, monkeypatch):
