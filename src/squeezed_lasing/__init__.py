@@ -17,7 +17,6 @@ from .fock import (
     HilbertSpace,
     InvalidStateError,
     Operator,
-    TruncationWarning,
     annihilation,
     displacement,
     expectation,
@@ -98,7 +97,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "SweepSpec",
     "SystemParams",
-    "TruncationWarning",
     "WignerField",
     "annihilation",
     "build_config",

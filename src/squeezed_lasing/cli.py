@@ -17,10 +17,8 @@ import argparse
 import json
 import logging
 import sys
-import warnings
 from pathlib import Path
 
-from .fock import TruncationWarning
 from .scenarios import (
     PRESETS,
     SCENARIO_NAMES,
@@ -66,7 +64,7 @@ def _load_config_file(path: Path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer past the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") \
             from None
     if not isinstance(data, dict):
@@ -78,8 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    # solver-internal truncation retries already surface through flags
-    warnings.simplefilter("ignore", TruncationWarning)
     if args.threads != 1:
         log.error("--threads %d: sweep points run serially; only "
                   "--threads 1 is accepted", args.threads)

@@ -14,7 +14,6 @@ fastest.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,13 +24,8 @@ class InvalidStateError(ValueError):
     """A density matrix failed validation (trace, hermiticity, positivity)."""
 
 
-class TruncationWarning(UserWarning):
-    """Significant population near the top of the Fock truncation."""
-
-
-# Fraction of the top Fock levels inspected by truncation checks.
+# Fraction of the top Fock levels that make up the truncation edge.
 _EDGE_FRACTION = 0.1
-_EDGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,8 +112,7 @@ class Operator:
 class DensityMatrix(Operator):
     """An Operator validated to be a physical state."""
 
-    def __init__(self, space: HilbertSpace, matrix: np.ndarray, *,
-                 check_truncation: bool = True):
+    def __init__(self, space: HilbertSpace, matrix: np.ndarray):
         super().__init__(space=space, matrix=matrix)
         mat = self.matrix
         tr = np.trace(mat)
@@ -131,8 +124,6 @@ class DensityMatrix(Operator):
         eigmin = float(np.linalg.eigvalsh(mat)[0])
         if eigmin < -1e-8:
             raise InvalidStateError(f"negative eigenvalue {eigmin:.3e} below -1e-8")
-        if check_truncation:
-            check_truncation_health(self)
 
 
 def identity(space: HilbertSpace) -> Operator:
@@ -194,11 +185,6 @@ def matrix_exponential(op: Operator) -> Operator:
 
 def displacement(space: HilbertSpace, alpha: complex) -> Operator:
     """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
-    if abs(alpha) ** 2 > space.field_dim / 4:
-        warnings.warn(
-            f"displacement |alpha|^2 = {abs(alpha)**2:.3g} is large for "
-            f"field_dim {space.field_dim}; expect truncation error",
-            TruncationWarning, stacklevel=2)
     a = annihilation(space)
     return matrix_exponential(alpha * a.dag() - np.conj(alpha) * a)
 
@@ -209,11 +195,6 @@ def squeeze(space: HilbertSpace, r: float, phi: float = 0.0) -> Operator:
     For phi = 0 and r > 0 the x = a + a^dag quadrature of S|0> is
     antisqueezed (variance e^{2r}) and p is squeezed.
     """
-    if math.exp(2 * abs(r)) > space.field_dim / 4:
-        warnings.warn(
-            f"squeeze r = {r:.3g} is large for field_dim {space.field_dim}; "
-            "expect truncation error",
-            TruncationWarning, stacklevel=2)
     a = annihilation(space)
     xi = r * np.exp(1j * phi)
     return matrix_exponential(0.5 * (xi * (a.dag() @ a.dag()) - np.conj(xi) * (a @ a)))
@@ -248,32 +229,13 @@ def fock_populations(rho: Operator) -> np.ndarray:
     return diag.reshape((2**nq if nq else 1, d)).sum(axis=0)
 
 
-def _edge_levels(field_dim: int) -> int:
-    return max(1, int(math.ceil(_EDGE_FRACTION * field_dim)))
-
-
 def truncation_edge(rho: Operator) -> float:
-    """Population in the top levels of the Fock ladder, without warning.
+    """Field population in the top tenth of the Fock ladder (at least one level).
 
-    Zero when the ladder is too short to have an edge.
+    Summed over any qubits; zero when the ladder is too short to have an edge.
     """
     d = rho.space.field_dim
-    n_edge = _edge_levels(d)
+    n_edge = max(1, math.ceil(_EDGE_FRACTION * d))
     if n_edge >= d:
         return 0.0
     return float(fock_populations(rho)[d - n_edge:].sum())
-
-
-def check_truncation_health(rho: Operator) -> float:
-    """Warn if the top levels of the Fock ladder hold non-negligible weight.
-
-    Returns the edge population so callers can decide to enlarge the space.
-    """
-    edge = truncation_edge(rho)
-    if edge >= _EDGE_TOL:
-        d = rho.space.field_dim
-        warnings.warn(
-            f"population {edge:.3e} in the top {_edge_levels(d)} of {d} Fock "
-            "levels; results may be truncation-limited",
-            TruncationWarning, stacklevel=2)
-    return edge

@@ -123,7 +123,9 @@ def decompose(gs: GaussianState) -> GaussianDecomposition:
     The thermal part matches the determinant, the squeeze the eigenvalue
     ratio of the covariance.  (phi, r~) and (phi + pi/2, -r~) describe
     the same state, which fixes the quarter-period domain; at r~ = 0 the
-    angle is undefined and reported as 0.
+    angle is undefined and reported as 0.  |r~| below 1e-13 counts as 0:
+    the r~ of an unsqueezed input is roundoff, below 1e-15, and setting
+    it to 0 moves the covariance by at most 2e-13 relative.
     """
     det = float(np.linalg.det(gs.cov))
     n_tilde = max(0.0, (math.sqrt(det) - 1) / 2)
@@ -131,7 +133,7 @@ def decompose(gs: GaussianState) -> GaussianDecomposition:
     half_gap = math.hypot(w[0, 0] - w[1, 1], 2 * w[0, 1]) / 2
     lam_plus = (w[0, 0] + w[1, 1]) / 2 + half_gap
     r_tilde = 0.5 * math.log(lam_plus)
-    if abs(r_tilde) < 1e-12:
+    if abs(r_tilde) < 1e-13:
         return GaussianDecomposition(alpha=gs.mean_A, phi=0.0,
                                      r_tilde=0.0, n_tilde=n_tilde)
     theta = 0.5 * math.atan2(2 * w[0, 1], w[0, 0] - w[1, 1])

@@ -459,8 +459,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     reduced_space = HilbertSpace(
         n_qubits=len(keep) - (1 if field_kept else 0),
         field_dim=space.field_dim if field_kept else 1)
-    return DensityMatrix(reduced_space, tensor.reshape(d_red, d_red),
-                         check_truncation=False)
+    return DensityMatrix(reduced_space, tensor.reshape(d_red, d_red))
 
 
 def _clip_spectrum(vals: np.ndarray, what: str) -> np.ndarray:

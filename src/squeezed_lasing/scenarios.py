@@ -14,9 +14,10 @@ levels hold weight.  Each column of a scenario's spec then names a
 quantity of the point (reduced-field observables, mean field, ansatz
 fidelity, effective vs full model), computed once, on first use.
 Sweep points run serially, in axis order, in the calling thread: each
-is one sparse LU, which holds the GIL.  Truncation health comes back as
-a value (the row's ``truncation_flag``); nothing here changes the
-process-wide warning filters.
+is one sparse LU, which holds the GIL.  Truncation health is one
+measured value, the population in the top Fock levels of the reduced
+field: it comes back as the row's ``truncation_flag`` and as log
+records, never as a Python warning.
 
 Two parameter families are understood.  Dimensionless keys
 (``kappa_over_gamma``, ``c_tilde``, ...) drive the solvers directly in
@@ -58,7 +59,6 @@ from .fock import (
     qubit_ops,
     truncation_edge,
 )
-from .fock import _EDGE_TOL as _TRUNCATION_TOL
 from .lindblad import (
     adiabatic_elimination_ok,
     fidelity,
@@ -164,9 +164,7 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown parameter names: {sorted(bad)}")
         for key, value in self.params.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"parameter {key!r} must be a number")
-            if not math.isfinite(float(value)):
+            if not math.isfinite(_number(value, f"parameter {key!r}")):
                 raise ConfigError(f"parameter {key!r} must be finite")
         if self.sweep is not None and self.scenario not in _SWEEPABLE:
             raise ConfigError(f"scenario {self.scenario!r} does not sweep")
@@ -288,6 +286,9 @@ def build_config(scenario: str, preset: str = "desk",
     sweep_data = data.get("sweep")
     sweep = None
     if sweep_data:
+        bad = set(sweep_data) - {"param", "start", "stop", "steps"}
+        if bad:
+            raise ConfigError(f"unknown sweep keys: {sorted(bad)}")
         try:
             sweep = SweepSpec(
                 param=str(sweep_data["param"]),
@@ -306,9 +307,12 @@ def build_config(scenario: str, preset: str = "desk",
 
 
 def _number(value, name: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
         return float(value)
-    raise ConfigError(f"{name} must be a number, got {value!r}")
+    except OverflowError:
+        raise ConfigError(f"{name} is beyond the float range") from None
 
 
 def _integer(value, name: str) -> int:
@@ -325,7 +329,7 @@ def parse_set_override(item: str) -> dict:
         raise ConfigError(f"--set needs key=value, got {item!r}")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past the digit limit
         value = raw
     out: dict = {}
     node = out
@@ -483,14 +487,19 @@ class ScenarioOutput:
     failed_points: list[dict] = field(default_factory=list)
 
 
+# A state whose truncation edge (``fock.truncation_edge``) reaches this
+# population is truncation-limited.
+_TRUNCATION_TOL = 1e-6
+
+
 def _solve_steady_checked(build, field_dim: int, retries: int):
     """Steady state with the field dimension retried 1.5x on bad truncation.
 
     ``build(field_dim)`` returns (master equation, tuple of factor indices
     keeping the field).  Returns (full state, reduced field state,
-    field_dim used, flagged).  The edge population of each attempt is read
-    without warning; a truncation-limited state still warns where it is
-    built.
+    field_dim used, flagged).  The edge population of each attempt's
+    reduced field is measured once; a state still over the edge after the
+    last retry is logged and flagged.
     """
     fd = field_dim
     for attempt in range(retries + 1):
@@ -607,9 +616,13 @@ class _Point:
         f_mag = abs(self.mf.F)
         key = ("ansatz", self.field_dim, f_mag)
         if key not in self._memo:
-            self._memo[key] = mf_ansatz(f_mag, self.rates.c_prime,
-                                        self.dressed.r, self.field.space,
-                                        n_phases=self.numerics.n_phases)
+            self._memo[key] = ansatz = mf_ansatz(
+                f_mag, self.rates.c_prime, self.dressed.r, self.field.space,
+                n_phases=self.numerics.n_phases)
+            edge = truncation_edge(ansatz)
+            if edge >= _TRUNCATION_TOL:
+                log.warning("ansatz truncation-limited at field_dim %d "
+                            "(edge %.2e)", self.field_dim, edge)
         return fidelity(self.field, self._memo[key])
 
     @cached_property

@@ -72,6 +72,14 @@ def test_bad_json_config(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_config_integer_past_the_digit_limit_exits_2(tmp_path):
+    # json.loads refuses integers longer than 4300 digits with ValueError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"numerics": {"field_dim": 1%s}}' % ("0" * 5000))
+    assert main(["single_laser", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
 def test_missing_config_file(tmp_path):
     assert main(["single_laser", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -94,6 +102,11 @@ def test_more_than_one_thread_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def _fragment_id(fragment: str) -> str:
+    key, _, value = fragment.partition("=")
+    return fragment if len(value) < 40 else f"{key}=<{len(value)} digits>"
+
+
 @pytest.mark.parametrize("fragments", [
     ["--set", "numerics.field_dim=abc"],
     ["--set", "numerics.field_dim=12.7"],
@@ -105,7 +118,13 @@ def test_more_than_one_thread_exits_2(tmp_path):
     [*FAST_SWEEP, "--set", "sweep.start=abc"],
     [*FAST_SWEEP, "--set", "sweep.steps=2.5"],
     [*FAST_SWEEP, "--set", "sweep.steps=true"],
-], ids=lambda fragments: fragments[-1])
+    [*FAST_SWEEP, "--set", "sweep.stpes=5"],
+    # integers beyond the float range, and beyond json's digit limit
+    ["--set", "numerics.field_dim=1" + "0" * 400],
+    [*FAST_SWEEP, "--set", "sweep.start=1" + "0" * 400],
+    ["--set", "params.c_tilde=1" + "0" * 400],
+    ["--set", "numerics.field_dim=1" + "0" * 5000],
+], ids=lambda fragments: _fragment_id(fragments[-1]))
 def test_malformed_config_exits_2(tmp_path, fragments):
     assert main(["single_laser", "--out", str(tmp_path / "o"),
                  *fragments]) == 2

@@ -6,7 +6,6 @@ from squeezed_lasing.fock import (
     HilbertSpace,
     InvalidStateError,
     Operator,
-    TruncationWarning,
     adjoint_action,
     annihilation,
     commutator,
@@ -18,6 +17,7 @@ from squeezed_lasing.fock import (
     qubit_ops,
     squeeze,
     tensor,
+    truncation_edge,
 )
 
 
@@ -151,12 +151,6 @@ def test_displacement_coherent_state():
     np.testing.assert_allclose(uu[:20, :20], np.eye(20), atol=1e-8)
 
 
-def test_displacement_warns_when_large():
-    space = HilbertSpace(n_qubits=0, field_dim=8)
-    with pytest.warns(TruncationWarning):
-        displacement(space, 2.0)
-
-
 def test_squeeze_quadrature_variances():
     # sign convention: x = a+a^dag is antisqueezed for r > 0
     space = HilbertSpace(n_qubits=0, field_dim=60)
@@ -237,7 +231,7 @@ def test_phase_rotation_conjugates_a():
 def test_density_matrix_validation():
     space = HilbertSpace(n_qubits=0, field_dim=3)
     good = np.diag([0.6, 0.3, 0.1])
-    rho = DensityMatrix(space, good, check_truncation=False)
+    rho = DensityMatrix(space, good)
     assert expectation(identity(space), rho) == pytest.approx(1.0)
 
     with pytest.raises(InvalidStateError):
@@ -251,13 +245,23 @@ def test_density_matrix_validation():
         DensityMatrix(space, bad_pos)
 
 
-def test_density_matrix_truncation_warning():
+def test_truncation_edge_measures_top_tenth():
     space = HilbertSpace(n_qubits=0, field_dim=10)
     pops = np.zeros(10)
     pops[0] = 0.99
     pops[9] = 0.01
-    with pytest.warns(TruncationWarning):
-        DensityMatrix(space, np.diag(pops))
+    assert truncation_edge(DensityMatrix(space, np.diag(pops))) == pytest.approx(0.01)
+    # level 8 lies below the top tenth of 10 levels
+    pops[8], pops[9] = 0.01, 0.0
+    assert truncation_edge(DensityMatrix(space, np.diag(pops))) == 0.0
+    # the edge sums the top field levels over the qubits
+    space = HilbertSpace(n_qubits=1, field_dim=10)
+    mat = np.zeros((20, 20))
+    for labels, p in (((0, 0), 0.99), ((0, 9), 0.004), ((1, 9), 0.006)):
+        mat[space.basis_index(*labels), space.basis_index(*labels)] = p
+    assert truncation_edge(DensityMatrix(space, mat)) == pytest.approx(0.01)
+    # a one-level ladder has no edge
+    assert truncation_edge(DensityMatrix(HilbertSpace(0, 1), np.eye(1))) == 0.0
 
 
 def test_fock_populations_traces_qubits():

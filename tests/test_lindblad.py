@@ -50,7 +50,7 @@ def random_density(space, seed):
     m = rng.normal(size=(space.dim, space.dim)) \
         + 1j * rng.normal(size=(space.dim, space.dim))
     m = m @ m.conj().T
-    return DensityMatrix(space, m / np.trace(m).real, check_truncation=False)
+    return DensityMatrix(space, m / np.trace(m).real)
 
 
 def test_dissipator_vacuum_dark():
@@ -224,7 +224,6 @@ def test_pump_inversion_conjugation_spectrum():
     assert cost[rows, cols].max() < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::squeezed_lasing.fock.TruncationWarning")
 def test_evolve_zero_generator_and_store():
     space = HilbertSpace(n_qubits=0, field_dim=3)
     me = MasterEquation(hamiltonian=0.0 * annihilation(space), terms=(),
@@ -244,8 +243,7 @@ def test_evolve_coherence_rotation():
                         space=space)
     psi = np.zeros(4, dtype=complex)
     psi[:3] = 1 / math.sqrt(3)
-    rho0 = DensityMatrix(space, np.outer(psi, psi.conj()),
-                         check_truncation=False)
+    rho0 = DensityMatrix(space, np.outer(psi, psi.conj()))
     t = 0.7
     final = evolve(me, rho0, t, tol=1e-10).final
     levels = np.arange(4)
@@ -329,7 +327,6 @@ def test_laser_cooperativity_scaling():
     assert numbers[20.0] == pytest.approx(pump, rel=0.15)
 
 
-@pytest.mark.filterwarnings("ignore::squeezed_lasing.fock.TruncationWarning")
 def test_laser_steady_field_is_number_diagonal():
     space = HilbertSpace(n_qubits=1, field_dim=16)
     me = model_single_qubit_laser(g=math.sqrt(0.5), gamma=1.0, kappa=0.1,
@@ -418,7 +415,6 @@ def test_two_qubit_aux_coupling_is_rotating():
                                atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::squeezed_lasing.fock.TruncationWarning")
 def test_two_qubit_decoupled_aux_traces_out():
     space2 = HilbertSpace(n_qubits=2, field_dim=8)
     space1 = HilbertSpace(n_qubits=1, field_dim=8)
@@ -444,8 +440,7 @@ def test_partial_trace_product_state():
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho_f = m @ m.conj().T
     rho_f /= np.trace(rho_f).real
-    joint = DensityMatrix(space, np.kron(rho_q, rho_f),
-                          check_truncation=False)
+    joint = DensityMatrix(space, np.kron(rho_q, rho_f))
     np.testing.assert_allclose(partial_trace(joint, [0]).matrix, rho_q,
                                atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, [1]).matrix, rho_f,
@@ -458,8 +453,7 @@ def test_partial_trace_bell_pair():
     psi = np.zeros(4, dtype=complex)
     psi[space.basis_index(0, 0, 0)] = 1 / math.sqrt(2)
     psi[space.basis_index(1, 1, 0)] = 1 / math.sqrt(2)
-    rho = DensityMatrix(space, np.outer(psi, psi.conj()),
-                        check_truncation=False)
+    rho = DensityMatrix(space, np.outer(psi, psi.conj()))
     for keep in ([0], [1]):
         red = partial_trace(rho, keep)
         np.testing.assert_allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
@@ -483,10 +477,8 @@ def test_fidelity_identity_and_pure_overlap():
     phi = rng.normal(size=5) + 1j * rng.normal(size=5)
     psi /= np.linalg.norm(psi)
     phi /= np.linalg.norm(phi)
-    p1 = DensityMatrix(space, np.outer(psi, psi.conj()),
-                       check_truncation=False)
-    p2 = DensityMatrix(space, np.outer(phi, phi.conj()),
-                       check_truncation=False)
+    p1 = DensityMatrix(space, np.outer(psi, psi.conj()))
+    p2 = DensityMatrix(space, np.outer(phi, phi.conj()))
     overlap = abs(np.vdot(psi, phi)) ** 2
     assert fidelity(p1, p2) == pytest.approx(overlap, rel=1e-8)
 
@@ -513,10 +505,8 @@ def test_fidelity_rejects_deep_negativity():
 
 def test_trace_distance_basics():
     space = HilbertSpace(n_qubits=1, field_dim=1)
-    e = DensityMatrix(space, fock_projector(space, 0, 0),
-                      check_truncation=False)
-    g = DensityMatrix(space, fock_projector(space, 1, 0),
-                      check_truncation=False)
+    e = DensityMatrix(space, fock_projector(space, 0, 0))
+    g = DensityMatrix(space, fock_projector(space, 1, 0))
     assert trace_distance(e, g) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(e, e) == pytest.approx(0.0, abs=1e-12)
 

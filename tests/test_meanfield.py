@@ -311,7 +311,6 @@ def _ansatz_reference(fbar_mag, c_prime, r, space, n_phases):
     return DensityMatrix(space, acc / n_phases)
 
 
-@pytest.mark.filterwarnings("ignore::squeezed_lasing.fock.TruncationWarning")
 @settings(max_examples=25, deadline=None)
 @given(field_dim=st.integers(8, 32), fbar_mag=st.floats(0.1, 2.0),
        c_prime=st.floats(0.0, 20.0), r=st.floats(0.0, 1.2),
@@ -324,7 +323,6 @@ def test_ansatz_matches_member_loop(field_dim, fbar_mag, c_prime, r,
     assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-13
 
 
-@pytest.mark.filterwarnings("ignore::squeezed_lasing.fock.TruncationWarning")
 @settings(max_examples=25, deadline=None)
 @given(field_dim=st.integers(8, 32), fbar_mag=st.floats(0.1, 2.0),
        theta=st.floats(0.0, 2 * math.pi))

@@ -1,14 +1,14 @@
 import json
+import logging
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
 
 from squeezed_lasing.cli import main
 from squeezed_lasing.dressing import dress
-from squeezed_lasing.fock import HilbertSpace, TruncationWarning
+from squeezed_lasing.fock import HilbertSpace
 from squeezed_lasing.lindblad import model_single_qubit_laser, partial_trace, steady_state
 from squeezed_lasing.scenarios import (
     ConfigError,
@@ -268,6 +268,12 @@ class TestRwaValidate:
         assert out.report["rwa"]["initial_state"] == "g0"
 
 
+def _warning_filters() -> list:
+    # read at call time: pytest installs a fresh filter list for each test
+    from warnings import filters
+    return list(filters)
+
+
 class TestSweeps:
     def test_single_laser_matches_direct_solve(self):
         cfg = build_config(
@@ -324,26 +330,49 @@ class TestSweeps:
         assert row["field_dim"] == 6
         assert out.report["invariants"]["truncation_flagged"] == 1
 
-    def test_truncation_is_reported_without_touching_warning_filters(self):
-        # a flagged point reaches a library caller as a TruncationWarning
-        # and still commits its flag
+    def test_truncation_is_reported_without_touching_warning_filters(
+            self, caplog, recwarn, tmp_path):
+        # a flagged point commits its flag and one log record, no warning
+        before = _warning_filters()
         cfg = build_config(
             "single_laser", preset="desk",
             overrides={"numerics": {"field_dim": 6,
                                     "truncation_retries": 0}})
-        with pytest.warns(TruncationWarning):
+        with caplog.at_level(logging.INFO, logger="squeezed_lasing"):
             out = run_scenario(cfg)
         row = dict(zip(out.tables["single_laser"].columns,
                        out.tables["single_laser"].rows[0]))
         assert row["truncation_flag"] == 1
-        # the process-wide filters are not the sweep's to change
+        assert len([m for m in caplog.messages if "flagging point" in m]) == 1
+        assert len(recwarn) == 0
+        # neither a sweep nor the CLI changes the process-wide filters
         over = {"sweep": {"param": "c_tilde", "start": 1.0, "stop": 3.0,
                           "steps": 3},
                 "numerics": {"field_dim": 12, "n_phases": 16}}
-        before = list(warnings.filters)
         run_scenario(build_config("squeezed_laser", preset="desk",
                                   file_data=over))
-        assert warnings.filters == before
+        assert main(["single_laser", "--out", str(tmp_path / "o"),
+                     "--set", "numerics.field_dim=6",
+                     "--set", "numerics.truncation_retries=0"]) == 0
+        assert _warning_filters() == before
+        assert len(recwarn) == 0
+
+    def test_truncation_limited_ansatz_is_logged(self, caplog):
+        # the field fits (edge 6.0e-7) but the ansatz does not (2.4e-6)
+        cfg = build_config(
+            "squeezed_laser", preset="desk",
+            overrides={"params": {"c_tilde": 3.0, "c_prime": 1.0},
+                       "numerics": {"field_dim": 20, "n_phases": 16}})
+        with caplog.at_level(logging.INFO, logger="squeezed_lasing"):
+            out = run_scenario(cfg)
+        row = dict(zip(out.tables["squeezed_laser"].columns,
+                       out.tables["squeezed_laser"].rows[0]))
+        assert row["truncation_flag"] == 0
+        logged = [r for r in caplog.records
+                  if r.getMessage().startswith("ansatz truncation-limited")]
+        assert len(logged) == 1
+        assert logged[0].levelno == logging.WARNING
+        assert logged[0].name == "squeezed_lasing.scenarios"
 
     def test_failed_point_is_isolated(self, monkeypatch):
         import squeezed_lasing.scenarios as scen
