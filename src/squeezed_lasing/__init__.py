@@ -4,8 +4,8 @@ Two bichromatic flux drives dress a transversal qubit-cavity coupling into
 an interaction with a Bogoliubov field mode.  With a single lossy qubit this
 produces lasing into a squeezed vacuum of that mode; an auxiliary qubit adds
 engineered dissipation that pins the squeezing axis.  The package covers the
-operator-level model, the drive-dressing algebra, Lindblad dynamics and
-the Schrödinger check of the rotating-wave step, the mean-field
+operator-level model, the drive-dressing algebra, Lindblad steady states
+and the Schrödinger check of the rotating-wave step, the mean-field
 description, Gaussian steady states, and Wigner tomography, plus a
 deterministic scenario runner.
 """
@@ -24,7 +24,6 @@ from .fock import (
     phase_rotation,
     qubit_ops,
     squeeze,
-    tensor,
 )
 from .dressing import (
     DressedCoupling,
@@ -38,7 +37,6 @@ from .lindblad import (
     LindbladTerm,
     MasterEquation,
     dissipator,
-    evolve,
     fidelity,
     model_single_qubit_laser,
     model_squeezed_laser_effective,
@@ -104,7 +102,6 @@ __all__ = [
     "dissipator",
     "dress",
     "effective_H",
-    "evolve",
     "expectation",
     "fidelity",
     "gaussian_fidelity",
@@ -127,7 +124,6 @@ __all__ = [
     "run_scenario",
     "squeeze",
     "steady_state",
-    "tensor",
     "to_fock",
     "wigner_change_basis",
     "wigner_from_density",

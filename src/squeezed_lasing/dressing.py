@@ -36,22 +36,12 @@ import scipy.special
 
 from .fock import HilbertSpace, Operator, annihilation, qubit_ops
 
-# Bessel orders beyond this are outside the wrapper's contract.
-MAX_BESSEL_ORDER = 64
-
 # |p_u^2 - p_v^2| at or below this is treated as a degenerate dressing.
 DEGENERACY_TOL = 1e-12
 
 
 class DegenerateDressingError(ValueError):
     """The two Bessel weights balance, so no normalizable mode exists."""
-
-
-def bessel_J(order: int, x: float) -> float:
-    """Bessel function of the first kind J_order(x) for integer order."""
-    if abs(order) > MAX_BESSEL_ORDER:
-        raise ValueError(f"|order| = {abs(order)} exceeds supported {MAX_BESSEL_ORDER}")
-    return float(scipy.special.jv(order, x))
 
 
 @dataclass(frozen=True)
@@ -151,8 +141,8 @@ def dress(eta1: float, eta2: float, g: float = 1.0) -> DressedCoupling:
     Raises :class:`DegenerateDressingError` when the two Bessel weights
     balance and the normalization N vanishes.
     """
-    p_u = bessel_J(0, 2 * eta1) * bessel_J(1, 2 * eta2)
-    p_v = bessel_J(0, 2 * eta2) * bessel_J(1, 2 * eta1)
+    p_u = float(scipy.special.jv(0, 2 * eta1) * scipy.special.jv(1, 2 * eta2))
+    p_v = float(scipy.special.jv(0, 2 * eta2) * scipy.special.jv(1, 2 * eta1))
     if abs(p_u - p_v) * abs(p_u + p_v) <= DEGENERACY_TOL:
         raise DegenerateDressingError(
             f"|p_u| = |p_v| = {abs(p_u):.3e} at eta1={eta1}, eta2={eta2}; "
@@ -241,8 +231,10 @@ def resonance_audit(params: SystemParams, max_index: int = 30,
     kept: list[SidebandTerm] = []
     spurious: list[SidebandTerm] = []
     orders = range(-max_index, max_index + 1)
-    weights1 = {m: abs(bessel_J(m, 2 * params.eta1)) for m in orders}
-    weights2 = {m: abs(bessel_J(m, 2 * params.eta2)) for m in orders}
+    weights1 = {m: abs(float(scipy.special.jv(m, 2 * params.eta1)))
+                for m in orders}
+    weights2 = {m: abs(float(scipy.special.jv(m, 2 * params.eta2)))
+                for m in orders}
     for m1 in orders:
         for m2 in orders:
             weight = weights1[m1] * weights2[m2]

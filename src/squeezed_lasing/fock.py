@@ -163,19 +163,6 @@ def qubit_ops(space: HilbertSpace, which: int) -> tuple[Operator, Operator, Oper
             Operator(space, embed(sigma_x)))
 
 
-def tensor(left: Operator, right: Operator) -> Operator:
-    """Kronecker product, keeping the qubits-then-field factor order.
-
-    The left factor must be purely qubit-like (field_dim 1) whenever the right
-    factor contains qubits, otherwise the flat-index convention would break.
-    """
-    if left.space.field_dim > 1 and right.space.n_qubits > 0:
-        raise ValueError("cannot tensor a field-bearing factor to the left of qubits")
-    space = HilbertSpace(left.space.n_qubits + right.space.n_qubits,
-                         left.space.field_dim * right.space.field_dim)
-    return Operator(space, np.kron(left.matrix, right.matrix))
-
-
 def matrix_exponential(op: Operator) -> Operator:
     result = scipy.linalg.expm(op.matrix)
     if not np.all(np.isfinite(result)):

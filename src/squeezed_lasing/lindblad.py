@@ -1,4 +1,9 @@
-"""Lindblad master equations: propagation, Liouvillians, steady states.
+"""Lindblad master equations: Liouvillians and steady states.
+
+Master equations are solved for their stationary state only; the one
+time integrator, :func:`schrodinger_evolve`, propagates pure states (the
+RWA check).  ``steady_state(method="evolve")`` relaxes a master equation
+to its fixed point as the oracle of the direct solve.
 
 The dissipator convention carries the rate outside,
 
@@ -106,18 +111,6 @@ class Liouvillian:
                              f"(residual {residual:.2e})")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """States stored at sample times along one integration."""
-
-    times: np.ndarray
-    states: tuple[DensityMatrix, ...]
-
-    @property
-    def final(self) -> DensityMatrix:
-        return self.states[-1]
-
-
 def _as_matrix(rho, space: HilbertSpace) -> np.ndarray:
     if isinstance(rho, Operator):
         if rho.space != space:
@@ -190,86 +183,43 @@ def _state_from_vec(y: np.ndarray, space: HilbertSpace) -> DensityMatrix:
     return DensityMatrix(space, m / np.trace(m).real)
 
 
-def _rk45_samples(fun, y0: np.ndarray, t_final: float, rtol: float,
-                  atol: float, n_store: int, check):
-    """Step RK45 from 0 to ``t_final`` and sample ``n_store`` uniform times.
-
-    ``check(y, t)`` runs after every accepted step; samples that fall
-    inside a step come from its dense output.  Returns (times, samples),
-    with ``y0`` as the first sample.
-    """
-    sample_times = np.linspace(0.0, t_final, max(2, n_store))
-    stepper = RK45(fun, 0.0, y0, t_final, rtol=rtol, atol=atol)
-    samples = [y0]
-    next_sample = 1
-    while stepper.status == "running":
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise SteadyStateConvergenceError(f"integrator failed: {message}")
-        check(stepper.y, stepper.t)
-        while (next_sample < len(sample_times)
-               and sample_times[next_sample] <= stepper.t + 1e-15):
-            ts = sample_times[next_sample]
-            y = stepper.dense_output()(ts) if ts < stepper.t else stepper.y
-            samples.append(y)
-            next_sample += 1
-    return sample_times[:next_sample], samples
-
-
-def evolve(me: MasterEquation, rho0: DensityMatrix, t_final: float,
-           tol: float = 1e-8, *, n_store: int = 25) -> Trajectory:
-    """Integrate the master equation with an embedded RK45 stepper.
-
-    ``tol`` is the relative local error bound per step; the absolute
-    bound is tol/100.  Trace and Hermiticity are checked after every
-    accepted step, and each of the ``n_store`` uniformly spaced stored
-    states must pass the full density-matrix validation.
-    """
-    if not isinstance(rho0, DensityMatrix):
-        raise TypeError("rho0 must be a DensityMatrix")
-    if rho0.space != me.space:
-        raise ValueError("initial state lives on a different space")
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
-    if t_final == 0.0:
-        return Trajectory(times=np.array([0.0]), states=(rho0,))
-    d = me.space.dim
-    diag_idx = np.arange(d) * (d + 1)
-    lmat = liouvillian_matrix(me).matrix.tocsr()
-
-    def check(y, t):
-        _step_invariants(y, d, diag_idx, f"step to t={t:.4g}")
-
-    times, ys = _rk45_samples(lambda t, y: lmat @ y,
-                              _vec(rho0.matrix).astype(complex), t_final,
-                              tol, tol * 1e-2, n_store, check)
-    states = [_state_from_vec(y, me.space) for y in ys[1:]]
-    return Trajectory(times=times, states=(rho0, *states))
-
-
 def schrodinger_evolve(hamiltonian: Callable[[float], np.ndarray],
                        psi0: np.ndarray, t_final: float, *,
-                       rtol: float = 1e-8, atol: float = 1e-10,
                        n_store: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Pure-state propagation under a time-dependent Hamiltonian.
 
-    ``hamiltonian`` maps t to the dense Hamiltonian matrix.  Returns
-    (times, psis) with psis[k] the state at times[k].  Norm is asserted
-    after every accepted step but states are not renormalized.
+    ``hamiltonian`` maps t to the dense Hamiltonian matrix.  RK45 steps
+    from 0 to ``t_final`` at rtol 1e-8 and atol 1e-10; the ``n_store``
+    uniform sample times that fall inside a step come from its dense
+    output.  Returns (times, psis) with psis[k] the state at times[k] and
+    psis[0] = psi0.  Norm is asserted after every accepted step but
+    states are not renormalized.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     norm0 = np.linalg.norm(psi0)
     if abs(norm0 - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
-
-    def check(psi, t):
-        norm = np.linalg.norm(psi)
+    if t_final < 0:
+        raise ValueError("t_final must be non-negative")
+    sample_times = np.linspace(0.0, t_final, max(2, n_store))
+    stepper = RK45(lambda t, psi: -1j * (hamiltonian(t) @ psi), 0.0, psi0,
+                   t_final, rtol=1e-8, atol=1e-10)
+    psis = [psi0]
+    next_sample = 1
+    while stepper.status == "running":
+        message = stepper.step()
+        if stepper.status == "failed":
+            raise RuntimeError(f"integrator failed: {message}")
+        norm = np.linalg.norm(stepper.y)
         if abs(norm - 1.0) > 1e-7:
             raise FloatingPointError(f"norm drifted to {norm}")
-
-    times, psis = _rk45_samples(lambda t, psi: -1j * (hamiltonian(t) @ psi),
-                                psi0, t_final, rtol, atol, n_store, check)
-    return times, np.asarray(psis)
+        while (next_sample < len(sample_times)
+               and sample_times[next_sample] <= stepper.t + 1e-15):
+            ts = sample_times[next_sample]
+            psi = stepper.dense_output()(ts) if ts < stepper.t else stepper.y
+            psis.append(psi)
+            next_sample += 1
+    return sample_times[:next_sample], np.asarray(psis)
 
 
 def _screen_uniqueness(lmat: sp.spmatrix):

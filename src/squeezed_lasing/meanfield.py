@@ -40,11 +40,11 @@ class MeanFieldState:
         return math.atan2(self.F.imag, self.F.real)
 
 
-def check_bloch_bounds(state: MeanFieldState, tol: float = BLOCH_TOL):
-    """Raise if the spin sector leaves the physical range."""
-    if abs(state.D) > 1 + tol:
+def check_bloch_bounds(state: MeanFieldState):
+    """Raise if the spin sector leaves the physical range by over BLOCH_TOL."""
+    if abs(state.D) > 1 + BLOCH_TOL:
         raise InvalidStateError(f"|D| = {abs(state.D):.6f} exceeds 1")
-    if abs(state.S) > 0.5 + tol:
+    if abs(state.S) > 0.5 + BLOCH_TOL:
         raise InvalidStateError(f"|S| = {abs(state.S):.6f} exceeds 1/2")
 
 
@@ -134,18 +134,21 @@ def _unpack(y: np.ndarray) -> MeanFieldState:
                           D=float(y[4]))
 
 
-def mf_evolve(state0: MeanFieldState, params: MFParams, t_final: float, *,
-              rtol: float = 1e-10, atol: float = 1e-12,
-              n_store: int = 50) -> MFTrajectory:
-    """Integrate the Maxwell-Bloch flow, checking spin bounds en route."""
+def mf_evolve(state0: MeanFieldState, params: MFParams,
+              t_final: float) -> MFTrajectory:
+    """Integrate the Maxwell-Bloch flow, checking spin bounds en route.
+
+    RK45 runs at rtol 1e-10 and atol 1e-12; the trajectory holds 50
+    uniformly spaced states.
+    """
     check_bloch_bounds(state0)
 
     def rhs(t, y):
         return _pack(mf_rhs(_unpack(y), params))
 
-    times = np.linspace(0.0, t_final, n_store)
+    times = np.linspace(0.0, t_final, 50)
     sol = solve_ivp(rhs, (0.0, t_final), _pack(state0), method="RK45",
-                    t_eval=times, rtol=rtol, atol=atol)
+                    t_eval=times, rtol=1e-10, atol=1e-12)
     if not sol.success:
         raise RuntimeError(f"mean-field integration failed: {sol.message}")
     states = tuple(_unpack(sol.y[:, k]) for k in range(sol.y.shape[1]))

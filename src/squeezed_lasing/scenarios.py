@@ -34,7 +34,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
@@ -174,13 +174,7 @@ class RunConfig:
         out = {
             "scenario": self.scenario,
             "params": {k: float(v) for k, v in sorted(self.params.items())},
-            "numerics": {
-                "field_dim": self.numerics.field_dim,
-                "n_phases": self.numerics.n_phases,
-                "grid_points": self.numerics.grid_points,
-                "truncation_retries": self.numerics.truncation_retries,
-                "store_points": self.numerics.store_points,
-            },
+            "numerics": asdict(self.numerics),
         }
         if self.sweep is not None:
             out["sweep"] = {"param": self.sweep.param,
@@ -411,10 +405,17 @@ def resolve_rates(params: dict, *, need_c_prime: bool = True) -> ResolvedRates:
                          c_tilde=c_tilde, c_prime=c_prime)
 
 
+def _squeezing(params: dict) -> float:
+    r = float(params["r"])
+    if r < 0:
+        raise ConfigError("r must be non-negative")
+    return r
+
+
 def resolve_dressing(params: dict, g_tilde: float) -> DressedCoupling:
     """Lasing-branch coupling from ``r`` directly or from the drive depths."""
     if "r" in params:
-        return DressedCoupling.from_r(float(params["r"]), g_tilde=g_tilde)
+        return DressedCoupling.from_r(_squeezing(params), g_tilde=g_tilde)
     eta1, eta2 = _require(params, "eta1"), _require(params, "eta2")
     base = dress(eta1, eta2)
     if base.signature < 0:
@@ -426,7 +427,7 @@ def resolve_dressing(params: dict, g_tilde: float) -> DressedCoupling:
 def resolve_aux_dressing(params: dict, g_tilde_prime: float) -> DressedCoupling:
     """Swapped-branch coupling for the dissipation-engineering qubit."""
     if "r" in params:
-        r = float(params["r"])
+        r = _squeezing(params)
         return DressedCoupling(u=math.sinh(r), v=math.cosh(r), r=r,
                                g_tilde=g_tilde_prime, norm_N=1.0)
     eta1, eta2 = _require(params, "eta1"), _require(params, "eta2")
@@ -464,10 +465,13 @@ def resolve_system_params(params: dict) -> SystemParams:
         g = float(params.get("g", 1.0))
         eps = _require(params, "epsilon_over_g") * g
         om = _require(params, "omega_over_g") * g
-    return SystemParams(
-        epsilon=eps, omega=om, g=g, eta1=eta1, eta2=eta2,
-        Omega1=eps - om + float(params.get("shift_omega1_over_g", 0.0)) * g,
-        Omega2=eps + om + float(params.get("shift_omega2_over_g", 0.0)) * g)
+    omega1 = eps - om + float(params.get("shift_omega1_over_g", 0.0)) * g
+    omega2 = eps + om + float(params.get("shift_omega2_over_g", 0.0)) * g
+    try:
+        return SystemParams(epsilon=eps, omega=om, g=g, eta1=eta1, eta2=eta2,
+                            Omega1=omega1, Omega2=omega2)
+    except ValueError as exc:
+        raise ConfigError(f"system parameters out of range: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -810,8 +814,11 @@ def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
     params = config.params
     system = resolve_system_params(params)
     space = HilbertSpace(n_qubits=1, field_dim=config.numerics.field_dim)
+    gt_max = float(params.get("gt_max", 3.0))
+    if gt_max < 0:
+        raise ConfigError("gt_max must be non-negative")
     reference = dress(system.eta1, system.eta2, g=system.g)
-    t_final = float(params.get("gt_max", 3.0)) / reference.g_tilde
+    t_final = gt_max / reference.g_tilde
     h_full = interaction_picture_hamiltonian(system, space)
     h_eff = effective_H(reference, space).matrix
     psi0 = np.zeros(space.dim, dtype=complex)
@@ -834,7 +841,7 @@ def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
         "initial_state": "e0" if excited else "g0",
     }
     log.info("RWA fidelity over g~t <= %.3g: min %.6f, final %.6f",
-             float(params.get("gt_max", 3.0)), fid.min(), fid[-1])
+             gt_max, fid.min(), fid[-1])
     return out
 
 

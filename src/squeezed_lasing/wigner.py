@@ -114,52 +114,6 @@ class WignerField:
         return float(np.sum(fx(x, p) * self.values)) * self.grid.cell_area
 
 
-def laguerre(n: int, p: int, x):
-    """Associated Laguerre L_n^p(x) by upward recurrence in the degree."""
-    if n < 0 or p < 0:
-        raise ValueError("laguerre needs n >= 0 and p >= 0")
-    arr = np.asarray(x, dtype=float)
-    out = np.ones_like(arr)
-    if n >= 1:
-        cur = p + 1 - arr
-        for k in range(1, n):
-            out, cur = cur, ((2 * k + p + 1 - arr) * cur
-                             - (k + p) * out) / (k + 1)
-        out = cur
-    return float(out) if arr.ndim == 0 else out
-
-
-def wigner_basis(m: int, n: int, X, P):
-    """Wigner function of |m><n| at the given quadrature points.
-
-    Real for m = n, complex otherwise, with W_{nm} = conj(W_{mn}).  The
-    amplitude sqrt(n!/m!) R^{m-n} is assembled in the log domain so
-    large index offsets neither overflow nor lose the R = 0 zero.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be non-negative")
-    if m < n:
-        return np.conjugate(wigner_basis(n, m, X, P))
-    x_arr = np.asarray(X, dtype=float)
-    p_arr = np.asarray(P, dtype=float)
-    delta = m - n
-    r2 = x_arr**2 + p_arr**2
-    lag = laguerre(n, delta, r2)
-    sign = -1.0 if n % 2 else 1.0
-    amp = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)))
-    if delta == 0:
-        out = (sign / (2 * math.pi)) * amp * lag * np.exp(-r2 / 2)
-        return float(out) if np.ndim(out) == 0 else out
-    with np.errstate(divide="ignore"):
-        radial = np.exp(delta * 0.5 * np.log(r2) - r2 / 2)
-    # the upper-triangle kernel carries the conjugate angular factor, so
-    # that rotating the state e^{i phi n} turns the pattern the same way
-    # it turns <A>
-    phase = np.exp(-1j * delta * np.arctan2(p_arr, x_arr))
-    out = (sign / (2 * math.pi)) * amp * lag * radial * phase
-    return complex(out) if np.ndim(out) == 0 else out
-
-
 def _operator_extents(rho: DensityMatrix) -> tuple[float, float, float, float]:
     a = annihilation(rho.space)
     x_op = a + a.dag()

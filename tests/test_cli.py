@@ -131,6 +131,19 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("scenario, fragment", [
+    ("squeezed_laser", "params.r=-0.5"),
+    # epsilon below omega puts the difference sideband at a negative frequency
+    ("rwa_validate", "params.epsilon_over_g=100"),
+    ("dress_audit", "params.epsilon_over_g=100"),
+    ("rwa_validate", "params.gt_max=-3"),
+])
+def test_out_of_range_physics_exits_2(tmp_path, scenario, fragment):
+    assert main([scenario, "--out", str(tmp_path / "o"),
+                 "--set", fragment]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_output_path_collision_exits_4(tmp_path):
     target = tmp_path / "file"
     target.write_text("occupied")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import jv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from squeezed_lasing.dressing import (
     DegenerateDressingError,
     DressedCoupling,
     SystemParams,
-    bessel_J,
     dress,
     effective_H,
     frame_unitary,
@@ -39,33 +39,68 @@ def bessel_series_exact(order, x_num, x_den, terms=80):
 
 
 def test_bessel_trivial_values():
-    assert bessel_J(0, 0.0) == 1.0
-    assert bessel_J(1, 0.0) == 0.0
+    # with the first drive off, J_0(0) = 1 and J_m(0) = 0 make every
+    # sideband weight with m1 != 0 vanish exactly
+    params = SystemParams.at_sidebands(epsilon=20.0, omega=9.0, g=0.05,
+                                       eta1=0.0, eta2=0.2)
+    report = resonance_audit(params, max_index=3, g_threshold=math.inf)
+    terms = report.kept_terms + report.spurious_terms
+    assert len(terms) == 2 * 7 * 7
+    for term in terms:
+        m1, m2 = term.indices
+        if m1 == 0:
+            assert term.weight == abs(jv(m2, 0.4))
+        else:
+            assert term.weight == 0.0
 
 
 def test_bessel_against_series_oracle():
-    cases = [(0, 3, 10), (1, 3, 10), (0, 1, 1), (2, 5, 2), (5, 4, 1), (0, 20, 1),
-             (1, 20, 1), (11, 2, 5), (28, 8, 25)]
-    for order, num, den in cases:
-        exact = bessel_series_exact(order, num, den)
-        got = bessel_J(order, num / den)
-        assert got == pytest.approx(exact, rel=1e-10, abs=1e-300)
+    # the first spurious resonance at the hardware point weighs
+    # J_28(8/25) J_11(2/5)
+    first = resonance_audit(hardware_params(), max_index=30).spurious_terms[0]
+    assert first.indices == (28, 11)
+    exact = bessel_series_exact(28, 8, 25) * bessel_series_exact(11, 2, 5)
+    assert first.weight == pytest.approx(exact, rel=1e-10, abs=1e-300)
+    # dress normalizes p_u = J_0(2 eta1) J_1(2 eta2), p_v = J_0(2 eta2) J_1(2 eta1)
+    for (n1, d1), (n2, d2) in [((3, 10), (1, 1)), ((5, 2), (3, 10)),
+                               ((20, 1), (3, 10)), ((1, 1), (4, 1))]:
+        p_u = bessel_series_exact(0, n1, d1) * bessel_series_exact(1, n2, d2)
+        p_v = bessel_series_exact(0, n2, d2) * bessel_series_exact(1, n1, d1)
+        dc = dress(n1 / d1 / 2, n2 / d2 / 2)
+        assert dc.norm_N == pytest.approx(math.sqrt(abs(p_u**2 - p_v**2)),
+                                          rel=1e-10)
+        assert dc.v / dc.u == pytest.approx(p_v / p_u, rel=1e-10)
 
 
 def test_bessel_first_zero_of_j0():
-    assert abs(bessel_J(0, 2.404826)) < 1e-5
+    # 2 eta2 on the first zero of J_0 silences p_v: the dressed mode is bare
+    dc = dress(0.16, 2.404826 / 2)
+    assert abs(dc.v) < 1e-5
+    assert abs(dc.r) < 1e-5
 
 
 def test_bessel_negative_order_parity():
-    for m in (1, 2, 7):
-        for x in (0.32, 0.4, 3.3):
-            assert bessel_J(-m, x) == pytest.approx((-1) ** m * bessel_J(m, x),
-                                                    rel=1e-12)
+    # J_{-n} = (-1)^n J_n is what makes the truncated sideband sum in the
+    # interaction picture reproduce the Jacobi-Anger phase exp(2i eta sin)
+    params = integer_params(g=1.0)
+    space = HilbertSpace(n_qubits=1, field_dim=3)
+    h_factory = interaction_picture_hamiltonian(params, space, bessel_cutoff=8)
+    e0 = space.basis_index(0, 0)
+    g1 = space.basis_index(1, 1)
+    for t in (0.0, 0.32, 0.4, 3.3):
+        modulation = np.exp(2j * (params.eta1 * math.sin(params.Omega1 * t)
+                                  + params.eta2 * math.sin(params.Omega2 * t)))
+        alpha = np.exp(-1j * (params.omega - params.epsilon) * t) * modulation
+        assert h_factory(t)[e0, g1] == pytest.approx(alpha, abs=1e-10)
 
 
 def test_bessel_order_out_of_range():
     with pytest.raises(ValueError):
-        bessel_J(65, 1.0)
+        resonance_audit(hardware_params(), max_index=0)
+    with pytest.raises(ValueError):
+        interaction_picture_hamiltonian(integer_params(),
+                                        HilbertSpace(n_qubits=1, field_dim=3),
+                                        bessel_cutoff=0)
 
 
 def test_dress_bogoliubov_property_grid():
@@ -104,7 +139,7 @@ def test_dress_exact_limit():
     dc = dress(0.0, 0.2)
     assert (dc.u, dc.v) == (1.0, 0.0)
     assert dc.r == 0.0
-    assert dc.g_tilde == pytest.approx(bessel_J(1, 0.4), rel=1e-14)
+    assert dc.g_tilde == pytest.approx(jv(1, 0.4), rel=1e-14)
 
 
 def test_dress_swap_exchanges_u_v():
@@ -121,8 +156,8 @@ def test_dress_swap_exchanges_u_v():
 def test_dress_from_bessel_weights_directly():
     # u and v are the normalized Bessel weight products
     e1, e2 = 0.16, 0.2
-    p_u = bessel_J(0, 2 * e1) * bessel_J(1, 2 * e2)
-    p_v = bessel_J(0, 2 * e2) * bessel_J(1, 2 * e1)
+    p_u = jv(0, 2 * e1) * jv(1, 2 * e2)
+    p_v = jv(0, 2 * e2) * jv(1, 2 * e1)
     n = math.sqrt(abs(p_u**2 - p_v**2))
     dc = dress(e1, e2, g=2.0)
     assert dc.u == pytest.approx(p_u / n, rel=1e-12)
@@ -310,7 +345,7 @@ def test_interaction_picture_time_average_extracts_kept_term():
         for k in range(n_samples)
     ]
     avg = sum(samples) / n_samples
-    expected = -bessel_J(1, 2 * params.eta1) * bessel_J(0, 2 * params.eta2)
+    expected = -jv(1, 2 * params.eta1) * jv(0, 2 * params.eta2)
     assert avg == pytest.approx(expected, abs=1e-12)
 
 

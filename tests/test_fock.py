@@ -16,7 +16,6 @@ from squeezed_lasing.fock import (
     phase_rotation,
     qubit_ops,
     squeeze,
-    tensor,
     truncation_edge,
 )
 
@@ -92,22 +91,26 @@ def test_qubit_ops_embedding():
 
 
 def test_tensor_matches_embedding():
-    qubit = HilbertSpace(n_qubits=1, field_dim=1)
-    fld = HilbertSpace(n_qubits=0, field_dim=4)
-    sigma, _, _ = qubit_ops(qubit, 0)
-    a_local = annihilation(fld)
-    joint = tensor(sigma, a_local)
+    # operators on the joint space are Kronecker products, qubits first
+    sigma_local, _, _ = qubit_ops(HilbertSpace(n_qubits=1, field_dim=1), 0)
+    a_local = annihilation(HilbertSpace(n_qubits=0, field_dim=4))
     space = HilbertSpace(n_qubits=1, field_dim=4)
     sigma_full, _, _ = qubit_ops(space, 0)
     a_full = annihilation(space)
-    np.testing.assert_allclose(joint.matrix, (sigma_full @ a_full).matrix, atol=1e-14)
+    np.testing.assert_allclose((sigma_full @ a_full).matrix,
+                               np.kron(sigma_local.matrix, a_local.matrix),
+                               atol=1e-14)
 
 
-def test_tensor_rejects_field_before_qubit():
-    fld = identity(HilbertSpace(n_qubits=0, field_dim=3))
-    qub = identity(HilbertSpace(n_qubits=1, field_dim=1))
-    with pytest.raises(ValueError):
-        tensor(fld, qub)
+def test_tensor_associativity():
+    # sigma_z on the second of two qubits is I (x) sigma_z (x) I in
+    # either association order
+    space = HilbertSpace(n_qubits=2, field_dim=3)
+    _, sz, _ = qubit_ops(space, 1)
+    sz_local = np.diag([1.0, -1.0])
+    i2, i3 = np.eye(2), np.eye(3)
+    np.testing.assert_array_equal(sz.matrix, np.kron(np.kron(i2, sz_local), i3))
+    np.testing.assert_array_equal(sz.matrix, np.kron(i2, np.kron(sz_local, i3)))
 
 
 def test_operator_algebra():
@@ -204,19 +207,6 @@ def test_matrix_exponential_antihermitian_unitary():
     space = HilbertSpace(n_qubits=3, field_dim=1)
     u = matrix_exponential(Operator(space, anti))
     np.testing.assert_allclose((u.dag() @ u).matrix, np.eye(8), atol=1e-10)
-
-
-def test_tensor_associativity():
-    # sigma_z (x) I (x) a built in either association order
-    qubit = HilbertSpace(n_qubits=1, field_dim=1)
-    fld = HilbertSpace(n_qubits=0, field_dim=3)
-    _, sz, _ = qubit_ops(qubit, 0)
-    i2 = identity(qubit)
-    a = annihilation(fld)
-    left_first = tensor(tensor(sz, i2), a)
-    right_first = tensor(sz, tensor(i2, a))
-    np.testing.assert_array_equal(left_first.matrix, right_first.matrix)
-    assert left_first.space == HilbertSpace(n_qubits=2, field_dim=3)
 
 
 def test_phase_rotation_conjugates_a():

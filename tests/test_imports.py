@@ -1,0 +1,41 @@
+"""Import hygiene: no module-level import that its module never uses, and
+no name in ``squeezed_lasing.__all__`` that the package does not define.
+
+No linter runs on this project, so this test is what stops a deletion
+from leaving a dead import or a stale export behind.
+"""
+
+import ast
+from pathlib import Path
+
+import squeezed_lasing
+
+PACKAGE = Path(squeezed_lasing.__file__).resolve().parent
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    # ``import a.b`` binds ``a``; ``as`` binds the alias
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def _dead_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    dead = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            dead += [f"{path.name}:{node.lineno} {name}"
+                     for name in _bound_names(node) if name not in used]
+    return dead
+
+
+def test_no_dead_imports_or_stale_exports():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    dead = [entry for path in modules for entry in _dead_imports(path)]
+    assert dead == [], f"module-level imports never used: {dead}"
+    stale = [name for name in squeezed_lasing.__all__
+             if not hasattr(squeezed_lasing, name)]
+    assert stale == [], f"__all__ names the package does not define: {stale}"

@@ -24,7 +24,6 @@ from squeezed_lasing.lindblad import (
     MasterEquation,
     adiabatic_elimination_ok,
     dissipator,
-    evolve,
     fidelity,
     liouvillian_matrix,
     model_single_qubit_laser,
@@ -225,39 +224,32 @@ def test_pump_inversion_conjugation_spectrum():
 
 
 def test_evolve_zero_generator_and_store():
-    space = HilbertSpace(n_qubits=0, field_dim=3)
-    me = MasterEquation(hamiltonian=0.0 * annihilation(space), terms=(),
-                        space=space)
-    rho0 = random_density(space, 7)
-    traj = evolve(me, rho0, 2.0, n_store=5)
-    assert traj.times.shape == (5,)
-    for state in traj.states:
-        np.testing.assert_allclose(state.matrix, rho0.matrix, atol=1e-9)
+    rng = np.random.default_rng(7)
+    psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    psi0 /= np.linalg.norm(psi0)
+    times, psis = schrodinger_evolve(lambda t: np.zeros((3, 3)), psi0, 2.0,
+                                     n_store=5)
+    assert times.shape == (5,)
+    np.testing.assert_allclose(times, np.linspace(0.0, 2.0, 5))
+    assert psis.shape == (5, 3)
+    for psi in psis:
+        np.testing.assert_allclose(psi, psi0, atol=1e-9)
 
 
 def test_evolve_coherence_rotation():
     space = HilbertSpace(n_qubits=0, field_dim=4)
     omega = 1.3
     a = annihilation(space)
-    me = MasterEquation(hamiltonian=omega * (a.dag() @ a), terms=(),
-                        space=space)
+    h = omega * (a.dag() @ a)
     psi = np.zeros(4, dtype=complex)
     psi[:3] = 1 / math.sqrt(3)
-    rho0 = DensityMatrix(space, np.outer(psi, psi.conj()))
     t = 0.7
-    final = evolve(me, rho0, t, tol=1e-10).final
+    _, psis = schrodinger_evolve(lambda _: h.matrix, psi, t)
+    final = np.outer(psis[-1], psis[-1].conj())
     levels = np.arange(4)
-    expected = rho0.matrix * np.exp(
+    expected = np.outer(psi, psi.conj()) * np.exp(
         -1j * omega * t * (levels[:, None] - levels[None, :]))
-    np.testing.assert_allclose(final.matrix, expected, atol=1e-7)
-
-
-def test_evolve_requires_density_matrix():
-    space = HilbertSpace(n_qubits=0, field_dim=3)
-    me = MasterEquation(hamiltonian=0.0 * annihilation(space), terms=(),
-                        space=space)
-    with pytest.raises(TypeError):
-        evolve(me, np.eye(3) / 3, 1.0)
+    np.testing.assert_allclose(final, expected, atol=1e-7)
 
 
 def test_single_qubit_laser_steady_methods_agree():
@@ -524,3 +516,5 @@ def test_schrodinger_evolve_rabi():
         np.testing.assert_allclose(psi, u @ np.array([0, 1.0]), atol=1e-7)
     with pytest.raises(ValueError):
         schrodinger_evolve(lambda t: h.matrix, np.array([0.0, 2.0]), 1.0)
+    with pytest.raises(ValueError, match="t_final"):
+        schrodinger_evolve(lambda t: h.matrix, np.array([0.0, 1.0]), -3.0)

@@ -30,18 +30,9 @@ from squeezed_lasing.wigner import (
     gaussian_wigner,
     grid_for_density,
     grid_for_gaussian,
-    laguerre,
-    wigner_basis,
     wigner_change_basis,
     wigner_from_density,
 )
-
-
-def laguerre_series_exact(n, p, x):
-    # plain series with exact rationals, small enough to stay honest
-    return sum(Fraction((-1) ** k * math.comb(n + p, n - k),
-                        math.factorial(k)) * x**k
-               for k in range(n + 1))
 
 
 def symmetric_grid(half_width, points=33):
@@ -56,49 +47,91 @@ def fock_state(space, n):
     return DensityMatrix(space, m)
 
 
+def laguerre_series_exact(n, p, x):
+    # plain series with exact rationals, small enough to stay honest
+    return sum(Fraction((-1) ** k * math.comb(n + p, n - k),
+                        math.factorial(k)) * x**k
+               for k in range(n + 1))
+
+
+def superposition(n, delta, phi=0.0):
+    """(|n> + e^{i phi} |n + delta>)/sqrt 2 and its diagonal part."""
+    space = HilbertSpace(n_qubits=0, field_dim=n + delta + 1)
+    psi = np.zeros(space.dim, dtype=complex)
+    psi[n] = 1 / math.sqrt(2)
+    psi[n + delta] = np.exp(1j * phi) / math.sqrt(2)
+    rho = np.outer(psi, psi.conj())
+    return DensityMatrix(space, rho), DensityMatrix(space, np.diag(np.diag(rho)))
+
+
+def coherence_wigner(n, delta, grid):
+    """Wigner term of the real coherence rho[n + delta, n] = rho[n, n + delta] = 1/2."""
+    rho, diag = superposition(n, delta)
+    return (wigner_from_density(rho, grid).values
+            - wigner_from_density(diag, grid).values)
+
+
+def kernel_envelope(n, delta, r2, theta):
+    # 2 Re(rho[n + delta, n] e^{-i delta theta}) times the radial factor
+    # (-1)^n / (2 pi) sqrt(n! / (n + delta)!) r^delta e^{-r^2 / 2}
+    return ((-1) ** n / (2 * math.pi)
+            * math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + delta + 1)))
+            * r2 ** (delta / 2) * np.exp(-r2 / 2) * np.cos(delta * theta))
+
+
 def test_laguerre_low_orders():
-    xs = np.linspace(-2.0, 6.0, 9)
-    for p in (0, 3):
-        np.testing.assert_allclose(laguerre(0, p, xs), 1.0)
-        np.testing.assert_allclose(laguerre(1, p, xs), p + 1 - xs, rtol=1e-14)
-    assert laguerre(5, 2, 0.0) == pytest.approx(math.comb(7, 5), rel=1e-13)
+    # L_0^3 = 1 and L_1^3 = 4 - x enter the |n> <-> |n + 3> coherences
+    grid = symmetric_grid(8.0, 65)
+    x, p = grid.mesh()
+    r2 = x**2 + p**2
+    theta = np.arctan2(p, x)
+    for n, lag in ((0, np.ones_like(r2)), (1, 4 - r2)):
+        np.testing.assert_allclose(coherence_wigner(n, 3, grid),
+                                   kernel_envelope(n, 3, r2, theta) * lag,
+                                   atol=1e-14)
 
 
 def test_laguerre_matches_exact_series():
-    got = laguerre(25, 10, 3.7)
-    exact = laguerre_series_exact(25, 10, Fraction(37, 10))
-    assert got == pytest.approx(float(exact), rel=1e-9)
-
-
-def test_laguerre_rejects_negative_orders():
-    with pytest.raises(ValueError):
-        laguerre(-1, 0, 1.0)
-    with pytest.raises(ValueError):
-        laguerre(2, -3, 1.0)
+    # the recurrence reaches L_25^10 for the |25> <-> |35> coherence
+    grid = symmetric_grid(16.0, 129)
+    w = coherence_wigner(25, 10, grid)
+    p0 = grid.p_centers[64]
+    for i in (70, 76, 80, 90, 100, 110):
+        x0 = grid.x_centers[i]
+        r2 = x0**2 + p0**2
+        exact = float(laguerre_series_exact(25, 10, Fraction(r2)))
+        expected = kernel_envelope(25, 10, r2, math.atan2(p0, x0)) * exact
+        assert w[i, 64] == pytest.approx(expected, rel=1e-9)
 
 
 def test_kernel_vacuum_term():
     grid = symmetric_grid(8.0, 200)
+    space = HilbertSpace(n_qubits=0, field_dim=4)
     x, p = grid.mesh()
-    w00 = wigner_basis(0, 0, x, p)
+    w00 = wigner_from_density(fock_state(space, 0), grid)
     np.testing.assert_allclose(
-        w00, np.exp(-(x**2 + p**2) / 2) / (2 * math.pi), atol=1e-15)
-    assert np.sum(w00) * grid.cell_area == pytest.approx(1.0, abs=1e-6)
+        w00.values, np.exp(-(x**2 + p**2) / 2) / (2 * math.pi), atol=1e-15)
+    assert w00.mass == pytest.approx(1.0, abs=1e-6)
 
 
 def test_kernel_single_photon_negative_at_origin():
-    val = wigner_basis(1, 1, 0.0, 0.0)
-    assert val == pytest.approx(-1 / (2 * math.pi), rel=1e-13)
+    # |n><n| takes the value (-1)^n / (2 pi) at the origin
+    space = HilbertSpace(n_qubits=0, field_dim=6)
+    grid = symmetric_grid(7.0, 41)
+    for n in (1, 2, 3):
+        val = wigner_from_density(fock_state(space, n), grid).values[20, 20]
+        assert val == pytest.approx((-1) ** n / (2 * math.pi), rel=1e-13)
 
 
 def test_kernel_conjugation_symmetry():
-    xs = np.array([0.3, -1.2, 2.0])
-    ps = np.array([0.5, 0.1, -0.7])
-    np.testing.assert_allclose(wigner_basis(1, 4, xs, ps),
-                               np.conjugate(wigner_basis(4, 1, xs, ps)),
-                               atol=1e-15)
-    one = wigner_basis(3, 1, 0.4, -0.2)
-    assert isinstance(one, complex)
+    # complex conjugation of rho in the Fock basis mirrors W in p
+    grid = symmetric_grid(8.0, 65)
+    rho, _ = superposition(1, 3, phi=0.7)
+    rho_conj = DensityMatrix(rho.space, rho.matrix.conj())
+    w = wigner_from_density(rho, grid).values
+    w_conj = wigner_from_density(rho_conj, grid).values
+    np.testing.assert_allclose(w_conj, w[:, ::-1], atol=1e-15)
+    assert np.max(np.abs(w - w[:, ::-1])) > 1e-3
 
 
 def test_vacuum_density_reconstruction():
