@@ -17,6 +17,14 @@ relation a = A cosh r - A^dag sinh r.
 Vectorization is column-major: vec(A rho B) = (B^T kron A) vec(rho).
 Liouvillians are kept as scipy sparse matrices, which stay cheap well
 past the dimensions where dense storage stops fitting in memory.
+
+Each model carries a weak symmetry (Buca & Prosen, NJP 14, 073007): a
+diagonal integer charge Q over the product basis that H conserves and
+each jump operator shifts by one fixed amount, modulo 2 for the Z2
+parity of the squeezed models and exactly for the U(1) charge of the
+plain laser.  The generator then maps the pairs (i, j) with equal charge
+onto themselves, and the direct steady-state solve runs on that sector
+alone, assembled from the operators' nonzeros.
 """
 
 from __future__ import annotations
@@ -70,6 +78,13 @@ class MasterEquation:
     """Time-independent Hermitian Hamiltonian plus Lindblad terms on a
     shared Hilbert space.
 
+    ``charge`` optionally gives an integer per product basis state,
+    conserved modulo ``modulus`` (2 for a Z2 parity, 0 for a U(1)
+    charge).  It is checked on the operators: every nonzero of H must
+    join states of equal charge, and all nonzeros of each jump operator
+    must shift it by the same amount; a violation raises ValueError.
+    Without a charge every state carries the same one.
+
     Time-dependent Hamiltonians appear only in the pure-state RWA check,
     which propagates them with :func:`schrodinger_evolve`.
     """
@@ -77,6 +92,8 @@ class MasterEquation:
     hamiltonian: Operator
     terms: tuple[LindbladTerm, ...]
     space: HilbertSpace
+    charge: np.ndarray | None = None
+    modulus: int = 0
 
     def __post_init__(self):
         if not isinstance(self.hamiltonian, Operator):
@@ -89,6 +106,51 @@ class MasterEquation:
         scale = max(1.0, float(np.max(np.abs(self.hamiltonian.matrix))))
         if not self.hamiltonian.is_hermitian(tol=1e-10 * scale):
             raise ValueError("Hamiltonian is not Hermitian")
+        if self.charge is not None:
+            self._check_charge()
+
+    def _check_charge(self):
+        charge = np.array(self.charge)
+        if (charge.shape != (self.space.dim,)
+                or not np.issubdtype(charge.dtype, np.integer)):
+            raise ValueError("charge must hold one integer per basis state")
+        if self.modulus < 0:
+            raise ValueError("modulus must be non-negative")
+        charge.setflags(write=False)
+        object.__setattr__(self, "charge", charge)
+
+        def shifts(op: Operator) -> np.ndarray:
+            rows, cols = np.nonzero(op.matrix)
+            return np.unique(self._reduce(charge[rows] - charge[cols]))
+
+        if np.any(shifts(self.hamiltonian) != 0):
+            raise ValueError("Hamiltonian does not conserve the charge")
+        for k, term in enumerate(self.terms):
+            if shifts(term.jump).size > 1:
+                raise ValueError(f"jump operator {k} does not shift the "
+                                 "charge by one fixed amount")
+
+    def _reduce(self, values: np.ndarray) -> np.ndarray:
+        return values % self.modulus if self.modulus else values
+
+    def _labels(self) -> np.ndarray:
+        """The conserved label of each basis state, all equal without a
+        charge."""
+        if self.charge is None:
+            return np.zeros(self.space.dim, dtype=int)
+        return self._reduce(self.charge)
+
+
+def _check_trace_null(matrix: sp.spmatrix, diagonal: np.ndarray):
+    """The trace functional (ones on the diagonal pairs) is a left null
+    vector of the generator."""
+    trace_vec = np.zeros(matrix.shape[0])
+    trace_vec[diagonal] = 1.0
+    residual = np.max(np.abs(matrix.T @ trace_vec))
+    scale = max(1.0, abs(matrix).max())
+    if residual > 1e-10 * scale:
+        raise ValueError(f"trace functional is not a left null vector "
+                         f"(residual {residual:.2e})")
 
 
 @dataclass(frozen=True)
@@ -102,13 +164,7 @@ class Liouvillian:
         d = self.space.dim
         if self.matrix.shape != (d * d, d * d):
             raise ValueError("Liouvillian shape does not match space")
-        trace_vec = np.zeros(d * d)
-        trace_vec[np.arange(d) * (d + 1)] = 1.0
-        residual = np.max(np.abs(self.matrix.T @ trace_vec))
-        scale = max(1.0, abs(self.matrix).max())
-        if residual > 1e-10 * scale:
-            raise ValueError(f"trace functional is not a left null vector "
-                             f"(residual {residual:.2e})")
+        _check_trace_null(self.matrix, np.arange(d) * (d + 1))
 
 
 def _as_matrix(rho, space: HilbertSpace) -> np.ndarray:
@@ -152,18 +208,89 @@ def _unvec(y: np.ndarray, d: int) -> np.ndarray:
     return y.reshape((d, d), order="F")
 
 
-def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
-    """Sparse matrix L with vec(rhs(rho)) = L vec(rho)."""
+class _Sector:
+    """The pairs (i, j) of basis states with equal labels, numbered in
+    column-major order: column j holds the states of j's block, ascending.
+
+    With one label for every state this is the full column-major vec
+    index i + d j.
+    """
+
+    def __init__(self, labels: np.ndarray):
+        d = labels.size
+        _, self.block, self.size = np.unique(labels, return_inverse=True,
+                                             return_counts=True)
+        # basis states grouped block by block, ascending within a block
+        self.members = np.argsort(self.block, kind="stable")
+        self.first = np.cumsum(self.size) - self.size
+        self.rank = np.empty(d, dtype=np.int64)  # place within the block
+        self.rank[self.members] = np.arange(d) - np.repeat(self.first,
+                                                           self.size)
+        self.height = self.size[self.block]  # pairs in column j
+        self.col_start = np.cumsum(self.height) - self.height
+        self.n = int(self.height.sum())
+
+    def index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Sector index of the pairs (i, j); each i must share j's block."""
+        return self.col_start[j] + self.rank[i]
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, columns) of every sector pair, in sector order."""
+        cols = np.repeat(np.arange(self.block.size), self.height)
+        rows = self.members[np.repeat(self.first[self.block] - self.col_start,
+                                      self.height) + np.arange(self.n)]
+        return rows, cols
+
+    def sandwich(self, a: sp.coo_matrix, b: sp.coo_matrix):
+        """(rows, columns, values) of rho -> A rho B^dag within the sector.
+
+        A_ip conj(B_jq) maps pair (p, q) to pair (i, j); every nonzero of A
+        meets every nonzero of B whose row shares its row's block.  A and
+        B must shift the labels by the same amount, so (p, q) is then a
+        sector pair as well.
+        """
+        b_block = self.block[b.row]
+        b_sorted = np.argsort(b_block, kind="stable")
+        b_count = np.bincount(b_block, minlength=self.size.size)
+        b_first = np.cumsum(b_count) - b_count
+        a_block = self.block[a.row]
+        reps = b_count[a_block]
+        ka = np.repeat(np.arange(a.nnz), reps)
+        kb = b_sorted[np.repeat(b_first[a_block] - (np.cumsum(reps) - reps),
+                                reps) + np.arange(reps.sum())]
+        return (self.index(a.row[ka], b.row[kb]),
+                self.index(a.col[ka], b.col[kb]),
+                a.data[ka] * b.data[kb].conj())
+
+
+def _generator(me: MasterEquation, sector: _Sector) -> sp.csc_matrix:
+    """The generator on the sector pairs, built from the operators' nonzeros.
+
+    L rho = G rho + rho G^dag + sum_k 2 rate_k O_k rho O_k^dag with
+    G = -iH - sum_k rate_k O_k^dag O_k; each term is a sandwich.  The
+    sector must be closed under L, which the charge checks guarantee.
+    """
     d = me.space.dim
-    eye = sp.identity(d, format="csr")
-    h = sp.csr_matrix(me.hamiltonian.matrix)
-    mat = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
+    eye = sp.identity(d, dtype=complex, format="coo")
+    g = -1j * sp.csr_matrix(me.hamiltonian.matrix)
+    sandwiches = []
     for term in me.terms:
         o = sp.csr_matrix(term.jump.matrix)
-        odo = (o.conj().T @ o).tocsr()
-        mat = mat + term.rate * (2.0 * sp.kron(o.conj(), o)
-                                 - sp.kron(eye, odo) - sp.kron(odo.T, eye))
-    return Liouvillian(matrix=mat.tocsc(), space=me.space)
+        g = g - term.rate * (o.conj().T @ o)
+        sandwiches.append(((2.0 * term.rate) * o.tocoo(), o.tocoo()))
+    g = g.tocoo()
+    parts = [sector.sandwich(a, b)
+             for a, b in [(g, eye), (eye, g), *sandwiches]]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(sector.n, sector.n))
+
+
+def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
+    """Sparse matrix L with vec(rhs(rho)) = L vec(rho), over all d^2
+    entries whatever the charge."""
+    d = me.space.dim
+    full = _Sector(np.zeros(d, dtype=int))
+    return Liouvillian(matrix=_generator(me, full), space=me.space)
 
 
 def _step_invariants(y: np.ndarray, d: int, diag_idx: np.ndarray, where: str):
@@ -177,8 +304,7 @@ def _step_invariants(y: np.ndarray, d: int, diag_idx: np.ndarray, where: str):
                                  f"during {where}")
 
 
-def _state_from_vec(y: np.ndarray, space: HilbertSpace) -> DensityMatrix:
-    m = _unvec(y, space.dim)
+def _state_from_matrix(m: np.ndarray, space: HilbertSpace) -> DensityMatrix:
     m = 0.5 * (m + m.conj().T)
     return DensityMatrix(space, m / np.trace(m).real)
 
@@ -234,21 +360,27 @@ def _screen_uniqueness(lmat: sp.spmatrix):
             f"{svals[-2] / scale:.2e}); stationary state is not unique")
 
 
-def _steady_direct(me: MasterEquation, lmat: sp.csc_matrix) -> DensityMatrix:
+def _steady_direct(me: MasterEquation) -> DensityMatrix:
     d = me.space.dim
     if d <= UNIQUENESS_SCREEN_MAX_DIM:
-        _screen_uniqueness(lmat)
-    # Row 0 carries d(rho_00)/dt.  Trace preservation makes the diagonal
-    # rows sum to zero, so replacing this one row keeps full rank and
-    # pinning tr(rho) = 1 there makes the bordered system square.
+        _screen_uniqueness(liouvillian_matrix(me).matrix)
+    # the stationary state lies in the equal-charge sector, which the
+    # generator maps onto itself
+    sector = _Sector(me._labels())
+    lmat = _generator(me, sector)
+    diagonal = sector.index(np.arange(d), np.arange(d))
+    _check_trace_null(lmat, diagonal)
+    # Sector row 0 is pair (0, 0) and carries d(rho_00)/dt.  Trace
+    # preservation makes the diagonal rows sum to zero, so replacing this
+    # one row keeps full rank and pinning tr(rho) = 1 there makes the
+    # bordered system square.
     coo = lmat.tocoo()
     keep = coo.row != 0
-    trace_cols = np.arange(d) * (d + 1)
     rows = np.concatenate([coo.row[keep], np.zeros(d, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], trace_cols])
+    cols = np.concatenate([coo.col[keep], diagonal])
     data = np.concatenate([coo.data[keep], np.ones(d, dtype=coo.data.dtype)])
     bordered = sp.csc_matrix((data, (rows, cols)), shape=lmat.shape)
-    b = np.zeros(d * d, dtype=complex)
+    b = np.zeros(sector.n, dtype=complex)
     b[0] = 1.0
     y = splu(bordered).solve(b)
     residual = np.max(np.abs(lmat @ y))
@@ -258,8 +390,10 @@ def _steady_direct(me: MasterEquation, lmat: sp.csc_matrix) -> DensityMatrix:
             f"bordered solve left a generator residual of {residual:.2e}; "
             "the stationary state is not unique or the solve is "
             "ill-conditioned")
+    m = np.zeros((d, d), dtype=complex)
+    m[sector.pairs()] = y
     try:
-        return _state_from_vec(y, me.space)
+        return _state_from_matrix(m, me.space)
     except InvalidStateError as exc:
         raise DegenerateSteadyStateError(
             f"bordered solve returned an invalid state: {exc}") from exc
@@ -282,7 +416,7 @@ def _steady_evolve(me: MasterEquation, lmat: sp.csc_matrix) -> DensityMatrix:
             raise SteadyStateConvergenceError(f"integrator failed: {message}")
         _step_invariants(stepper.y, d, diag_idx, "steady-state relaxation")
         if n % 50 == 0 and np.linalg.norm(lcsr @ stepper.y) <= 1e-10:
-            return _state_from_vec(stepper.y, me.space)
+            return _state_from_matrix(_unvec(stepper.y, d), me.space)
     raise SteadyStateConvergenceError(
         f"generator norm still above 1e-10 after {max_steps} steps "
         f"(t = {stepper.t:.3g})")
@@ -291,30 +425,43 @@ def _steady_evolve(me: MasterEquation, lmat: sp.csc_matrix) -> DensityMatrix:
 def steady_state(me: MasterEquation, method: str = "direct") -> DensityMatrix:
     """Stationary state of a time-independent master equation.
 
-    method="direct" solves L vec(rho) = 0 with the trace pinned through
-    a bordered sparse LU; method="evolve" relaxes from the maximally
-    mixed state until the generator norm falls below 1e-10.  On systems
-    small enough for a dense SVD the direct branch also screens for a
+    method="direct" solves L vec(rho) = 0 on the equal-charge sector of
+    the master equation (all of rho without a charge), with the trace
+    pinned through a bordered sparse LU, and scatters the solution back;
+    method="evolve" relaxes the full generator from the maximally mixed
+    state until its norm falls below 1e-10.  On systems small enough for
+    a dense SVD the direct branch also screens the full generator for a
     degenerate stationary subspace.
     """
-    lmat = liouvillian_matrix(me).matrix
     if method == "direct":
-        return _steady_direct(me, lmat)
+        return _steady_direct(me)
     if method == "evolve":
-        return _steady_evolve(me, lmat)
+        return _steady_evolve(me, liouvillian_matrix(me).matrix)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _excitations(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Photon number and number of excited qubits of each basis state."""
+    labels = np.indices(space.factor_dims).reshape(len(space.factor_dims), -1)
+    return labels[-1], np.sum(labels[:-1] == 0, axis=0)  # index 0 is |e>
 
 
 def model_single_qubit_laser(g: float, gamma: float, kappa: float,
                              space: HilbertSpace) -> MasterEquation:
-    """Inverted-coupling laser: H = -g(a^dag sigma^dag + a sigma)."""
+    """Inverted-coupling laser: H = -g(a^dag sigma^dag + a sigma).
+
+    Carries the U(1) charge N - n_e, which H conserves and each decay
+    shifts by one.
+    """
     if space.n_qubits != 1:
         raise ValueError("model needs exactly one qubit")
     a = annihilation(space)
     sigma, _, _ = qubit_ops(space, 0)
     h = -g * (a.dag() @ sigma.dag() + a @ sigma)
     terms = (LindbladTerm(sigma, gamma), LindbladTerm(a, kappa))
-    return MasterEquation(hamiltonian=h, terms=terms, space=space)
+    photons, excited = _excitations(space)
+    return MasterEquation(hamiltonian=h, terms=terms, space=space,
+                          charge=photons - excited, modulus=0)
 
 
 def model_squeezed_laser_effective(dressed: DressedCoupling, gamma: float,
@@ -324,7 +471,8 @@ def model_squeezed_laser_effective(dressed: DressedCoupling, gamma: float,
 
     H = -g_tilde (A^dag sigma^dag + A sigma) with qubit decay gamma,
     bare-mode decay kappa acting through a = A cosh r - A^dag sinh r,
-    and the engineered channel L_{A, kappa * c_prime}.
+    and the engineered channel L_{A, kappa * c_prime}.  The bare decay
+    mixes A and A^dag, so only the parity of N_A + n_e is conserved.
     """
     if space.n_qubits != 1:
         raise ValueError("model needs exactly one qubit")
@@ -339,7 +487,9 @@ def model_squeezed_laser_effective(dressed: DressedCoupling, gamma: float,
     terms = (LindbladTerm(sigma, gamma),
              LindbladTerm(dressed.bare_from_mode(space), kappa),
              LindbladTerm(mode, kappa * c_prime))
-    return MasterEquation(hamiltonian=h, terms=terms, space=space)
+    photons, excited = _excitations(space)
+    return MasterEquation(hamiltonian=h, terms=terms, space=space,
+                          charge=photons + excited, modulus=2)
 
 
 def model_two_qubit_full(dressed: DressedCoupling,
@@ -351,7 +501,8 @@ def model_two_qubit_full(dressed: DressedCoupling,
     Both couplings act on the same cavity; the auxiliary qubit is driven
     with swapped depths, so its natural mode operator is the adjoint of
     the lasing one and its dressed coupling comes out rotating.  States
-    are still represented in the Fock basis of the lasing mode A.
+    are still represented in the Fock basis of the lasing mode A.  The
+    conserved charge is the parity of N_A plus both qubit excitations.
     """
     if space.n_qubits != 2:
         raise ValueError("model needs exactly two qubits")
@@ -371,7 +522,9 @@ def model_two_qubit_full(dressed: DressedCoupling,
                                   + aux_mode @ sigma_aux))
     terms = (LindbladTerm(sigma, gamma), LindbladTerm(sigma_aux, gamma_prime),
              LindbladTerm(bare, kappa))
-    return MasterEquation(hamiltonian=h, terms=terms, space=space)
+    photons, excited = _excitations(space)
+    return MasterEquation(hamiltonian=h, terms=terms, space=space,
+                          charge=photons + excited, modulus=2)
 
 
 def adiabatic_elimination_ok(gamma_prime: float, g_tilde_prime: float,

@@ -44,6 +44,7 @@ import scipy
 
 from . import __version__
 from .dressing import (
+    DegenerateDressingError,
     DressedCoupling,
     SystemParams,
     dress,
@@ -344,8 +345,16 @@ def _require(params: dict, key: str) -> float:
         raise ConfigError(f"scenario needs parameter {key!r}") from None
 
 
+def _dress(eta1: float, eta2: float, g: float = 1.0) -> DressedCoupling:
+    """``dress``, with balanced drive depths reported as bad configuration."""
+    try:
+        return dress(eta1, eta2, g=g)
+    except DegenerateDressingError as exc:
+        raise ConfigError(f"drive depths dress no mode: {exc}") from None
+
+
 def _dressing_norm(eta1: float, eta2: float) -> float:
-    return dress(eta1, eta2).norm_N
+    return _dress(eta1, eta2).norm_N
 
 
 @dataclass(frozen=True)
@@ -417,11 +426,11 @@ def resolve_dressing(params: dict, g_tilde: float) -> DressedCoupling:
     if "r" in params:
         return DressedCoupling.from_r(_squeezing(params), g_tilde=g_tilde)
     eta1, eta2 = _require(params, "eta1"), _require(params, "eta2")
-    base = dress(eta1, eta2)
+    base = _dress(eta1, eta2)
     if base.signature < 0:
         raise ConfigError("eta1 > eta2 dresses the creation-like branch; "
                           "swap the depths")
-    return dress(eta1, eta2, g=g_tilde / base.norm_N)
+    return _dress(eta1, eta2, g=g_tilde / base.norm_N)
 
 
 def resolve_aux_dressing(params: dict, g_tilde_prime: float) -> DressedCoupling:
@@ -431,8 +440,8 @@ def resolve_aux_dressing(params: dict, g_tilde_prime: float) -> DressedCoupling:
         return DressedCoupling(u=math.sinh(r), v=math.cosh(r), r=r,
                                g_tilde=g_tilde_prime, norm_N=1.0)
     eta1, eta2 = _require(params, "eta1"), _require(params, "eta2")
-    base = dress(eta2, eta1)
-    return dress(eta2, eta1, g=g_tilde_prime / base.norm_N)
+    base = _dress(eta2, eta1)
+    return _dress(eta2, eta1, g=g_tilde_prime / base.norm_N)
 
 
 def resolve_gprime_ratio(params: dict) -> float:
@@ -781,9 +790,13 @@ def _run_sweep(config: RunConfig) -> ScenarioOutput:
 def _run_dress_audit(config: RunConfig) -> ScenarioOutput:
     params = config.params
     system = resolve_system_params(params)
-    dressed = dress(system.eta1, system.eta2, g=system.g)
-    est_r, est_gt = small_amplitude_estimates(system.eta1, system.eta2,
-                                              g=system.g)
+    dressed = _dress(system.eta1, system.eta2, g=system.g)
+    try:
+        est_r, est_gt = small_amplitude_estimates(system.eta1, system.eta2,
+                                                  g=system.g)
+    except ValueError as exc:  # outside the small-amplitude regime
+        log.info("no small-amplitude estimates: %s", exc)
+        est_r = est_gt = None
     report = resonance_audit(system)
     out = ScenarioOutput()
     out.report["dressing"] = {
@@ -817,7 +830,7 @@ def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
     gt_max = float(params.get("gt_max", 3.0))
     if gt_max < 0:
         raise ConfigError("gt_max must be non-negative")
-    reference = dress(system.eta1, system.eta2, g=system.g)
+    reference = _dress(system.eta1, system.eta2, g=system.g)
     t_final = gt_max / reference.g_tilde
     h_full = interaction_picture_hamiltonian(system, space)
     h_eff = effective_H(reference, space).matrix
@@ -852,23 +865,29 @@ def ring_cut_anisotropy(w: WignerField) -> tuple[float, float, float]:
     p-over-x ratio).  For a phase ring this compares the radial widths
     at the two principal crossings; a squeezed-member ring shows a
     large ratio, a coherent-member ring a modest one.
+
+    Cuts are chosen by grid index, never by the sign of a coordinate:
+    the x cut runs along p index ``np // 2`` and the p cut along x index
+    ``nx // 2``, and each half line keeps the n // 2 cells with index
+    ``(n + 1) // 2`` and up, the ones past the grid centre.  On an odd
+    grid the centre cell is left out wherever roundoff puts its
+    coordinate.  The panels' grids are centred on the state's mean, the
+    origin for a phase ring.
     """
     grid = w.grid
 
     def half_line(coords, profile):
-        keep = coords > 0
-        c = coords[keep]
-        q = np.clip(profile[keep], 0.0, None)
+        start = (coords.size + 1) // 2
+        c = coords[start:]
+        q = np.clip(profile[start:], 0.0, None)
         total = q.sum()
         if total <= 0:
             raise ValueError("cut carries no positive weight")
         mu = float((q * c).sum() / total)
         return float((q * (c - mu) ** 2).sum() / total)
 
-    ip0 = int(np.argmin(np.abs(grid.p_centers)))
-    ix0 = int(np.argmin(np.abs(grid.x_centers)))
-    var_x = half_line(grid.x_centers, w.values[:, ip0])
-    var_p = half_line(grid.p_centers, w.values[ix0, :])
+    var_x = half_line(grid.x_centers, w.values[:, grid.np // 2])
+    var_p = half_line(grid.p_centers, w.values[grid.nx // 2, :])
     return var_x, var_p, var_p / var_x
 
 

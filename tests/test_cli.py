@@ -137,11 +137,45 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     ("rwa_validate", "params.epsilon_over_g=100"),
     ("dress_audit", "params.epsilon_over_g=100"),
     ("rwa_validate", "params.gt_max=-3"),
+    # eta1 = eta2 balances the Bessel weights: no mode is dressed
+    ("dress_audit", "params.eta1=0.2"),
+    ("rwa_validate", "params.eta1=0.2"),
+    ("squeezed_laser", "params.eta1=0.2"),
+    ("two_qubit_full", "params.eta1=0.2"),
 ])
 def test_out_of_range_physics_exits_2(tmp_path, scenario, fragment):
     assert main([scenario, "--out", str(tmp_path / "o"),
                  "--set", fragment]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fragment", ["params.eta2=0.4", "params.eta1=0.25"])
+def test_dress_audit_outside_small_amplitude_regime(tmp_path, fragment):
+    # a deep drive, or eta1 > eta2, still dresses a mode; only the
+    # small-amplitude estimates are undefined there
+    out = tmp_path / "o"
+    assert main(["dress_audit", "--out", str(out), "--set", fragment]) == 0
+    dressing = json.loads((out / "manifest.json").read_text())["dressing"]
+    assert dressing["small_amplitude_r"] is None
+    assert dressing["small_amplitude_g_tilde"] is None
+    assert dressing["r"] > 0
+
+
+def test_paper_single_laser_at_field_dim_400(tmp_path):
+    # the U(1) sector holds 4 fd - 2 = 1,598 of the 640,000 entries of rho
+    out = tmp_path / "o"
+    assert main(["single_laser", "--preset", "paper-2013", "--out", str(out),
+                 "--set", "numerics.field_dim=400"]) == 0
+    lines = (out / "single_laser.csv").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert int(row["truncation_flag"]) == 0
+    assert int(row["field_dim"]) == 400
+    # mean field |F|^2 = gamma (C - 1) / (2 kappa C) at C = 47.94,
+    # kappa/gamma = 2e-3
+    c_tilde = float(row["c_tilde"])
+    mean_field = (c_tilde - 1.0) / (2.0 * 2e-3 * c_tilde)
+    assert mean_field == pytest.approx(244.78, abs=0.01)
+    assert float(row["n_photons"]) == pytest.approx(mean_field, rel=0.01)
 
 
 def test_output_path_collision_exits_4(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from squeezed_lasing.fock import (
     expectation,
     qubit_ops,
 )
+import squeezed_lasing.lindblad as lindblad
 from squeezed_lasing.lindblad import (
     DegenerateSteadyStateError,
     LindbladTerm,
@@ -193,6 +195,84 @@ def test_generator_preserves_trace_and_hermiticity(kind, g, gamma, kappa,
     assert np.max(np.abs(out - out.conj().T)) <= tol
     # the sparse matrix and the operator-level generator agree
     assert np.max(np.abs(out - rhs(me, herm))) <= tol
+
+
+def charge_free(me):
+    """The same master equation without its charge: one sector, all of rho."""
+    return MasterEquation(hamiltonian=me.hamiltonian, terms=me.terms,
+                          space=me.space)
+
+
+def off_sector(me) -> np.ndarray:
+    """Mask of the entries of rho that join states of unequal charge."""
+    labels = me.charge % me.modulus if me.modulus else me.charge
+    return labels[:, None] != labels[None, :]
+
+
+MODELS = ["single_qubit_laser", "squeezed_laser_effective", "two_qubit_full"]
+
+
+@pytest.mark.parametrize("kind", MODELS)
+@settings(max_examples=15, deadline=None)
+@given(g=rates, gamma=rates, kappa=rates, c_prime=rates,
+       r=st.floats(0.0, 1.5), field_dim=st.integers(2, 7))
+def test_sector_steady_state_matches_full_solve(kind, g, gamma, kappa,
+                                                c_prime, r, field_dim):
+    me = build_model(kind, g, gamma, kappa, c_prime, r, field_dim)
+    full = steady_state(charge_free(me))
+    assert trace_distance(steady_state(me), full) <= 1e-12
+    # the full solve, which knows nothing of the charge, does not leak
+    # out of the sector either
+    assert np.max(np.abs(full.matrix[off_sector(me)]), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, unknowns", [
+    ("single_qubit_laser", 4 * 10 - 2),     # U(1): 2x2 blocks, two 1x1 ends
+    ("squeezed_laser_effective", 20 ** 2 // 2),  # Z2: half of rho
+    ("two_qubit_full", 40 ** 2 // 2),
+])
+def test_direct_solve_factors_only_the_sector(monkeypatch, kind, unknowns):
+    shapes = []
+    real = lindblad.splu
+
+    def recording(matrix):
+        shapes.append(matrix.shape)
+        return real(matrix)
+
+    # the solve looks splu up on the module, where tracers patch it
+    monkeypatch.setattr(lindblad, "splu", recording)
+    me = build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 10)
+    rho = steady_state(me)
+    assert shapes == [(unknowns, unknowns)]
+    assert np.all(rho.matrix[off_sector(me)] == 0)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_broken_charge_raises(kind):
+    me = build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 5)
+    a = annihilation(me.space)
+    # a coherent drive changes the photon number by one either way
+    with pytest.raises(ValueError, match="Hamiltonian does not conserve"):
+        dataclasses.replace(me, hamiltonian=me.hamiltonian
+                            + 0.4 * (a + a.dag()))
+    # loss plus dephasing in one jump mixes a parity-odd and a parity-even
+    # part, so it maps the sector onto its complement as well
+    mixed = LindbladTerm(a + a.dag() @ a, 0.2)
+    with pytest.raises(ValueError, match=f"jump operator {len(me.terms)}"):
+        dataclasses.replace(me, terms=(*me.terms, mixed))
+    with pytest.raises(ValueError, match="one integer per basis state"):
+        dataclasses.replace(me, charge=me.charge[:-1])
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_charge_preserving_dephasing_keeps_the_sector(kind):
+    # pure dephasing shifts no charge, so the sector stays closed
+    me = build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 6)
+    a = annihilation(me.space)
+    dephased = dataclasses.replace(
+        me, terms=(*me.terms, LindbladTerm(a.dag() @ a, 0.3)))
+    assert trace_distance(steady_state(dephased),
+                          steady_state(charge_free(dephased))) <= 1e-12
 
 
 def test_liouvillian_trace_null_enforced():

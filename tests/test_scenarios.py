@@ -521,6 +521,25 @@ class TestRingCutAnisotropy:
         assert var_p == pytest.approx(1.0, abs=0.05)
         assert ratio == pytest.approx(4.0, rel=0.1)
 
+    @pytest.mark.parametrize("points", [25, 24])
+    def test_cuts_ignore_roundoff_shifts_of_the_centre(self, points):
+        # a ring with weight at its centre; shifting the grid by 1e-15
+        # must not move a cell across the half-line boundary
+        def variances(shift):
+            grid = PhaseGrid(x_min=-6.0 + shift, x_max=6.0 + shift,
+                             p_min=-6.0 + shift, p_max=6.0 + shift,
+                             nx=points, np=points)
+            x, p = grid.mesh()
+            w = (np.exp(-((np.hypot(x, p) - 3.0) ** 2) / 0.5)
+                 + np.exp(-(x ** 2 + p ** 2) / 0.5))
+            w /= w.sum() * grid.cell_area
+            return ring_cut_anisotropy(WignerField(grid, w, ModeBasis.MODE_a,
+                                                   0.0))
+
+        centred = variances(0.0)
+        for shift in (1e-15, -1e-15):
+            assert variances(shift) == pytest.approx(centred, rel=1e-12)
+
     def test_empty_cut_rejected(self):
         grid = PhaseGrid(x_min=-6.0, x_max=6.0, p_min=-6.0, p_max=6.0,
                          nx=65, np=65)
