@@ -110,9 +110,16 @@ class Operator:
 
 
 class DensityMatrix(Operator):
-    """An Operator validated to be a physical state."""
+    """An Operator validated to be a physical state.
 
-    def __init__(self, space: HilbertSpace, matrix: np.ndarray):
+    ``blocks`` optionally gives a block label per basis state for a state
+    known to be block diagonal, such as a steady state in its symmetry
+    sector.  Every entry joining two blocks must then be exactly 0, and
+    positivity is checked block by block instead of over the whole matrix.
+    """
+
+    def __init__(self, space: HilbertSpace, matrix: np.ndarray,
+                 blocks: np.ndarray | None = None):
         super().__init__(space=space, matrix=matrix)
         mat = self.matrix
         tr = np.trace(mat)
@@ -121,9 +128,31 @@ class DensityMatrix(Operator):
         herm_dev = np.max(np.abs(mat - mat.conj().T))
         if herm_dev > 1e-10:
             raise InvalidStateError(f"hermiticity deviation {herm_dev:.3e} exceeds 1e-10")
-        eigmin = float(np.linalg.eigvalsh(mat)[0])
+        if blocks is None:
+            eigmin = float(np.linalg.eigvalsh(mat)[0])
+        else:
+            eigmin = _block_eigmin(mat, np.asarray(blocks))
         if eigmin < -1e-8:
             raise InvalidStateError(f"negative eigenvalue {eigmin:.3e} below -1e-8")
+
+
+def _block_eigmin(mat: np.ndarray, blocks: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix that must be block
+    diagonal over the given labels; one batched eigvalsh per block size."""
+    if blocks.shape != (mat.shape[0],):
+        raise ValueError("blocks must hold one label per basis state")
+    leak = np.max(np.abs(mat[blocks[:, None] != blocks[None, :]]), initial=0.0)
+    if leak != 0.0:
+        raise InvalidStateError(f"entry {leak:.3e} joins two blocks")
+    order = np.argsort(blocks, kind="stable")
+    _, first, size = np.unique(blocks[order], return_index=True,
+                               return_counts=True)
+    eigmin = math.inf
+    for n in np.unique(size):
+        members = order[first[size == n][:, None] + np.arange(n)]
+        stack = mat[members[:, :, None], members[:, None, :]]
+        eigmin = min(eigmin, float(np.linalg.eigvalsh(stack)[:, 0].min()))
+    return eigmin
 
 
 def identity(space: HilbertSpace) -> Operator:

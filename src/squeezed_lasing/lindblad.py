@@ -25,6 +25,14 @@ parity of the squeezed models and exactly for the U(1) charge of the
 plain laser.  The generator then maps the pairs (i, j) with equal charge
 onto themselves, and the direct steady-state solve runs on that sector
 alone, assembled from the operators' nonzeros.
+
+The generator also maps Hermitian matrices to Hermitian matrices, so on
+the sector it is a real linear map.  The direct solve factors it in real
+Hermitian coordinates: one unknown rho_ii per diagonal pair and two,
+Re rho_ij and Im rho_ij, per pair i < j.  That is as many real unknowns
+as the sector has complex ones, and the bordered system is a real sparse
+matrix.  ``liouvillian_matrix`` still returns the complex generator over
+all d^2 entries, which the oracles use.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import RK45
 from scipy.sparse.linalg import splu
 
 from .dressing import DressedCoupling
@@ -263,8 +270,9 @@ class _Sector:
                 a.data[ka] * b.data[kb].conj())
 
 
-def _generator(me: MasterEquation, sector: _Sector) -> sp.csc_matrix:
-    """The generator on the sector pairs, built from the operators' nonzeros.
+def _generator_entries(me: MasterEquation, sector: _Sector):
+    """(rows, columns, values) of the generator on the sector pairs, built
+    from the operators' nonzeros; repeated positions add up.
 
     L rho = G rho + rho G^dag + sum_k 2 rate_k O_k rho O_k^dag with
     G = -iH - sum_k rate_k O_k^dag O_k; each term is a sandwich.  The
@@ -281,16 +289,62 @@ def _generator(me: MasterEquation, sector: _Sector) -> sp.csc_matrix:
     g = g.tocoo()
     parts = [sector.sandwich(a, b)
              for a, b in [(g, eye), (eye, g), *sandwiches]]
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return sp.csc_matrix((vals, (rows, cols)), shape=(sector.n, sector.n))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
     """Sparse matrix L with vec(rhs(rho)) = L vec(rho), over all d^2
     entries whatever the charge."""
     d = me.space.dim
-    full = _Sector(np.zeros(d, dtype=int))
-    return Liouvillian(matrix=_generator(me, full), space=me.space)
+    rows, cols, vals = _generator_entries(me, _Sector(np.zeros(d, dtype=int)))
+    return Liouvillian(matrix=sp.csc_matrix((vals, (rows, cols)),
+                                            shape=(d * d, d * d)),
+                       space=me.space)
+
+
+class _HermitianCoordinates:
+    """Real coordinates of the Hermitian matrices on a sector.
+
+    Coordinate k of sector pair (i, j) is Re rho_ij for i <= j and
+    Im rho_ij for i > j.  With m the index of the mirror pair (j, i),
+    rho_ij = x_k - i x_m above the diagonal and x_m + i x_k below it.
+    """
+
+    def __init__(self, sector: _Sector):
+        self.sector = sector
+        self.rows, self.cols = sector.pairs()
+        self.mirror = sector.index(self.cols, self.rows)
+        self.side = np.sign(self.rows - self.cols)  # +1 below, -1 above
+
+    def generator(self, me: MasterEquation) -> sp.csc_matrix:
+        """The sector generator as a real matrix: row k is the part of
+        (L rho)_ij that coordinate k holds.
+
+        A complex entry c in column k (pair (p, q)) multiplies rho_pq =
+        x_re + i s x_im, with s the side of (p, q) and x_re, x_im its two
+        coordinates, so it contributes c to x_re and i s c to x_im; its
+        row keeps the real or the imaginary part of each.
+        """
+        n = self.sector.n
+        rows, cols, vals = _generator_entries(me, self.sector)
+        below = self.side[rows] > 0
+        s = self.side[cols]
+        re_col = np.where(s > 0, self.mirror[cols], cols)
+        im_col = np.where(s > 0, cols, self.mirror[cols])
+        on_re = np.where(below, vals.imag, vals.real)
+        on_im = s * np.where(below, vals.real, -vals.imag)  # 0 when p = q
+        data = np.concatenate([on_re, on_im])
+        keep = data != 0
+        rows = np.concatenate([rows, rows])[keep]
+        cols = np.concatenate([re_col, im_col])[keep]
+        return sp.csc_matrix((data[keep], (rows, cols)), shape=(n, n))
+
+    def hermitian(self, x: np.ndarray) -> np.ndarray:
+        """rho_ij of every sector pair from the real coordinates x."""
+        re = np.where(self.side > 0, x[self.mirror], x)
+        im = np.where(self.side > 0, x, -x[self.mirror])
+        im[self.side == 0] = 0.0
+        return re + 1j * im
 
 
 def _step_invariants(y: np.ndarray, d: int, diag_idx: np.ndarray, where: str):
@@ -304,9 +358,10 @@ def _step_invariants(y: np.ndarray, d: int, diag_idx: np.ndarray, where: str):
                                  f"during {where}")
 
 
-def _state_from_matrix(m: np.ndarray, space: HilbertSpace) -> DensityMatrix:
+def _state_from_matrix(m: np.ndarray, space: HilbertSpace,
+                       blocks: np.ndarray | None = None) -> DensityMatrix:
     m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(space, m / np.trace(m).real)
+    return DensityMatrix(space, m / np.trace(m).real, blocks=blocks)
 
 
 def schrodinger_evolve(hamiltonian: Callable[[float], np.ndarray],
@@ -321,6 +376,8 @@ def schrodinger_evolve(hamiltonian: Callable[[float], np.ndarray],
     psis[0] = psi0.  Norm is asserted after every accepted step but
     states are not renormalized.
     """
+    from scipy.integrate import RK45
+
     psi0 = np.asarray(psi0, dtype=complex)
     norm0 = np.linalg.norm(psi0)
     if abs(norm0 - 1.0) > 1e-10:
@@ -365,9 +422,11 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
     if d <= UNIQUENESS_SCREEN_MAX_DIM:
         _screen_uniqueness(liouvillian_matrix(me).matrix)
     # the stationary state lies in the equal-charge sector, which the
-    # generator maps onto itself
+    # generator maps onto itself, and is Hermitian
     sector = _Sector(me._labels())
-    lmat = _generator(me, sector)
+    coords = _HermitianCoordinates(sector)
+    lmat = coords.generator(me)
+    # the diagonal coordinates are the populations, so they carry the trace
     diagonal = sector.index(np.arange(d), np.arange(d))
     _check_trace_null(lmat, diagonal)
     # Sector row 0 is pair (0, 0) and carries d(rho_00)/dt.  Trace
@@ -378,9 +437,9 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
     keep = coo.row != 0
     rows = np.concatenate([coo.row[keep], np.zeros(d, dtype=coo.row.dtype)])
     cols = np.concatenate([coo.col[keep], diagonal])
-    data = np.concatenate([coo.data[keep], np.ones(d, dtype=coo.data.dtype)])
+    data = np.concatenate([coo.data[keep], np.ones(d)])
     bordered = sp.csc_matrix((data, (rows, cols)), shape=lmat.shape)
-    b = np.zeros(sector.n, dtype=complex)
+    b = np.zeros(sector.n)
     b[0] = 1.0
     y = splu(bordered).solve(b)
     residual = np.max(np.abs(lmat @ y))
@@ -391,15 +450,17 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
             "the stationary state is not unique or the solve is "
             "ill-conditioned")
     m = np.zeros((d, d), dtype=complex)
-    m[sector.pairs()] = y
+    m[coords.rows, coords.cols] = coords.hermitian(y)
     try:
-        return _state_from_matrix(m, me.space)
+        return _state_from_matrix(m, me.space, blocks=sector.block)
     except InvalidStateError as exc:
         raise DegenerateSteadyStateError(
             f"bordered solve returned an invalid state: {exc}") from exc
 
 
 def _steady_evolve(me: MasterEquation, lmat: sp.csc_matrix) -> DensityMatrix:
+    from scipy.integrate import RK45
+
     d = me.space.dim
     lcsr = lmat.tocsr()
     diag_idx = np.arange(d) * (d + 1)
@@ -426,8 +487,10 @@ def steady_state(me: MasterEquation, method: str = "direct") -> DensityMatrix:
     """Stationary state of a time-independent master equation.
 
     method="direct" solves L vec(rho) = 0 on the equal-charge sector of
-    the master equation (all of rho without a charge), with the trace
-    pinned through a bordered sparse LU, and scatters the solution back;
+    the master equation (all of rho without a charge), in real Hermitian
+    coordinates, with the trace pinned through a bordered sparse LU, and
+    scatters the solution back; the state's positivity is checked block
+    by block over the sector;
     method="evolve" relaxes the full generator from the maximally mixed
     state until its norm falls below 1e-10.  On systems small enough for
     a dense SVD the direct branch also screens the full generator for a
@@ -446,6 +509,15 @@ def _excitations(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
     return labels[-1], np.sum(labels[:-1] == 0, axis=0)  # index 0 is |e>
 
 
+def _exchange(mode: Operator, sigma: Operator) -> np.ndarray:
+    """mode^dag sigma^dag + mode sigma, each product formed from sparse
+    factors.  A ladder times a qubit operator has one nonzero product per
+    entry, so this equals the dense product entry for entry."""
+    m = sp.csr_matrix(mode.matrix)
+    s = sp.csr_matrix(sigma.matrix)
+    return (m.conj().T @ s.conj().T).toarray() + (m @ s).toarray()
+
+
 def model_single_qubit_laser(g: float, gamma: float, kappa: float,
                              space: HilbertSpace) -> MasterEquation:
     """Inverted-coupling laser: H = -g(a^dag sigma^dag + a sigma).
@@ -457,7 +529,7 @@ def model_single_qubit_laser(g: float, gamma: float, kappa: float,
         raise ValueError("model needs exactly one qubit")
     a = annihilation(space)
     sigma, _, _ = qubit_ops(space, 0)
-    h = -g * (a.dag() @ sigma.dag() + a @ sigma)
+    h = Operator(space, -g * _exchange(a, sigma))
     terms = (LindbladTerm(sigma, gamma), LindbladTerm(a, kappa))
     photons, excited = _excitations(space)
     return MasterEquation(hamiltonian=h, terms=terms, space=space,
@@ -483,7 +555,7 @@ def model_squeezed_laser_effective(dressed: DressedCoupling, gamma: float,
                          "swap the drive depths")
     sigma, _, _ = qubit_ops(space, 0)
     mode = annihilation(space)  # the A ladder in its own Fock basis
-    h = -dressed.g_tilde * (mode.dag() @ sigma.dag() + mode @ sigma)
+    h = Operator(space, -dressed.g_tilde * _exchange(mode, sigma))
     terms = (LindbladTerm(sigma, gamma),
              LindbladTerm(dressed.bare_from_mode(space), kappa),
              LindbladTerm(mode, kappa * c_prime))
@@ -517,9 +589,8 @@ def model_two_qubit_full(dressed: DressedCoupling,
     # its Bogoliubov weights with a = u A - v A^dag; with exactly swapped
     # drive depths this collapses to A^dag and the coupling is rotating
     aux_mode = dressed_aux.u * bare + dressed_aux.v * bare.dag()
-    h = (-dressed.g_tilde * (mode.dag() @ sigma.dag() + mode @ sigma)
-         - dressed_aux.g_tilde * (aux_mode.dag() @ sigma_aux.dag()
-                                  + aux_mode @ sigma_aux))
+    h = Operator(space, -dressed.g_tilde * _exchange(mode, sigma)
+                 - dressed_aux.g_tilde * _exchange(aux_mode, sigma_aux))
     terms = (LindbladTerm(sigma, gamma), LindbladTerm(sigma_aux, gamma_prime),
              LindbladTerm(bare, kappa))
     photons, excited = _excitations(space)

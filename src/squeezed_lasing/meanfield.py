@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fock import (DensityMatrix, HilbertSpace, InvalidStateError,
                    annihilation, displacement)
@@ -141,6 +140,8 @@ def mf_evolve(state0: MeanFieldState, params: MFParams,
     RK45 runs at rtol 1e-10 and atol 1e-12; the trajectory holds 50
     uniformly spaced states.
     """
+    from scipy.integrate import solve_ivp
+
     check_bloch_bounds(state0)
 
     def rhs(t, y):

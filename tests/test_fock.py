@@ -235,6 +235,32 @@ def test_density_matrix_validation():
         DensityMatrix(space, bad_pos)
 
 
+def test_density_matrix_checks_blocks():
+    # blocks {0, 2} and {1, 3}: a 2x2 coherence inside each
+    space = HilbertSpace(n_qubits=1, field_dim=2)
+    blocks = np.array([0, 1, 0, 1])
+    good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    good[0, 2] = good[2, 0] = 0.25
+    rho = DensityMatrix(space, good, blocks=blocks)
+    assert np.array_equal(rho.matrix, good)
+    # trace 1 and Hermitian, but the {0, 2} block has eigenvalue -0.15
+    negative = good.copy()
+    negative[0, 2] = negative[2, 0] = 0.4
+    assert np.linalg.eigvalsh(negative[np.ix_([0, 2], [0, 2])])[0] < -1e-8
+    with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+        DensityMatrix(space, negative, blocks=blocks)
+    # a positive state whose coherence joins the two blocks is a leak,
+    # however small
+    leak = good.copy()
+    leak[0, 1] = leak[1, 0] = 1e-300
+    assert np.linalg.eigvalsh(leak)[0] > 0
+    with pytest.raises(InvalidStateError, match="joins two blocks"):
+        DensityMatrix(space, leak, blocks=blocks)
+    DensityMatrix(space, leak)  # without blocks only positivity counts
+    with pytest.raises(ValueError, match="one label per basis state"):
+        DensityMatrix(space, good, blocks=blocks[:3])
+
+
 def test_truncation_edge_measures_top_tenth():
     space = HilbertSpace(n_qubits=0, field_dim=10)
     pops = np.zeros(10)

@@ -6,6 +6,9 @@ from leaving a dead import or a stale export behind.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import squeezed_lasing
@@ -39,3 +42,17 @@ def test_no_dead_imports_or_stale_exports():
     stale = [name for name in squeezed_lasing.__all__
              if not hasattr(squeezed_lasing, name)]
     assert stale == [], f"__all__ names the package does not define: {stale}"
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # scipy.integrate (which loads scipy.optimize) serves only the time
+    # integrators, so it is imported inside them, not with the package
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = ("import sys, squeezed_lasing.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -212,6 +212,18 @@ def off_sector(me) -> np.ndarray:
 MODELS = ["single_qubit_laser", "squeezed_laser_effective", "two_qubit_full"]
 
 
+def complex_full_steady(me) -> np.ndarray:
+    """rho from the complex generator over all d^2 entries of rho: the
+    first row of L vec(rho) = 0 replaced by tr(rho) = 1, solved dense."""
+    d = me.space.dim
+    lmat = liouvillian_matrix(me).matrix.toarray()
+    lmat[0] = 0.0
+    lmat[0, np.arange(d) * (d + 1)] = 1.0
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    return np.linalg.solve(lmat, b).reshape((d, d), order="F")
+
+
 @pytest.mark.parametrize("kind", MODELS)
 @settings(max_examples=15, deadline=None)
 @given(g=rates, gamma=rates, kappa=rates, c_prime=rates,
@@ -219,8 +231,13 @@ MODELS = ["single_qubit_laser", "squeezed_laser_effective", "two_qubit_full"]
 def test_sector_steady_state_matches_full_solve(kind, g, gamma, kappa,
                                                 c_prime, r, field_dim):
     me = build_model(kind, g, gamma, kappa, c_prime, r, field_dim)
+    rho = steady_state(me)
+    # the real sector solve against the complex generator, solved apart
+    # from the code under test
+    assert trace_distance(rho, complex_full_steady(me)) <= 1e-12
+    assert np.all(rho.matrix[off_sector(me)] == 0)
     full = steady_state(charge_free(me))
-    assert trace_distance(steady_state(me), full) <= 1e-12
+    assert trace_distance(rho, full) <= 1e-12
     # the full solve, which knows nothing of the charge, does not leak
     # out of the sector either
     assert np.max(np.abs(full.matrix[off_sector(me)]), initial=0.0) <= 1e-12
@@ -232,19 +249,55 @@ def test_sector_steady_state_matches_full_solve(kind, g, gamma, kappa,
     ("two_qubit_full", 40 ** 2 // 2),
 ])
 def test_direct_solve_factors_only_the_sector(monkeypatch, kind, unknowns):
-    shapes = []
+    factored = []
     real = lindblad.splu
 
     def recording(matrix):
-        shapes.append(matrix.shape)
+        factored.append((matrix.shape, matrix.dtype))
         return real(matrix)
 
     # the solve looks splu up on the module, where tracers patch it
     monkeypatch.setattr(lindblad, "splu", recording)
     me = build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 10)
     rho = steady_state(me)
-    assert shapes == [(unknowns, unknowns)]
+    # one real system in Hermitian coordinates, as many unknowns as the
+    # sector has complex entries
+    assert factored == [((unknowns, unknowns), np.float64)]
     assert np.all(rho.matrix[off_sector(me)] == 0)
+
+
+def dense_hamiltonian(kind, me, g, c_prime, r):
+    """The model Hamiltonian from dense Operator products, as written in
+    the model docstrings."""
+    mode = annihilation(me.space)
+    sigma, _, _ = qubit_ops(me.space, 0)
+    h = -g * (mode.dag() @ sigma.dag() + mode @ sigma)
+    if kind != "two_qubit_full":
+        return h
+    bare = DressedCoupling.from_r(r, g_tilde=g).bare_from_mode(me.space)
+    aux_mode = math.sinh(r) * bare + math.cosh(r) * bare.dag()
+    sigma_aux, _, _ = qubit_ops(me.space, 1)
+    return h - c_prime * g * (aux_mode.dag() @ sigma_aux.dag()
+                              + aux_mode @ sigma_aux)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_model_operators_equal_dense_products(kind):
+    me = build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 10)
+    expected = dense_hamiltonian(kind, me, 0.7, 2.0, 0.5)
+    assert np.array_equal(me.hamiltonian.matrix, expected.matrix)
+    sigma, _, _ = qubit_ops(me.space, 0)
+    mode = annihilation(me.space)
+    bare = DressedCoupling.from_r(0.5, g_tilde=0.7).bare_from_mode(me.space)
+    if kind == "single_qubit_laser":
+        jumps = [sigma, mode]
+    elif kind == "squeezed_laser_effective":
+        jumps = [sigma, bare, mode]
+    else:
+        jumps = [sigma, qubit_ops(me.space, 1)[0], bare]
+    assert len(me.terms) == len(jumps)
+    for term, jump in zip(me.terms, jumps):
+        assert np.array_equal(term.jump.matrix, jump.matrix)
 
 
 @pytest.mark.parametrize("kind", MODELS)
