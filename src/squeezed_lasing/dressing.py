@@ -21,13 +21,15 @@ auxiliary qubit used for engineered dissipation is driven.
 
 The module also audits the discarded sidebands for near-resonances and
 builds the lab-frame Hamiltonian (an Operator at one time), the
-interaction-picture Hamiltonian (a closure t -> dense matrix, for
-``schrodinger_evolve``) and the static effective Hamiltonian used to
-validate the rotating-wave step.
+interaction-picture Hamiltonian (a closure t -> dense matrix for
+``schrodinger_evolve``, every sideband summed in closed form by the
+Jacobi-Anger identity sum_n J_n(x) e^{i n phi} = e^{i x sin phi},
+DLMF 10.12.1) and the static effective Hamiltonian of the RWA check.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -288,40 +290,37 @@ def frame_unitary(params: SystemParams, space: HilbertSpace, t: float) -> Operat
     return Operator(space, np.diag(np.exp(-1j * exponent)))
 
 
-def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace,
-                                    bessel_cutoff: int = 8):
-    """Interaction-picture Hamiltonian with all Bessel sidebands retained.
+def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace):
+    """Interaction-picture Hamiltonian with every Bessel sideband retained.
 
     Returns t -> H_I(t) as a dense matrix, where
 
         H_I(t) = g [alpha(t) a sigma^dag + beta(t) a sigma] + h.c.,
+        alpha(t) = e^{i [(epsilon - omega) t + theta(t)]},
+        beta(t)  = e^{-i [(epsilon + omega) t + theta(t)]},
+        theta(t) = 2 eta_1 sin(Omega_1 t) + 2 eta_2 sin(Omega_2 t).
 
-    and the phase factors carry the full drive modulation,
-
-        alpha(t) = e^{-i (omega - epsilon) t} f_1(t) f_2(t),
-        beta(t)  = e^{-i (omega + epsilon) t} conj(f_1 f_2),
-        f_j(t)   = sum_{|n| <= cutoff} J_n(2 eta_j) e^{i n Omega_j t}.
-
-    The product f_1 f_2 is the double Bessel sum truncated at
-    |n_1|, |n_2| <= bessel_cutoff.
+    By Jacobi-Anger (DLMF 10.12.1), e^{i theta} sums every Bessel sideband
+    J_{n1}(2 eta_1) J_{n2}(2 eta_2) e^{i (n1 Omega_1 + n2 Omega_2) t}.  A call
+    multiplies (alpha, beta, conj alpha, conj beta) into the stacked g a sigma^dag,
+    g a sigma and adjoints, whose disjoint nonzeros keep H_I(t) Hermitian.
     """
-    if bessel_cutoff < 1:
-        raise ValueError("bessel_cutoff must be at least 1")
     a = annihilation(space)
     sigma, _, _ = qubit_ops(space, 0)
-    raising = (a @ sigma.dag()).matrix
-    lowering = (a @ sigma).matrix
-    orders = np.arange(-bessel_cutoff, bessel_cutoff + 1)
-    j1 = scipy.special.jv(orders, 2 * params.eta1)
-    j2 = scipy.special.jv(orders, 2 * params.eta2)
+    up = params.g * (a @ sigma.dag()).matrix
+    down = params.g * (a @ sigma).matrix
+    stack = np.stack([up, down, up.conj().T, down.conj().T]).reshape(4, -1)
+    shape = (space.dim, space.dim)
+    eta1, eta2, omega1, omega2 = (params.eta1, params.eta2,
+                                  params.Omega1, params.Omega2)
+    difference, total = params.epsilon - params.omega, params.epsilon + params.omega
 
     def hamiltonian(t: float) -> np.ndarray:
-        f1 = np.sum(j1 * np.exp(1j * orders * params.Omega1 * t))
-        f2 = np.sum(j2 * np.exp(1j * orders * params.Omega2 * t))
-        alpha = np.exp(-1j * (params.omega - params.epsilon) * t) * f1 * f2
-        beta = np.exp(-1j * (params.omega + params.epsilon) * t) * np.conj(f1 * f2)
-        half = params.g * (alpha * raising + beta * lowering)
-        return half + half.conj().T
+        theta = 2 * (eta1 * math.sin(omega1 * t) + eta2 * math.sin(omega2 * t))
+        alpha = cmath.exp(1j * (difference * t + theta))
+        beta = cmath.exp(-1j * (total * t + theta))
+        phases = np.array((alpha, beta, alpha.conjugate(), beta.conjugate()))
+        return (phases @ stack).reshape(shape)
 
     return hamiltonian
 

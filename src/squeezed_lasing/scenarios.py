@@ -830,12 +830,16 @@ def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
     gt_max = float(params.get("gt_max", 3.0))
     if gt_max < 0:
         raise ConfigError("gt_max must be non-negative")
+    start_excited = params.get("start_excited", 1.0)
+    if start_excited not in (0, 1):
+        raise ConfigError("start_excited must be 0 (start in |g,0>) or 1 "
+                          f"(start in |e,0>), got {start_excited!r}")
     reference = _dress(system.eta1, system.eta2, g=system.g)
     t_final = gt_max / reference.g_tilde
     h_full = interaction_picture_hamiltonian(system, space)
     h_eff = effective_H(reference, space).matrix
     psi0 = np.zeros(space.dim, dtype=complex)
-    excited = bool(params.get("start_excited", 1.0))
+    excited = start_excited == 1
     psi0[0 if excited else space.field_dim] = 1.0
     n = config.numerics.store_points
     times, psis_full = schrodinger_evolve(h_full, psi0, t_final, n_store=n)

@@ -137,6 +137,9 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     ("rwa_validate", "params.epsilon_over_g=100"),
     ("dress_audit", "params.epsilon_over_g=100"),
     ("rwa_validate", "params.gt_max=-3"),
+    # the initial state is |e,0> or |g,0>; nothing in between
+    ("rwa_validate", "params.start_excited=0.5"),
+    ("rwa_validate", "params.start_excited=-1"),
     # eta1 = eta2 balances the Bessel weights: no mode is dressed
     ("dress_audit", "params.eta1=0.2"),
     ("rwa_validate", "params.eta1=0.2"),

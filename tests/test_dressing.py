@@ -38,6 +38,33 @@ def bessel_series_exact(order, x_num, x_den, terms=80):
     return float(total)
 
 
+def sideband_series_hamiltonian(params, space, cutoff):
+    """H_I(t) from the double Bessel sum truncated at |n1|, |n2| <= cutoff.
+
+    alpha = e^{-i (omega - epsilon) t} f and beta = e^{-i (omega + epsilon) t}
+    conj(f), with f the sum of J_{n1}(2 eta1) J_{n2}(2 eta2)
+    e^{i (n1 Omega1 + n2 Omega2) t}: the sideband expansion that the
+    Jacobi-Anger closed form sums to all orders.
+    """
+    a = annihilation(space)
+    sigma, _, _ = qubit_ops(space, 0)
+    raising = (a @ sigma.dag()).matrix
+    lowering = (a @ sigma).matrix
+    orders = np.arange(-cutoff, cutoff + 1)
+    j1 = jv(orders, 2 * params.eta1)
+    j2 = jv(orders, 2 * params.eta2)
+
+    def hamiltonian(t):
+        f = (np.sum(j1 * np.exp(1j * orders * params.Omega1 * t))
+             * np.sum(j2 * np.exp(1j * orders * params.Omega2 * t)))
+        alpha = np.exp(-1j * (params.omega - params.epsilon) * t) * f
+        beta = np.exp(-1j * (params.omega + params.epsilon) * t) * np.conj(f)
+        half = params.g * (alpha * raising + beta * lowering)
+        return half + half.conj().T
+
+    return hamiltonian
+
+
 def test_bessel_trivial_values():
     # with the first drive off, J_0(0) = 1 and J_m(0) = 0 make every
     # sideband weight with m1 != 0 vanish exactly
@@ -84,23 +111,15 @@ def test_bessel_negative_order_parity():
     # interaction picture reproduce the Jacobi-Anger phase exp(2i eta sin)
     params = integer_params(g=1.0)
     space = HilbertSpace(n_qubits=1, field_dim=3)
-    h_factory = interaction_picture_hamiltonian(params, space, bessel_cutoff=8)
-    e0 = space.basis_index(0, 0)
-    g1 = space.basis_index(1, 1)
+    h_factory = interaction_picture_hamiltonian(params, space)
+    h_series = sideband_series_hamiltonian(params, space, cutoff=16)
     for t in (0.0, 0.32, 0.4, 3.3):
-        modulation = np.exp(2j * (params.eta1 * math.sin(params.Omega1 * t)
-                                  + params.eta2 * math.sin(params.Omega2 * t)))
-        alpha = np.exp(-1j * (params.omega - params.epsilon) * t) * modulation
-        assert h_factory(t)[e0, g1] == pytest.approx(alpha, abs=1e-10)
+        np.testing.assert_allclose(h_factory(t), h_series(t), rtol=0, atol=1e-13)
 
 
 def test_bessel_order_out_of_range():
     with pytest.raises(ValueError):
         resonance_audit(hardware_params(), max_index=0)
-    with pytest.raises(ValueError):
-        interaction_picture_hamiltonian(integer_params(),
-                                        HilbertSpace(n_qubits=1, field_dim=3),
-                                        bessel_cutoff=0)
 
 
 def test_dress_bogoliubov_property_grid():
@@ -305,14 +324,33 @@ def test_interaction_picture_matches_frame_conjugation():
     a = annihilation(space)
     _, _, sigma_x = qubit_ops(space, 0)
     h_int = params.g * (sigma_x @ (a + a.dag()))
-    h_factory = interaction_picture_hamiltonian(params, space, bessel_cutoff=16)
-    h_default = interaction_picture_hamiltonian(params, space)
+    h_factory = interaction_picture_hamiltonian(params, space)
     for t in (0.0, 0.123, 0.77, 2.5):
         u = frame_unitary(params, space, t)
         exact = u.dag() @ h_int @ u
         np.testing.assert_allclose(h_factory(t), exact.matrix, atol=1e-12)
-        # default cutoff loses only the |n| > 8 Bessel tails
-        np.testing.assert_allclose(h_default(t), exact.matrix, atol=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(t=st.floats(0.0, 20.0), eta1=st.floats(0.0, 0.6),
+       eta2=st.floats(0.0, 0.6), omega=st.floats(0.1, 10.0),
+       gap=st.floats(0.01, 10.0), g=st.floats(0.01, 1.0),
+       field_dim=st.integers(2, 8))
+def test_interaction_picture_closed_form_property(t, eta1, eta2, omega, gap,
+                                                  g, field_dim):
+    # the closed form against U_c(t)^dag g sigma_x (a + a^dag) U_c(t); both
+    # sides carry the roundoff of phases as large as (epsilon + omega) t
+    params = SystemParams.at_sidebands(epsilon=omega + gap, omega=omega, g=g,
+                                       eta1=eta1, eta2=eta2)
+    space = HilbertSpace(n_qubits=1, field_dim=field_dim)
+    a = annihilation(space)
+    _, _, sigma_x = qubit_ops(space, 0)
+    u = frame_unitary(params, space, t)
+    exact = u.dag() @ (g * (sigma_x @ (a + a.dag()))) @ u
+    h = interaction_picture_hamiltonian(params, space)(t)
+    tol = 1e-14 * (1 + (params.epsilon + params.omega) * t)
+    np.testing.assert_allclose(h, exact.matrix, rtol=0, atol=tol)
+    assert np.array_equal(h, h.conj().T)
 
 
 def test_interaction_picture_no_drive_limit():
@@ -336,7 +374,7 @@ def test_interaction_picture_time_average_extracts_kept_term():
     # sideband, whose coefficient is J_{-1}(2 eta1) J_0(2 eta2)
     params = integer_params(g=1.0)
     space = HilbertSpace(n_qubits=1, field_dim=3)
-    h_factory = interaction_picture_hamiltonian(params, space, bessel_cutoff=8)
+    h_factory = interaction_picture_hamiltonian(params, space)
     e0 = space.basis_index(0, 0)
     g1 = space.basis_index(1, 1)
     n_samples = 1024
@@ -352,10 +390,11 @@ def test_interaction_picture_time_average_extracts_kept_term():
 def test_interaction_picture_cutoff_convergence():
     params = integer_params(eta1=0.25, eta2=0.25 - 1e-3)
     space = HilbertSpace(n_qubits=1, field_dim=5)
-    h8 = interaction_picture_hamiltonian(params, space, bessel_cutoff=8)
-    h10 = interaction_picture_hamiltonian(params, space, bessel_cutoff=10)
+    # the closed form is the cutoff -> infinity limit of the sideband series
+    h_factory = interaction_picture_hamiltonian(params, space)
+    h8 = sideband_series_hamiltonian(params, space, cutoff=8)
     for t in (0.1, 1.3):
-        assert np.max(np.abs(h8(t) - h10(t))) < 1e-10
+        assert np.max(np.abs(h8(t) - h_factory(t))) < 1e-10
 
 
 def test_frame_unitary_properties():

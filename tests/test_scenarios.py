@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from squeezed_lasing import scenarios
 from squeezed_lasing.cli import main
 from squeezed_lasing.dressing import dress
 from squeezed_lasing.fock import HilbertSpace
@@ -266,6 +267,37 @@ class TestRwaValidate:
                        "numerics": {"field_dim": 6, "store_points": 5}})
         out = run_scenario(cfg)
         assert out.report["rwa"]["initial_state"] == "g0"
+
+    def test_hamiltonian_hook_counts_repeat(self, tmp_path, monkeypatch):
+        # a tracer counts H(t) builds by wrapping the factory as bound in
+        # scenarios, from outside; the count and the artefacts must repeat
+        factory = scenarios.interaction_picture_hamiltonian
+        calls = []
+
+        def counting_factory(*args, **kwargs):
+            hamiltonian = factory(*args, **kwargs)
+
+            def counted(t):
+                calls.append(t)
+                return hamiltonian(t)
+
+            return counted
+
+        monkeypatch.setattr(scenarios, "interaction_picture_hamiltonian",
+                            counting_factory)
+        counts = []
+        for run in ("first", "second"):
+            calls.clear()
+            assert main(["rwa_validate", "--out", str(tmp_path / run),
+                         "--set", "params.gt_max=0.3"]) == 0
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+        names = sorted(p.name for p in (tmp_path / "first").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "second").iterdir())
+        for name in names:
+            assert ((tmp_path / "first" / name).read_bytes()
+                    == (tmp_path / "second" / name).read_bytes()), name
 
 
 def _warning_filters() -> list:
