@@ -195,13 +195,9 @@ def mf_residual(gaussian: GaussianState, fbar: complex, c_prime: float,
     return float(np.linalg.norm(lhs))
 
 
-def mf_ansatz(fbar_mag: float, c_prime: float, r: float, space: HilbertSpace,
-              n_phases: int = 64) -> DensityMatrix:
+def mf_ansatz(fbar_mag: float, c_prime: float, r: float,
+              space: HilbertSpace) -> DensityMatrix:
     """Phase-averaged mixture of the bright-ring Gaussian states.
-
-    The free phase is integrated out with a uniform midpoint rule, which
-    converges spectrally because the integrand is periodic; n_phases
-    below 16 is rejected as too coarse.
 
     The members share one covariance and differ only in the displacement
     fbar_mag e^{i theta}.  With R_theta = exp(i theta a^dag a) =
@@ -210,31 +206,28 @@ def mf_ansatz(fbar_mag: float, c_prime: float, r: float, space: HilbertSpace,
         D(alpha e^{i theta}) = R_theta D(alpha) R_theta^dag,
 
     which holds exactly on the truncated space too, because the truncated
-    a is a single off-diagonal.  So the undisplaced core and D(fbar_mag)
-    are built once, and each member is
+    a is a single off-diagonal.  So with the undisplaced core C and
+    D = D(fbar_mag), each member is R_theta D (R_theta^dag C R_theta) D^dag
+    R_theta^dag, whose entry (m, n) sums
+    e^{i theta [(m - n) - (p - q)]} D_mp C_pq D*_nq over p and q.  The
+    uniform average over theta keeps only p - q = m - n, so band j >= 0
+    of the mixture is
 
-        R_theta D (R_theta^dag core R_theta) D^dag R_theta^dag,
+        rho_{m, m-j} = sum_p D_{m,p} C_{p,p-j} D*_{m-j,p-j},
 
-    where the inner conjugation scales entry (m, n) by e^{-i theta (m - n)}
-    and the outer one by e^{+i theta (m - n)}.  Each member is an exact
-    unitary conjugate of the core, so only the core (in ``to_fock``) and
-    the final mixture are validated as states.
+    and the upper triangle follows by Hermitian symmetry.  Only the core
+    (in ``to_fock``) and the mixture are validated as states.
     """
     if fbar_mag < 0:
         raise ValueError("fbar_mag must be non-negative")
-    if fbar_mag == 0:
-        return to_fock(gaussian_mf_solution(0j, c_prime, r), space)
-    if n_phases < 16:
-        raise ValueError("n_phases must be at least 16")
     core = to_fock(gaussian_mf_solution(0j, c_prime, r), space).matrix
     disp = displacement(space, fbar_mag).matrix
-    disp_dag = disp.conj().T
-    levels = np.arange(space.field_dim)
-    acc = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(n_phases):
-        theta = 2 * math.pi * (k + 0.5) / n_phases
-        ket = np.exp(1j * theta * levels)
-        phases = np.outer(ket, ket.conj())
-        member = phases * (disp @ (phases.conj() * core) @ disp_dag)
-        acc += member
-    return DensityMatrix(space, acc / n_phases)
+    d = space.field_dim
+    rho = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        band = np.sum(disp[j:, j:] * np.diag(core, -j)
+                      * disp[:d - j, :d - j].conj(), axis=1)
+        rows = np.arange(j, d)
+        rho[rows - j, rows] = band.conj()
+        rho[rows, rows - j] = band
+    return DensityMatrix(space, rho)

@@ -89,7 +89,7 @@ SCENARIO_NAMES = (
 # every parameter key a config or a sweep axis may reference
 PARAM_KEYS = frozenset({
     "gamma", "kappa_over_gamma", "c_tilde", "c_prime", "c_prime_alt",
-    "eta1", "eta2", "r", "gprime_ratio", "include_full", "theta", "g",
+    "eta1", "eta2", "r", "gprime_ratio", "include_full", "g",
     "epsilon_over_g", "omega_over_g", "shift_omega1_over_g",
     "shift_omega2_over_g", "gt_max", "start_excited",
     "epsilon_ghz", "omega_ghz", "g_ghz", "gamma_ghz", "kappa_ghz",
@@ -132,6 +132,8 @@ class SweepSpec:
 @dataclass(frozen=True)
 class NumericsSpec:
     field_dim: int = 40
+    # accepted and hashed but unread: the ansatz integrates the ring phase
+    # exactly
     n_phases: int = 64
     grid_points: int = 129
     truncation_retries: int = 1
@@ -197,7 +199,6 @@ class RunConfig:
 _GLOBAL_PARAM_DEFAULTS = {
     "gamma": 1.0,
     "g": 1.0,
-    "theta": 0.0,
     "gt_max": 3.0,
     "start_excited": 1.0,
     "shift_omega1_over_g": 0.0,
@@ -607,13 +608,10 @@ class _Point:
 
     @cached_property
     def mf(self):
-        # two-qubit rows take the free ring phase as 0, where |F| is exact
-        theta = (0.0 if self.model == "two_qubit"
-                 else float(self.params.get("theta", 0.0)))
         r = self.rates
         return mf_steady(MFParams(g_tilde=r.g_tilde, gamma=r.gamma,
                                   kappa=r.kappa, C_tilde_prime=r.c_prime,
-                                  r=self.dressed.r), theta=theta)
+                                  r=self.dressed.r))
 
     @cached_property
     def mf_f_squared(self) -> float:
@@ -630,8 +628,7 @@ class _Point:
         key = ("ansatz", self.field_dim, f_mag)
         if key not in self._memo:
             self._memo[key] = ansatz = mf_ansatz(
-                f_mag, self.rates.c_prime, self.dressed.r, self.field.space,
-                n_phases=self.numerics.n_phases)
+                f_mag, self.rates.c_prime, self.dressed.r, self.field.space)
             edge = truncation_edge(ansatz)
             if edge >= _TRUNCATION_TOL:
                 log.warning("ansatz truncation-limited at field_dim %d "
@@ -721,7 +718,11 @@ _FIDELITY_SWEEP_FULL = _FIDELITY_SWEEP + (
 def _evaluate_point(scenario: str, params: dict,
                     numerics: NumericsSpec) -> dict:
     model, columns = _COLUMNS[scenario]
-    if scenario == "fidelity_sweep" and bool(params.get("include_full", 0.0)):
+    include_full = params.get("include_full", 0.0)
+    if include_full not in (0, 1):
+        raise ConfigError("include_full must be 0 (effective model only) or "
+                          f"1 (add the two-qubit model), got {include_full!r}")
+    if scenario == "fidelity_sweep" and include_full == 1:
         columns = _FIDELITY_SWEEP_FULL
     point = _Point(params, numerics, model)
     return {name: attrgetter(path)(point) for name, path in columns}

@@ -140,6 +140,9 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     # the initial state is |e,0> or |g,0>; nothing in between
     ("rwa_validate", "params.start_excited=0.5"),
     ("rwa_validate", "params.start_excited=-1"),
+    # the two-qubit columns are either added or not
+    ("fidelity_sweep", "params.include_full=0.5"),
+    ("fidelity_sweep", "params.include_full=-1"),
     # eta1 = eta2 balances the Bessel weights: no mode is dressed
     ("dress_audit", "params.eta1=0.2"),
     ("rwa_validate", "params.eta1=0.2"),
