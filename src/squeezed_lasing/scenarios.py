@@ -118,6 +118,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in PARAM_KEYS:
             raise ConfigError(f"unknown sweep parameter {self.param!r}")
+        if self.param == "include_full":
+            raise ConfigError("include_full switches columns on or off; "
+                              "it is not a sweep axis")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError("sweep range must be finite")
         if self.stop < self.start:
@@ -901,7 +904,7 @@ def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
     out = ScenarioOutput()
     summary_rows = []
     panel_info = {}
-    wanted = [float(_require(params, "c_prime")),
+    wanted = [resolve_rates(params).c_prime,
               float(params.get("c_prime_alt", 0.01))]
     if wanted[1] == wanted[0]:
         wanted = wanted[:1]

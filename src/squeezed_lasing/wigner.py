@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 from .fock import DensityMatrix, InvalidStateError, annihilation, expectation
 from .gaussian import GaussianState
@@ -145,9 +146,14 @@ def grid_for_gaussian(gs: GaussianState, points: int = 129) -> PhaseGrid:
 def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     """Reconstruct W(X, P) from a field-mode density matrix.
 
-    The double Fock sum is folded into one pass per diagonal so the
-    Laguerre recurrence and the off-diagonal phase factor are shared by
-    all elements with the same index offset.
+    One pass per diagonal delta shares the radial functions and the
+    phase e^{-i delta theta} among all rho[n + delta, n].  The radial
+    functions are the normalised Fock-basis kernels f_n = (-1)^n
+    sqrt(n! / (n + delta)!) r^delta e^{-r^2/2} L_n^delta(r^2) / (2 pi),
+    bounded by |f_n| <= 1/(2 pi), so no term overflows however large the
+    state.  From f_{-1} = 0 and f_0 formed in the log domain, the
+    Laguerre recurrence gives f_n = -[(2n - 1 + delta - r^2) f_{n-1}
+    + sqrt((n - 1)(n - 1 + delta)) f_{n-2}] / sqrt(n (n + delta)).
     """
     if rho_A.space.n_qubits != 0:
         raise ValueError("wigner_from_density needs a field-only state; "
@@ -156,9 +162,6 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     d = rho_A.space.field_dim
     x_arr, p_arr = grid.mesh()
     r2 = x_arr**2 + p_arr**2
-    decay = np.exp(-r2 / 2)
-    with np.errstate(divide="ignore"):
-        ln_r = 0.5 * np.log(r2)
     phase_unit = np.exp(-1j * np.arctan2(p_arr, x_arr))
 
     acc = np.zeros((grid.nx, grid.np), dtype=complex)
@@ -169,32 +172,23 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
             continue
         inner_lo = np.zeros_like(acc)
         inner_hi = np.zeros_like(acc) if delta else None
-        lag_prev = np.ones_like(r2)
-        lag_cur = None
+        f_prev = 0.0
+        f = np.exp(xlogy(delta / 2, r2) - r2 / 2
+                   - 0.5 * math.lgamma(delta + 1)) / (2 * math.pi)
         for n in range(d - delta):
-            if n == 0:
-                lag = lag_prev
-            elif n == 1:
-                lag_cur = delta + 1 - r2
-                lag = lag_cur
-            else:
-                lag_prev, lag_cur = lag_cur, (
-                    (2 * (n - 1) + delta + 1 - r2) * lag_cur
-                    - (n - 1 + delta) * lag_prev) / n
-                lag = lag_cur
-            sign = -1.0 if n % 2 else 1.0
-            coeff = sign / (2 * math.pi) * math.exp(
-                0.5 * (math.lgamma(n + 1) - math.lgamma(n + delta + 1)))
+            if n:
+                f_prev, f = f, -((2 * n - 1 + delta - r2) * f
+                                 + math.sqrt((n - 1) * (n - 1 + delta))
+                                 * f_prev) / math.sqrt(n * (n + delta))
             if abs(lower[n]) >= 1e-18:
-                inner_lo += (coeff * lower[n]) * lag
+                inner_lo += lower[n] * f
             if delta and abs(upper[n]) >= 1e-18:
-                inner_hi += (coeff * upper[n]) * lag
+                inner_hi += upper[n] * f
         if delta == 0:
-            acc += inner_lo * decay
+            acc += inner_lo
         else:
-            radial = np.exp(delta * ln_r - r2 / 2)
             phase = phase_unit**delta
-            acc += radial * (phase * inner_lo + np.conjugate(phase) * inner_hi)
+            acc += phase * inner_lo + np.conjugate(phase) * inner_hi
 
     residue = float(np.max(np.abs(acc.imag)))
     if residue >= 1e-10:

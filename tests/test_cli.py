@@ -119,6 +119,9 @@ def _fragment_id(fragment: str) -> str:
     [*FAST_SWEEP, "--set", "sweep.steps=2.5"],
     [*FAST_SWEEP, "--set", "sweep.steps=true"],
     [*FAST_SWEEP, "--set", "sweep.stpes=5"],
+    # a 0/1 switch that changes which columns a point writes
+    [*FAST_SWEEP, "--set", "sweep.start=0", "--set", "sweep.stop=1",
+     "--set", "sweep.param=include_full"],
     # integers beyond the float range, and beyond json's digit limit
     ["--set", "numerics.field_dim=1" + "0" * 400],
     [*FAST_SWEEP, "--set", "sweep.start=1" + "0" * 400],

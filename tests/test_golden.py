@@ -14,9 +14,12 @@ may differ in the last digits (about 1e-13 relative in 7 of the 11
 cases on one 2-CPU VM), inside the tolerances above.  So check a claim
 that a change keeps artefacts byte-identical with ``diff -r`` against a
 run of the parent commit on the same machine, not against these files.
-Re-pin only for a change meant to move the numbers, from the repo root:
+Re-pin only for a change meant to move the numbers, and only the cases
+it moves, from the repo root:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py wigner_panels mf_compare
+
+With no case names every case is re-pinned and stale cases are removed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,12 +129,17 @@ def test_matches_golden(case, tmp_path):
                            else None)
 
 
-def pin() -> None:
-    """Rewrite tests/golden/ from the current code."""
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    for case in CASES:
+def pin(cases: list[str]) -> None:
+    """Rewrite the named cases of tests/golden/, or all of it for none."""
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden cases: {unknown}")
+    if not cases:
+        shutil.rmtree(GOLDEN, ignore_errors=True)
+    for case in cases or CASES:
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
         _run(case, GOLDEN / case)
 
 
 if __name__ == "__main__":
-    pin()
+    pin(sys.argv[1:])

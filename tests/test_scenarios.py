@@ -527,6 +527,25 @@ class TestWignerPanels:
         assert suggested > points
         assert simulate(suggested, tmp_path / "fine") == 0
 
+    def test_paper_preset_resolves_c_prime(self, monkeypatch):
+        # paper-2013 gives C' only through its GHz rates, as every sweep
+        # point reads them; each panel's steady state starts with _Point
+        class Solve(Exception):
+            pass
+
+        reached = []
+
+        def point(params, numerics, model, memo=None):
+            reached.append(params["c_prime"])
+            raise Solve
+
+        monkeypatch.setattr(scenarios, "_Point", point)
+        cfg = build_config("wigner_panels", preset="paper-2013")
+        with pytest.raises(Solve):
+            run_scenario(cfg)
+        assert reached == [resolve_rates(cfg.params).c_prime]
+        assert reached[0] == pytest.approx(8.8082, abs=1e-4)
+
     def test_duplicate_alt_collapses_to_one_pair(self):
         over = {"params": {"c_prime": 1.0, "c_prime_alt": 1.0},
                 "numerics": {"field_dim": 24, "grid_points": 33}}

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from squeezed_lasing.fock import (
     DensityMatrix,
     HilbertSpace,
     annihilation,
     expectation,
+    truncation_edge,
 )
 from squeezed_lasing.gaussian import (
     GaussianDecomposition,
@@ -23,6 +25,7 @@ from squeezed_lasing.lindblad import model_squeezed_laser_effective
 from squeezed_lasing.dressing import DressedCoupling
 from squeezed_lasing.meanfield import gaussian_mf_solution
 from squeezed_lasing.wigner import (
+    MASS_TOL,
     GridCoverageError,
     ModeBasis,
     PhaseGrid,
@@ -92,16 +95,22 @@ def test_laguerre_low_orders():
 
 
 def test_laguerre_matches_exact_series():
-    # the recurrence reaches L_25^10 for the |25> <-> |35> coherence
-    grid = symmetric_grid(16.0, 129)
-    w = coherence_wigner(25, 10, grid)
-    p0 = grid.p_centers[64]
-    for i in (70, 76, 80, 90, 100, 110):
-        x0 = grid.x_centers[i]
-        r2 = x0**2 + p0**2
-        exact = float(laguerre_series_exact(25, 10, Fraction(r2)))
-        expected = kernel_envelope(25, 10, r2, math.atan2(p0, x0)) * exact
-        assert w[i, 64] == pytest.approx(expected, rel=1e-9)
+    # the recurrence reaches L_25^10 for the |25> <-> |35> coherence, and
+    # L_150^40 for |150> <-> |190> out to that ring's turning point
+    for n, delta, half_width, points, columns in (
+            (25, 10, 16.0, 129, (70, 76, 80, 90, 100, 110)),
+            (150, 40, 34.0, 321, (169, 193, 221, 249, 277, 289))):
+        grid = symmetric_grid(half_width, points)
+        w = coherence_wigner(n, delta, grid)
+        mid = points // 2
+        p0 = grid.p_centers[mid]
+        for i in columns:
+            x0 = grid.x_centers[i]
+            r2 = x0**2 + p0**2
+            exact = float(laguerre_series_exact(n, delta, Fraction(r2)))
+            expected = kernel_envelope(n, delta, r2,
+                                       math.atan2(p0, x0)) * exact
+            assert w[i, mid] == pytest.approx(expected, rel=1e-9)
 
 
 def test_kernel_vacuum_term():
@@ -180,6 +189,42 @@ def test_moments_match_operator_expectations():
         expectation(x_op, rho).real, abs=1e-3)
     assert w.moment(lambda x, p: x**2) == pytest.approx(
         expectation(x_op @ x_op, rho).real, abs=1e-3)
+
+
+@pytest.mark.parametrize("nbar, field_dim", [(100, 200), (200, 320)])
+def test_large_lasing_ring_stays_finite(nbar, field_dim):
+    # the phase-averaged Poisson ring of a laser far above threshold,
+    # where L_n^delta(r^2) alone overflows and e^{-r^2/2} underflows
+    space = HilbertSpace(n_qubits=0, field_dim=field_dim)
+    levels = np.arange(field_dim)
+    pops = np.exp(levels * math.log(nbar) - nbar - gammaln(levels + 1))
+    pops /= pops.sum()
+    rho = DensityMatrix(space, np.diag(pops).astype(complex))
+    with np.errstate(over="raise", invalid="raise"):
+        w = wigner_from_density(rho, symmetric_grid(40.0, 161))
+    assert np.all(np.isfinite(w.values))
+    assert w.mass == pytest.approx(1.0, abs=MASS_TOL)
+    # <X^2 + P^2> = 4 <n> + 2
+    assert w.moment(lambda x, p: x**2 + p**2) == pytest.approx(
+        4 * float(levels @ pops) + 2, rel=1e-6)
+
+
+def test_gaussian_wigner_oracle_at_large_amplitude():
+    # |alpha|^2 = 104: the Fock reconstruction must follow the closed form
+    # down to what the truncation cuts off.  At field_dim 200-260 the
+    # deviation is 0.35-1.5 times the top-tenth population.
+    space = HilbertSpace(n_qubits=0, field_dim=240)
+    gs = compose(GaussianDecomposition(alpha=10 + 2j, phi=0.3,
+                                       r_tilde=0.5, n_tilde=0.2))
+    rho = to_fock(gs, space)
+    grid = grid_for_gaussian(gs)
+    with np.errstate(over="raise", invalid="raise"):
+        via_fock = wigner_from_density(rho, grid)
+    deviation = np.max(np.abs(via_fock.values
+                              - gaussian_wigner(gs, grid).values))
+    edge = truncation_edge(rho)
+    assert edge < 1e-5
+    assert deviation < 2 * edge
 
 
 def test_undersized_grid_reports_suggestion():
