@@ -14,17 +14,24 @@ levels hold weight.  Each column of a scenario's spec then names a
 quantity of the point (reduced-field observables, mean field, ansatz
 fidelity, effective vs full model), computed once, on first use.
 Sweep points run serially, in axis order, in the calling thread: each
-is one sparse LU, which holds the GIL.  Truncation health is one
+is one sparse LU, which holds the GIL.  A point or a panel that fails
+with anything but a ``ConfigError`` is logged and listed in
+``failed_points``, and the others still run.  Truncation health is one
 measured value, the population in the top Fock levels of the reduced
 field: it comes back as the row's ``truncation_flag`` and as log
 records, never as a Python warning.
 
 Two parameter families are understood.  Dimensionless keys
-(``kappa_over_gamma``, ``c_tilde``, ...) drive the solvers directly in
-units of the qubit decay.  Physical keys carry the circuit values in
-GHz (``epsilon_ghz``, ...); ratios are derived from them when the
-dimensionless key is absent, and absolute angular frequencies (rad/ns)
-are formed with the 2*pi factor only where a Hamiltonian needs them.
+(``kappa_over_gamma``, ``c_tilde``, ``epsilon_over_g``, ...) drive the
+solvers directly: rates are in units of the qubit decay gamma and
+frequencies in units of the bare coupling g, and both units are fixed
+at 1, since the results depend only on the ratios.  Physical keys carry
+the circuit values in GHz (``epsilon_ghz``, ...); ratios are derived
+from them when the dimensionless key is absent, and absolute angular
+frequencies (rad/ns) are formed with the 2*pi factor only where a
+Hamiltonian needs them.  Either way the two drives sit exactly on the
+sidebands epsilon -/+ omega; detuned drives are built on
+``SystemParams`` in the library.
 Everything stays deterministic: no randomness and no timestamps.
 """
 
@@ -88,10 +95,9 @@ SCENARIO_NAMES = (
 
 # every parameter key a config or a sweep axis may reference
 PARAM_KEYS = frozenset({
-    "gamma", "kappa_over_gamma", "c_tilde", "c_prime", "c_prime_alt",
-    "eta1", "eta2", "r", "gprime_ratio", "include_full", "g",
-    "epsilon_over_g", "omega_over_g", "shift_omega1_over_g",
-    "shift_omega2_over_g", "gt_max", "start_excited",
+    "kappa_over_gamma", "c_tilde", "c_prime", "c_prime_alt",
+    "eta1", "eta2", "r", "gprime_ratio", "include_full",
+    "epsilon_over_g", "omega_over_g", "gt_max", "start_excited",
     "epsilon_ghz", "omega_ghz", "g_ghz", "gamma_ghz", "kappa_ghz",
     "g_prime_ghz", "gamma_prime_ghz",
 })
@@ -200,12 +206,8 @@ class RunConfig:
 # presets and config assembly
 
 _GLOBAL_PARAM_DEFAULTS = {
-    "gamma": 1.0,
-    "g": 1.0,
     "gt_max": 3.0,
     "start_excited": 1.0,
-    "shift_omega1_over_g": 0.0,
-    "shift_omega2_over_g": 0.0,
 }
 
 # per-scenario tweaks applied before preset/file/--set layers
@@ -365,10 +367,10 @@ def _dressing_norm(eta1: float, eta2: float) -> float:
 class ResolvedRates:
     """Dimensionless working point in units of the qubit decay."""
 
-    gamma: float
     kappa: float
     c_tilde: float
     c_prime: float
+    gamma = 1.0  # the unit of every rate, not a field
 
     @property
     def g_tilde(self) -> float:
@@ -378,9 +380,6 @@ class ResolvedRates:
 
 def resolve_rates(params: dict, *, need_c_prime: bool = True) -> ResolvedRates:
     """Dimensionless rates, derived from the GHz family when absent."""
-    gamma = float(params.get("gamma", 1.0))
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
     if "kappa_over_gamma" in params:
         kv = float(params["kappa_over_gamma"])
     elif "kappa_ghz" in params and "gamma_ghz" in params:
@@ -414,8 +413,7 @@ def resolve_rates(params: dict, *, need_c_prime: bool = True) -> ResolvedRates:
         raise ConfigError("need c_tilde (or the GHz parameters)")
     if c_tilde < 0:
         raise ConfigError("c_tilde must be non-negative")
-    return ResolvedRates(gamma=gamma, kappa=kv * gamma,
-                         c_tilde=c_tilde, c_prime=c_prime)
+    return ResolvedRates(kappa=kv, c_tilde=c_tilde, c_prime=c_prime)
 
 
 def _squeezing(params: dict) -> float:
@@ -466,7 +464,9 @@ def resolve_system_params(params: dict) -> SystemParams:
     """Absolute drive/system frequencies for the Hamiltonian builders.
 
     GHz inputs are ordinary frequencies; the 2*pi enters here and only
-    here, leaving everything downstream in angular units (rad/ns).
+    here, leaving everything downstream in angular units (rad/ns).  The
+    dimensionless family is in units of g (g = 1).  The drives sit on the
+    two sidebands either way.
     """
     eta1, eta2 = _require(params, "eta1"), _require(params, "eta2")
     if {"epsilon_ghz", "omega_ghz", "g_ghz"} <= params.keys():
@@ -475,14 +475,11 @@ def resolve_system_params(params: dict) -> SystemParams:
         om = scale * float(params["omega_ghz"])
         g = scale * float(params["g_ghz"])
     else:
-        g = float(params.get("g", 1.0))
-        eps = _require(params, "epsilon_over_g") * g
-        om = _require(params, "omega_over_g") * g
-    omega1 = eps - om + float(params.get("shift_omega1_over_g", 0.0)) * g
-    omega2 = eps + om + float(params.get("shift_omega2_over_g", 0.0)) * g
+        eps = _require(params, "epsilon_over_g")
+        om = _require(params, "omega_over_g")
+        g = 1.0
     try:
-        return SystemParams(epsilon=eps, omega=om, g=g, eta1=eta1, eta2=eta2,
-                            Omega1=omega1, Omega2=omega2)
+        return SystemParams.at_sidebands(eps, om, g, eta1, eta2)
     except ValueError as exc:
         raise ConfigError(f"system parameters out of range: {exc}") from None
 
@@ -735,6 +732,20 @@ def _evaluate_point(scenario: str, params: dict,
 _POINT_FUNCS = {name: partial(_evaluate_point, name) for name in _COLUMNS}
 
 
+def _isolated(compute, failed: list[dict], index: int, axis, value):
+    """``compute()``, or None with its failure logged and appended to
+    ``failed``.  A ``ConfigError`` is the whole run's and propagates."""
+    try:
+        return compute()
+    except ConfigError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - point isolation
+        error = f"{type(exc).__name__}: {exc}"
+        log.error("point %s (%s=%s) failed: %s", index, axis, value, error)
+        failed.append({"index": index, "axis_value": value, "error": error})
+        return None
+
+
 def _run_sweep(config: RunConfig) -> ScenarioOutput:
     point_fn = _POINT_FUNCS[config.scenario]
     if config.sweep is not None:
@@ -754,15 +765,9 @@ def _run_sweep(config: RunConfig) -> ScenarioOutput:
         params = dict(base_params)
         if axis is not None:
             params[axis] = value
-        try:
-            rec = point_fn(params, config.numerics)
-        except ConfigError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - point isolation
-            error = f"{type(exc).__name__}: {exc}"
-            log.error("sweep point %s (%s=%s) failed: %s", i, axis, value,
-                      error)
-            failed.append({"index": i, "axis_value": value, "error": error})
+        rec = _isolated(partial(point_fn, params, config.numerics), failed,
+                        i, axis, value)
+        if rec is None:
             continue
         if returned and tuple(rec) != tuple(returned[0]):
             raise RuntimeError("sweep points produced inconsistent columns")
@@ -831,10 +836,10 @@ def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
     params = config.params
     system = resolve_system_params(params)
     space = HilbertSpace(n_qubits=1, field_dim=config.numerics.field_dim)
-    gt_max = float(params.get("gt_max", 3.0))
+    gt_max = _require(params, "gt_max")
     if gt_max < 0:
         raise ConfigError("gt_max must be non-negative")
-    start_excited = params.get("start_excited", 1.0)
+    start_excited = _require(params, "start_excited")
     if start_excited not in (0, 1):
         raise ConfigError("start_excited must be 0 (start in |g,0>) or 1 "
                           f"(start in |e,0>), got {start_excited!r}")
@@ -899,28 +904,36 @@ def ring_cut_anisotropy(w: WignerField) -> tuple[float, float, float]:
     return var_x, var_p, var_p / var_x
 
 
+def _wigner_panel(params: dict, c_prime: float, numerics: NumericsSpec):
+    """The steady point at ``c_prime`` and, for the lasing and the bare
+    frame, (label, Wigner field, cut variances)."""
+    steady = _Point(dict(params, c_prime=c_prime), numerics, "effective")
+    grid = grid_for_density(steady.field, points=numerics.grid_points)
+    w_mode = wigner_from_density(steady.field, grid)
+    w_bare = wigner_change_basis(w_mode, steady.dressed.r)
+    return steady, [(label, panel, ring_cut_anisotropy(panel))
+                    for label, panel in (("lasing", w_mode), ("bare", w_bare))]
+
+
 def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
+    """One panel per C': each is isolated like a sweep point, and its
+    grids and rows are committed only once both frames are built."""
     params = config.params
     out = ScenarioOutput()
     summary_rows = []
     panel_info = {}
-    wanted = [resolve_rates(params).c_prime,
-              float(params.get("c_prime_alt", 0.01))]
+    wanted = [resolve_rates(params).c_prime, _require(params, "c_prime_alt")]
     if wanted[1] == wanted[0]:
         wanted = wanted[:1]
-    for cp in wanted:
-        point = dict(params)
-        point["c_prime"] = cp
-        steady = _Point(point, config.numerics, "effective")
-        rho_f = steady.field
-        grid = grid_for_density(rho_f, points=config.numerics.grid_points)
-        w_mode = wigner_from_density(rho_f, grid)
-        w_bare = wigner_change_basis(w_mode, steady.dressed.r)
-        tag = f"{cp:g}"
-        for label, panel in (("lasing", w_mode), ("bare", w_bare)):
-            name = f"wigner_c{tag}_{label}"
+    for i, cp in enumerate(wanted):
+        done = _isolated(partial(_wigner_panel, params, cp, config.numerics),
+                         out.failed_points, i, "c_prime", cp)
+        if done is None:
+            continue
+        steady, frames = done
+        for label, panel, (var_x, var_p, ratio) in frames:
+            name = f"wigner_c{cp:g}_{label}"
             out.grids[name] = panel
-            var_x, var_p, ratio = ring_cut_anisotropy(panel)
             summary_rows.append((cp, label, panel.mass,
                                  float(panel.values.min()), var_x, var_p,
                                  ratio, steady.field_dim,
@@ -932,6 +945,9 @@ def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
                                 "anisotropy_ratio": ratio}
             log.info("panel %s: mass %.6f, min %.3e, anisotropy %.2f",
                      name, panel.mass, panel.values.min(), ratio)
+    if not panel_info:
+        out.report["error"] = "no wigner panel completed"
+        return out
     out.tables["wigner_summary"] = Table(
         columns=("c_prime", "frame", "mass", "min_value", "cut_variance_x",
                  "cut_variance_p", "anisotropy_ratio", "field_dim",

@@ -151,6 +151,12 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     ("rwa_validate", "params.eta1=0.2"),
     ("squeezed_laser", "params.eta1=0.2"),
     ("two_qubit_full", "params.eta1=0.2"),
+    # rates are in units of gamma and frequencies in units of g, both 1,
+    # and the drives sit on the sidebands: none of these is a parameter
+    ("single_laser", "params.gamma=2"),
+    ("rwa_validate", "params.g=3"),
+    ("dress_audit", "params.shift_omega1_over_g=0.5"),
+    ("dress_audit", "params.shift_omega2_over_g=0.5"),
 ])
 def test_out_of_range_physics_exits_2(tmp_path, scenario, fragment):
     assert main([scenario, "--out", str(tmp_path / "o"),
@@ -213,6 +219,25 @@ def test_failed_points_exit_3_with_partial_results(tmp_path, monkeypatch):
     # surviving point still committed
     csv = (out / "single_laser.csv").read_text().splitlines()
     assert len(csv) == 3
+
+
+def test_every_point_failing_writes_only_the_manifest(tmp_path, monkeypatch):
+    import squeezed_lasing.scenarios as scen
+
+    def always(params, numerics):
+        raise RuntimeError(f"synthetic blowup at {params['c_tilde']}")
+
+    monkeypatch.setitem(scen._POINT_FUNCS, "single_laser", always)
+    out = tmp_path / "run"
+    assert main(["single_laser", "--out", str(out), *FAST_SWEEP]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == "no sweep point completed"
+    assert manifest["products"] == []
+    assert [(f["index"], f["axis_value"]) for f in manifest["failed_points"]] \
+        == [(0, 1.0), (1, 2.0)]
+    assert all("synthetic blowup" in f["error"]
+               for f in manifest["failed_points"])
 
 
 def test_hard_failure_still_writes_manifest(tmp_path, monkeypatch):

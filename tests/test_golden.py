@@ -20,6 +20,16 @@ it moves, from the repo root:
     PYTHONPATH=src python tests/test_golden.py wigner_panels mf_compare
 
 With no case names every case is re-pinned and stale cases are removed.
+A change that moves only the config hash (a parameter or numerics field
+added or deleted) re-pins with
+
+    PYTHONPATH=src python tests/test_golden.py --hash-only [CASE ...]
+
+which reruns each case and rewrites only the first ``# config_hash:``
+line of every committed table and grid and the manifest's ``config`` and
+``config_hash``; every other committed byte stays, ``versions``
+included.  ``test_matches_golden`` still compares the committed numbers
+with a fresh run, so this mode cannot hide a number that moved.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import json
 import re
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -129,11 +140,38 @@ def test_matches_golden(case, tmp_path):
                            else None)
 
 
-def pin(cases: list[str]) -> None:
-    """Rewrite the named cases of tests/golden/, or all of it for none."""
+def test_hash_only_repin_restores_only_the_hash(tmp_path, monkeypatch):
+    # a copy of one case with a stale hash and config comes back byte for
+    # byte; a table without its hash line is refused
+    case = "dress_audit"
+    shutil.copytree(GOLDEN / case, tmp_path / case)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    committed = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
+    table = tmp_path / case / "spurious_terms.csv"
+    table.write_text(re.sub(r"^# config_hash: \w+", "# config_hash: stale",
+                            table.read_text()))
+    manifest_path = tmp_path / case / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["params"]["retired"] = 1.0
+    manifest["config_hash"] = "stale"
+    manifest_path.write_text(_dump_manifest(manifest))
+    pin_hashes([case])
+    assert {p.name: p.read_bytes()
+            for p in (tmp_path / case).iterdir()} == committed
+    table.write_text(table.read_text().partition("\n")[2])
+    with pytest.raises(SystemExit, match="config hash line"):
+        pin_hashes([case])
+
+
+def _check_cases(cases: list[str]) -> None:
     unknown = sorted(set(cases) - set(CASES))
     if unknown:
         raise SystemExit(f"unknown golden cases: {unknown}")
+
+
+def pin(cases: list[str]) -> None:
+    """Rewrite the named cases of tests/golden/, or all of it for none."""
+    _check_cases(cases)
     if not cases:
         shutil.rmtree(GOLDEN, ignore_errors=True)
     for case in cases or CASES:
@@ -141,5 +179,47 @@ def pin(cases: list[str]) -> None:
         _run(case, GOLDEN / case)
 
 
+def _dump_manifest(manifest: dict) -> str:
+    # the format ``write_outputs`` writes
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
+def pin_hashes(cases: list[str]) -> None:
+    """Move the named cases (all for none) to a fresh run's config and
+    config hash, keeping every other committed byte."""
+    _check_cases(cases)
+    for case in cases or CASES:
+        gold_dir = GOLDEN / case
+        names = sorted(p.name for p in gold_dir.iterdir())
+        with tempfile.TemporaryDirectory() as tmp:
+            _run(case, Path(tmp))
+            if sorted(p.name for p in Path(tmp).iterdir()) != names:
+                raise SystemExit(f"{case}: a fresh run writes other files "
+                                 f"than {names}")
+            fresh = json.loads((Path(tmp) / "manifest.json").read_text())
+        for name in names:
+            path = gold_dir / name
+            text = path.read_text()
+            if name == "manifest.json":
+                manifest = json.loads(text)
+                if _dump_manifest(manifest) != text:
+                    raise SystemExit(f"{case}/{name} is not in the "
+                                     "manifest format; re-pin it in full")
+                manifest["config"] = fresh["config"]
+                manifest["config_hash"] = fresh["config_hash"]
+                path.write_text(_dump_manifest(manifest))
+                continue
+            first, newline, rest = text.partition("\n")
+            if not first.startswith("# config_hash: "):
+                raise SystemExit(f"{case}/{name} does not start with a "
+                                 "config hash line")
+            path.write_text(f"# config_hash: {fresh['config_hash']}"
+                            f"{newline}{rest}")
+
+
 if __name__ == "__main__":
-    pin(sys.argv[1:])
+    args = sys.argv[1:]
+    if args[:1] == ["--hash-only"]:
+        pin_hashes(args[1:])
+    else:
+        pin(args)

@@ -451,6 +451,23 @@ class TestSweeps:
         assert "synthetic solver blowup" in out.failed_points[1]["error"]
         assert [row[0] for row in out.tables["single_laser"].rows] == [3.0]
 
+    def test_gprime_ratio_axis_adds_the_two_qubit_columns(self):
+        # a coupling-ratio axis only means something for the two-qubit
+        # model, so it turns include_full on unless the config sets it
+        cfg = build_config("fidelity_sweep", preset="desk", overrides={
+            "sweep": {"param": "gprime_ratio", "start": 0.02, "stop": 0.04,
+                      "steps": 2},
+            "numerics": {"field_dim": 8}})
+        assert "include_full" not in cfg.params
+        out = run_scenario(cfg)
+        table = out.tables["fidelity_sweep"]
+        rows = [dict(zip(table.columns, row)) for row in table.rows]
+        assert table.columns[-3:] == ("gprime_ratio", "fidelity_full",
+                                      "fidelity_full_vs_effective")
+        assert [row["gprime_ratio"] for row in rows] == [0.02, 0.04]
+        assert all(0.0 < row["fidelity_full"] <= 1.0 + 1e-12 for row in rows)
+        assert not out.failed_points
+
     def test_fidelity_sweep_solves_effective_model_once_per_point(
             self, monkeypatch):
         # with include_full, the two-qubit comparison reuses the point's
@@ -519,7 +536,9 @@ class TestWignerPanels:
         assert simulate(points, tmp_path / "coarse") == 3
         manifest = json.loads(
             (tmp_path / "coarse" / "manifest.json").read_text())
-        error = manifest["error"]
+        assert manifest["error"] == "no wigner panel completed"
+        [failed] = manifest["failed_points"]
+        error = failed["error"]
         assert error.startswith("GridCoverageError")
         assert "too coarse" in error and "extents x in" not in error
         suggested = int(re.search(r"suggest (\d+) grid points",
@@ -541,10 +560,46 @@ class TestWignerPanels:
 
         monkeypatch.setattr(scenarios, "_Point", point)
         cfg = build_config("wigner_panels", preset="paper-2013")
-        with pytest.raises(Solve):
-            run_scenario(cfg)
-        assert reached == [resolve_rates(cfg.params).c_prime]
+        out = run_scenario(cfg)
+        assert reached == [resolve_rates(cfg.params).c_prime, 0.01]
         assert reached[0] == pytest.approx(8.8082, abs=1e-4)
+        assert [f["index"] for f in out.failed_points] == [0, 1]
+        assert all(f["error"].startswith("Solve") for f in out.failed_points)
+        assert out.report["error"] == "no wigner panel completed"
+        assert not out.grids and not out.tables
+
+    def test_failed_panel_keeps_the_clean_one(self, tmp_path, monkeypatch):
+        # each panel is isolated like a sweep point: the first panel's
+        # grids and rows are written, the second is listed as failed
+        real = scenarios.wigner_from_density
+        calls = []
+
+        def second_fails(rho, grid):
+            calls.append(rho.space.field_dim)
+            if len(calls) == 2:
+                raise RuntimeError("synthetic panel failure")
+            return real(rho, grid)
+
+        monkeypatch.setattr(scenarios, "wigner_from_density", second_fails)
+        out = tmp_path / "run"
+        assert main(["wigner_panels", "--out", str(out),
+                     "--set", "numerics.field_dim=16",
+                     "--set", "numerics.grid_points=25"]) == 3
+        assert len(calls) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["products"] == ["wigner_summary.csv",
+                                        "wigner_c10_bare.txt",
+                                        "wigner_c10_lasing.txt"]
+        assert sorted(manifest["panels"]) == ["wigner_c10_bare",
+                                              "wigner_c10_lasing"]
+        [failed] = manifest["failed_points"]
+        assert failed["index"] == 1
+        assert failed["axis_value"] == 0.01
+        assert "synthetic panel failure" in failed["error"]
+        assert "error" not in manifest
+        rows = (out / "wigner_summary.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[:2] for row in rows] == [["10", "lasing"],
+                                                        ["10", "bare"]]
 
     def test_duplicate_alt_collapses_to_one_pair(self):
         over = {"params": {"c_prime": 1.0, "c_prime_alt": 1.0},
