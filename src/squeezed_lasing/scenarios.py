@@ -41,6 +41,7 @@ import hashlib
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
@@ -957,15 +958,70 @@ def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
     return out
 
 
+# get/set thread-count symbol pairs an OpenBLAS may export: numpy's wheel
+# bundles an ILP64 build with the 64_ suffix, scipy's an LP64 build without
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                        "scipy_openblas_{}_num_threads",
+                        "openblas_{}_num_threads64_",
+                        "openblas_{}_num_threads")
+
+
+def _blas_thread_controls() -> list[tuple]:
+    """One ``(get, set)`` pair of thread-count functions per OpenBLAS that
+    numpy and scipy loaded; empty for a BLAS without them (MKL, Accelerate)."""
+    import ctypes
+
+    import numpy.linalg._umath_linalg as numpy_lapack
+    import scipy.linalg._fblas as scipy_blas
+
+    controls = []
+    for module in (numpy_lapack, scipy_blas):
+        lib = ctypes.CDLL(module.__file__)
+        for pattern in _BLAS_THREAD_SYMBOLS:
+            get = getattr(lib, pattern.format("get"), None)
+            set_ = getattr(lib, pattern.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the enclosed code on one BLAS thread, then restore the caller's
+    thread counts, also when it raises.
+
+    A point's dense work is small (fd-60 products and exponentials), and
+    waking a second OpenBLAS thread for it costs more than it saves: on a
+    2-CPU machine, the four ansatz calls of an fd-60 sweep took 0.26-0.79 s
+    with two threads and 0.03 s with one.  With one thread the artefacts
+    also no longer depend on the ``OPENBLAS_NUM_THREADS`` the program was
+    started with.
+    """
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(reversed(controls), reversed(saved)):
+            set_(count)
+
+
 def run_scenario(config: RunConfig) -> ScenarioOutput:
-    """Execute one scenario and return its in-memory products."""
-    if config.scenario == "dress_audit":
-        return _run_dress_audit(config)
-    if config.scenario == "rwa_validate":
-        return _run_rwa_validate(config)
-    if config.scenario == "wigner_panels":
-        return _run_wigner_panels(config)
-    return _run_sweep(config)
+    """Execute one scenario, on one BLAS thread, and return its in-memory
+    products."""
+    with _one_blas_thread():
+        if config.scenario == "dress_audit":
+            return _run_dress_audit(config)
+        if config.scenario == "rwa_validate":
+            return _run_rwa_validate(config)
+        if config.scenario == "wigner_panels":
+            return _run_wigner_panels(config)
+        return _run_sweep(config)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,13 +1056,13 @@ def write_outputs(out_dir: str | Path, config: RunConfig,
                  f"# frame: {grid_field.basis_tag.value} "
                  f"squeeze_r: {_format_cell(grid_field.squeeze_r)}",
                  "# columns: x p w"]
-        xs, ps = g.x_centers, g.p_centers
-        vals = grid_field.values
-        for i in range(g.nx):
-            xi = _format_cell(xs[i])
-            for j in range(g.np):
-                lines.append(f"{xi} {_format_cell(ps[j])} "
-                             f"{_format_cell(vals[i, j])}")
+        # one row of the grid at a time, from Python floats: a
+        # _format_cell call per cell took twice as long
+        ps = [format(p, ".17g") for p in g.p_centers.tolist()]
+        for x, row in zip(g.x_centers.tolist(), grid_field.values.tolist()):
+            xi = format(x, ".17g")
+            lines += [f"{xi} {p} {format(w, '.17g')}"
+                      for p, w in zip(ps, row)]
         (out_path / fname).write_text("\n".join(lines) + "\n")
         products.append(fname)
     manifest = {

@@ -1,12 +1,37 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import squeezed_lasing
 from squeezed_lasing.cli import build_parser, main
 
 FAST_SWEEP = ["--set", "sweep.param=c_tilde", "--set", "sweep.start=1",
               "--set", "sweep.stop=2", "--set", "sweep.steps=2",
               "--set", "numerics.field_dim=16"]
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # run_scenario works on one BLAS thread whatever the environment says
+    src = str(Path(squeezed_lasing.__file__).resolve().parents[1])
+    written = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads-{threads}"
+        run = subprocess.run(
+            [sys.executable, "-m", "squeezed_lasing.cli", "squeezed_laser",
+             "--preset", "desk", "--set", "numerics.field_dim=60",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(written["1"]) == ["manifest.json", "squeezed_laser.csv"]
+    assert written["1"] == written["2"]
 
 
 def test_parser_defaults():

@@ -660,6 +660,97 @@ class TestRingCutAnisotropy:
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads
+
+class TestOneBlasThread:
+    """``run_scenario`` runs on one BLAS thread and gives the caller's
+    thread counts back however the scenario ends."""
+
+    @pytest.fixture()
+    def controls(self):
+        # the caller runs two threads on each library during the test
+        controls = scenarios._blas_thread_controls()
+        if not controls:
+            pytest.skip("this BLAS exports no OpenBLAS thread controls")
+        saved = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        yield controls
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+
+    @staticmethod
+    def _counts(controls) -> list[int]:
+        return [get() for get, _ in controls]
+
+    def _recording_solve(self, controls, monkeypatch) -> list:
+        seen = []
+        solve = scenarios._solve_steady_checked
+
+        def recording(*args, **kwargs):
+            seen.append(self._counts(controls))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "_solve_steady_checked", recording)
+        return seen
+
+    @staticmethod
+    def _small_sweep() -> RunConfig:
+        return build_config(
+            "single_laser", preset="desk",
+            overrides={"sweep": {"param": "c_tilde", "start": 1.0,
+                                 "stop": 2.0, "steps": 2},
+                       "numerics": {"field_dim": 16}})
+
+    def test_numpy_and_scipy_each_have_their_controls(self, controls):
+        # numpy's and scipy's wheels each bundle their own OpenBLAS
+        assert len(controls) == 2
+        assert self._counts(controls) == [2, 2]
+
+    def test_one_thread_inside_and_the_callers_count_after(
+            self, controls, monkeypatch):
+        seen = self._recording_solve(controls, monkeypatch)
+        out = run_scenario(self._small_sweep())
+        assert len(out.tables["single_laser"].rows) == 2
+        assert seen == [[1, 1], [1, 1]]
+        assert self._counts(controls) == [2, 2]
+
+    def test_config_error_restores_the_callers_count(self, controls):
+        cfg = build_config("rwa_validate", preset="desk",
+                           overrides={"params": {"gt_max": -1.0},
+                                      "numerics": {"field_dim": 6}})
+        with pytest.raises(ConfigError, match="gt_max"):
+            run_scenario(cfg)
+        assert self._counts(controls) == [2, 2]
+
+    def test_numerical_failure_restores_the_callers_count(
+            self, controls, monkeypatch):
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(self._counts(controls))
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scenarios, "schrodinger_evolve", failing)
+        cfg = build_config("rwa_validate", preset="desk",
+                           overrides={"params": {"gt_max": 0.2},
+                                      "numerics": {"field_dim": 6}})
+        with pytest.raises(np.linalg.LinAlgError):
+            run_scenario(cfg)
+        assert seen == [[1, 1]]
+        assert self._counts(controls) == [2, 2]
+
+    def test_without_controls_it_changes_nothing(self, controls, monkeypatch):
+        # an MKL or Accelerate build exports none of the OpenBLAS names
+        monkeypatch.setattr(scenarios, "_blas_thread_controls", lambda: [])
+        seen = self._recording_solve(controls, monkeypatch)
+        out = run_scenario(self._small_sweep())
+        assert len(out.tables["single_laser"].rows) == 2
+        assert seen == [[2, 2], [2, 2]]
+        assert self._counts(controls) == [2, 2]
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 class TestWriters:
