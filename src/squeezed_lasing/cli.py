@@ -98,9 +98,6 @@ def main(argv: list[str] | None = None) -> int:
     hard_failure = None
     try:
         result = run_scenario(config)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return 2
     except Exception as exc:  # noqa: BLE001 - report, write manifest, exit 3
         hard_failure = f"{type(exc).__name__}: {exc}"
         log.error("scenario failed: %s", hard_failure)

@@ -149,24 +149,19 @@ def dress(eta1: float, eta2: float, g: float = 1.0) -> DressedCoupling:
         raise DegenerateDressingError(
             f"|p_u| = |p_v| = {abs(p_u):.3e} at eta1={eta1}, eta2={eta2}; "
             "the Bogoliubov normalization vanishes")
-    # Work with the ratio q = smaller/larger: q = 0 gives exactly (1, 0),
-    # and 1 - q^2 avoids the cancellation in p_u^2 - p_v^2.
-    if abs(p_u) >= abs(p_v):
-        q = p_v / p_u
-        big = math.copysign(1.0, p_u) / math.sqrt(1.0 - q * q)
-        u, v = big, big * q
-        norm = abs(p_u) * math.sqrt(1.0 - q * q)
-        if u < 0:
-            u, v = -u, -v
-        r = math.atanh(v / u)
-    else:
-        q = p_u / p_v
-        big = math.copysign(1.0, p_v) / math.sqrt(1.0 - q * q)
-        u, v = big * q, big
-        norm = abs(p_v) * math.sqrt(1.0 - q * q)
-        if v < 0:
-            u, v = -u, -v
-        r = math.atanh(u / v)
+    # Work with the ratio q = smaller/larger weight: q = 0 gives exactly
+    # (1, 0), and 1 - q^2 avoids the cancellation in p_u^2 - p_v^2.  The
+    # larger weight's coefficient is taken positive; on the swapped branch
+    # (|p_v| > |p_u|) that is v.
+    swapped = abs(p_u) < abs(p_v)
+    big, small = (p_v, p_u) if swapped else (p_u, p_v)
+    q = small / big
+    root = math.sqrt(1.0 - q * q)
+    lead = 1.0 / root
+    trail = lead * q
+    norm = abs(big) * root
+    r = math.atanh(trail / lead)
+    u, v = (trail, lead) if swapped else (lead, trail)
     return DressedCoupling(u=u, v=v, r=r, g_tilde=g * norm, norm_N=norm)
 
 

@@ -1,21 +1,23 @@
 """Configuration-driven experiment harness over the physics modules.
 
 A :class:`RunConfig` names a scenario, a flat parameter mapping, an
-optional 1-D sweep, and numerical settings.  ``run_scenario`` resolves
-the parameters and returns tables, Wigner grids, and a report;
+optional 1-D sweep, and numerical settings.  Building it resolves and
+checks the parameters of every point the run will solve
+(``resolve_point``), so bad input anywhere on a sweep axis, or an axis
+that changes nothing, is a ``ConfigError`` before the first solve.
+``run_scenario`` returns tables, Wigner grids, and a report;
 ``write_outputs`` serializes them (CSV for sweeps, JSON for the
 manifest, plain x/p/w triples for Wigner fields) with the configuration
 hash embedded in every file.
 
 Every sweep point, and every Wigner panel, runs one pipeline: a
-``_Point`` resolves the rates and the dressed coupling of its model and
-solves the steady state, growing the field dimension while the top Fock
-levels hold weight.  Each column of a scenario's spec then names a
-quantity of the point (reduced-field observables, mean field, ansatz
-fidelity, effective vs full model), computed once, on first use.
-Sweep points run serially, in axis order, in the calling thread: each
-is one sparse LU, which holds the GIL.  A point or a panel that fails
-with anything but a ``ConfigError`` is logged and listed in
+``_Point`` solves the steady state of its resolved working point,
+growing the field dimension while the top Fock levels hold weight.
+Each column of a scenario's spec then names a quantity of the point
+(reduced-field observables, mean field, ansatz fidelity, effective vs
+full model), computed once, on first use.  Sweep points run serially,
+in axis order, in the calling thread: each is one sparse LU, which holds
+the GIL.  A point or a panel that fails is logged and listed in
 ``failed_points``, and the others still run.  Truncation health is one
 measured value, the population in the top Fock levels of the reduced
 field: it comes back as the row's ``truncation_flag`` and as log
@@ -42,8 +44,8 @@ import json
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache, cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -102,12 +104,6 @@ PARAM_KEYS = frozenset({
     "epsilon_ghz", "omega_ghz", "g_ghz", "gamma_ghz", "kappa_ghz",
     "g_prime_ghz", "gamma_prime_ghz",
 })
-
-_SWEEPABLE = frozenset({
-    "single_laser", "squeezed_laser", "two_qubit_full", "fidelity_sweep",
-    "mf_compare",
-})
-
 
 class ConfigError(ValueError):
     """The run configuration is malformed or incomplete."""
@@ -168,6 +164,9 @@ class RunConfig:
     params: dict
     sweep: SweepSpec | None
     numerics: NumericsSpec
+    # what each operation reads (``_resolve_run``), checked when the config
+    # is built and kept out of canonical() and the hash
+    points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_NAMES:
@@ -179,8 +178,19 @@ class RunConfig:
         for key, value in self.params.items():
             if not math.isfinite(_number(value, f"parameter {key!r}")):
                 raise ConfigError(f"parameter {key!r} must be finite")
-        if self.sweep is not None and self.scenario not in _SWEEPABLE:
+        if self.sweep is not None and self.scenario not in _COLUMNS:
             raise ConfigError(f"scenario {self.scenario!r} does not sweep")
+        try:
+            points = _resolve_run(self)
+        except ArithmeticError as exc:  # a zero rate, or past float range
+            raise ConfigError(f"parameters out of range: {exc}") from None
+        object.__setattr__(self, "points", points)
+
+    def axis(self) -> tuple[str | None, list]:
+        """The swept parameter and its values, or (None, [None])."""
+        if self.sweep is None:
+            return None, [None]
+        return self.sweep.param, self.sweep.values().tolist()
 
     def canonical(self) -> dict:
         """Plain nested dict with sorted keys, the hashing/manifest form."""
@@ -360,109 +370,126 @@ def _dress(eta1: float, eta2: float, g: float = 1.0) -> DressedCoupling:
         raise ConfigError(f"drive depths dress no mode: {exc}") from None
 
 
-def _dressing_norm(eta1: float, eta2: float) -> float:
-    return _dress(eta1, eta2).norm_N
-
-
 @dataclass(frozen=True)
-class ResolvedRates:
-    """Dimensionless working point in units of the qubit decay."""
+class ResolvedPoint:
+    """Everything one steady state reads, in units of the qubit decay.
 
+    ``model`` is "single", "effective" (the squeezed laser after adiabatic
+    elimination) or "two_qubit"; the primed fields and ``aux`` are the
+    two-qubit model's, and ``full`` is that model at the same parameters
+    for a fidelity sweep that adds it.
+    """
+
+    model: str
     kappa: float
     c_tilde: float
     c_prime: float
+    g_tilde: float
+    dressed: DressedCoupling | None = None
+    gprime_ratio: float | None = None
+    g_tilde_prime: float | None = None
+    gamma_prime: float | None = None
+    aux: DressedCoupling | None = None
+    full: ResolvedPoint | None = None
     gamma = 1.0  # the unit of every rate, not a field
 
-    @property
-    def g_tilde(self) -> float:
-        return math.sqrt(self.c_tilde * self.gamma * self.kappa
-                         * (1.0 + self.c_prime))
 
+def resolve_point(params: dict, model: str) -> ResolvedPoint:
+    """The checked working point of ``model`` at ``params``.
 
-def resolve_rates(params: dict, *, need_c_prime: bool = True) -> ResolvedRates:
-    """Dimensionless rates, derived from the GHz family when absent."""
+    A dimensionless key wins over the GHz values it can be derived from,
+    resolved in order: kappa, C' (0 for the single laser), C~ (with that
+    C'), the lasing coupling, then the two-qubit g' ratio and auxiliary
+    coupling.  ``dress`` runs at most once: swapping the depths swaps u
+    and v, bit for bit, and keeps N.
+    """
+    @cache
+    def depths() -> DressedCoupling:
+        return _dress(_require(params, "eta1"), _require(params, "eta2"))
+
     if "kappa_over_gamma" in params:
-        kv = float(params["kappa_over_gamma"])
+        kappa = float(params["kappa_over_gamma"])
     elif "kappa_ghz" in params and "gamma_ghz" in params:
-        kv = float(params["kappa_ghz"]) / float(params["gamma_ghz"])
+        kappa = float(params["kappa_ghz"]) / float(params["gamma_ghz"])
     else:
         raise ConfigError("need kappa_over_gamma (or kappa_ghz with gamma_ghz)")
-    if kv <= 0:
+    if kappa <= 0:
         raise ConfigError("kappa_over_gamma must be positive")
-    if need_c_prime:
+    c_prime = 0.0
+    if model != "single":
         if "c_prime" in params:
             c_prime = float(params["c_prime"])
         elif {"g_prime_ghz", "gamma_prime_ghz", "kappa_ghz"} <= params.keys():
-            gtp = float(params["g_prime_ghz"]) * _dressing_norm(
-                _require(params, "eta2"), _require(params, "eta1"))
+            gtp = float(params["g_prime_ghz"]) * depths().norm_N
             c_prime = gtp ** 2 / (float(params["kappa_ghz"])
                                   * float(params["gamma_prime_ghz"]))
         else:
             raise ConfigError("need c_prime (or the primed GHz parameters)")
         if c_prime < 0:
             raise ConfigError("c_prime must be non-negative")
-    else:
-        c_prime = 0.0
     if "c_tilde" in params:
         c_tilde = float(params["c_tilde"])
     elif {"g_ghz", "gamma_ghz", "kappa_ghz"} <= params.keys():
-        gt = float(params["g_ghz"]) * _dressing_norm(
-            _require(params, "eta1"), _require(params, "eta2"))
+        gt = float(params["g_ghz"]) * depths().norm_N
         c_tilde = gt ** 2 / (float(params["gamma_ghz"])
                              * float(params["kappa_ghz"]) * (1.0 + c_prime))
     else:
         raise ConfigError("need c_tilde (or the GHz parameters)")
     if c_tilde < 0:
         raise ConfigError("c_tilde must be non-negative")
-    return ResolvedRates(kappa=kv, c_tilde=c_tilde, c_prime=c_prime)
+    g_tilde = math.sqrt(c_tilde * ResolvedPoint.gamma * kappa * (1.0 + c_prime))
+    rates = (model, kappa, c_tilde, c_prime, g_tilde)
+    if model == "single":
+        return ResolvedPoint(*rates)
 
-
-def _squeezing(params: dict) -> float:
-    r = float(params["r"])
-    if r < 0:
-        raise ConfigError("r must be non-negative")
-    return r
-
-
-def resolve_dressing(params: dict, g_tilde: float) -> DressedCoupling:
-    """Lasing-branch coupling from ``r`` directly or from the drive depths."""
+    # the lasing coupling at g = 1, from r directly or from the depths; a
+    # coupling at g is this one with g_tilde = g N
     if "r" in params:
-        return DressedCoupling.from_r(_squeezing(params), g_tilde=g_tilde)
-    eta1, eta2 = _require(params, "eta1"), _require(params, "eta2")
-    base = _dress(eta1, eta2)
-    if base.signature < 0:
-        raise ConfigError("eta1 > eta2 dresses the creation-like branch; "
-                          "swap the depths")
-    return _dress(eta1, eta2, g=g_tilde / base.norm_N)
+        unit = DressedCoupling.from_r(float(params["r"]))
+        if unit.r < 0:
+            raise ConfigError("r must be non-negative")
+    else:
+        unit = depths()
+        if unit.signature < 0:
+            raise ConfigError("eta1 > eta2 dresses the creation-like branch; "
+                              "swap the depths")
+    n = unit.norm_N
+    dressed = replace(unit, g_tilde=(g_tilde / n) * n)
+    if model == "effective":
+        return ResolvedPoint(*rates, dressed)
 
-
-def resolve_aux_dressing(params: dict, g_tilde_prime: float) -> DressedCoupling:
-    """Swapped-branch coupling for the dissipation-engineering qubit."""
-    if "r" in params:
-        r = _squeezing(params)
-        return DressedCoupling(u=math.sinh(r), v=math.cosh(r), r=r,
-                               g_tilde=g_tilde_prime, norm_N=1.0)
-    eta1, eta2 = _require(params, "eta1"), _require(params, "eta2")
-    base = _dress(eta2, eta1)
-    return _dress(eta2, eta1, g=g_tilde_prime / base.norm_N)
-
-
-def resolve_gprime_ratio(params: dict) -> float:
     if "gprime_ratio" in params:
         ratio = float(params["gprime_ratio"])
     elif {"g_prime_ghz", "gamma_prime_ghz"} <= params.keys():
-        ratio = (float(params["g_prime_ghz"]) * _dressing_norm(
-            _require(params, "eta2"), _require(params, "eta1"))
-            / float(params["gamma_prime_ghz"]))
+        ratio = (float(params["g_prime_ghz"]) * depths().norm_N
+                 / float(params["gamma_prime_ghz"]))
     else:
         raise ConfigError("need gprime_ratio (or the primed GHz parameters)")
     if ratio <= 0:
         raise ConfigError("gprime_ratio must be positive")
-    return ratio
+    g_tilde_prime = c_prime * kappa / ratio
+    # the auxiliary qubit's depths are swapped
+    aux = replace(unit, u=unit.v, v=unit.u,
+                  g_tilde=(g_tilde_prime / n) * n)
+    return ResolvedPoint(*rates, dressed, gprime_ratio=ratio,
+                         g_tilde_prime=g_tilde_prime,
+                         gamma_prime=g_tilde_prime / ratio, aux=aux)
 
 
-def resolve_system_params(params: dict) -> SystemParams:
-    """Absolute drive/system frequencies for the Hamiltonian builders.
+@dataclass(frozen=True)
+class ResolvedDrives:
+    """What ``dress_audit`` and ``rwa_validate`` read: the system, its
+    coupling dressed at the bare g, and the RWA run's length and start."""
+
+    system: SystemParams
+    reference: DressedCoupling
+    gt_max: float
+    start_excited: float
+
+
+def _resolve_drives(params: dict) -> ResolvedDrives:
+    """The checked drives, at absolute frequencies for the Hamiltonian
+    builders.
 
     GHz inputs are ordinary frequencies; the 2*pi enters here and only
     here, leaving everything downstream in angular units (rad/ns).  The
@@ -480,9 +507,54 @@ def resolve_system_params(params: dict) -> SystemParams:
         om = _require(params, "omega_over_g")
         g = 1.0
     try:
-        return SystemParams.at_sidebands(eps, om, g, eta1, eta2)
+        system = SystemParams.at_sidebands(eps, om, g, eta1, eta2)
     except ValueError as exc:
         raise ConfigError(f"system parameters out of range: {exc}") from None
+    gt_max = _require(params, "gt_max")
+    if gt_max < 0:
+        raise ConfigError("gt_max must be non-negative")
+    start_excited = _require(params, "start_excited")
+    if start_excited not in (0, 1):
+        raise ConfigError("start_excited must be 0 (start in |g,0>) or 1 "
+                          f"(start in |e,0>), got {start_excited!r}")
+    return ResolvedDrives(system, _dress(eta1, eta2, g=g), gt_max,
+                          start_excited)
+
+
+def _resolve_run(config: RunConfig) -> tuple:
+    """The record of each operation of a run: each sweep point, each
+    Wigner panel's C', or the drives of a scenario that solves nothing."""
+    params, scenario = config.params, config.scenario
+    if scenario in ("dress_audit", "rwa_validate"):
+        return (_resolve_drives(params),)
+    if scenario == "wigner_panels":
+        panels = [resolve_point(params, "effective")]
+        alt = _require(params, "c_prime_alt")
+        if alt != panels[0].c_prime:
+            panels.append(resolve_point(dict(params, c_prime=alt),
+                                        "effective"))
+        return tuple(panels)
+    include_full = params.get("include_full", 0.0)
+    if include_full not in (0, 1):
+        raise ConfigError("include_full must be 0 (effective model only) or "
+                          f"1 (add the two-qubit model), got {include_full!r}")
+    axis, values = config.axis()
+    base = dict(params)
+    # a coupling-ratio axis only means something for the two-qubit model
+    if scenario == "fidelity_sweep" and axis == "gprime_ratio":
+        base.setdefault("include_full", 1.0)
+    with_full = scenario == "fidelity_sweep" and base.get("include_full") == 1
+    points = []
+    for value in values:
+        at = base if axis is None else {**base, axis: value}
+        point = resolve_point(at, _COLUMNS[scenario][0])
+        if with_full:
+            point = replace(point, full=resolve_point(at, "two_qubit"))
+        points.append(point)
+    if len(set(values)) > 1 and len(set(points)) == 1:
+        raise ConfigError(f"sweeping {axis!r} changes nothing in {scenario}: "
+                          "every value resolves to the same working point")
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -537,43 +609,35 @@ def _solve_steady_checked(build, field_dim: int, retries: int):
 class _Point:
     """One sweep point of one model and what its columns derive from it.
 
-    ``model`` is "single" (one-qubit laser), "effective" (the squeezed
-    laser after adiabatic elimination) or "two_qubit".  Construction
-    resolves rates and dressing and runs the checked steady state; every
-    other quantity is computed once, on first use.  ``memo`` holds
-    effective-model fields (by field_dim) and ansatz states (by field_dim
-    and |F|); a point shares it with its two-qubit sibling ``full``.
+    Construction runs the checked steady state of ``resolved``, the
+    point's working point; every other quantity is computed once, on
+    first use.  ``memo`` holds effective-model fields (by field_dim) and
+    ansatz states (by field_dim and |F|); a point shares it with its
+    two-qubit sibling ``full``.
     """
 
-    def __init__(self, params: dict, numerics: NumericsSpec, model: str,
+    def __init__(self, resolved: ResolvedPoint, numerics: NumericsSpec,
                  memo: dict | None = None):
-        self.params, self.numerics, self.model = params, numerics, model
+        self.resolved, self.numerics = resolved, numerics
+        self.dressed = resolved.dressed
         self._memo = {} if memo is None else memo
-        self.rates = r = resolve_rates(params, need_c_prime=model != "single")
-        if model != "single":
-            self.dressed = resolve_dressing(params, r.g_tilde)
-        if model == "two_qubit":
-            self.gprime_ratio = resolve_gprime_ratio(params)
-            self.g_tilde_prime = r.c_prime * r.kappa / self.gprime_ratio
-            self.gamma_prime = self.g_tilde_prime / self.gprime_ratio
-            self.aux = resolve_aux_dressing(params, self.g_tilde_prime)
         self.rho, self.field, self.field_dim, flagged = _solve_steady_checked(
             self._build, numerics.field_dim, numerics.truncation_retries)
         self.truncation_flag = int(flagged)
-        if model == "effective":
+        if resolved.model == "effective":
             self._memo["field", self.field_dim] = self.field
 
     def _build(self, fd: int, model: str | None = None):
-        model = model or self.model
-        r = self.rates
+        r = self.resolved
+        model = model or r.model
         space = HilbertSpace(n_qubits=2 if model == "two_qubit" else 1,
                              field_dim=fd)
         if model == "single":
             g = math.sqrt(r.c_tilde * r.gamma * r.kappa)
             me = model_single_qubit_laser(g, r.gamma, r.kappa, space)
         elif model == "two_qubit":
-            me = model_two_qubit_full(self.dressed, self.aux, r.gamma,
-                                      self.gamma_prime, r.kappa, space)
+            me = model_two_qubit_full(self.dressed, r.aux, r.gamma,
+                                      r.gamma_prime, r.kappa, space)
         else:
             me = model_squeezed_laser_effective(self.dressed, r.gamma,
                                                 r.kappa, r.c_prime, space)
@@ -609,7 +673,7 @@ class _Point:
 
     @cached_property
     def mf(self):
-        r = self.rates
+        r = self.resolved
         return mf_steady(MFParams(g_tilde=r.g_tilde, gamma=r.gamma,
                                   kappa=r.kappa, C_tilde_prime=r.c_prime,
                                   r=self.dressed.r))
@@ -621,7 +685,7 @@ class _Point:
     @cached_property
     def mf_n_mode(self) -> float:
         return self.mf_f_squared + (math.cosh(2 * self.dressed.r) - 1.0) \
-            / (2.0 * (1.0 + self.rates.c_prime))
+            / (2.0 * (1.0 + self.resolved.c_prime))
 
     @cached_property
     def fidelity_ansatz(self) -> float:
@@ -629,7 +693,8 @@ class _Point:
         key = ("ansatz", self.field_dim, f_mag)
         if key not in self._memo:
             self._memo[key] = ansatz = mf_ansatz(
-                f_mag, self.rates.c_prime, self.dressed.r, self.field.space)
+                f_mag, self.resolved.c_prime, self.dressed.r,
+                self.field.space)
             edge = truncation_edge(ansatz)
             if edge >= _TRUNCATION_TOL:
                 log.warning("ansatz truncation-limited at field_dim %d "
@@ -639,7 +704,7 @@ class _Point:
     @cached_property
     def gaussian_residual(self) -> float:
         fbar = complex(abs(self.mf.F))
-        c_prime, r = self.rates.c_prime, self.dressed.r
+        c_prime, r = self.resolved.c_prime, self.dressed.r
         return mf_residual(gaussian_mf_solution(fbar, c_prime, r), fbar,
                            c_prime, r, self.field.space)
 
@@ -655,18 +720,19 @@ class _Point:
 
     @cached_property
     def adiabatic_ok(self) -> int:
-        ok = adiabatic_elimination_ok(self.gamma_prime, self.g_tilde_prime,
+        r = self.resolved
+        ok = adiabatic_elimination_ok(r.gamma_prime, r.g_tilde_prime,
                                       self.n_bare)
         log.info("adiabatic elimination %s at gprime_ratio=%.4g "
                  "(gamma'=%.4g, g~'=%.4g, <a^dag a>=%.4g)",
-                 "valid" if ok else "questionable", self.gprime_ratio,
-                 self.gamma_prime, self.g_tilde_prime, self.n_bare)
+                 "valid" if ok else "questionable", r.gprime_ratio,
+                 r.gamma_prime, r.g_tilde_prime, self.n_bare)
         return int(ok)
 
     @cached_property
     def full(self) -> "_Point":
         """The two-qubit model at the same parameters."""
-        return _Point(self.params, self.numerics, "two_qubit", self._memo)
+        return _Point(self.resolved.full, self.numerics, self._memo)
 
     @cached_property
     def truncation_flag_with_full(self) -> int:
@@ -679,28 +745,29 @@ _CHECKS = (("field_dim", "field_dim"), ("truncation_flag", "truncation_flag"),
            ("trace_error", "trace_error"),
            ("hermiticity_error", "hermiticity_error"))
 _FIDELITY_SWEEP = (
-    ("c_tilde", "rates.c_tilde"), ("fidelity_effective", "fidelity_ansatz"),
+    ("c_tilde", "resolved.c_tilde"), ("fidelity_effective", "fidelity_ansatz"),
     ("n_mode", "n_mode"), ("n_bare", "n_bare"), ("inversion_d", "inversion"),
     ("purity", "purity"))
 _COLUMNS = {
     "single_laser": ("single", (
-        ("c_tilde", "rates.c_tilde"), ("n_photons", "n_mode"),
+        ("c_tilde", "resolved.c_tilde"), ("n_photons", "n_mode"),
         ("inversion_d", "inversion"), ("purity", "purity"), *_CHECKS)),
     "squeezed_laser": ("effective", (
-        ("c_tilde", "rates.c_tilde"), ("c_prime", "rates.c_prime"),
+        ("c_tilde", "resolved.c_tilde"), ("c_prime", "resolved.c_prime"),
         ("n_mode", "n_mode"), ("n_bare", "n_bare"),
         ("inversion_d", "inversion"), ("mf_f_squared", "mf_f_squared"),
         ("fidelity_ansatz", "fidelity_ansatz"), ("purity", "purity"),
         *_CHECKS)),
     "two_qubit_full": ("two_qubit", (
-        ("gprime_ratio", "gprime_ratio"), ("c_tilde", "rates.c_tilde"),
+        ("gprime_ratio", "resolved.gprime_ratio"),
+        ("c_tilde", "resolved.c_tilde"),
         ("n_mode", "n_mode"), ("n_bare", "n_bare"),
         ("fidelity_ansatz", "fidelity_ansatz"),
         ("fidelity_vs_effective", "fidelity_vs_effective"),
         ("purity", "purity"), ("adiabatic_ok", "adiabatic_ok"), *_CHECKS)),
     "fidelity_sweep": ("effective", _FIDELITY_SWEEP + _CHECKS),
     "mf_compare": ("effective", (
-        ("c_tilde", "rates.c_tilde"), ("mf_f_squared", "mf_f_squared"),
+        ("c_tilde", "resolved.c_tilde"), ("mf_f_squared", "mf_f_squared"),
         ("mf_inversion", "mf.D"), ("exact_inversion", "inversion"),
         ("mf_n_mode", "mf_n_mode"), ("exact_n_mode", "n_mode"),
         ("fidelity_ansatz", "fidelity_ansatz"),
@@ -711,35 +778,28 @@ _COLUMNS = {
 _FIDELITY_SWEEP_FULL = _FIDELITY_SWEEP + (
     ("field_dim", "field_dim"),
     ("truncation_flag", "truncation_flag_with_full"), *_CHECKS[2:],
-    ("gprime_ratio", "full.gprime_ratio"),
+    ("gprime_ratio", "full.resolved.gprime_ratio"),
     ("fidelity_full", "full.fidelity_ansatz"),
     ("fidelity_full_vs_effective", "full.fidelity_vs_effective"))
 
 
-def _evaluate_point(scenario: str, params: dict,
+def _evaluate_point(scenario: str, resolved: ResolvedPoint,
                     numerics: NumericsSpec) -> dict:
-    model, columns = _COLUMNS[scenario]
-    include_full = params.get("include_full", 0.0)
-    if include_full not in (0, 1):
-        raise ConfigError("include_full must be 0 (effective model only) or "
-                          f"1 (add the two-qubit model), got {include_full!r}")
-    if scenario == "fidelity_sweep" and include_full == 1:
-        columns = _FIDELITY_SWEEP_FULL
-    point = _Point(params, numerics, model)
+    columns = (_COLUMNS[scenario][1] if resolved.full is None
+               else _FIDELITY_SWEEP_FULL)
+    point = _Point(resolved, numerics)
     return {name: attrgetter(path)(point) for name, path in columns}
 
 
-# scenario -> fn(params, numerics) -> one row as a dict
+# scenario -> fn(resolved point, numerics) -> one row as a dict
 _POINT_FUNCS = {name: partial(_evaluate_point, name) for name in _COLUMNS}
 
 
 def _isolated(compute, failed: list[dict], index: int, axis, value):
     """``compute()``, or None with its failure logged and appended to
-    ``failed``.  A ``ConfigError`` is the whole run's and propagates."""
+    ``failed``."""
     try:
         return compute()
-    except ConfigError:
-        raise
     except Exception as exc:  # noqa: BLE001 - point isolation
         error = f"{type(exc).__name__}: {exc}"
         log.error("point %s (%s=%s) failed: %s", index, axis, value, error)
@@ -749,29 +809,15 @@ def _isolated(compute, failed: list[dict], index: int, axis, value):
 
 def _run_sweep(config: RunConfig) -> ScenarioOutput:
     point_fn = _POINT_FUNCS[config.scenario]
-    if config.sweep is not None:
-        axis = config.sweep.param
-        values = [float(v) for v in config.sweep.values()]
-    else:
-        axis, values = None, [None]
-    base_params = dict(config.params)
-    if (config.scenario == "fidelity_sweep" and axis == "gprime_ratio"
-            and "include_full" not in base_params):
-        base_params["include_full"] = 1.0
-
+    axis, values = config.axis()
     returned: list[dict] = []
     rows: list[tuple] = []
     failed: list[dict] = []
-    for i, value in enumerate(values):
-        params = dict(base_params)
-        if axis is not None:
-            params[axis] = value
-        rec = _isolated(partial(point_fn, params, config.numerics), failed,
+    for i, (value, resolved) in enumerate(zip(values, config.points)):
+        rec = _isolated(partial(point_fn, resolved, config.numerics), failed,
                         i, axis, value)
         if rec is None:
             continue
-        if returned and tuple(rec) != tuple(returned[0]):
-            raise RuntimeError("sweep points produced inconsistent columns")
         returned.append(rec)
         row = tuple(rec.values())
         if all(math.isfinite(float(v)) for v in row):
@@ -798,9 +844,8 @@ def _run_sweep(config: RunConfig) -> ScenarioOutput:
 # --- non-sweep scenarios -----------------------------------------------------
 
 def _run_dress_audit(config: RunConfig) -> ScenarioOutput:
-    params = config.params
-    system = resolve_system_params(params)
-    dressed = _dress(system.eta1, system.eta2, g=system.g)
+    [drives] = config.points
+    system, dressed = drives.system, drives.reference
     try:
         est_r, est_gt = small_amplitude_estimates(system.eta1, system.eta2,
                                                   g=system.g)
@@ -834,22 +879,14 @@ def _run_dress_audit(config: RunConfig) -> ScenarioOutput:
 
 
 def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
-    params = config.params
-    system = resolve_system_params(params)
+    [drives] = config.points
+    system, reference, gt_max = drives.system, drives.reference, drives.gt_max
     space = HilbertSpace(n_qubits=1, field_dim=config.numerics.field_dim)
-    gt_max = _require(params, "gt_max")
-    if gt_max < 0:
-        raise ConfigError("gt_max must be non-negative")
-    start_excited = _require(params, "start_excited")
-    if start_excited not in (0, 1):
-        raise ConfigError("start_excited must be 0 (start in |g,0>) or 1 "
-                          f"(start in |e,0>), got {start_excited!r}")
-    reference = _dress(system.eta1, system.eta2, g=system.g)
     t_final = gt_max / reference.g_tilde
     h_full = interaction_picture_hamiltonian(system, space)
     h_eff = effective_H(reference, space).matrix
     psi0 = np.zeros(space.dim, dtype=complex)
-    excited = start_excited == 1
+    excited = drives.start_excited == 1
     psi0[0 if excited else space.field_dim] = 1.0
     n = config.numerics.store_points
     times, psis_full = schrodinger_evolve(h_full, psi0, t_final, n_store=n)
@@ -905,10 +942,10 @@ def ring_cut_anisotropy(w: WignerField) -> tuple[float, float, float]:
     return var_x, var_p, var_p / var_x
 
 
-def _wigner_panel(params: dict, c_prime: float, numerics: NumericsSpec):
-    """The steady point at ``c_prime`` and, for the lasing and the bare
+def _wigner_panel(resolved: ResolvedPoint, numerics: NumericsSpec):
+    """The steady point at ``resolved`` and, for the lasing and the bare
     frame, (label, Wigner field, cut variances)."""
-    steady = _Point(dict(params, c_prime=c_prime), numerics, "effective")
+    steady = _Point(resolved, numerics)
     grid = grid_for_density(steady.field, points=numerics.grid_points)
     w_mode = wigner_from_density(steady.field, grid)
     w_bare = wigner_change_basis(w_mode, steady.dressed.r)
@@ -919,15 +956,12 @@ def _wigner_panel(params: dict, c_prime: float, numerics: NumericsSpec):
 def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
     """One panel per C': each is isolated like a sweep point, and its
     grids and rows are committed only once both frames are built."""
-    params = config.params
     out = ScenarioOutput()
     summary_rows = []
     panel_info = {}
-    wanted = [resolve_rates(params).c_prime, _require(params, "c_prime_alt")]
-    if wanted[1] == wanted[0]:
-        wanted = wanted[:1]
-    for i, cp in enumerate(wanted):
-        done = _isolated(partial(_wigner_panel, params, cp, config.numerics),
+    for i, resolved in enumerate(config.points):
+        cp = resolved.c_prime
+        done = _isolated(partial(_wigner_panel, resolved, config.numerics),
                          out.failed_points, i, "c_prime", cp)
         if done is None:
             continue

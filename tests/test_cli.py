@@ -8,6 +8,12 @@ import pytest
 
 import squeezed_lasing
 from squeezed_lasing.cli import build_parser, main
+from squeezed_lasing.scenarios import (
+    ConfigError,
+    _merge,
+    build_config,
+    parse_set_override,
+)
 
 FAST_SWEEP = ["--set", "sweep.param=c_tilde", "--set", "sweep.start=1",
               "--set", "sweep.stop=2", "--set", "sweep.steps=2",
@@ -157,10 +163,17 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     assert main(["single_laser", "--out", str(tmp_path / "o"),
                  *fragments]) == 2
     assert not (tmp_path / "o").exists()
+    overrides: dict = {}
+    for item in fragments[1::2]:
+        overrides = _merge(overrides, parse_set_override(item))
+    with pytest.raises(ConfigError):
+        build_config("single_laser", overrides=overrides)
 
 
 @pytest.mark.parametrize("scenario, fragment", [
     ("squeezed_laser", "params.r=-0.5"),
+    # cosh r past the float range
+    ("two_qubit_full", "params.r=1000"),
     # epsilon below omega puts the difference sideband at a negative frequency
     ("rwa_validate", "params.epsilon_over_g=100"),
     ("dress_audit", "params.epsilon_over_g=100"),
@@ -187,6 +200,31 @@ def test_out_of_range_physics_exits_2(tmp_path, scenario, fragment):
     assert main([scenario, "--out", str(tmp_path / "o"),
                  "--set", fragment]) == 2
     assert not (tmp_path / "o").exists()
+    # found while the config is built, before anything runs
+    with pytest.raises(ConfigError):
+        build_config(scenario, overrides=parse_set_override(fragment))
+
+
+def test_bad_value_inside_a_sweep_range_exits_2_before_any_solve(
+        tmp_path, monkeypatch):
+    # eta1 = 0.2 balances eta2 and eta1 = 0.3 dresses the swapped branch;
+    # eta1 = 0.1 alone would solve
+    import squeezed_lasing.scenarios as scen
+    solves = []
+    real = scen.steady_state
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scen, "steady_state", counting)
+    out = tmp_path / "o"
+    assert main(["two_qubit_full", "--out", str(out),
+                 "--set", "numerics.field_dim=8",
+                 "--set", "sweep.param=eta1", "--set", "sweep.start=0.1",
+                 "--set", "sweep.stop=0.3", "--set", "sweep.steps=3"]) == 2
+    assert not out.exists()
+    assert solves == []
 
 
 @pytest.mark.parametrize("fragment", ["params.eta2=0.4", "params.eta1=0.25"])
@@ -229,10 +267,10 @@ def test_failed_points_exit_3_with_partial_results(tmp_path, monkeypatch):
     import squeezed_lasing.scenarios as scen
     real = scen._POINT_FUNCS["single_laser"]
 
-    def sometimes(params, numerics):
-        if params["c_tilde"] == 2.0:
+    def sometimes(point, numerics):
+        if point.c_tilde == 2.0:
             raise RuntimeError("synthetic blowup")
-        return real(params, numerics)
+        return real(point, numerics)
 
     monkeypatch.setitem(scen._POINT_FUNCS, "single_laser", sometimes)
     out = tmp_path / "run"
@@ -249,8 +287,8 @@ def test_failed_points_exit_3_with_partial_results(tmp_path, monkeypatch):
 def test_every_point_failing_writes_only_the_manifest(tmp_path, monkeypatch):
     import squeezed_lasing.scenarios as scen
 
-    def always(params, numerics):
-        raise RuntimeError(f"synthetic blowup at {params['c_tilde']}")
+    def always(point, numerics):
+        raise RuntimeError(f"synthetic blowup at {point.c_tilde}")
 
     monkeypatch.setitem(scen._POINT_FUNCS, "single_laser", always)
     out = tmp_path / "run"

@@ -152,6 +152,8 @@ def test_dress_bogoliubov_signature_property(eta1, gap):
     bwd = dress(eta2, eta1)
     assert abs(bwd.u**2 - bwd.v**2 + 1.0) <= tol
     assert bwd.signature == -1
+    assert (bwd.u, bwd.v, bwd.r, bwd.norm_N) == (fwd.v, fwd.u, fwd.r,
+                                                 fwd.norm_N)
 
 
 def test_dress_exact_limit():
@@ -165,10 +167,10 @@ def test_dress_swap_exchanges_u_v():
     for e1, e2 in [(0.1, 0.2), (0.16, 0.2), (0.05, 0.45), (0.3, 0.12)]:
         fwd = dress(e1, e2)
         bwd = dress(e2, e1)
-        assert bwd.u == pytest.approx(fwd.v, rel=1e-14)
-        assert bwd.v == pytest.approx(fwd.u, rel=1e-14)
-        assert bwd.g_tilde == pytest.approx(fwd.g_tilde, rel=1e-14)
-        assert bwd.r == pytest.approx(fwd.r, rel=1e-14)
+        # bit for bit: the auxiliary coupling is resolved by this swap
+        assert (bwd.u, bwd.v) == (fwd.v, fwd.u)
+        assert (bwd.r, bwd.g_tilde, bwd.norm_N) == (fwd.r, fwd.g_tilde,
+                                                    fwd.norm_N)
         assert bwd.signature == -fwd.signature
 
 

@@ -18,10 +18,7 @@ from squeezed_lasing.scenarios import (
     SweepSpec,
     build_config,
     parse_set_override,
-    resolve_aux_dressing,
-    resolve_dressing,
-    resolve_gprime_ratio,
-    resolve_rates,
+    resolve_point,
     ring_cut_anisotropy,
     run_scenario,
     write_outputs,
@@ -158,70 +155,189 @@ class TestSetOverrides:
 # ---------------------------------------------------------------------------
 # parameter resolution
 
+_RATES = {"kappa_over_gamma": 1.0, "c_tilde": 2.0, "c_prime": 1.0}  # g~ = 2
+
+
 class TestResolution:
     def test_desk_rates(self):
         cfg = build_config("squeezed_laser", preset="desk")
-        rates = resolve_rates(cfg.params)
-        assert rates.gamma == 1.0
-        assert rates.kappa == pytest.approx(0.1)
-        assert rates.c_tilde == 5.0
-        assert rates.c_prime == 10.0
-        assert rates.g_tilde == pytest.approx(math.sqrt(5.0 * 0.1 * 11.0))
+        point = resolve_point(cfg.params, "effective")
+        assert cfg.points == (point,)
+        assert point.gamma == 1.0
+        assert point.kappa == pytest.approx(0.1)
+        assert point.c_tilde == 5.0
+        assert point.c_prime == 10.0
+        assert point.g_tilde == pytest.approx(math.sqrt(5.0 * 0.1 * 11.0))
+        # the single laser has no second qubit, so no C'
+        assert resolve_point(cfg.params, "single").c_prime == 0.0
 
     def test_ghz_derivation(self):
         cfg = build_config("squeezed_laser", preset="paper-2013")
-        rates = resolve_rates(cfg.params)
+        point = resolve_point(cfg.params, "two_qubit")
         n_lasing = dress(0.16, 0.2).norm_N
         n_aux = dress(0.2, 0.16).norm_N
         c_prime = (0.07 * n_aux) ** 2 / (3.0e-5 * 0.25)
         c_tilde = (0.04 * n_lasing) ** 2 / (0.015 * 3.0e-5 * (1.0 + c_prime))
-        assert rates.kappa == pytest.approx(3.0e-5 / 0.015)
-        assert rates.c_prime == pytest.approx(c_prime)
-        assert rates.c_tilde == pytest.approx(c_tilde)
-        ratio = resolve_gprime_ratio(cfg.params)
-        assert ratio == pytest.approx(0.07 * n_aux / 0.25)
+        assert point.kappa == pytest.approx(3.0e-5 / 0.015)
+        assert point.c_prime == pytest.approx(c_prime)
+        assert point.c_tilde == pytest.approx(c_tilde)
+        assert point.gprime_ratio == pytest.approx(0.07 * n_aux / 0.25)
+        # C~ from GHz divides by 1 + C' of the model it resolves for
+        single = resolve_point(cfg.params, "single")
+        assert single.c_tilde == pytest.approx(
+            (0.04 * n_lasing) ** 2 / (0.015 * 3.0e-5))
 
     def test_dimensionless_beats_ghz(self):
         cfg = build_config("squeezed_laser", preset="paper-2013",
                            overrides={"params": {"c_tilde": 3.0,
                                                  "gprime_ratio": 0.05}})
-        assert resolve_rates(cfg.params).c_tilde == 3.0
-        assert resolve_gprime_ratio(cfg.params) == 0.05
+        point = resolve_point(cfg.params, "two_qubit")
+        assert point.c_tilde == 3.0
+        assert point.gprime_ratio == 0.05
 
     def test_missing_rates_raise(self):
         with pytest.raises(ConfigError, match="kappa_over_gamma"):
-            resolve_rates({"c_tilde": 5.0, "c_prime": 1.0})
+            resolve_point({"c_tilde": 5.0, "c_prime": 1.0}, "effective")
         with pytest.raises(ConfigError, match="c_tilde"):
-            resolve_rates({"kappa_over_gamma": 0.1, "c_prime": 1.0})
+            resolve_point({"kappa_over_gamma": 0.1, "c_prime": 1.0},
+                          "effective")
         with pytest.raises(ConfigError, match="c_prime"):
-            resolve_rates({"kappa_over_gamma": 0.1, "c_tilde": 5.0})
+            resolve_point({"kappa_over_gamma": 0.1, "c_tilde": 5.0},
+                          "effective")
+        with pytest.raises(ConfigError, match="'eta1'"):
+            resolve_point(dict(_RATES, eta2=0.2), "effective")
+        with pytest.raises(ConfigError, match="gprime_ratio"):
+            resolve_point(dict(_RATES, eta1=0.1, eta2=0.2), "two_qubit")
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"kappa_over_gamma": 0.0}, "kappa_over_gamma must be positive"),
+        ({"c_prime": -1.0}, "c_prime must be non-negative"),
+        ({"c_tilde": -1.0}, "c_tilde must be non-negative"),
+        ({"r": -0.5}, "r must be non-negative"),
+        ({"gprime_ratio": 0.0}, "gprime_ratio must be positive"),
+        ({"eta1": 0.2}, "dress no mode"),
+    ], ids=lambda case: next(iter(case)) if isinstance(case, dict) else "")
+    def test_bad_values_raise(self, bad, message):
+        params = {**_RATES, "eta1": 0.1, "eta2": 0.2, "gprime_ratio": 0.02,
+                  **bad}
+        with pytest.raises(ConfigError, match=message):
+            resolve_point(params, "two_qubit")
 
     def test_dressing_from_depths(self):
-        params = {"eta1": 0.1, "eta2": 0.2}
-        d = resolve_dressing(params, g_tilde=2.0)
-        assert d.g_tilde == pytest.approx(2.0)
-        assert d.r == pytest.approx(dress(0.1, 0.2).r)
+        point = resolve_point(dict(_RATES, eta1=0.1, eta2=0.2), "effective")
+        assert point.g_tilde == 2.0
+        # the lasing qubit couples with g = g~ / N, exactly as dress forms it
+        n = dress(0.1, 0.2).norm_N
+        assert point.dressed == dress(0.1, 0.2, g=2.0 / n)
+        assert point.dressed.g_tilde == pytest.approx(2.0)
 
     def test_dressing_direct_r(self):
-        d = resolve_dressing({"r": 0.5}, g_tilde=1.5)
+        d = resolve_point(dict(_RATES, r=0.5), "effective").dressed
         assert d.u == pytest.approx(math.cosh(0.5))
         assert d.v == pytest.approx(math.sinh(0.5))
-        assert d.g_tilde == 1.5
+        assert d.g_tilde == 2.0
 
     def test_aux_dressing_is_swapped_branch(self):
-        lasing = resolve_dressing({"eta1": 0.1, "eta2": 0.2}, g_tilde=1.0)
-        aux = resolve_aux_dressing({"eta1": 0.1, "eta2": 0.2},
-                                   g_tilde_prime=3.0)
+        point = resolve_point(dict(_RATES, eta1=0.1, eta2=0.2,
+                                   gprime_ratio=0.25), "two_qubit")
+        aux = point.aux
         assert aux.signature == -1
-        assert aux.r == pytest.approx(lasing.r)
-        assert aux.g_tilde == pytest.approx(3.0)
-        direct = resolve_aux_dressing({"r": 0.5}, g_tilde_prime=3.0)
+        assert aux.r == pytest.approx(point.dressed.r)
+        assert point.g_tilde_prime == 1.0 * 1.0 / 0.25
+        assert point.gamma_prime == point.g_tilde_prime / 0.25
+        assert aux == dress(0.2, 0.1, g=4.0 / dress(0.2, 0.1).norm_N)
+        assert aux.g_tilde == pytest.approx(4.0)
+        direct = resolve_point(dict(_RATES, r=0.5, gprime_ratio=0.25),
+                               "two_qubit").aux
         assert direct.u == pytest.approx(math.sinh(0.5))
         assert direct.v == pytest.approx(math.cosh(0.5))
+        assert direct.g_tilde == 4.0
 
     def test_swapped_depths_rejected_for_lasing(self):
         with pytest.raises(ConfigError, match="swap the depths"):
-            resolve_dressing({"eta1": 0.2, "eta2": 0.1}, g_tilde=1.0)
+            resolve_point(dict(_RATES, eta1=0.2, eta2=0.1), "effective")
+
+    @pytest.mark.parametrize("preset, model, calls", [
+        ("desk", "single", 0), ("desk", "effective", 1),
+        ("desk", "two_qubit", 1), ("paper-2013", "single", 1),
+        ("paper-2013", "effective", 1), ("paper-2013", "two_qubit", 1)])
+    def test_dress_runs_at_most_once_per_point(self, monkeypatch, preset,
+                                               model, calls):
+        # the auxiliary qubit's swapped depths need no second call
+        params = build_config("two_qubit_full", preset=preset).params
+        depths = []
+        real = scenarios.dress
+
+        def counting(eta1, eta2, **kwargs):
+            depths.append((eta1, eta2))
+            return real(eta1, eta2, **kwargs)
+
+        monkeypatch.setattr(scenarios, "dress", counting)
+        resolve_point(params, model)
+        assert len(depths) == calls
+
+
+class TestRunResolution:
+    """Building a RunConfig resolves every point it will solve."""
+
+    @staticmethod
+    def _sweep(scenario, param, start, stop, preset="desk", steps=3):
+        return build_config(scenario, preset=preset, overrides={
+            "sweep": {"param": param, "start": start, "stop": stop,
+                      "steps": steps}})
+
+    @pytest.mark.parametrize("scenario, param, start, stop", [
+        ("squeezed_laser", "gt_max", 1.0, 3.0),
+        ("squeezed_laser", "gprime_ratio", 0.01, 0.03),
+        ("squeezed_laser", "epsilon_over_g", 200.0, 300.0),
+        ("squeezed_laser", "c_prime_alt", 0.01, 0.1),
+        ("single_laser", "eta1", 0.05, 0.15),
+    ])
+    def test_inert_axis_rejected(self, scenario, param, start, stop):
+        with pytest.raises(ConfigError, match=f"'{param}'.*{scenario}"):
+            self._sweep(scenario, param, start, stop)
+
+    @pytest.mark.parametrize("scenario, param, start, stop, preset", [
+        # the axis switches include_full on, and the two-qubit model reads it
+        ("fidelity_sweep", "gprime_ratio", 0.02, 0.04, "desk"),
+        ("two_qubit_full", "gprime_ratio", 0.02, 0.04, "desk"),
+        # C~ from GHz depends on N(eta1, eta2)
+        ("single_laser", "eta1", 0.1, 0.15, "paper-2013"),
+    ])
+    def test_live_axis_accepted(self, scenario, param, start, stop, preset):
+        cfg = self._sweep(scenario, param, start, stop, preset=preset)
+        assert len(set(cfg.points)) == 3
+
+    def test_one_value_of_an_inert_axis_is_no_sweep(self):
+        for start, stop, steps in ((1.0, 3.0, 1), (2.0, 2.0, 3)):
+            cfg = self._sweep("squeezed_laser", "gt_max", start, stop,
+                              steps=steps)
+            assert len(set(cfg.points)) == 1
+
+    def test_fidelity_sweep_resolves_the_two_qubit_sibling(self):
+        cfg = self._sweep("fidelity_sweep", "gprime_ratio", 0.02, 0.04)
+        assert [p.full.gprime_ratio for p in cfg.points] == [0.02, 0.03, 0.04]
+        assert all(p.model == "effective" for p in cfg.points)
+        plain = build_config("fidelity_sweep", preset="desk")
+        assert all(p.full is None for p in plain.points)
+
+    def test_bad_value_inside_the_range_is_found_when_built(self):
+        # eta1 = 0.2 balances eta2 at the middle point only
+        with pytest.raises(ConfigError, match="dress no mode"):
+            self._sweep("squeezed_laser", "eta1", 0.1, 0.3)
+
+    def test_zero_ghz_rate_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="out of range"):
+            build_config("squeezed_laser", preset="paper-2013",
+                         overrides={"params": {"gamma_ghz": 0.0}})
+
+    def test_records_stay_out_of_the_hash(self):
+        cfg = build_config("wigner_panels", preset="paper-2013")
+        assert [p.c_prime for p in cfg.points] == [
+            pytest.approx(8.8082, abs=1e-4), 0.01]
+        assert "points" not in cfg.canonical()
+        assert cfg == RunConfig(cfg.scenario, cfg.params, cfg.sweep,
+                                cfg.numerics)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +526,10 @@ class TestSweeps:
         import squeezed_lasing.scenarios as scen
         real = scen._POINT_FUNCS["single_laser"]
 
-        def sometimes(params, numerics):
-            if params["c_tilde"] == 2.0:
+        def sometimes(point, numerics):
+            if point.c_tilde == 2.0:
                 raise RuntimeError("synthetic solver blowup")
-            return real(params, numerics)
+            return real(point, numerics)
 
         monkeypatch.setitem(scen._POINT_FUNCS, "single_laser", sometimes)
         over = {"sweep": {"param": "c_tilde", "start": 1.0, "stop": 3.0,
@@ -432,11 +548,11 @@ class TestSweeps:
         import squeezed_lasing.scenarios as scen
         real = scen._POINT_FUNCS["single_laser"]
 
-        def faulty(params, numerics):
-            if params["c_tilde"] == 2.0:
+        def faulty(point, numerics):
+            if point.c_tilde == 2.0:
                 raise RuntimeError("synthetic solver blowup")
-            row = real(params, numerics)
-            if params["c_tilde"] == 1.0:
+            row = real(point, numerics)
+            if point.c_tilde == 1.0:
                 row["purity"] = float("nan")
             return row
 
@@ -554,14 +670,15 @@ class TestWignerPanels:
 
         reached = []
 
-        def point(params, numerics, model, memo=None):
-            reached.append(params["c_prime"])
+        def point(resolved, numerics, memo=None):
+            reached.append(resolved.c_prime)
             raise Solve
 
         monkeypatch.setattr(scenarios, "_Point", point)
         cfg = build_config("wigner_panels", preset="paper-2013")
         out = run_scenario(cfg)
-        assert reached == [resolve_rates(cfg.params).c_prime, 0.01]
+        assert reached == [resolve_point(cfg.params, "effective").c_prime,
+                           0.01]
         assert reached[0] == pytest.approx(8.8082, abs=1e-4)
         assert [f["index"] for f in out.failed_points] == [0, 1]
         assert all(f["error"].startswith("Solve") for f in out.failed_points)
@@ -713,14 +830,6 @@ class TestOneBlasThread:
         out = run_scenario(self._small_sweep())
         assert len(out.tables["single_laser"].rows) == 2
         assert seen == [[1, 1], [1, 1]]
-        assert self._counts(controls) == [2, 2]
-
-    def test_config_error_restores_the_callers_count(self, controls):
-        cfg = build_config("rwa_validate", preset="desk",
-                           overrides={"params": {"gt_max": -1.0},
-                                      "numerics": {"field_dim": 6}})
-        with pytest.raises(ConfigError, match="gt_max"):
-            run_scenario(cfg)
         assert self._counts(controls) == [2, 2]
 
     def test_numerical_failure_restores_the_callers_count(
