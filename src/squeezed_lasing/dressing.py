@@ -64,8 +64,8 @@ class SystemParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be non-negative")
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be non-negative and finite")
         if not self.epsilon > self.omega:
             raise ValueError("epsilon must exceed omega (the difference sideband "
                              "epsilon - omega must be a positive drive frequency)")

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dressing import DressedCoupling
 from .fock import (DensityMatrix, HilbertSpace, InvalidStateError,
                    annihilation, displacement)
 from .gaussian import GaussianState, to_fock
@@ -186,10 +187,10 @@ def mf_residual(gaussian: GaussianState, fbar: complex, c_prime: float,
     """
     rho = to_fock(gaussian, space).matrix
     mode = annihilation(space)
-    u, v = math.cosh(r), math.sinh(r)
+    bare = DressedCoupling.from_r(r).bare_from_mode(space)
     drive = fbar * mode.dag().matrix - np.conj(fbar) * mode.matrix
     lhs = (1 + c_prime) * (drive @ rho - rho @ drive)
-    lhs = lhs + dissipator(LindbladTerm(u * mode - v * mode.dag(), 1.0), rho)
+    lhs = lhs + dissipator(LindbladTerm(bare, 1.0), rho)
     if c_prime > 0:
         lhs = lhs + dissipator(LindbladTerm(mode, c_prime), rho)
     return float(np.linalg.norm(lhs))

@@ -23,15 +23,12 @@ measured value, the population in the top Fock levels of the reduced
 field: it comes back as the row's ``truncation_flag`` and as log
 records, never as a Python warning.
 
-Two parameter families are understood.  Dimensionless keys
-(``kappa_over_gamma``, ``c_tilde``, ``epsilon_over_g``, ...) drive the
-solvers directly: rates are in units of the qubit decay gamma and
-frequencies in units of the bare coupling g, and both units are fixed
-at 1, since the results depend only on the ratios.  Physical keys carry
-the circuit values in GHz (``epsilon_ghz``, ...); ratios are derived
-from them when the dimensionless key is absent, and absolute angular
-frequencies (rad/ns) are formed with the 2*pi factor only where a
-Hamiltonian needs them.  Either way the two drives sit exactly on the
+Two parameter families are understood: dimensionless ratios
+(``kappa_over_gamma``, ``c_tilde``, ``epsilon_over_g``, ...), with rates
+in units of the qubit decay gamma and frequencies in units of the bare
+coupling g, both fixed at 1 since the results depend only on the ratios,
+and circuit values in GHz (``epsilon_ghz``, ...).  ``_pick`` holds the
+one rule between them.  Either way the two drives sit exactly on the
 sidebands epsilon -/+ omega; detuned drives are built on
 ``SystemParams`` in the library.
 Everything stays deterministic: no randomness and no timestamps.
@@ -124,8 +121,7 @@ class SweepSpec:
         if self.param == "include_full":
             raise ConfigError("include_full switches columns on or off; "
                               "it is not a sweep axis")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("sweep range must be finite")
+        _finite("sweep range", self.start, self.stop)
         if self.stop < self.start:
             raise ConfigError("sweep stop must not precede start")
         if self.steps < 1:
@@ -176,8 +172,7 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown parameter names: {sorted(bad)}")
         for key, value in self.params.items():
-            if not math.isfinite(_number(value, f"parameter {key!r}")):
-                raise ConfigError(f"parameter {key!r} must be finite")
+            _finite(f"parameter {key!r}", _number(value, f"parameter {key!r}"))
         if self.sweep is not None and self.scenario not in _COLUMNS:
             raise ConfigError(f"scenario {self.scenario!r} does not sweep")
         try:
@@ -244,8 +239,7 @@ PRESETS: dict[str, dict] = {
             "omega_over_g": 112.5,
         },
     },
-    # circuit values in GHz (ordinary frequencies); dimensionless ratios
-    # are derived from these unless overridden
+    # circuit values in GHz (ordinary frequencies), resolved by _pick
     "paper-2013": {
         "params": {
             "epsilon_ghz": 10.0,
@@ -362,6 +356,33 @@ def _require(params: dict, key: str) -> float:
         raise ConfigError(f"scenario needs parameter {key!r}") from None
 
 
+def _finite(name: str, *values: float) -> tuple:
+    """``values``, checked to lie inside the float range."""
+    if all(map(math.isfinite, values)):
+        return values
+    raise ConfigError(f"{name} must be finite, got "
+                      f"{', '.join(map(repr, values))}")
+
+
+def _pick(params: dict, keys: tuple, ghz_keys: tuple, derive,
+          unit: tuple = (), positive: bool = False) -> tuple:
+    """The one precedence rule: the dimensionless ``keys`` (then ``unit``)
+    if any is set, and then all must be; else ``derive`` of the GHz values
+    ``ghz_keys``, which must all be set.  Every value is finite and
+    non-negative, or ``positive``."""
+    name = " and ".join(keys)
+    if any(key in params for key in keys):
+        values = tuple(_require(params, key) for key in keys) + unit
+    elif set(ghz_keys) <= params.keys():
+        values = derive(*(float(params[key]) for key in ghz_keys))
+    else:
+        raise ConfigError(f"need {name} (or {', '.join(ghz_keys)})")
+    if any(v < 0 or positive and v == 0 for v in values):
+        raise ConfigError(f"{name} must be "
+                          f"{'positive' if positive else 'non-negative'}")
+    return _finite(name, *values)
+
+
 def _dress(eta1: float, eta2: float, g: float = 1.0) -> DressedCoupling:
     """``dress``, with balanced drive depths reported as bad configuration."""
     try:
@@ -397,47 +418,33 @@ class ResolvedPoint:
 def resolve_point(params: dict, model: str) -> ResolvedPoint:
     """The checked working point of ``model`` at ``params``.
 
-    A dimensionless key wins over the GHz values it can be derived from,
-    resolved in order: kappa, C' (0 for the single laser), C~ (with that
-    C'), the lasing coupling, then the two-qubit g' ratio and auxiliary
-    coupling.  ``dress`` runs at most once: swapping the depths swaps u
-    and v, bit for bit, and keeps N.
+    Resolved in order, each ratio by ``_pick``: kappa, C' (0 for the
+    single laser), C~ (with that C'), the lasing coupling, then the
+    two-qubit g' ratio and auxiliary coupling.  ``dress`` runs at most
+    once: swapping the depths swaps u and v, bit for bit, and keeps N.
     """
     @cache
     def depths() -> DressedCoupling:
         return _dress(_require(params, "eta1"), _require(params, "eta2"))
 
-    if "kappa_over_gamma" in params:
-        kappa = float(params["kappa_over_gamma"])
-    elif "kappa_ghz" in params and "gamma_ghz" in params:
-        kappa = float(params["kappa_ghz"]) / float(params["gamma_ghz"])
-    else:
-        raise ConfigError("need kappa_over_gamma (or kappa_ghz with gamma_ghz)")
-    if kappa <= 0:
-        raise ConfigError("kappa_over_gamma must be positive")
+    [kappa] = _pick(params, ("kappa_over_gamma",), ("kappa_ghz", "gamma_ghz"),
+                    lambda kappa_ghz, gamma_ghz: [kappa_ghz / gamma_ghz],
+                    positive=True)
     c_prime = 0.0
     if model != "single":
-        if "c_prime" in params:
-            c_prime = float(params["c_prime"])
-        elif {"g_prime_ghz", "gamma_prime_ghz", "kappa_ghz"} <= params.keys():
-            gtp = float(params["g_prime_ghz"]) * depths().norm_N
-            c_prime = gtp ** 2 / (float(params["kappa_ghz"])
-                                  * float(params["gamma_prime_ghz"]))
-        else:
-            raise ConfigError("need c_prime (or the primed GHz parameters)")
-        if c_prime < 0:
-            raise ConfigError("c_prime must be non-negative")
-    if "c_tilde" in params:
-        c_tilde = float(params["c_tilde"])
-    elif {"g_ghz", "gamma_ghz", "kappa_ghz"} <= params.keys():
-        gt = float(params["g_ghz"]) * depths().norm_N
-        c_tilde = gt ** 2 / (float(params["gamma_ghz"])
-                             * float(params["kappa_ghz"]) * (1.0 + c_prime))
-    else:
-        raise ConfigError("need c_tilde (or the GHz parameters)")
-    if c_tilde < 0:
-        raise ConfigError("c_tilde must be non-negative")
-    g_tilde = math.sqrt(c_tilde * ResolvedPoint.gamma * kappa * (1.0 + c_prime))
+        [c_prime] = _pick(
+            params, ("c_prime",),
+            ("g_prime_ghz", "gamma_prime_ghz", "kappa_ghz"),
+            lambda g_prime_ghz, gamma_prime_ghz, kappa_ghz: [
+                (g_prime_ghz * depths().norm_N) ** 2
+                / (kappa_ghz * gamma_prime_ghz)])
+    [c_tilde] = _pick(
+        params, ("c_tilde",), ("g_ghz", "gamma_ghz", "kappa_ghz"),
+        lambda g_ghz, gamma_ghz, kappa_ghz: [
+            (g_ghz * depths().norm_N) ** 2
+            / (gamma_ghz * kappa_ghz * (1.0 + c_prime))])
+    [g_tilde] = _finite("g_tilde", math.sqrt(
+        c_tilde * ResolvedPoint.gamma * kappa * (1.0 + c_prime)))
     rates = (model, kappa, c_tilde, c_prime, g_tilde)
     if model == "single":
         return ResolvedPoint(*rates)
@@ -458,22 +465,19 @@ def resolve_point(params: dict, model: str) -> ResolvedPoint:
     if model == "effective":
         return ResolvedPoint(*rates, dressed)
 
-    if "gprime_ratio" in params:
-        ratio = float(params["gprime_ratio"])
-    elif {"g_prime_ghz", "gamma_prime_ghz"} <= params.keys():
-        ratio = (float(params["g_prime_ghz"]) * depths().norm_N
-                 / float(params["gamma_prime_ghz"]))
-    else:
-        raise ConfigError("need gprime_ratio (or the primed GHz parameters)")
-    if ratio <= 0:
-        raise ConfigError("gprime_ratio must be positive")
+    [ratio] = _pick(
+        params, ("gprime_ratio",), ("g_prime_ghz", "gamma_prime_ghz"),
+        lambda g_prime_ghz, gamma_prime_ghz: [
+            g_prime_ghz * depths().norm_N / gamma_prime_ghz], positive=True)
     g_tilde_prime = c_prime * kappa / ratio
+    g_tilde_prime, gamma_prime = _finite("g_tilde_prime and gamma_prime",
+                                         g_tilde_prime, g_tilde_prime / ratio)
     # the auxiliary qubit's depths are swapped
     aux = replace(unit, u=unit.v, v=unit.u,
                   g_tilde=(g_tilde_prime / n) * n)
     return ResolvedPoint(*rates, dressed, gprime_ratio=ratio,
                          g_tilde_prime=g_tilde_prime,
-                         gamma_prime=g_tilde_prime / ratio, aux=aux)
+                         gamma_prime=gamma_prime, aux=aux)
 
 
 @dataclass(frozen=True)
@@ -491,21 +495,16 @@ def _resolve_drives(params: dict) -> ResolvedDrives:
     """The checked drives, at absolute frequencies for the Hamiltonian
     builders.
 
-    GHz inputs are ordinary frequencies; the 2*pi enters here and only
-    here, leaving everything downstream in angular units (rad/ns).  The
-    dimensionless family is in units of g (g = 1).  The drives sit on the
-    two sidebands either way.
+    The dimensionless pair is in units of g (g = 1).  GHz inputs are
+    ordinary frequencies; the 2*pi enters here and only here, leaving
+    everything downstream in angular units (rad/ns).  The drives sit on
+    the two sidebands either way.
     """
     eta1, eta2 = _require(params, "eta1"), _require(params, "eta2")
-    if {"epsilon_ghz", "omega_ghz", "g_ghz"} <= params.keys():
-        scale = 2.0 * math.pi
-        eps = scale * float(params["epsilon_ghz"])
-        om = scale * float(params["omega_ghz"])
-        g = scale * float(params["g_ghz"])
-    else:
-        eps = _require(params, "epsilon_over_g")
-        om = _require(params, "omega_over_g")
-        g = 1.0
+    scale = 2.0 * math.pi
+    eps, om, g = _pick(params, ("epsilon_over_g", "omega_over_g"),
+                       ("epsilon_ghz", "omega_ghz", "g_ghz"),
+                       lambda *ghz: [scale * f for f in ghz], unit=(1.0,))
     try:
         system = SystemParams.at_sidebands(eps, om, g, eta1, eta2)
     except ValueError as exc:
@@ -633,8 +632,7 @@ class _Point:
         space = HilbertSpace(n_qubits=2 if model == "two_qubit" else 1,
                              field_dim=fd)
         if model == "single":
-            g = math.sqrt(r.c_tilde * r.gamma * r.kappa)
-            me = model_single_qubit_laser(g, r.gamma, r.kappa, space)
+            me = model_single_qubit_laser(r.g_tilde, r.gamma, r.kappa, space)
         elif model == "two_qubit":
             me = model_two_qubit_full(self.dressed, r.aux, r.gamma,
                                       r.gamma_prime, r.kappa, space)
@@ -887,7 +885,7 @@ def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
     h_eff = effective_H(reference, space).matrix
     psi0 = np.zeros(space.dim, dtype=complex)
     excited = drives.start_excited == 1
-    psi0[0 if excited else space.field_dim] = 1.0
+    psi0[space.basis_index(0 if excited else 1, 0)] = 1.0
     n = config.numerics.store_points
     times, psis_full = schrodinger_evolve(h_full, psi0, t_final, n_store=n)
     _, psis_eff = schrodinger_evolve(lambda t: h_eff, psi0, t_final, n_store=n)

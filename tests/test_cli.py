@@ -227,6 +227,58 @@ def test_bad_value_inside_a_sweep_range_exits_2_before_any_solve(
     assert solves == []
 
 
+@pytest.mark.parametrize("preset, scenario, fragments", [
+    # kappa / gamma overflows to inf
+    ("paper-2013", "single_laser",
+     ["params.kappa_ghz=1e300", "params.gamma_ghz=1e-300"]),
+    # g~ = sqrt(C~ kappa (1 + C')) overflows to inf
+    ("desk", "squeezed_laser",
+     ["params.c_tilde=1e300", "params.kappa_over_gamma=1e300"]),
+], ids=["kappa_over_gamma", "g_tilde"])
+def test_derived_value_past_the_float_range_exits_2(tmp_path, preset,
+                                                    scenario, fragments):
+    argv = [scenario, "--preset", preset, "--out", str(tmp_path / "o")]
+    for item in fragments:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert not (tmp_path / "o").exists()
+    overrides: dict = {}
+    for item in fragments:
+        overrides = _merge(overrides, parse_set_override(item))
+    with pytest.raises(ConfigError, match="finite"):
+        build_config(scenario, preset=preset, overrides=overrides)
+
+
+@pytest.mark.parametrize("scenario, table, fragments", [
+    ("dress_audit", "spurious_terms.csv", []),
+    ("rwa_validate", "rwa_fidelity.csv",
+     ["params.gt_max=0.2", "numerics.field_dim=6",
+      "numerics.store_points=5"]),
+], ids=["dress_audit", "rwa_validate"])
+def test_dimensionless_drive_key_is_never_ignored(tmp_path, scenario, table,
+                                                  fragments):
+    # paper-2013 sets the GHz drives; a dimensionless drive key wins over
+    # them, and then the pair must be complete
+    def run(name, *extra):
+        argv = [scenario, "--preset", "paper-2013",
+                "--out", str(tmp_path / name)]
+        for item in (*fragments, *extra):
+            argv += ["--set", item]
+        return main(argv)
+
+    assert run("half", "params.epsilon_over_g=300") == 2
+    assert not (tmp_path / "half").exists()
+    with pytest.raises(ConfigError, match="'omega_over_g'"):
+        build_config(scenario, preset="paper-2013", overrides={
+            "params": {"epsilon_over_g": 300}})
+    assert run("ghz") == 0
+    assert run("pair", "params.epsilon_over_g=300",
+               "params.omega_over_g=112.5") == 0
+    rows = {name: (tmp_path / name / table).read_text().splitlines()[2:]
+            for name in ("ghz", "pair")}
+    assert rows["pair"] != rows["ghz"]
+
+
 @pytest.mark.parametrize("fragment", ["params.eta2=0.4", "params.eta1=0.25"])
 def test_dress_audit_outside_small_amplitude_regime(tmp_path, fragment):
     # a deep drive, or eta1 > eta2, still dresses a mode; only the

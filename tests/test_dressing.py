@@ -285,6 +285,13 @@ def test_audit_requires_sidebands():
         resonance_audit(bad)
 
 
+def test_sideband_past_the_float_range_rejected():
+    # both drives are finite, but epsilon + omega overflows to inf
+    with pytest.raises(ValueError, match="Omega2 must be non-negative and"):
+        SystemParams.at_sidebands(epsilon=1.7e308, omega=1e308, g=1.0,
+                                  eta1=0.1, eta2=0.2)
+
+
 def integer_params(g=0.05, eta1=0.16, eta2=0.2):
     # commensurate integer frequencies make time averages exact over 2*pi
     return SystemParams.at_sidebands(epsilon=20.0, omega=9.0, g=g,
