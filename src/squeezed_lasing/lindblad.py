@@ -33,6 +33,17 @@ Re rho_ij and Im rho_ij, per pair i < j.  That is as many real unknowns
 as the sector has complex ones, and the bordered system is a real sparse
 matrix.  ``liouvillian_matrix`` still returns the complex generator over
 all d^2 entries, which the oracles use.
+
+At resonance every model is real in the gauge |n> -> i^n |n> of the
+photon number n: there -iH and each jump operator (up to a phase) are
+real, so the generator commutes with complex conjugation.  The real
+coordinates then split into two blocks that it never couples: Re rho_ij
+with n_i - n_j even and Im rho_ij with n_i - n_j odd, which hold the
+populations and so the trace, and the rest, whose right-hand side is
+zero.  The direct solve finds the block of the trace row from the
+assembled matrix and factors that alone.  Nothing declares the split: a
+detuning delta a^dag a stays real in the gauge, so -i delta a^dag a is
+not, it joins the blocks, and the whole sector is factored.
 """
 
 from __future__ import annotations
@@ -56,7 +67,9 @@ from .fock import (
 )
 
 # Dense SVD screening for nonunique steady states is affordable only on
-# small systems; larger models in scope are known to be ergodic.
+# small systems; larger models in scope are known to be ergodic.  Past
+# it, a second stationary state inside a block that the direct solve
+# leaves unfactored would no longer show up as a singular LU.
 UNIQUENESS_SCREEN_MAX_DIM = 20
 
 
@@ -439,9 +452,17 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
     cols = np.concatenate([coo.col[keep], diagonal])
     data = np.concatenate([coo.data[keep], np.ones(d)])
     bordered = sp.csc_matrix((data, (rows, cols)), shape=lmat.shape)
-    b = np.zeros(sector.n)
+    # Only the coordinates that the trace row reaches can be nonzero: the
+    # rest form blocks with a zero right-hand side, so factor the block of
+    # row 0 alone and leave the others at 0.
+    from scipy.sparse.csgraph import connected_components
+
+    _, component = connected_components(bordered, connection="weak")
+    live = np.flatnonzero(component == component[0])
+    b = np.zeros(live.size)
     b[0] = 1.0
-    y = splu(bordered).solve(b)
+    y = np.zeros(sector.n)
+    y[live] = splu(bordered[live][:, live]).solve(b)
     residual = np.max(np.abs(lmat @ y))
     scale = max(1.0, abs(lmat).max())
     if residual > 1e-8 * scale:
@@ -489,8 +510,12 @@ def steady_state(me: MasterEquation, method: str = "direct") -> DensityMatrix:
     method="direct" solves L vec(rho) = 0 on the equal-charge sector of
     the master equation (all of rho without a charge), in real Hermitian
     coordinates, with the trace pinned through a bordered sparse LU, and
-    scatters the solution back; the state's positivity is checked block
-    by block over the sector;
+    scatters the solution back.  The LU factors only the connected block
+    of the bordered matrix that holds the trace row, about half the
+    sector at resonance by the i^n gauge symmetry (module docstring),
+    and all of it once a detuning couples the blocks; the other
+    coordinates are 0.  The state's positivity is checked block by block
+    over the sector;
     method="evolve" relaxes the full generator from the maximally mixed
     state until its norm falls below 1e-10.  On systems small enough for
     a dense SVD the direct branch also screens the full generator for a

@@ -177,7 +177,7 @@ class RunConfig:
             raise ConfigError(f"scenario {self.scenario!r} does not sweep")
         try:
             points = _resolve_run(self)
-        except ArithmeticError as exc:  # a zero rate, or past float range
+        except ArithmeticError as exc:  # a GHz product past float range
             raise ConfigError(f"parameters out of range: {exc}") from None
         object.__setattr__(self, "points", points)
 
@@ -364,12 +364,21 @@ def _finite(name: str, *values: float) -> tuple:
                       f"{', '.join(map(repr, values))}")
 
 
+# the GHz rates that a derivation divides by
+_GHZ_DIVISORS = ("gamma_ghz", "kappa_ghz", "gamma_prime_ghz")
+
+
 def _pick(params: dict, keys: tuple, ghz_keys: tuple, derive,
           unit: tuple = (), positive: bool = False) -> tuple:
     """The one precedence rule: the dimensionless ``keys`` (then ``unit``)
     if any is set, and then all must be; else ``derive`` of the GHz values
     ``ghz_keys``, which must all be set.  Every value is finite and
-    non-negative, or ``positive``."""
+    non-negative, or ``positive``.  A GHz divisor among ``ghz_keys`` must
+    be positive whenever it is set, so no derivation divides by zero."""
+    for key in ghz_keys:
+        if key in _GHZ_DIVISORS and key in params and not params[key] > 0:
+            raise ConfigError(f"parameters out of range: {key} must be "
+                              f"positive, got {params[key]!r}")
     name = " and ".join(keys)
     if any(key in params for key in keys):
         values = tuple(_require(params, key) for key in keys) + unit

@@ -165,6 +165,9 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     phase_unit = np.exp(-1j * np.arctan2(p_arr, x_arr))
 
     acc = np.zeros((grid.nx, grid.np), dtype=complex)
+    term = np.empty_like(acc)
+    # f_{n-2}, f_{n-1} and the step under way, reused at every step
+    f_prev, f, step = (np.empty_like(r2) for _ in range(3))
     for delta in range(d):
         lower = np.diagonal(mat, offset=-delta)  # rho[n + delta, n]
         upper = np.diagonal(mat, offset=delta)   # rho[n, n + delta]
@@ -172,18 +175,26 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
             continue
         inner_lo = np.zeros_like(acc)
         inner_hi = np.zeros_like(acc) if delta else None
-        f_prev = 0.0
-        f = np.exp(xlogy(delta / 2, r2) - r2 / 2
-                   - 0.5 * math.lgamma(delta + 1)) / (2 * math.pi)
+        f_prev.fill(0.0)
+        np.exp(xlogy(delta / 2, r2) - r2 / 2 - 0.5 * math.lgamma(delta + 1),
+               out=f)
+        f /= 2 * math.pi
         for n in range(d - delta):
             if n:
-                f_prev, f = f, -((2 * n - 1 + delta - r2) * f
-                                 + math.sqrt((n - 1) * (n - 1 + delta))
-                                 * f_prev) / math.sqrt(n * (n + delta))
+                # the recurrence above, in place, one operation at a time
+                # in its own order, so every value is the same bit for bit
+                np.subtract(2 * n - 1 + delta, r2, out=step)
+                step *= f
+                np.multiply(math.sqrt((n - 1) * (n - 1 + delta)), f_prev,
+                            out=f_prev)
+                step += f_prev
+                np.negative(step, out=step)
+                step /= math.sqrt(n * (n + delta))
+                f_prev, f, step = f, step, f_prev
             if abs(lower[n]) >= 1e-18:
-                inner_lo += lower[n] * f
+                inner_lo += np.multiply(lower[n], f, out=term)
             if delta and abs(upper[n]) >= 1e-18:
-                inner_hi += upper[n] * f
+                inner_hi += np.multiply(upper[n], f, out=term)
         if delta == 0:
             acc += inner_lo
         else:

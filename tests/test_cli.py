@@ -195,6 +195,10 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     ("rwa_validate", "params.g=3"),
     ("dress_audit", "params.shift_omega1_over_g=0.5"),
     ("dress_audit", "params.shift_omega2_over_g=0.5"),
+    # a GHz rate that a derivation divides by
+    ("squeezed_laser", "params.gamma_ghz=0"),
+    ("single_laser", "params.kappa_ghz=0"),
+    ("two_qubit_full", "params.gamma_prime_ghz=0"),
 ])
 def test_out_of_range_physics_exits_2(tmp_path, scenario, fragment):
     assert main([scenario, "--out", str(tmp_path / "o"),
@@ -225,6 +229,22 @@ def test_bad_value_inside_a_sweep_range_exits_2_before_any_solve(
                  "--set", "sweep.stop=0.3", "--set", "sweep.steps=3"]) == 2
     assert not out.exists()
     assert solves == []
+
+
+@pytest.mark.parametrize("scenario, key", [
+    ("squeezed_laser", "gamma_ghz"),
+    ("single_laser", "kappa_ghz"),
+    ("two_qubit_full", "gamma_prime_ghz"),
+])
+def test_zero_ghz_divisor_is_named(tmp_path, scenario, key):
+    # paper-2013 derives every ratio from GHz values, so each of these
+    # would otherwise reach a division by zero
+    assert main([scenario, "--preset", "paper-2013", "--out",
+                 str(tmp_path / "o"), "--set", f"params.{key}=0"]) == 2
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError, match=f"{key} must be positive"):
+        build_config(scenario, preset="paper-2013",
+                     overrides={"params": {key: 0.0}})
 
 
 @pytest.mark.parametrize("preset, scenario, fragments", [

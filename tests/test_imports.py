@@ -46,13 +46,15 @@ def test_no_dead_imports_or_stale_exports():
 
 def test_cli_import_leaves_scipy_integrate_out():
     # scipy.integrate (which loads scipy.optimize) serves only the time
-    # integrators, so it is imported inside them, not with the package
+    # integrators, and scipy.sparse.csgraph only the direct steady-state
+    # solve, so each is imported inside its callers, not with the package
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     code = ("import sys, squeezed_lasing.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+            "if m.startswith(('scipy.integrate', 'scipy.optimize', "
+            "'scipy.sparse.csgraph'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

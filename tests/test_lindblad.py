@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import splu as scipy_splu
 
 from squeezed_lasing.dressing import DressedCoupling, dress
 from squeezed_lasing.fock import (
@@ -243,12 +245,10 @@ def test_sector_steady_state_matches_full_solve(kind, g, gamma, kappa,
     assert np.max(np.abs(full.matrix[off_sector(me)]), initial=0.0) <= 1e-12
 
 
-@pytest.mark.parametrize("kind, unknowns", [
-    ("single_qubit_laser", 4 * 10 - 2),     # U(1): 2x2 blocks, two 1x1 ends
-    ("squeezed_laser_effective", 20 ** 2 // 2),  # Z2: half of rho
-    ("two_qubit_full", 40 ** 2 // 2),
-])
-def test_direct_solve_factors_only_the_sector(monkeypatch, kind, unknowns):
+def record_splu(monkeypatch) -> list:
+    """Patch lindblad.splu to record the shape and dtype of each matrix it
+    factors; the solve looks splu up on the module, where tracers patch
+    it too."""
     factored = []
     real = lindblad.splu
 
@@ -256,14 +256,87 @@ def test_direct_solve_factors_only_the_sector(monkeypatch, kind, unknowns):
         factored.append((matrix.shape, matrix.dtype))
         return real(matrix)
 
-    # the solve looks splu up on the module, where tracers patch it
     monkeypatch.setattr(lindblad, "splu", recording)
+    return factored
+
+
+# The sector has 38 / 200 / 800 real coordinates at field_dim 10 (2x2 U(1)
+# blocks plus two 1x1 ends, or half of rho for the Z2 models).  At
+# resonance the generator splits in the gauge |n> -> i^n |n>, and only
+# the block that the trace row reaches is factored: the 20 / 20 / 40
+# populations plus one of the two coordinates of every pair i < j.
+@pytest.mark.parametrize("kind, unknowns", [
+    ("single_qubit_laser", (38 + 20) // 2),
+    ("squeezed_laser_effective", (200 + 20) // 2),
+    ("two_qubit_full", (800 + 40) // 2),
+])
+def test_direct_solve_factors_only_the_sector(monkeypatch, kind, unknowns):
+    factored = record_splu(monkeypatch)
     me = build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 10)
     rho = steady_state(me)
-    # one real system in Hermitian coordinates, as many unknowns as the
-    # sector has complex entries
+    # one real system in Hermitian coordinates
     assert factored == [((unknowns, unknowns), np.float64)]
     assert np.all(rho.matrix[off_sector(me)] == 0)
+
+
+def full_sector_solve(me):
+    """The bordered sector system over all its real coordinates, factored
+    whole with scipy's splu: (coordinates, mask of the coordinates that
+    the i^n gauge keeps apart from the trace row, state)."""
+    d = me.space.dim
+    sector = lindblad._Sector(me._labels())
+    coords = lindblad._HermitianCoordinates(sector)
+    lmat = coords.generator(me).tocoo()
+    diagonal = sector.index(np.arange(d), np.arange(d))
+    keep = lmat.row != 0
+    bordered = sp.csc_matrix(
+        (np.concatenate([lmat.data[keep], np.ones(d)]),
+         (np.concatenate([lmat.row[keep], np.zeros(d, dtype=int)]),
+          np.concatenate([lmat.col[keep], diagonal]))), shape=lmat.shape)
+    b = np.zeros(sector.n)
+    b[0] = 1.0
+    y = scipy_splu(bordered).solve(b)
+    m = np.zeros((d, d), dtype=complex)
+    m[coords.rows, coords.cols] = coords.hermitian(y)
+    # basis states list the qubits first, so k mod field_dim is the
+    # photon number; coordinate k holds Re rho_ij for i <= j, else Im
+    photons = np.arange(d) % me.space.field_dim
+    even = (photons[coords.rows] - photons[coords.cols]) % 2 == 0
+    dead = even != (coords.rows <= coords.cols)
+    return y, dead, lindblad._state_from_matrix(m, me.space,
+                                                blocks=sector.block)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+@settings(max_examples=15, deadline=None)
+@given(g=rates, gamma=rates, kappa=rates, c_prime=rates,
+       r=st.floats(0.0, 1.5), field_dim=st.integers(2, 7))
+def test_unfactored_block_is_exactly_zero(kind, g, gamma, kappa, c_prime, r,
+                                          field_dim):
+    me = build_model(kind, g, gamma, kappa, c_prime, r, field_dim)
+    y, dead, expected = full_sector_solve(me)
+    # the whole-sector factorization leaves the block away from the trace
+    # row at exactly 0, and its state is the block solve's, bit for bit
+    assert np.all(y[dead] == 0)
+    assert np.array_equal(steady_state(me).matrix, expected.matrix)
+
+
+@pytest.mark.parametrize("kind, unknowns", [
+    ("single_qubit_laser", 38),
+    ("squeezed_laser_effective", 200),
+    ("two_qubit_full", 800),
+])
+def test_detuning_joins_the_blocks(monkeypatch, kind, unknowns):
+    factored = record_splu(monkeypatch)
+    me = build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 10)
+    a = annihilation(me.space)
+    # delta a^dag a conserves the charge but is real, not imaginary, in
+    # the i^n gauge, so it couples Re and Im of every pair it dephases
+    me = dataclasses.replace(me, hamiltonian=me.hamiltonian
+                             + 0.4 * (a.dag() @ a))
+    rho = steady_state(me)
+    assert factored == [((unknowns, unknowns), np.float64)]
+    assert trace_distance(rho, complex_full_steady(me)) <= 1e-12
 
 
 def dense_hamiltonian(kind, me, g, c_prime, r):
