@@ -21,8 +21,9 @@ auxiliary qubit used for engineered dissipation is driven.
 
 The module also audits the discarded sidebands for near-resonances and
 builds the lab-frame Hamiltonian (an Operator at one time), the
-interaction-picture Hamiltonian (a closure t -> dense matrix for
-``schrodinger_evolve``, every sideband summed in closed form by the
+interaction-picture Hamiltonian (a closure for ``schrodinger_evolve``
+that maps a time to a dense matrix and a 1-d array of times to the
+stack of them, every sideband summed in closed form by the
 Jacobi-Anger identity sum_n J_n(x) e^{i n phi} = e^{i x sin phi},
 DLMF 10.12.1) and the static effective Hamiltonian of the RWA check.
 """
@@ -299,6 +300,11 @@ def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace):
     J_{n1}(2 eta_1) J_{n2}(2 eta_2) e^{i (n1 Omega_1 + n2 Omega_2) t}.  A call
     multiplies (alpha, beta, conj alpha, conj beta) into the stacked g a sigma^dag,
     g a sigma and adjoints, whose disjoint nonzeros keep H_I(t) Hermitian.
+    A scalar t gives one (d, d) matrix.  A 1-d array of n times gives the
+    (n, d, d) stack from one (n, 4) @ (4, d^2) product: the form
+    ``schrodinger_evolve`` asks for once per step, at all its stage times.
+    Both forms take each time's phases from the same scalar math/cmath
+    calls.
     """
     a = annihilation(space)
     sigma, _, _ = qubit_ops(space, 0)
@@ -310,12 +316,16 @@ def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace):
                                   params.Omega1, params.Omega2)
     difference, total = params.epsilon - params.omega, params.epsilon + params.omega
 
-    def hamiltonian(t: float) -> np.ndarray:
+    def phases(t: float) -> tuple[complex, ...]:
         theta = 2 * (eta1 * math.sin(omega1 * t) + eta2 * math.sin(omega2 * t))
         alpha = cmath.exp(1j * (difference * t + theta))
         beta = cmath.exp(-1j * (total * t + theta))
-        phases = np.array((alpha, beta, alpha.conjugate(), beta.conjugate()))
-        return (phases @ stack).reshape(shape)
+        return alpha, beta, alpha.conjugate(), beta.conjugate()
+
+    def hamiltonian(t) -> np.ndarray:
+        times = np.asarray(t, dtype=float)
+        table = np.array([phases(s) for s in times.ravel().tolist()])
+        return (table @ stack).reshape(times.shape + shape)
 
     return hamiltonian
 

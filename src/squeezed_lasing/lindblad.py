@@ -2,8 +2,12 @@
 
 Master equations are solved for their stationary state only; the one
 time integrator, :func:`schrodinger_evolve`, propagates pure states (the
-RWA check).  ``steady_state(method="evolve")`` relaxes a master equation
-to its fixed point as the oracle of the direct solve.
+RWA check).  It is an in-house Dormand-Prince 5(4) loop that repeats
+scipy.integrate.RK45 operation for operation, so it takes the same steps
+and returns the same bits, but asks for the Hamiltonian once per step at
+all of that step's stage times.  ``steady_state(method="evolve")``
+relaxes a master equation to its fixed point as the oracle of the direct
+solve, with scipy's RK45.
 
 The dissipator convention carries the rate outside,
 
@@ -377,43 +381,165 @@ def _state_from_matrix(m: np.ndarray, space: HilbertSpace,
     return DensityMatrix(space, m / np.trace(m).real, blocks=blocks)
 
 
-def schrodinger_evolve(hamiltonian: Callable[[float], np.ndarray],
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 19
+# (1980)) with Shampine's quartic dense output, coefficient for
+# coefficient as in scipy.integrate.RK45: nodes, stage weights, the
+# fifth-order weights, the embedded error weights and the interpolant.
+# The weights that meet the complex stages in np.dot are stored complex,
+# the cast np.dot would otherwise make on every call.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]], dtype=complex)
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84],
+                 dtype=complex)
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40], dtype=complex)
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# step-size control: safety factor, shrink/growth limits, and the
+# exponent -1/(q + 1) of the order-4 error estimate
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 5
+_RTOL, _ATOL = 1e-8, 1e-10
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def schrodinger_evolve(hamiltonian: Callable[[np.ndarray], np.ndarray]
+                       | np.ndarray,
                        psi0: np.ndarray, t_final: float, *,
                        n_store: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Pure-state propagation under a time-dependent Hamiltonian.
 
-    ``hamiltonian`` maps t to the dense Hamiltonian matrix.  RK45 steps
-    from 0 to ``t_final`` at rtol 1e-8 and atol 1e-10; the ``n_store``
-    uniform sample times that fall inside a step come from its dense
-    output.  Returns (times, psis) with psis[k] the state at times[k] and
-    psis[0] = psi0.  Norm is asserted after every accepted step but
-    states are not renormalized.
+    ``hamiltonian`` is either a (d, d) array, for a time-independent
+    Hamiltonian, or a batched callable that maps a 1-d array of n times
+    to the (n, d, d) stack of Hamiltonian matrices.  The explicit
+    Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+    19 (1980)) steps from 0 to ``t_final`` at rtol 1e-8 and atol 1e-10,
+    with the initial step of Hairer, Norsett & Wanner (Solving ODEs I,
+    Sec. II.4), an RMS error norm against atol + max(|y|, |y_new|) rtol
+    and the step controller of scipy.integrate.RK45, operation for
+    operation, so it takes RK45's steps and gives its bits.  Each
+    attempted step asks for the Hamiltonian once, at its five distinct
+    stage times t + c h; the sixth stage and the derivative carried into
+    the next step (first same as last) share H(t + h).  The ``n_store``
+    uniform sample times that fall inside a step come from its quartic
+    dense output.  Returns (times, psis) with psis[k] the state at
+    times[k] and psis[0] = psi0; ``t_final = 0`` gives ``n_store`` copies
+    of psi0 at t = 0.  Norm is asserted after every accepted step but
+    states are not renormalized; a step that would have to shrink below
+    10 ulp of t raises RuntimeError.
     """
-    from scipy.integrate import RK45
-
     psi0 = np.asarray(psi0, dtype=complex)
     norm0 = np.linalg.norm(psi0)
     if abs(norm0 - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
+    if not 0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be non-negative and finite, "
+                         f"got {t_final!r}")
     sample_times = np.linspace(0.0, t_final, max(2, n_store))
-    stepper = RK45(lambda t, psi: -1j * (hamiltonian(t) @ psi), 0.0, psi0,
-                   t_final, rtol=1e-8, atol=1e-10)
+    if t_final == 0:
+        return sample_times, np.repeat(psi0[np.newaxis], sample_times.size, 0)
+    d = psi0.size
+    if not callable(hamiltonian):
+        matrix = np.asarray(hamiltonian)
+
+        def hamiltonian(times: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(matrix, times.shape + matrix.shape)
+
+    def generators(times: np.ndarray) -> np.ndarray:
+        """-i H at each of the given times."""
+        stack = hamiltonian(times)
+        if stack.shape != (times.size, d, d):
+            raise ValueError(f"hamiltonian gave shape {stack.shape} for "
+                             f"{times.size} times; expected "
+                             f"({times.size}, {d}, {d})")
+        return -1j * stack
+
+    t, y = 0.0, psi0
+    f = np.dot(generators(np.zeros(1))[0], y)
+    # initial step: Hairer, Norsett & Wanner, Sec. II.4, for order 4
+    scale = _ATOL + np.abs(y) * _RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_final)
+    f1 = np.dot(generators(np.array([t + h0]))[0], y + h0 * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_final)
+
+    K = np.empty((7, d), dtype=complex)
+    # stage s combines the stages before it: scipy's K[:s].T with A[s, :s]
+    combos = [(K[:s].T, _DP_A[s, :s]) for s in range(1, 6)]
+    abs_y = np.abs(y)
     psis = [psi0]
     next_sample = 1
-    while stepper.status == "running":
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise RuntimeError(f"integrator failed: {message}")
-        norm = np.linalg.norm(stepper.y)
+    while t < t_final:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            # a NaN step (from a non-finite Hamiltonian) fails here too
+            if not h_abs >= min_step:
+                raise RuntimeError("integrator failed: Required step size is "
+                                   "less than spacing between numbers.")
+            t_new = min(t + h_abs, t_final)
+            h = t_new - t
+            h_abs = np.abs(h)
+            stages = generators(t + _DP_C[1:] * h)
+            K[0] = f
+            for s, (prefix, a) in enumerate(combos, start=1):
+                dy = np.dot(prefix, a) * h
+                K[s] = np.dot(stages[s - 1], y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            f_new = np.dot(stages[4], y_new)
+            K[6] = f_new
+            abs_new = np.abs(y_new)
+            scale = _ATOL + np.maximum(abs_y, abs_new) * _RTOL
+            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        norm = math.sqrt(np.vdot(y, y).real)
         if abs(norm - 1.0) > 1e-7:
             raise FloatingPointError(f"norm drifted to {norm}")
+        q = None
         while (next_sample < len(sample_times)
-               and sample_times[next_sample] <= stepper.t + 1e-15):
+               and sample_times[next_sample] <= t + 1e-15):
             ts = sample_times[next_sample]
-            psi = stepper.dense_output()(ts) if ts < stepper.t else stepper.y
-            psis.append(psi)
+            if ts < t:
+                if q is None:
+                    q = K.T.dot(_DP_P)
+                x = (ts - t_old) / (t - t_old)
+                psis.append((t - t_old) * np.dot(q, np.cumprod(np.tile(x, 4)))
+                            + y_old)
+            else:
+                psis.append(y)
             next_sample += 1
     return sample_times[:next_sample], np.asarray(psis)
 

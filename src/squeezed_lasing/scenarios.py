@@ -519,8 +519,8 @@ def _resolve_drives(params: dict) -> ResolvedDrives:
     except ValueError as exc:
         raise ConfigError(f"system parameters out of range: {exc}") from None
     gt_max = _require(params, "gt_max")
-    if gt_max < 0:
-        raise ConfigError("gt_max must be non-negative")
+    if not gt_max > 0:
+        raise ConfigError(f"gt_max must be positive, got {gt_max!r}")
     start_excited = _require(params, "start_excited")
     if start_excited not in (0, 1):
         raise ConfigError("start_excited must be 0 (start in |g,0>) or 1 "
@@ -897,7 +897,7 @@ def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
     psi0[space.basis_index(0 if excited else 1, 0)] = 1.0
     n = config.numerics.store_points
     times, psis_full = schrodinger_evolve(h_full, psi0, t_final, n_store=n)
-    _, psis_eff = schrodinger_evolve(lambda t: h_eff, psi0, t_final, n_store=n)
+    _, psis_eff = schrodinger_evolve(h_eff, psi0, t_final, n_store=n)
     fid = np.abs(np.sum(psis_full.conj() * psis_eff, axis=1)) ** 2
     rows = [(reference.g_tilde * t, t, f)
             for t, f in zip(times.tolist(), fid.tolist())]

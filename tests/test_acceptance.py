@@ -176,7 +176,7 @@ def rwa_fidelities():
     # the resonant pair |g,0> <-> |e,1> gives dynamics a control can spoil
     psi0[space.field_dim] = 1.0
     h_eff = effective_H(dressed, space)
-    _, psi_eff = schrodinger_evolve(lambda t: h_eff.matrix, psi0, t_final,
+    _, psi_eff = schrodinger_evolve(h_eff.matrix, psi0, t_final,
                                     n_store=61)
     _, psi_full = schrodinger_evolve(
         interaction_picture_hamiltonian(system, space), psi0, t_final,

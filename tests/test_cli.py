@@ -178,6 +178,8 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     ("rwa_validate", "params.epsilon_over_g=100"),
     ("dress_audit", "params.epsilon_over_g=100"),
     ("rwa_validate", "params.gt_max=-3"),
+    # g~t = 0 would write every row at t = 0
+    ("rwa_validate", "params.gt_max=0"),
     # the initial state is |e,0> or |g,0>; nothing in between
     ("rwa_validate", "params.start_excited=0.5"),
     ("rwa_validate", "params.start_excited=-1"),

@@ -340,6 +340,19 @@ def test_interaction_picture_matches_frame_conjugation():
         np.testing.assert_allclose(h_factory(t), exact.matrix, atol=1e-12)
 
 
+def test_interaction_picture_batch_stacks_the_single_time_matrices():
+    # the integrator asks for all stage times of a step in one call
+    params = integer_params()
+    space = HilbertSpace(n_qubits=1, field_dim=6)
+    h_factory = interaction_picture_hamiltonian(params, space)
+    times = np.array([0.0, 0.123, 0.77, 2.5, 11.0])
+    stack = h_factory(times)
+    assert stack.shape == (5, space.dim, space.dim)
+    assert h_factory(0.77).shape == (space.dim, space.dim)
+    for t, matrix in zip(times, stack):
+        assert np.array_equal(matrix, h_factory(t))
+
+
 @settings(max_examples=50, deadline=None)
 @given(t=st.floats(0.0, 20.0), eta1=st.floats(0.0, 0.6),
        eta2=st.floats(0.0, 0.6), omega=st.floats(0.1, 10.0),

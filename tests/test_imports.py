@@ -44,17 +44,33 @@ def test_no_dead_imports_or_stale_exports():
     assert stale == [], f"__all__ names the package does not define: {stale}"
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # scipy.integrate (which loads scipy.optimize) serves only the time
-    # integrators, and scipy.sparse.csgraph only the direct steady-state
-    # solve, so each is imported inside its callers, not with the package
+def _loaded_after(code: str) -> str:
+    """The scipy.integrate, scipy.optimize and scipy.sparse.csgraph
+    modules loaded after running ``code`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    code = ("import sys, squeezed_lasing.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize', "
-            "'scipy.sparse.csgraph'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy.integrate', 'scipy.optimize', "
+             "'scipy.sparse.csgraph'))))")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # scipy.integrate (which loads scipy.optimize) serves only the
+    # mean-field trajectory and the evolve oracle of the steady state, and
+    # scipy.sparse.csgraph only the direct steady-state solve, so each is
+    # imported inside its callers, not with the package
+    assert _loaded_after("import squeezed_lasing.cli") == "[]"
+
+
+def test_rwa_validate_runs_without_scipy_integrate(tmp_path):
+    # the Schroedinger evolution is the package's own Dormand-Prince loop
+    out = tmp_path / "o"
+    code = ("from squeezed_lasing.cli import main; "
+            f"assert main(['rwa_validate', '--out', {str(out)!r}, "
+            "'--set', 'numerics.field_dim=6', "
+            "'--set', 'params.gt_max=0.2']) == 0")
+    assert _loaded_after(code) == "[]"
+    assert (out / "manifest.json").exists()

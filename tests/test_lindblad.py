@@ -10,7 +10,12 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import splu as scipy_splu
 
-from squeezed_lasing.dressing import DressedCoupling, dress
+from squeezed_lasing.dressing import (
+    DressedCoupling,
+    SystemParams,
+    dress,
+    interaction_picture_hamiltonian,
+)
 from squeezed_lasing.fock import (
     DensityMatrix,
     HilbertSpace,
@@ -433,7 +438,7 @@ def test_evolve_zero_generator_and_store():
     rng = np.random.default_rng(7)
     psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi0 /= np.linalg.norm(psi0)
-    times, psis = schrodinger_evolve(lambda t: np.zeros((3, 3)), psi0, 2.0,
+    times, psis = schrodinger_evolve(np.zeros((3, 3)), psi0, 2.0,
                                      n_store=5)
     assert times.shape == (5,)
     np.testing.assert_allclose(times, np.linspace(0.0, 2.0, 5))
@@ -450,7 +455,7 @@ def test_evolve_coherence_rotation():
     psi = np.zeros(4, dtype=complex)
     psi[:3] = 1 / math.sqrt(3)
     t = 0.7
-    _, psis = schrodinger_evolve(lambda _: h.matrix, psi, t)
+    _, psis = schrodinger_evolve(h.matrix, psi, t)
     final = np.outer(psis[-1], psis[-1].conj())
     levels = np.arange(4)
     expected = np.outer(psi, psi.conj()) * np.exp(
@@ -715,12 +720,116 @@ def test_schrodinger_evolve_rabi():
     omega = 2.1
     h = 0.5 * omega * sigma_x
 
-    times, psis = schrodinger_evolve(lambda t: h.matrix, np.array([0.0, 1.0]),
-                                     3.0, n_store=7)
+    times, psis = schrodinger_evolve(h.matrix, np.array([0.0, 1.0]), 3.0,
+                                     n_store=7)
     for t, psi in zip(times, psis):
         u = expm(-1j * h.matrix * t)
         np.testing.assert_allclose(psi, u @ np.array([0, 1.0]), atol=1e-7)
     with pytest.raises(ValueError):
-        schrodinger_evolve(lambda t: h.matrix, np.array([0.0, 2.0]), 1.0)
+        schrodinger_evolve(h.matrix, np.array([0.0, 2.0]), 1.0)
     with pytest.raises(ValueError, match="t_final"):
-        schrodinger_evolve(lambda t: h.matrix, np.array([0.0, 1.0]), -3.0)
+        schrodinger_evolve(h.matrix, np.array([0.0, 1.0]), -3.0)
+
+
+def test_schrodinger_evolve_zero_time_returns_psi0_at_every_sample():
+    psi0 = np.array([0.6, 0.8j])
+    times, psis = schrodinger_evolve(np.eye(2), psi0, 0.0, n_store=5)
+    assert np.array_equal(times, np.zeros(5))
+    assert psis.shape == (5, 2)
+    for psi in psis:
+        assert np.array_equal(psi, psi0)
+
+
+def test_schrodinger_evolve_rejects_a_bad_hamiltonian():
+    psi0 = np.array([1.0, 0.0])
+    # the batched contract: a callable that ignores the times is refused
+    with pytest.raises(ValueError, match="shape"):
+        schrodinger_evolve(lambda t: np.eye(2), psi0, 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        schrodinger_evolve(np.eye(3), psi0, 1.0)
+    with pytest.raises(ValueError, match="t_final"):
+        schrodinger_evolve(np.eye(2), psi0, math.inf)
+    # a non-finite Hamiltonian fails the minimum-step check, not a loop
+    with pytest.raises(RuntimeError, match="integrator failed"):
+        schrodinger_evolve(np.full((2, 2), np.nan), psi0, 1.0)
+
+
+def _rk45_samples(hamiltonian, psi0, t_final, n_store):
+    """scipy's RK45 on -i H(t) psi with one H(t) per call, sampled as
+    ``schrodinger_evolve`` samples, with the counts of accepted and
+    attempted steps and whether the last step was clipped to t_final."""
+    from scipy.integrate import RK45
+
+    sample_times = np.linspace(0.0, t_final, max(2, n_store))
+    stepper = RK45(lambda t, psi: -1j * (hamiltonian(t) @ psi), 0.0, psi0,
+                   t_final, rtol=1e-8, atol=1e-10)
+    psis, accepted = [psi0], 0
+    while stepper.status == "running":
+        proposed = stepper.h_abs
+        assert stepper.step() is None
+        accepted += 1
+        while (len(psis) < len(sample_times)
+               and sample_times[len(psis)] <= stepper.t + 1e-15):
+            ts = sample_times[len(psis)]
+            psis.append(stepper.dense_output()(ts) if ts < stepper.t
+                        else stepper.y)
+    # six right-hand sides per attempt, plus two for the initial step
+    attempts, spare = divmod(stepper.nfev - 2, 6)
+    assert spare == 0
+    clipped = stepper.t_old + proposed > t_final
+    return (sample_times[:len(psis)], np.asarray(psis), accepted, attempts,
+            clipped)
+
+
+def test_schrodinger_evolve_takes_scipy_rk45_steps_bit_for_bit():
+    # the desk RWA check's Hamiltonian at field_dim 6, over g~t <= 0.5
+    params = SystemParams.at_sidebands(epsilon=250.0, omega=112.5, g=1.0,
+                                       eta1=0.1, eta2=0.2)
+    space = HilbertSpace(n_qubits=1, field_dim=6)
+    hamiltonian = interaction_picture_hamiltonian(params, space)
+    psi0 = np.zeros(space.dim, dtype=complex)
+    psi0[space.basis_index(0, 0)] = 1.0
+    t_final = 0.5 / dress(0.1, 0.2).g_tilde
+    times, psis, accepted, attempts, clipped = _rk45_samples(
+        hamiltonian, psi0, t_final, 11)
+    # the run exercises the rejected-step branch and the clipped last step
+    assert attempts > accepted
+    assert clipped
+    calls = []
+
+    def counted(t):
+        calls.append(np.size(t))
+        return hamiltonian(t)
+
+    new_times, new_psis = schrodinger_evolve(counted, psi0, t_final,
+                                             n_store=11)
+    assert np.array_equal(new_times, times)
+    assert np.array_equal(new_psis, psis)
+    # one call at the five stage times of each attempt, two to start
+    assert calls == [1, 1] + [5] * attempts
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       t_final=st.floats(0.05, 4.0), n_store=st.integers(2, 9))
+def test_schrodinger_evolve_matches_scipy_rk45_property(dim, seed, t_final,
+                                                        n_store):
+    # H(t) = sum_k cos(w_k t + phi_k) M_k over a random Hermitian 4-stack
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
+    stack = (m + np.conj(np.swapaxes(m, 1, 2))).reshape(4, -1)
+    freqs = rng.uniform(0.0, 40.0, size=4)
+    phases = rng.uniform(0.0, 2 * np.pi, size=4)
+
+    def hamiltonian(t):
+        t = np.asarray(t, dtype=float)
+        weights = np.cos(t[..., np.newaxis] * freqs + phases)
+        return (weights @ stack).reshape(t.shape + (dim, dim))
+
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    times, psis, *_ = _rk45_samples(hamiltonian, psi0, t_final, n_store)
+    new_times, new_psis = schrodinger_evolve(hamiltonian, psi0, t_final,
+                                             n_store=n_store)
+    assert np.array_equal(new_times, times)
+    np.testing.assert_allclose(new_psis, psis, rtol=0, atol=1e-13)
