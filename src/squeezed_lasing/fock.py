@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 
 class InvalidStateError(ValueError):
@@ -193,6 +192,8 @@ def qubit_ops(space: HilbertSpace, which: int) -> tuple[Operator, Operator, Oper
 
 
 def matrix_exponential(op: Operator) -> Operator:
+    import scipy.linalg
+
     result = scipy.linalg.expm(op.matrix)
     if not np.all(np.isfinite(result)):
         raise FloatingPointError("matrix exponential produced non-finite entries")

@@ -54,11 +54,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .dressing import DressedCoupling
 from .fock import (
@@ -69,6 +67,9 @@ from .fock import (
     annihilation,
     qubit_ops,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Dense SVD screening for nonunique steady states is affordable only on
 # small systems; larger models in scope are known to be ergodic.  Past
@@ -295,6 +296,8 @@ def _generator_entries(me: MasterEquation, sector: _Sector):
     G = -iH - sum_k rate_k O_k^dag O_k; each term is a sandwich.  The
     sector must be closed under L, which the charge checks guarantee.
     """
+    import scipy.sparse as sp
+
     d = me.space.dim
     eye = sp.identity(d, dtype=complex, format="coo")
     g = -1j * sp.csr_matrix(me.hamiltonian.matrix)
@@ -312,6 +315,8 @@ def _generator_entries(me: MasterEquation, sector: _Sector):
 def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
     """Sparse matrix L with vec(rhs(rho)) = L vec(rho), over all d^2
     entries whatever the charge."""
+    import scipy.sparse as sp
+
     d = me.space.dim
     rows, cols, vals = _generator_entries(me, _Sector(np.zeros(d, dtype=int)))
     return Liouvillian(matrix=sp.csc_matrix((vals, (rows, cols)),
@@ -342,6 +347,8 @@ class _HermitianCoordinates:
         coordinates, so it contributes c to x_re and i s c to x_im; its
         row keeps the real or the imaginary part of each.
         """
+        import scipy.sparse as sp
+
         n = self.sector.n
         rows, cols, vals = _generator_entries(me, self.sector)
         below = self.side[rows] > 0
@@ -556,7 +563,18 @@ def _screen_uniqueness(lmat: sp.spmatrix):
             f"{svals[-2] / scale:.2e}); stationary state is not unique")
 
 
+def splu(matrix: sp.csc_matrix):
+    """scipy's SuperLU factorisation of ``matrix``.  The steady-state
+    solve looks it up here, so SuperLU loads on the first solve."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(matrix)
+
+
 def _steady_direct(me: MasterEquation) -> DensityMatrix:
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     d = me.space.dim
     if d <= UNIQUENESS_SCREEN_MAX_DIM:
         _screen_uniqueness(liouvillian_matrix(me).matrix)
@@ -581,8 +599,6 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
     # Only the coordinates that the trace row reaches can be nonzero: the
     # rest form blocks with a zero right-hand side, so factor the block of
     # row 0 alone and leave the others at 0.
-    from scipy.sparse.csgraph import connected_components
-
     _, component = connected_components(bordered, connection="weak")
     live = np.flatnonzero(component == component[0])
     b = np.zeros(live.size)
@@ -664,6 +680,8 @@ def _exchange(mode: Operator, sigma: Operator) -> np.ndarray:
     """mode^dag sigma^dag + mode sigma, each product formed from sparse
     factors.  A ladder times a qubit operator has one nonzero product per
     entry, so this equals the dense product entry for entry."""
+    import scipy.sparse as sp
+
     m = sp.csr_matrix(mode.matrix)
     s = sp.csr_matrix(sigma.matrix)
     return (m.conj().T @ s.conj().T).toarray() + (m @ s).toarray()

@@ -92,6 +92,8 @@ SCENARIO_NAMES = (
     "wigner_panels",
     "mf_compare",
 )
+# the two that read the drives and solve no steady state
+_DRIVE_SCENARIOS = ("dress_audit", "rwa_validate")
 
 # every parameter key a config or a sweep axis may reference
 PARAM_KEYS = frozenset({
@@ -492,17 +494,19 @@ def resolve_point(params: dict, model: str) -> ResolvedPoint:
 @dataclass(frozen=True)
 class ResolvedDrives:
     """What ``dress_audit`` and ``rwa_validate`` read: the system, its
-    coupling dressed at the bare g, and the RWA run's length and start."""
+    coupling dressed at the bare g, and the RWA run's length and start.
+    ``t_final`` = gt_max / g~ is set for ``rwa_validate`` only."""
 
     system: SystemParams
     reference: DressedCoupling
     gt_max: float
     start_excited: float
+    t_final: float | None = None
 
 
-def _resolve_drives(params: dict) -> ResolvedDrives:
+def _resolve_drives(params: dict, evolve: bool) -> ResolvedDrives:
     """The checked drives, at absolute frequencies for the Hamiltonian
-    builders.
+    builders, and with ``evolve`` the length of the RWA run.
 
     The dimensionless pair is in units of g (g = 1).  GHz inputs are
     ordinary frequencies; the 2*pi enters here and only here, leaving
@@ -525,16 +529,20 @@ def _resolve_drives(params: dict) -> ResolvedDrives:
     if start_excited not in (0, 1):
         raise ConfigError("start_excited must be 0 (start in |g,0>) or 1 "
                           f"(start in |e,0>), got {start_excited!r}")
-    return ResolvedDrives(system, _dress(eta1, eta2, g=g), gt_max,
-                          start_excited)
+    reference = _dress(eta1, eta2, g=g)
+    t_final = None
+    if evolve:  # a small g~ can carry gt_max / g~ past the float range
+        [t_final] = _finite("t_final = gt_max / g_tilde",
+                            gt_max / reference.g_tilde)
+    return ResolvedDrives(system, reference, gt_max, start_excited, t_final)
 
 
 def _resolve_run(config: RunConfig) -> tuple:
     """The record of each operation of a run: each sweep point, each
     Wigner panel's C', or the drives of a scenario that solves nothing."""
     params, scenario = config.params, config.scenario
-    if scenario in ("dress_audit", "rwa_validate"):
-        return (_resolve_drives(params),)
+    if scenario in _DRIVE_SCENARIOS:
+        return (_resolve_drives(params, scenario == "rwa_validate"),)
     if scenario == "wigner_panels":
         panels = [resolve_point(params, "effective")]
         alt = _require(params, "c_prime_alt")
@@ -887,17 +895,17 @@ def _run_dress_audit(config: RunConfig) -> ScenarioOutput:
 
 def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
     [drives] = config.points
-    system, reference, gt_max = drives.system, drives.reference, drives.gt_max
+    system, reference = drives.system, drives.reference
     space = HilbertSpace(n_qubits=1, field_dim=config.numerics.field_dim)
-    t_final = gt_max / reference.g_tilde
     h_full = interaction_picture_hamiltonian(system, space)
     h_eff = effective_H(reference, space).matrix
     psi0 = np.zeros(space.dim, dtype=complex)
     excited = drives.start_excited == 1
     psi0[space.basis_index(0 if excited else 1, 0)] = 1.0
     n = config.numerics.store_points
-    times, psis_full = schrodinger_evolve(h_full, psi0, t_final, n_store=n)
-    _, psis_eff = schrodinger_evolve(h_eff, psi0, t_final, n_store=n)
+    times, psis_full = schrodinger_evolve(h_full, psi0, drives.t_final,
+                                          n_store=n)
+    _, psis_eff = schrodinger_evolve(h_eff, psi0, drives.t_final, n_store=n)
     fid = np.abs(np.sum(psis_full.conj() * psis_eff, axis=1)) ** 2
     rows = [(reference.g_tilde * t, t, f)
             for t, f in zip(times.tolist(), fid.tolist())]
@@ -912,7 +920,7 @@ def _run_rwa_validate(config: RunConfig) -> ScenarioOutput:
         "initial_state": "e0" if excited else "g0",
     }
     log.info("RWA fidelity over g~t <= %.3g: min %.6f, final %.6f",
-             gt_max, fid.min(), fid[-1])
+             drives.gt_max, fid.min(), fid[-1])
     return out
 
 
@@ -1009,14 +1017,16 @@ _BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
 
 def _blas_thread_controls() -> list[tuple]:
     """One ``(get, set)`` pair of thread-count functions per OpenBLAS that
-    numpy and scipy loaded; empty for a BLAS without them (MKL, Accelerate)."""
+    numpy and scipy loaded; empty for a BLAS without them (MKL, Accelerate).
+    scipy's counts only once ``scipy.linalg`` has loaded it."""
     import ctypes
+    import sys
 
     import numpy.linalg._umath_linalg as numpy_lapack
-    import scipy.linalg._fblas as scipy_blas
 
+    modules = [numpy_lapack, sys.modules.get("scipy.linalg._fblas")]
     controls = []
-    for module in (numpy_lapack, scipy_blas):
+    for module in filter(None, modules):
         lib = ctypes.CDLL(module.__file__)
         for pattern in _BLAS_THREAD_SYMBOLS:
             get = getattr(lib, pattern.format("get"), None)
@@ -1054,7 +1064,14 @@ def _one_blas_thread():
 
 def run_scenario(config: RunConfig) -> ScenarioOutput:
     """Execute one scenario, on one BLAS thread, and return its in-memory
-    products."""
+    products.
+
+    ``dress_audit`` and ``rwa_validate`` run on numpy alone.  Every other
+    scenario loads scipy's sparse LU, and with it scipy's OpenBLAS, first,
+    so that ``_one_blas_thread`` pins that library's threads as well.
+    """
+    if config.scenario not in _DRIVE_SCENARIOS:
+        import scipy.sparse.linalg  # noqa: F401
     with _one_blas_thread():
         if config.scenario == "dress_audit":
             return _run_dress_audit(config)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .fock import DensityMatrix, InvalidStateError, annihilation, expectation
 from .gaussian import GaussianState
@@ -155,6 +154,8 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     Laguerre recurrence gives f_n = -[(2n - 1 + delta - r^2) f_{n-1}
     + sqrt((n - 1)(n - 1 + delta)) f_{n-2}] / sqrt(n (n + delta)).
     """
+    from scipy.special import xlogy
+
     if rho_A.space.n_qubits != 0:
         raise ValueError("wigner_from_density needs a field-only state; "
                          "trace out the qubits first")

@@ -7,6 +7,9 @@ from squeezed_lasing.scenarios import _one_blas_thread
 def one_blas_thread():
     """Run every test's numerics on one BLAS thread, as ``simulate`` runs a
     scenario's: library calls made outside ``run_scenario`` would otherwise
-    wake OpenBLAS's default thread pool for small dense products."""
+    wake OpenBLAS's default thread pool for small dense products.  scipy's
+    OpenBLAS is loaded first, so that its threads are pinned as well."""
+    import scipy.linalg  # noqa: F401
+
     with _one_blas_thread():
         yield

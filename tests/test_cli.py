@@ -256,7 +256,9 @@ def test_zero_ghz_divisor_is_named(tmp_path, scenario, key):
     # g~ = sqrt(C~ kappa (1 + C')) overflows to inf
     ("desk", "squeezed_laser",
      ["params.c_tilde=1e300", "params.kappa_over_gamma=1e300"]),
-], ids=["kappa_over_gamma", "g_tilde"])
+    # the RWA run's length gt_max / g~ overflows to inf
+    ("desk", "rwa_validate", ["params.gt_max=1e308"]),
+], ids=["kappa_over_gamma", "g_tilde", "t_final"])
 def test_derived_value_past_the_float_range_exits_2(tmp_path, preset,
                                                     scenario, fragments):
     argv = [scenario, "--preset", preset, "--out", str(tmp_path / "o")]
@@ -269,6 +271,12 @@ def test_derived_value_past_the_float_range_exits_2(tmp_path, preset,
         overrides = _merge(overrides, parse_set_override(item))
     with pytest.raises(ConfigError, match="finite"):
         build_config(scenario, preset=preset, overrides=overrides)
+
+
+def test_dress_audit_accepts_a_gt_max_it_never_reads(tmp_path):
+    # only the RWA run divides gt_max by g~
+    assert main(["dress_audit", "--out", str(tmp_path / "o"),
+                 "--set", "params.gt_max=1e308"]) == 0
 
 
 @pytest.mark.parametrize("scenario, table, fragments", [

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from squeezed_lasing.dressing import (
     DegenerateDressingError,
     DressedCoupling,
     SystemParams,
+    _bessel_j,
     dress,
     effective_H,
     frame_unitary,
@@ -68,17 +70,71 @@ def sideband_series_hamiltonian(params, space, cutoff):
 def test_bessel_trivial_values():
     # with the first drive off, J_0(0) = 1 and J_m(0) = 0 make every
     # sideband weight with m1 != 0 vanish exactly
+    assert _bessel_j(3, 0.0) == [1.0, 0.0, 0.0, 0.0]
     params = SystemParams.at_sidebands(epsilon=20.0, omega=9.0, g=0.05,
                                        eta1=0.0, eta2=0.2)
     report = resonance_audit(params, max_index=3, g_threshold=math.inf)
     terms = report.kept_terms + report.spurious_terms
     assert len(terms) == 2 * 7 * 7
+    second = _bessel_j(3, 0.4)
     for term in terms:
         m1, m2 = term.indices
         if m1 == 0:
-            assert term.weight == abs(jv(m2, 0.4))
+            assert term.weight == abs(second[abs(m2)])
         else:
             assert term.weight == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(-30, 30), x=st.floats(-60.0, 60.0))
+def test_bessel_routine_matches_scipy(n, x):
+    # the last order of a call for all orders up to |n|; J_-n = (-1)^n J_n
+    value = _bessel_j(abs(n), x)[-1]
+    if n < 0 and n % 2:
+        value = -value
+    expected = float(jv(n, x))
+    assert abs(value - expected) <= 2e-15
+    # past the turning point J_n decays fast, so check it relatively
+    if abs(n) > abs(x) + 3 and abs(expected) >= 1e-290:
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def test_bessel_routine_returns_every_order_of_one_call():
+    for x in (0.0, 1e-9, 0.4, 24.0, 25.5, 31.0):
+        whole = _bessel_j(30, x)
+        assert len(whole) == 31
+        assert [_bessel_j(n, x)[n] for n in (0, 1, 7)] == pytest.approx(
+            [whole[0], whole[1], whole[7]], rel=1e-14, abs=1e-300)
+    with pytest.raises(ValueError):
+        _bessel_j(-1, 0.4)
+    with pytest.raises(ValueError):
+        _bessel_j(2, math.inf)
+
+
+@pytest.mark.parametrize("x", [1e3, 4.2e7, 1.2345678901e20, 3.3e54, 1e100,
+                               7.77e200, 1e300])
+def test_bessel_routine_at_huge_arguments(x):
+    # Hankel's expansion with the phase from cos x and sin x; scipy's jv
+    # itself is off here (by up to 1.85 times the amplitude from x ~ 1e15
+    # on), so the reference is 400-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+
+    def timed():
+        start = time.perf_counter()
+        return _bessel_j(30, x), time.perf_counter() - start
+
+    runs = [timed() for _ in range(3)]
+    assert min(seconds for _, seconds in runs) < 1e-3
+    values = runs[0][0]
+    assert all(map(math.isfinite, values))
+    # J_0^2 + J_1^2 = 2/(pi x) (1 + O(1/x)): the correction is sin(2x)/(2x)
+    assert abs((values[0]**2 + values[1]**2) * math.pi * x / 2 - 1) \
+        <= max(1e-10, 1 / x)
+    amplitude = math.sqrt(2 / (math.pi * x))
+    with mpmath.workdps(400):
+        for n in (0, 1, 30):
+            exact = float(mpmath.besselj(n, mpmath.mpf(x)))
+            assert abs(values[n] - exact) <= 1e-15 * amplitude
 
 
 def test_bessel_against_series_oracle():

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import squeezed_lasing
 
 PACKAGE = Path(squeezed_lasing.__file__).resolve().parent
@@ -44,33 +46,58 @@ def test_no_dead_imports_or_stale_exports():
     assert stale == [], f"__all__ names the package does not define: {stale}"
 
 
-def _loaded_after(code: str) -> str:
-    """The scipy.integrate, scipy.optimize and scipy.sparse.csgraph
-    modules loaded after running ``code`` in a fresh interpreter."""
+# the scipy subpackages a run loads only where it solves with them
+_WATCHED = ("scipy.integrate", "scipy.linalg", "scipy.optimize",
+            "scipy.sparse", "scipy.special")
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The packages of ``_WATCHED`` that have a module loaded after running
+    ``code`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    code += ("; import sys; print(sorted(m for m in sys.modules "
-             "if m.startswith(('scipy.integrate', 'scipy.optimize', "
-             "'scipy.sparse.csgraph'))))")
+    code += ("; import sys; print(' '.join(sorted({w for w in "
+             f"{_WATCHED!r} for m in sys.modules "
+             "if m == w or m.startswith(w + '.')})))")
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+                          capture_output=True, text=True).stdout.split()
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # scipy.integrate (which loads scipy.optimize) serves only the
-    # mean-field trajectory and the evolve oracle of the steady state, and
-    # scipy.sparse.csgraph only the direct steady-state solve, so each is
-    # imported inside its callers, not with the package
-    assert _loaded_after("import squeezed_lasing.cli") == "[]"
+def _run_code(scenario: str, out: Path, *settings: str) -> str:
+    argv = [scenario, "--out", str(out)]
+    for item in settings:
+        argv += ["--set", item]
+    return f"from squeezed_lasing.cli import main; assert main({argv!r}) == 0"
 
 
-def test_rwa_validate_runs_without_scipy_integrate(tmp_path):
-    # the Schroedinger evolution is the package's own Dormand-Prince loop
+def test_cli_import_leaves_scipy_subpackages_out():
+    # each scipy subpackage is imported inside the functions that solve
+    # with it, not with the package
+    assert _loaded_after("import squeezed_lasing.cli") == []
+
+
+@pytest.mark.parametrize("scenario, settings", [
+    # the Bessel weights are the package's own, and the Schroedinger
+    # evolution is its own Dormand-Prince loop
+    ("rwa_validate", ["numerics.field_dim=6", "params.gt_max=0.2"]),
+    ("dress_audit", []),
+], ids=["rwa_validate", "dress_audit"])
+def test_drive_scenarios_run_on_numpy_alone(tmp_path, scenario, settings):
     out = tmp_path / "o"
-    code = ("from squeezed_lasing.cli import main; "
-            f"assert main(['rwa_validate', '--out', {str(out)!r}, "
-            "'--set', 'numerics.field_dim=6', "
-            "'--set', 'params.gt_max=0.2']) == 0")
-    assert _loaded_after(code) == "[]"
+    assert _loaded_after(_run_code(scenario, out, *settings)) == []
     assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("scenario, settings, loaded", [
+    ("single_laser", ["numerics.field_dim=6"],
+     ["scipy.linalg", "scipy.sparse"]),
+    # the Wigner kernel adds scipy.special
+    ("wigner_panels", ["numerics.field_dim=16", "numerics.grid_points=25"],
+     ["scipy.linalg", "scipy.sparse", "scipy.special"]),
+], ids=["single_laser", "wigner_panels"])
+def test_steady_state_scenarios_load_what_they_solve_with(
+        tmp_path, scenario, settings, loaded):
+    # the probe above sees these packages once a run uses them
+    assert _loaded_after(_run_code(scenario, tmp_path / "o",
+                                   *settings)) == loaded

@@ -1,7 +1,12 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -785,6 +790,9 @@ class TestOneBlasThread:
 
     @pytest.fixture()
     def controls(self):
+        # scipy's OpenBLAS loads with scipy.linalg, whichever test ran first
+        import scipy.linalg  # noqa: F401
+
         # the caller runs two threads on each library during the test
         controls = scenarios._blas_thread_controls()
         if not controls:
@@ -848,6 +856,37 @@ class TestOneBlasThread:
             run_scenario(cfg)
         assert seen == [[1, 1]]
         assert self._counts(controls) == [2, 2]
+
+    def test_a_fresh_run_pins_scipys_library_too(self):
+        # a fresh interpreter has not loaded scipy's OpenBLAS when
+        # run_scenario starts; a steady-state scenario loads it first, so
+        # the first LU already sees one thread in both libraries
+        code = textwrap.dedent("""
+            import json
+            from squeezed_lasing import lindblad, scenarios
+            counts = lambda: [get() for get, _ in
+                              scenarios._blas_thread_controls()]
+            seen, factor = [], lindblad.splu
+            def recording(matrix):
+                seen.append(counts())
+                return factor(matrix)
+            lindblad.splu = recording
+            scenarios.run_scenario(scenarios.build_config(
+                "single_laser", overrides={"numerics": {"field_dim": 6}}))
+            print(json.dumps([seen[0], counts()]))
+        """)
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        during, after = json.loads(run.stdout)
+        if not after:
+            pytest.skip("this BLAS exports no OpenBLAS thread controls")
+        assert during == [1, 1]
+        assert after == [2, 2]
 
     def test_without_controls_it_changes_nothing(self, controls, monkeypatch):
         # an MKL or Accelerate build exports none of the OpenBLAS names
