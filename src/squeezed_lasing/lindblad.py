@@ -28,15 +28,17 @@ each jump operator shifts by one fixed amount, modulo 2 for the Z2
 parity of the squeezed models and exactly for the U(1) charge of the
 plain laser.  The generator then maps the pairs (i, j) with equal charge
 onto themselves, and the direct steady-state solve runs on that sector
-alone, assembled from the operators' nonzeros.
+alone.  One d x d table numbers its pairs column by column (-1 off the
+sector); each generator term joins two operators' nonzeros on equal
+charge and looks the pairs up in it.
 
 The generator also maps Hermitian matrices to Hermitian matrices, so on
 the sector it is a real linear map.  The direct solve factors it in real
-Hermitian coordinates: one unknown rho_ii per diagonal pair and two,
-Re rho_ij and Im rho_ij, per pair i < j.  That is as many real unknowns
-as the sector has complex ones, and the bordered system is a real sparse
-matrix.  ``liouvillian_matrix`` still returns the complex generator over
-all d^2 entries, which the oracles use.
+Hermitian coordinates, numbered as the pairs: Re rho_ij for i <= j and
+Im rho_ij for i > j, so the bordered system is a real sparse matrix with
+as many unknowns as the sector has pairs.  ``liouvillian_matrix`` reads
+the same table over all d^2 pairs for the complex generator, which the
+oracles use.
 
 At resonance every model is real in the gauge |n> -> i^n |n> of the
 photon number n: there -iH and each jump operator (up to a phase) are
@@ -233,110 +235,57 @@ def _unvec(y: np.ndarray, d: int) -> np.ndarray:
     return y.reshape((d, d), order="F")
 
 
-class _Sector:
-    """The pairs (i, j) of basis states with equal labels, numbered in
-    column-major order: column j holds the states of j's block, ascending.
+class _SectorCoordinates:
+    """The pairs (i, j) of basis states with equal labels, and the real
+    coordinates of the Hermitian matrices on them.
 
-    With one label for every state this is the full column-major vec
-    index i + d j.
+    ``index[i, j]`` numbers the pairs in column-major order, -1 outside
+    the sector; with one label for every state it is the vec index
+    i + d j.  Coordinate k of pair (i, j) is Re rho_ij for i <= j and
+    Im rho_ij for i > j.  With m = mirror[k] the number of the pair
+    (j, i), rho_ij = x_k - i x_m above the diagonal and x_m + i x_k below
+    it.
     """
 
     def __init__(self, labels: np.ndarray):
-        d = labels.size
-        _, self.block, self.size = np.unique(labels, return_inverse=True,
-                                             return_counts=True)
-        # basis states grouped block by block, ascending within a block
-        self.members = np.argsort(self.block, kind="stable")
-        self.first = np.cumsum(self.size) - self.size
-        self.rank = np.empty(d, dtype=np.int64)  # place within the block
-        self.rank[self.members] = np.arange(d) - np.repeat(self.first,
-                                                           self.size)
-        self.height = self.size[self.block]  # pairs in column j
-        self.col_start = np.cumsum(self.height) - self.height
-        self.n = int(self.height.sum())
-
-    def index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Sector index of the pairs (i, j); each i must share j's block."""
-        return self.col_start[j] + self.rank[i]
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, columns) of every sector pair, in sector order."""
-        cols = np.repeat(np.arange(self.block.size), self.height)
-        rows = self.members[np.repeat(self.first[self.block] - self.col_start,
-                                      self.height) + np.arange(self.n)]
-        return rows, cols
-
-    def sandwich(self, a: sp.coo_matrix, b: sp.coo_matrix):
-        """(rows, columns, values) of rho -> A rho B^dag within the sector.
-
-        A_ip conj(B_jq) maps pair (p, q) to pair (i, j); every nonzero of A
-        meets every nonzero of B whose row shares its row's block.  A and
-        B must shift the labels by the same amount, so (p, q) is then a
-        sector pair as well.
-        """
-        b_block = self.block[b.row]
-        b_sorted = np.argsort(b_block, kind="stable")
-        b_count = np.bincount(b_block, minlength=self.size.size)
-        b_first = np.cumsum(b_count) - b_count
-        a_block = self.block[a.row]
-        reps = b_count[a_block]
-        ka = np.repeat(np.arange(a.nnz), reps)
-        kb = b_sorted[np.repeat(b_first[a_block] - (np.cumsum(reps) - reps),
-                                reps) + np.arange(reps.sum())]
-        return (self.index(a.row[ka], b.row[kb]),
-                self.index(a.col[ka], b.col[kb]),
-                a.data[ka] * b.data[kb].conj())
-
-
-def _generator_entries(me: MasterEquation, sector: _Sector):
-    """(rows, columns, values) of the generator on the sector pairs, built
-    from the operators' nonzeros; repeated positions add up.
-
-    L rho = G rho + rho G^dag + sum_k 2 rate_k O_k rho O_k^dag with
-    G = -iH - sum_k rate_k O_k^dag O_k; each term is a sandwich.  The
-    sector must be closed under L, which the charge checks guarantee.
-    """
-    import scipy.sparse as sp
-
-    d = me.space.dim
-    eye = sp.identity(d, dtype=complex, format="coo")
-    g = -1j * sp.csr_matrix(me.hamiltonian.matrix)
-    sandwiches = []
-    for term in me.terms:
-        o = sp.csr_matrix(term.jump.matrix)
-        g = g - term.rate * (o.conj().T @ o)
-        sandwiches.append(((2.0 * term.rate) * o.tocoo(), o.tocoo()))
-    g = g.tocoo()
-    parts = [sector.sandwich(a, b)
-             for a, b in [(g, eye), (eye, g), *sandwiches]]
-    return tuple(np.concatenate(x) for x in zip(*parts))
-
-
-def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
-    """Sparse matrix L with vec(rhs(rho)) = L vec(rho), over all d^2
-    entries whatever the charge."""
-    import scipy.sparse as sp
-
-    d = me.space.dim
-    rows, cols, vals = _generator_entries(me, _Sector(np.zeros(d, dtype=int)))
-    return Liouvillian(matrix=sp.csc_matrix((vals, (rows, cols)),
-                                            shape=(d * d, d * d)),
-                       space=me.space)
-
-
-class _HermitianCoordinates:
-    """Real coordinates of the Hermitian matrices on a sector.
-
-    Coordinate k of sector pair (i, j) is Re rho_ij for i <= j and
-    Im rho_ij for i > j.  With m the index of the mirror pair (j, i),
-    rho_ij = x_k - i x_m above the diagonal and x_m + i x_k below it.
-    """
-
-    def __init__(self, sector: _Sector):
-        self.sector = sector
-        self.rows, self.cols = sector.pairs()
-        self.mirror = sector.index(self.cols, self.rows)
+        self.labels = labels
+        # the equal-label mask is symmetric, so its row-major nonzeros
+        # list the pairs column by column
+        self.cols, self.rows = np.nonzero(labels[:, None] == labels)
+        self.n = self.rows.size
+        self.index = np.full((labels.size,) * 2, -1)
+        self.index[self.rows, self.cols] = np.arange(self.n)
+        self.mirror = self.index[self.cols, self.rows]
         self.side = np.sign(self.rows - self.cols)  # +1 below, -1 above
+
+    def entries(self, me: MasterEquation):
+        """(rows, columns, values) of the generator on the sector pairs,
+        built from the operators' nonzeros; repeated positions add up.
+
+        L rho = G rho + rho G^dag + sum_k 2 rate_k O_k rho O_k^dag with
+        G = -iH - sum_k rate_k O_k^dag O_k.  In each sandwich A rho B^dag,
+        A_ip conj(B_jq) maps pair (p, q) to pair (i, j) when i and j share
+        a label; A and B shift the labels alike, which the charge checks
+        guarantee, so (p, q) is then a sector pair as well.
+        """
+        import scipy.sparse as sp
+
+        eye = sp.identity(self.labels.size, dtype=complex, format="coo")
+        g = -1j * sp.csr_matrix(me.hamiltonian.matrix)
+        sandwiches = []
+        for term in me.terms:
+            o = sp.csr_matrix(term.jump.matrix)
+            g = g - term.rate * (o.conj().T @ o)
+            sandwiches.append(((2.0 * term.rate) * o.tocoo(), o.tocoo()))
+        g = g.tocoo()
+        parts = []
+        for a, b in [(g, eye), (eye, g), *sandwiches]:
+            ka, kb = np.nonzero(self.labels[a.row][:, None]
+                                == self.labels[b.row])
+            parts.append((self.index[a.row[ka], b.row[kb]],
+                          self.index[a.col[ka], b.col[kb]],
+                          a.data[ka] * b.data[kb].conj()))
+        return tuple(np.concatenate(x) for x in zip(*parts))
 
     def generator(self, me: MasterEquation) -> sp.csc_matrix:
         """The sector generator as a real matrix: row k is the part of
@@ -349,8 +298,7 @@ class _HermitianCoordinates:
         """
         import scipy.sparse as sp
 
-        n = self.sector.n
-        rows, cols, vals = _generator_entries(me, self.sector)
+        rows, cols, vals = self.entries(me)
         below = self.side[rows] > 0
         s = self.side[cols]
         re_col = np.where(s > 0, self.mirror[cols], cols)
@@ -361,14 +309,30 @@ class _HermitianCoordinates:
         keep = data != 0
         rows = np.concatenate([rows, rows])[keep]
         cols = np.concatenate([re_col, im_col])[keep]
-        return sp.csc_matrix((data[keep], (rows, cols)), shape=(n, n))
+        return sp.csc_matrix((data[keep], (rows, cols)),
+                             shape=(self.n, self.n))
 
     def hermitian(self, x: np.ndarray) -> np.ndarray:
-        """rho_ij of every sector pair from the real coordinates x."""
+        """The d x d matrix rho, 0 off the sector, from its real
+        coordinates x."""
         re = np.where(self.side > 0, x[self.mirror], x)
         im = np.where(self.side > 0, x, -x[self.mirror])
         im[self.side == 0] = 0.0
-        return re + 1j * im
+        m = np.zeros(self.index.shape, dtype=complex)
+        m[self.rows, self.cols] = re + 1j * im
+        return m
+
+
+def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
+    """Sparse matrix L with vec(rhs(rho)) = L vec(rho), over all d^2
+    entries whatever the charge."""
+    import scipy.sparse as sp
+
+    d = me.space.dim
+    rows, cols, vals = _SectorCoordinates(np.zeros(d, dtype=int)).entries(me)
+    return Liouvillian(matrix=sp.csc_matrix((vals, (rows, cols)),
+                                            shape=(d * d, d * d)),
+                       space=me.space)
 
 
 def _step_invariants(y: np.ndarray, d: int, diag_idx: np.ndarray, where: str):
@@ -580,22 +544,18 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
         _screen_uniqueness(liouvillian_matrix(me).matrix)
     # the stationary state lies in the equal-charge sector, which the
     # generator maps onto itself, and is Hermitian
-    sector = _Sector(me._labels())
-    coords = _HermitianCoordinates(sector)
+    coords = _SectorCoordinates(me._labels())
     lmat = coords.generator(me)
     # the diagonal coordinates are the populations, so they carry the trace
-    diagonal = sector.index(np.arange(d), np.arange(d))
+    diagonal = coords.index.diagonal()
     _check_trace_null(lmat, diagonal)
     # Sector row 0 is pair (0, 0) and carries d(rho_00)/dt.  Trace
     # preservation makes the diagonal rows sum to zero, so replacing this
     # one row keeps full rank and pinning tr(rho) = 1 there makes the
     # bordered system square.
-    coo = lmat.tocoo()
-    keep = coo.row != 0
-    rows = np.concatenate([coo.row[keep], np.zeros(d, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], diagonal])
-    data = np.concatenate([coo.data[keep], np.ones(d)])
-    bordered = sp.csc_matrix((data, (rows, cols)), shape=lmat.shape)
+    trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int),
+                                            diagonal)), shape=(1, coords.n))
+    bordered = sp.vstack([trace_row, lmat[1:]], format="csc")
     # Only the coordinates that the trace row reaches can be nonzero: the
     # rest form blocks with a zero right-hand side, so factor the block of
     # row 0 alone and leave the others at 0.
@@ -603,7 +563,7 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
     live = np.flatnonzero(component == component[0])
     b = np.zeros(live.size)
     b[0] = 1.0
-    y = np.zeros(sector.n)
+    y = np.zeros(coords.n)
     y[live] = splu(bordered[live][:, live]).solve(b)
     residual = np.max(np.abs(lmat @ y))
     scale = max(1.0, abs(lmat).max())
@@ -612,10 +572,9 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
             f"bordered solve left a generator residual of {residual:.2e}; "
             "the stationary state is not unique or the solve is "
             "ill-conditioned")
-    m = np.zeros((d, d), dtype=complex)
-    m[coords.rows, coords.cols] = coords.hermitian(y)
     try:
-        return _state_from_matrix(m, me.space, blocks=sector.block)
+        return _state_from_matrix(coords.hermitian(y), me.space,
+                                  blocks=coords.labels)
     except InvalidStateError as exc:
         raise DegenerateSteadyStateError(
             f"bordered solve returned an invalid state: {exc}") from exc

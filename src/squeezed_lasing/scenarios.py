@@ -395,7 +395,11 @@ def _pick(params: dict, keys: tuple, ghz_keys: tuple, derive,
 
 
 def _dress(eta1: float, eta2: float, g: float = 1.0) -> DressedCoupling:
-    """``dress``, with balanced drive depths reported as bad configuration."""
+    """``dress``, with negative or balanced drive depths reported as bad
+    configuration."""
+    if eta1 < 0 or eta2 < 0:
+        raise ConfigError("parameters out of range: eta1 and eta2 must be "
+                          f"non-negative, got {eta1!r} and {eta2!r}")
     try:
         return dress(eta1, eta2, g=g)
     except DegenerateDressingError as exc:

@@ -191,6 +191,9 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     ("rwa_validate", "params.eta1=0.2"),
     ("squeezed_laser", "params.eta1=0.2"),
     ("two_qubit_full", "params.eta1=0.2"),
+    # a drive depth is a modulation amplitude, never negative
+    ("squeezed_laser", "params.eta1=-0.1"),
+    ("two_qubit_full", "params.eta2=-0.2"),
     # rates are in units of gamma and frequencies in units of g, both 1,
     # and the drives sit on the sidebands: none of these is a parameter
     ("single_laser", "params.gamma=2"),
@@ -211,10 +214,8 @@ def test_out_of_range_physics_exits_2(tmp_path, scenario, fragment):
         build_config(scenario, overrides=parse_set_override(fragment))
 
 
-def test_bad_value_inside_a_sweep_range_exits_2_before_any_solve(
-        tmp_path, monkeypatch):
-    # eta1 = 0.2 balances eta2 and eta1 = 0.3 dresses the swapped branch;
-    # eta1 = 0.1 alone would solve
+def record_solves(monkeypatch) -> list:
+    """Patch scenarios.steady_state to record the arguments of each call."""
     import squeezed_lasing.scenarios as scen
     solves = []
     real = scen.steady_state
@@ -224,11 +225,39 @@ def test_bad_value_inside_a_sweep_range_exits_2_before_any_solve(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scen, "steady_state", counting)
+    return solves
+
+
+def test_bad_value_inside_a_sweep_range_exits_2_before_any_solve(
+        tmp_path, monkeypatch):
+    # eta1 = 0.2 balances eta2 and eta1 = 0.3 dresses the swapped branch;
+    # eta1 = 0.1 alone would solve
+    solves = record_solves(monkeypatch)
     out = tmp_path / "o"
     assert main(["two_qubit_full", "--out", str(out),
                  "--set", "numerics.field_dim=8",
                  "--set", "sweep.param=eta1", "--set", "sweep.start=0.1",
                  "--set", "sweep.stop=0.3", "--set", "sweep.steps=3"]) == 2
+    assert not out.exists()
+    assert solves == []
+
+
+@pytest.mark.parametrize("fragments", [
+    # both depths negated would dress the mode of +0.1 and +0.2
+    ["params.eta1=-0.1", "params.eta2=-0.2"],
+    # the first point of the axis is negative; the other two would solve
+    ["sweep.param=eta1", "sweep.start=-0.1", "sweep.stop=0.1",
+     "sweep.steps=3"],
+], ids=["both_depths", "sweep_axis"])
+def test_negative_drive_depth_exits_2_before_any_solve(tmp_path, monkeypatch,
+                                                       fragments):
+    solves = record_solves(monkeypatch)
+    out = tmp_path / "o"
+    argv = ["squeezed_laser", "--out", str(out),
+            "--set", "numerics.field_dim=10"]
+    for item in fragments:
+        argv += ["--set", item]
+    assert main(argv) == 2
     assert not out.exists()
     assert solves == []
 

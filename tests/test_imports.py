@@ -1,8 +1,9 @@
-"""Import hygiene: no module-level import that its module never uses, and
-no name in ``squeezed_lasing.__all__`` that the package does not define.
+"""Import hygiene: no module-level import that its module never uses, no
+name in ``squeezed_lasing.__all__`` that the package does not define, and
+no module-level private helper that nothing in the package refers to.
 
 No linter runs on this project, so this test is what stops a deletion
-from leaving a dead import or a stale export behind.
+from leaving a dead import, a stale export or a dead helper behind.
 """
 
 import ast
@@ -44,6 +45,41 @@ def test_no_dead_imports_or_stale_exports():
     stale = [name for name in squeezed_lasing.__all__
              if not hasattr(squeezed_lasing, name)]
     assert stale == [], f"__all__ names the package does not define: {stale}"
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private functions, classes and constants a module defines at
+    its top level; dunder names are not private."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names += [n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _references(tree: ast.Module) -> list[str]:
+    """Every name the module reads: bare names, attributes and imports."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs += [alias.name for alias in node.names]
+    return refs
+
+
+def test_every_private_helper_is_used():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    dead = [f"{module} {name}" for module, tree in trees.items()
+            for name in _private_definitions(tree) if name not in used]
+    assert dead == [], f"private helpers nothing refers to: {dead}"
 
 
 # the scipy subpackages a run loads only where it solves with them

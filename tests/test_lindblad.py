@@ -238,6 +238,17 @@ def complex_full_steady(me) -> np.ndarray:
 def test_sector_steady_state_matches_full_solve(kind, g, gamma, kappa,
                                                 c_prime, r, field_dim):
     me = build_model(kind, g, gamma, kappa, c_prime, r, field_dim)
+    # the join itself: the sector's complex triplets sum to the full
+    # generator on the equal-charge pairs, numbered column by column ...
+    lfull = liouvillian_matrix(me).matrix
+    inside = ~off_sector(me).reshape(-1, order="F")
+    vec, outside = np.flatnonzero(inside), np.flatnonzero(~inside)
+    rows, cols, vals = lindblad._SectorCoordinates(me._labels()).entries(me)
+    sector = sp.csc_matrix((vals, (rows, cols)), shape=(vec.size, vec.size))
+    diff = (sector - lfull[vec][:, vec]).toarray()
+    assert np.max(np.abs(diff)) <= 1e-13 * abs(lfull).max()
+    # ... and the full generator takes no sector column out of the sector
+    assert np.all(lfull[outside][:, vec].data == 0)
     rho = steady_state(me)
     # the real sector solve against the complex generator, solved apart
     # from the code under test
@@ -289,27 +300,24 @@ def full_sector_solve(me):
     whole with scipy's splu: (coordinates, mask of the coordinates that
     the i^n gauge keeps apart from the trace row, state)."""
     d = me.space.dim
-    sector = lindblad._Sector(me._labels())
-    coords = lindblad._HermitianCoordinates(sector)
+    coords = lindblad._SectorCoordinates(me._labels())
     lmat = coords.generator(me).tocoo()
-    diagonal = sector.index(np.arange(d), np.arange(d))
+    diagonal = coords.index.diagonal()
     keep = lmat.row != 0
     bordered = sp.csc_matrix(
         (np.concatenate([lmat.data[keep], np.ones(d)]),
          (np.concatenate([lmat.row[keep], np.zeros(d, dtype=int)]),
           np.concatenate([lmat.col[keep], diagonal]))), shape=lmat.shape)
-    b = np.zeros(sector.n)
+    b = np.zeros(coords.n)
     b[0] = 1.0
     y = scipy_splu(bordered).solve(b)
-    m = np.zeros((d, d), dtype=complex)
-    m[coords.rows, coords.cols] = coords.hermitian(y)
     # basis states list the qubits first, so k mod field_dim is the
     # photon number; coordinate k holds Re rho_ij for i <= j, else Im
     photons = np.arange(d) % me.space.field_dim
     even = (photons[coords.rows] - photons[coords.cols]) % 2 == 0
     dead = even != (coords.rows <= coords.cols)
-    return y, dead, lindblad._state_from_matrix(m, me.space,
-                                                blocks=sector.block)
+    return y, dead, lindblad._state_from_matrix(coords.hermitian(y), me.space,
+                                                blocks=coords.labels)
 
 
 @pytest.mark.parametrize("kind", MODELS)
