@@ -28,15 +28,20 @@ each jump operator shifts by one fixed amount, modulo 2 for the Z2
 parity of the squeezed models and exactly for the U(1) charge of the
 plain laser.  The generator then maps the pairs (i, j) with equal charge
 onto themselves, and the direct steady-state solve runs on that sector
-alone.  One d x d table numbers its pairs column by column (-1 off the
-sector); each generator term joins two operators' nonzeros on equal
-charge and looks the pairs up in it.
+alone.  One d x d int32 table numbers its pairs column by column (-1 off
+the sector).  Each generator term A rho B^dag pairs the nonzeros of A
+and B on equal charge by a join over B's labels sorted once (a stable
+argsort, then searchsorted and repeat), and looks the joined pairs up in
+the table, so assembly takes memory in proportion to the generator's
+nonzeros.
 
 The generator also maps Hermitian matrices to Hermitian matrices, so on
 the sector it is a real linear map.  The direct solve factors it in real
 Hermitian coordinates, numbered as the pairs: Re rho_ij for i <= j and
 Im rho_ij for i > j, so the bordered system is a real sparse matrix with
-as many unknowns as the sector has pairs.  ``liouvillian_matrix`` reads
+as many unknowns as the sector has pairs.  Each term's complex entries
+become their real pieces as soon as the term is formed, so the complex
+generator is never held whole on the way.  ``liouvillian_matrix`` reads
 the same table over all d^2 pairs for the complex generator, which the
 oracles use.
 
@@ -168,13 +173,13 @@ class MasterEquation:
         return self._reduce(self.charge)
 
 
-def _check_trace_null(matrix: sp.spmatrix, diagonal: np.ndarray):
+def _check_trace_null(matrix: sp.spmatrix, diagonal: np.ndarray,
+                      scale: float):
     """The trace functional (ones on the diagonal pairs) is a left null
-    vector of the generator."""
+    vector of the generator; ``scale`` is max(1, its largest |entry|)."""
     trace_vec = np.zeros(matrix.shape[0])
     trace_vec[diagonal] = 1.0
     residual = np.max(np.abs(matrix.T @ trace_vec))
-    scale = max(1.0, abs(matrix).max())
     if residual > 1e-10 * scale:
         raise ValueError(f"trace functional is not a left null vector "
                          f"(residual {residual:.2e})")
@@ -191,7 +196,8 @@ class Liouvillian:
         d = self.space.dim
         if self.matrix.shape != (d * d, d * d):
             raise ValueError("Liouvillian shape does not match space")
-        _check_trace_null(self.matrix, np.arange(d) * (d + 1))
+        _check_trace_null(self.matrix, np.arange(d) * (d + 1),
+                          max(1.0, np.abs(self.matrix.data).max(initial=0.0)))
 
 
 def _as_matrix(rho, space: HilbertSpace) -> np.ndarray:
@@ -235,16 +241,42 @@ def _unvec(y: np.ndarray, d: int) -> np.ndarray:
     return y.reshape((d, d), order="F")
 
 
+def _join(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (ka, kb) with la[ka] == lb[kb], in the row-major
+    order of np.nonzero(la[:, None] == lb), in memory proportional to
+    their number.
+
+    A stable sort of lb keeps equal labels in index order, so for each
+    ka the run of lb's sorted labels that match la[ka] lists its kb in
+    ascending order.
+    """
+    order = np.argsort(lb, kind="stable")
+    sorted_lb = lb[order]
+    lo = np.searchsorted(sorted_lb, la, side="left")
+    counts = np.searchsorted(sorted_lb, la, side="right") - lo
+    ka = np.repeat(np.arange(la.size), counts)
+    # the k-th pair of run ka sits at lo[ka] + (k - start of run ka)
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return ka, order[np.arange(ka.size) + shift]
+
+
 class _SectorCoordinates:
     """The pairs (i, j) of basis states with equal labels, and the real
     coordinates of the Hermitian matrices on them.
 
     ``index[i, j]`` numbers the pairs in column-major order, -1 outside
     the sector; with one label for every state it is the vec index
-    i + d j.  Coordinate k of pair (i, j) is Re rho_ij for i <= j and
-    Im rho_ij for i > j.  With m = mirror[k] the number of the pair
-    (j, i), rho_ij = x_k - i x_m above the diagonal and x_m + i x_k below
-    it.
+    i + d j.  It and ``mirror`` hold int32 (n < 2^31 is checked), so the
+    row and column numbers that the generator's triplets gather from them
+    take 4 bytes each.  Coordinate k of pair (i, j) is Re rho_ij for
+    i <= j and Im rho_ij for i > j.  With m = mirror[k] the number of the
+    pair (j, i), rho_ij = x_k - i x_m above the diagonal and x_m + i x_k
+    below it.
+
+    Each generator term is formed from the operators' nonzeros alone: a
+    sorted join pairs them on equal labels and the table numbers the
+    joined pairs, so assembly takes memory in proportion to the
+    generator's nonzeros, never to d^2 pairs per term.
     """
 
     def __init__(self, labels: np.ndarray):
@@ -253,14 +285,18 @@ class _SectorCoordinates:
         # list the pairs column by column
         self.cols, self.rows = np.nonzero(labels[:, None] == labels)
         self.n = self.rows.size
-        self.index = np.full((labels.size,) * 2, -1)
-        self.index[self.rows, self.cols] = np.arange(self.n)
+        if self.n >= 2**31:
+            raise ValueError(f"{self.n} sector pairs overflow int32 numbers")
+        self.index = np.full((labels.size,) * 2, -1, dtype=np.int32)
+        self.index[self.rows, self.cols] = np.arange(self.n, dtype=np.int32)
         self.mirror = self.index[self.cols, self.rows]
-        self.side = np.sign(self.rows - self.cols)  # +1 below, -1 above
+        # +1 below the diagonal, -1 above
+        self.side = np.sign(self.rows - self.cols).astype(np.int8)
 
-    def entries(self, me: MasterEquation):
-        """(rows, columns, values) of the generator on the sector pairs,
-        built from the operators' nonzeros; repeated positions add up.
+    def sandwiches(self, me: MasterEquation):
+        """(rows, columns, values) of each generator term in turn, on the
+        sector pairs, built from the operators' nonzeros; repeated
+        positions add up.
 
         L rho = G rho + rho G^dag + sum_k 2 rate_k O_k rho O_k^dag with
         G = -iH - sum_k rate_k O_k^dag O_k.  In each sandwich A rho B^dag,
@@ -278,14 +314,22 @@ class _SectorCoordinates:
             g = g - term.rate * (o.conj().T @ o)
             sandwiches.append(((2.0 * term.rate) * o.tocoo(), o.tocoo()))
         g = g.tocoo()
-        parts = []
         for a, b in [(g, eye), (eye, g), *sandwiches]:
-            ka, kb = np.nonzero(self.labels[a.row][:, None]
-                                == self.labels[b.row])
-            parts.append((self.index[a.row[ka], b.row[kb]],
-                          self.index[a.col[ka], b.col[kb]],
-                          a.data[ka] * b.data[kb].conj()))
-        return tuple(np.concatenate(x) for x in zip(*parts))
+            yield self._sandwich(a, b)
+
+    def _sandwich(self, a, b):
+        """The triplets of A rho B^dag, from A and B in COO form.  The
+        join's index arrays die on return, before the caller holds the
+        triplets."""
+        ka, kb = _join(self.labels[a.row], self.labels[b.row])
+        return (self.index[a.row[ka], b.row[kb]],
+                self.index[a.col[ka], b.col[kb]],
+                a.data[ka] * b.data[kb].conj())
+
+    def entries(self, me: MasterEquation):
+        """(rows, columns, values) of the whole complex generator on the
+        sector pairs, the sandwiches' triplets in turn."""
+        return tuple(np.concatenate(x) for x in zip(*self.sandwiches(me)))
 
     def generator(self, me: MasterEquation) -> sp.csc_matrix:
         """The sector generator as a real matrix: row k is the part of
@@ -294,23 +338,33 @@ class _SectorCoordinates:
         A complex entry c in column k (pair (p, q)) multiplies rho_pq =
         x_re + i s x_im, with s the side of (p, q) and x_re, x_im its two
         coordinates, so it contributes c to x_re and i s c to x_im; its
-        row keeps the real or the imaginary part of each.
+        row keeps the real or the imaginary part of each.  Each sandwich
+        becomes its two real pieces, exact zeros dropped, as soon as it
+        is formed.  The pieces are joined once, every x_re piece before
+        every x_im piece: the CSC conversion adds repeated positions in
+        that order, which fixes the last bits of the sums.
         """
         import scipy.sparse as sp
 
-        rows, cols, vals = self.entries(me)
-        below = self.side[rows] > 0
-        s = self.side[cols]
-        re_col = np.where(s > 0, self.mirror[cols], cols)
-        im_col = np.where(s > 0, cols, self.mirror[cols])
-        on_re = np.where(below, vals.imag, vals.real)
-        on_im = s * np.where(below, vals.real, -vals.imag)  # 0 when p = q
-        data = np.concatenate([on_re, on_im])
-        keep = data != 0
-        rows = np.concatenate([rows, rows])[keep]
-        cols = np.concatenate([re_col, im_col])[keep]
-        return sp.csc_matrix((data[keep], (rows, cols)),
-                             shape=(self.n, self.n))
+        on_re, on_im = [], []
+
+        def piece(rows, cols, data):
+            keep = data != 0
+            return data[keep], rows[keep], cols[keep]
+
+        for rows, cols, vals in self.sandwiches(me):
+            below = self.side[rows] > 0
+            s = self.side[cols]
+            mirror = self.mirror[cols]
+            on_re.append(piece(rows, np.where(s > 0, mirror, cols),
+                               np.where(below, vals.imag, vals.real)))
+            # 0 when p = q
+            on_im.append(piece(rows, np.where(s > 0, cols, mirror),
+                               s * np.where(below, vals.real, -vals.imag)))
+        data, rows, cols = (np.concatenate(x) for x in zip(*on_re, *on_im))
+        # the pieces would otherwise stay alive under the CSC conversion
+        del on_re, on_im
+        return sp.csc_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def hermitian(self, x: np.ndarray) -> np.ndarray:
         """The d x d matrix rho, 0 off the sector, from its real
@@ -546,9 +600,10 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
     # generator maps onto itself, and is Hermitian
     coords = _SectorCoordinates(me._labels())
     lmat = coords.generator(me)
+    scale = max(1.0, np.abs(lmat.data).max(initial=0.0))
     # the diagonal coordinates are the populations, so they carry the trace
     diagonal = coords.index.diagonal()
-    _check_trace_null(lmat, diagonal)
+    _check_trace_null(lmat, diagonal, scale)
     # Sector row 0 is pair (0, 0) and carries d(rho_00)/dt.  Trace
     # preservation makes the diagonal rows sum to zero, so replacing this
     # one row keeps full rank and pinning tr(rho) = 1 there makes the
@@ -566,7 +621,6 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
     y = np.zeros(coords.n)
     y[live] = splu(bordered[live][:, live]).solve(b)
     residual = np.max(np.abs(lmat @ y))
-    scale = max(1.0, abs(lmat).max())
     if residual > 1e-8 * scale:
         raise DegenerateSteadyStateError(
             f"bordered solve left a generator residual of {residual:.2e}; "

@@ -394,12 +394,18 @@ def _pick(params: dict, keys: tuple, ghz_keys: tuple, derive,
     return _finite(name, *values)
 
 
+def _check_depths(params: dict):
+    """A drive depth is a modulation amplitude: reject a negative eta1 or
+    eta2 wherever it is set, whether or not the point reads it."""
+    for key in ("eta1", "eta2"):
+        if key in params and _require(params, key) < 0:
+            raise ConfigError(f"parameters out of range: {key} must be "
+                              f"non-negative, got {params[key]!r}")
+
+
 def _dress(eta1: float, eta2: float, g: float = 1.0) -> DressedCoupling:
-    """``dress``, with negative or balanced drive depths reported as bad
+    """``dress``, with balanced drive depths reported as bad
     configuration."""
-    if eta1 < 0 or eta2 < 0:
-        raise ConfigError("parameters out of range: eta1 and eta2 must be "
-                          f"non-negative, got {eta1!r} and {eta2!r}")
     try:
         return dress(eta1, eta2, g=g)
     except DegenerateDressingError as exc:
@@ -438,6 +444,8 @@ def resolve_point(params: dict, model: str) -> ResolvedPoint:
     two-qubit g' ratio and auxiliary coupling.  ``dress`` runs at most
     once: swapping the depths swaps u and v, bit for bit, and keeps N.
     """
+    _check_depths(params)
+
     @cache
     def depths() -> DressedCoupling:
         return _dress(_require(params, "eta1"), _require(params, "eta2"))
@@ -518,6 +526,7 @@ def _resolve_drives(params: dict, evolve: bool) -> ResolvedDrives:
     the two sidebands either way.
     """
     eta1, eta2 = _require(params, "eta1"), _require(params, "eta2")
+    _check_depths(params)
     scale = 2.0 * math.pi
     eps, om, g = _pick(params, ("epsilon_over_g", "omega_over_g"),
                        ("epsilon_ghz", "omega_ghz", "g_ghz"),

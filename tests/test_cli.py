@@ -194,6 +194,8 @@ def test_malformed_config_exits_2(tmp_path, fragments):
     # a drive depth is a modulation amplitude, never negative
     ("squeezed_laser", "params.eta1=-0.1"),
     ("two_qubit_full", "params.eta2=-0.2"),
+    # ... even where the model reads no depth
+    ("single_laser", "params.eta1=-0.1"),
     # rates are in units of gamma and frequencies in units of g, both 1,
     # and the drives sit on the sidebands: none of these is a parameter
     ("single_laser", "params.gamma=2"),
@@ -248,7 +250,9 @@ def test_bad_value_inside_a_sweep_range_exits_2_before_any_solve(
     # the first point of the axis is negative; the other two would solve
     ["sweep.param=eta1", "sweep.start=-0.1", "sweep.stop=0.1",
      "sweep.steps=3"],
-], ids=["both_depths", "sweep_axis"])
+    # r sets the coupling, so nothing reads the negative depth
+    ["params.r=0.5", "params.eta1=-0.1"],
+], ids=["both_depths", "sweep_axis", "unread_depth"])
 def test_negative_drive_depth_exits_2_before_any_solve(tmp_path, monkeypatch,
                                                        fragments):
     solves = record_solves(monkeypatch)

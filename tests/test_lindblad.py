@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
@@ -44,6 +45,7 @@ from squeezed_lasing.lindblad import (
     steady_state,
     trace_distance,
 )
+from squeezed_lasing.scenarios import build_config, resolve_point
 
 
 def fock_projector(space, *labels):
@@ -259,6 +261,49 @@ def test_sector_steady_state_matches_full_solve(kind, g, gamma, kappa,
     # the full solve, which knows nothing of the charge, does not leak
     # out of the sector either
     assert np.max(np.abs(full.matrix[off_sector(me)]), initial=0.0) <= 1e-12
+
+
+label_arrays = st.lists(st.integers(-2, 2), max_size=25).map(
+    lambda x: np.array(x, dtype=int))
+
+
+@settings(max_examples=200, deadline=None)
+@given(la=label_arrays, lb=label_arrays)
+@example(la=np.array([], dtype=int), lb=np.array([], dtype=int))
+@example(la=np.array([], dtype=int), lb=np.array([3, 3]))
+@example(la=np.array([3, 3, 3]), lb=np.array([], dtype=int))
+@example(la=np.array([7, 7, 7]), lb=np.array([7, 7]))
+def test_sorted_join_matches_dense_join(la, lb):
+    # the dense join is the reference: the same pairs in the same order
+    dense = np.nonzero(la[:, None] == lb)
+    for got, want in zip(lindblad._join(la, lb), dense, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scenario, model, field_dim", [
+    ("squeezed_laser", "effective", 60),
+    ("two_qubit_full", "two_qubit", 40),
+])
+def test_generator_assembly_memory_tracks_its_nonzeros(scenario, model,
+                                                       field_dim):
+    r = resolve_point(build_config(scenario, preset="desk").params, model)
+    space = HilbertSpace(n_qubits=2 if model == "two_qubit" else 1,
+                         field_dim=field_dim)
+    if model == "two_qubit":
+        me = model_two_qubit_full(r.dressed, r.aux, r.gamma, r.gamma_prime,
+                                  r.kappa, space)
+    else:
+        me = model_squeezed_laser_effective(r.dressed, r.gamma, r.kappa,
+                                            r.c_prime, space)
+    tracemalloc.start()
+    try:
+        lmat = lindblad._SectorCoordinates(me._labels()).generator(me)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense pairing of each term's nonzeros took 10-12x
+    assert peak <= 6 * (lmat.data.nbytes + lmat.indices.nbytes
+                        + lmat.indptr.nbytes)
 
 
 def record_splu(monkeypatch) -> list:
