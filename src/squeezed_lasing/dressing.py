@@ -219,11 +219,11 @@ class DressedCoupling:
         return 1 if abs(self.u) > abs(self.v) else -1
 
     @classmethod
-    def from_r(cls, r: float, g_tilde: float = 1.0,
-               norm_N: float = 1.0) -> "DressedCoupling":
-        """Synthetic coupling with a prescribed squeezing parameter."""
+    def from_r(cls, r: float, g_tilde: float = 1.0) -> "DressedCoupling":
+        """Synthetic coupling with a prescribed squeezing parameter and
+        norm_N = 1."""
         return cls(u=math.cosh(r), v=math.sinh(r), r=r,
-                   g_tilde=g_tilde, norm_N=norm_N)
+                   g_tilde=g_tilde, norm_N=1.0)
 
     def mode_operator(self, space: HilbertSpace) -> Operator:
         """A = u a + v a^dag on the given space."""

@@ -206,15 +206,14 @@ def displacement(space: HilbertSpace, alpha: complex) -> Operator:
     return matrix_exponential(alpha * a.dag() - np.conj(alpha) * a)
 
 
-def squeeze(space: HilbertSpace, r: float, phi: float = 0.0) -> Operator:
-    """S = exp[(xi a^dag^2 - xi* a^2)/2] with xi = r e^{i phi}.
+def squeeze(space: HilbertSpace, r: float) -> Operator:
+    """S = exp[r (a^dag^2 - a^2) / 2], real squeezing parameter r.
 
-    For phi = 0 and r > 0 the x = a + a^dag quadrature of S|0> is
-    antisqueezed (variance e^{2r}) and p is squeezed.
+    For r > 0 the x = a + a^dag quadrature of S|0> is antisqueezed
+    (variance e^{2r}) and p is squeezed.
     """
     a = annihilation(space)
-    xi = r * np.exp(1j * phi)
-    return matrix_exponential(0.5 * (xi * (a.dag() @ a.dag()) - np.conj(xi) * (a @ a)))
+    return matrix_exponential((0.5 * r) * (a.dag() @ a.dag() - a @ a))
 
 
 def phase_rotation(space: HilbertSpace, phi: float) -> Operator:

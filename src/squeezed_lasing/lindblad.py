@@ -28,12 +28,13 @@ each jump operator shifts by one fixed amount, modulo 2 for the Z2
 parity of the squeezed models and exactly for the U(1) charge of the
 plain laser.  The generator then maps the pairs (i, j) with equal charge
 onto themselves, and the direct steady-state solve runs on that sector
-alone.  One d x d int32 table numbers its pairs column by column (-1 off
-the sector).  Each generator term A rho B^dag pairs the nonzeros of A
-and B on equal charge by a join over B's labels sorted once (a stable
-argsort, then searchsorted and repeat), and looks the joined pairs up in
-the table, so assembly takes memory in proportion to the generator's
-nonzeros.
+alone.  Its pairs are numbered column by column, and the number of pair
+(i, j) is start[j] + rank[i]: where column j's pairs begin, plus how many
+states of i's label come before i.  Each generator term A rho B^dag pairs
+the nonzeros of A and B on equal charge by a join over B's labels sorted
+once (a stable argsort, then searchsorted and repeat), and numbers the
+joined pairs from those two length-d arrays, so assembly takes memory in
+proportion to the generator's nonzeros.
 
 The generator also maps Hermitian matrices to Hermitian matrices, so on
 the sector it is a real linear map.  The direct solve factors it in real
@@ -41,9 +42,9 @@ Hermitian coordinates, numbered as the pairs: Re rho_ij for i <= j and
 Im rho_ij for i > j, so the bordered system is a real sparse matrix with
 as many unknowns as the sector has pairs.  Each term's complex entries
 become their real pieces as soon as the term is formed, so the complex
-generator is never held whole on the way.  ``liouvillian_matrix`` reads
-the same table over all d^2 pairs for the complex generator, which the
-oracles use.
+generator is never held whole on the way.  ``liouvillian_matrix`` numbers
+all d^2 pairs the same way, with one label for every state, for the
+complex generator, which the oracles use.
 
 At resonance every model is real in the gauge |n> -> i^n |n> of the
 photon number n: there -iH and each jump operator (up to a phase) are
@@ -60,7 +61,7 @@ not, it joins the blocks, and the whole sector is factored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -108,7 +109,8 @@ class LindbladTerm:
 @dataclass(frozen=True)
 class MasterEquation:
     """Time-independent Hermitian Hamiltonian plus Lindblad terms on a
-    shared Hilbert space.
+    shared Hilbert space, the Hamiltonian's: every jump operator must
+    live on it.
 
     ``charge`` optionally gives an integer per product basis state,
     conserved modulo ``modulus`` (2 for a Z2 parity, 0 for a U(1)
@@ -123,7 +125,7 @@ class MasterEquation:
 
     hamiltonian: Operator
     terms: tuple[LindbladTerm, ...]
-    space: HilbertSpace
+    space: HilbertSpace = field(init=False)
     charge: np.ndarray | None = None
     modulus: int = 0
 
@@ -131,6 +133,7 @@ class MasterEquation:
         if not isinstance(self.hamiltonian, Operator):
             raise TypeError("hamiltonian must be an Operator, got "
                             f"{type(self.hamiltonian).__name__}")
+        object.__setattr__(self, "space", self.hamiltonian.space)
         object.__setattr__(self, "terms", tuple(self.terms))
         for term in self.terms:
             if term.jump.space != self.space:
@@ -264,34 +267,42 @@ class _SectorCoordinates:
     """The pairs (i, j) of basis states with equal labels, and the real
     coordinates of the Hermitian matrices on them.
 
-    ``index[i, j]`` numbers the pairs in column-major order, -1 outside
-    the sector; with one label for every state it is the vec index
-    i + d j.  It and ``mirror`` hold int32 (n < 2^31 is checked), so the
-    row and column numbers that the generator's triplets gather from them
-    take 4 bytes each.  Coordinate k of pair (i, j) is Re rho_ij for
-    i <= j and Im rho_ij for i > j.  With m = mirror[k] the number of the
-    pair (j, i), rho_ij = x_k - i x_m above the diagonal and x_m + i x_k
-    below it.
+    The pairs are numbered column by column.  Column j lists the states
+    with j's label in order, so pair (i, j) is number start[j] + rank[i]:
+    ``start[j]`` numbers column j's first pair, ``diagonal[i]`` the pair
+    (i, i), and ``rank[i] = diagonal[i] - start[i]`` counts the states
+    before i with i's label.  With one label for every state that is the
+    vec index i + d j.  These arrays and ``mirror`` hold int32 (n < 2^31
+    is checked), so the triplets' row and column numbers take 4 bytes
+    each.  Coordinate k of pair (i, j) is Re rho_ij for i <= j and Im
+    rho_ij for i > j.  With m = mirror[k] the number of the pair (j, i),
+    rho_ij = x_k - i x_m above the diagonal and x_m + i x_k below it.
 
     Each generator term is formed from the operators' nonzeros alone: a
-    sorted join pairs them on equal labels and the table numbers the
+    sorted join pairs them on equal labels and start and rank number the
     joined pairs, so assembly takes memory in proportion to the
     generator's nonzeros, never to d^2 pairs per term.
     """
 
     def __init__(self, labels: np.ndarray):
         self.labels = labels
-        # the equal-label mask is symmetric, so its row-major nonzeros
-        # list the pairs column by column
-        self.cols, self.rows = np.nonzero(labels[:, None] == labels)
+        # the equal-label mask is symmetric, so the join, in its row-major
+        # order, lists the pairs column by column
+        self.cols, self.rows = _join(labels, labels)
         self.n = self.rows.size
         if self.n >= 2**31:
             raise ValueError(f"{self.n} sector pairs overflow int32 numbers")
-        self.index = np.full((labels.size,) * 2, -1, dtype=np.int32)
-        self.index[self.rows, self.cols] = np.arange(self.n, dtype=np.int32)
-        self.mirror = self.index[self.cols, self.rows]
+        self.start = np.searchsorted(self.cols, np.arange(labels.size)
+                                     ).astype(np.int32)
+        self.diagonal = np.flatnonzero(self.rows == self.cols).astype(np.int32)
+        self.rank = self.diagonal - self.start
+        self.mirror = self.number(self.cols, self.rows)
         # +1 below the diagonal, -1 above
         self.side = np.sign(self.rows - self.cols).astype(np.int8)
+
+    def number(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The numbers of the sector pairs (i, j)."""
+        return self.start[j] + self.rank[i]
 
     def sandwiches(self, me: MasterEquation):
         """(rows, columns, values) of each generator term in turn, on the
@@ -322,8 +333,8 @@ class _SectorCoordinates:
         join's index arrays die on return, before the caller holds the
         triplets."""
         ka, kb = _join(self.labels[a.row], self.labels[b.row])
-        return (self.index[a.row[ka], b.row[kb]],
-                self.index[a.col[ka], b.col[kb]],
+        return (self.number(a.row[ka], b.row[kb]),
+                self.number(a.col[ka], b.col[kb]),
                 a.data[ka] * b.data[kb].conj())
 
     def entries(self, me: MasterEquation):
@@ -372,7 +383,7 @@ class _SectorCoordinates:
         re = np.where(self.side > 0, x[self.mirror], x)
         im = np.where(self.side > 0, x, -x[self.mirror])
         im[self.side == 0] = 0.0
-        m = np.zeros(self.index.shape, dtype=complex)
+        m = np.zeros((self.labels.size,) * 2, dtype=complex)
         m[self.rows, self.cols] = re + 1j * im
         return m
 
@@ -602,14 +613,14 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
     lmat = coords.generator(me)
     scale = max(1.0, np.abs(lmat.data).max(initial=0.0))
     # the diagonal coordinates are the populations, so they carry the trace
-    diagonal = coords.index.diagonal()
-    _check_trace_null(lmat, diagonal, scale)
+    _check_trace_null(lmat, coords.diagonal, scale)
     # Sector row 0 is pair (0, 0) and carries d(rho_00)/dt.  Trace
     # preservation makes the diagonal rows sum to zero, so replacing this
     # one row keeps full rank and pinning tr(rho) = 1 there makes the
     # bordered system square.
     trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int),
-                                            diagonal)), shape=(1, coords.n))
+                                            coords.diagonal)),
+                              shape=(1, coords.n))
     bordered = sp.vstack([trace_row, lmat[1:]], format="csc")
     # Only the coordinates that the trace row reaches can be nonzero: the
     # rest form blocks with a zero right-hand side, so factor the block of
@@ -714,7 +725,7 @@ def model_single_qubit_laser(g: float, gamma: float, kappa: float,
     h = Operator(space, -g * _exchange(a, sigma))
     terms = (LindbladTerm(sigma, gamma), LindbladTerm(a, kappa))
     photons, excited = _excitations(space)
-    return MasterEquation(hamiltonian=h, terms=terms, space=space,
+    return MasterEquation(hamiltonian=h, terms=terms,
                           charge=photons - excited, modulus=0)
 
 
@@ -742,7 +753,7 @@ def model_squeezed_laser_effective(dressed: DressedCoupling, gamma: float,
              LindbladTerm(dressed.bare_from_mode(space), kappa),
              LindbladTerm(mode, kappa * c_prime))
     photons, excited = _excitations(space)
-    return MasterEquation(hamiltonian=h, terms=terms, space=space,
+    return MasterEquation(hamiltonian=h, terms=terms,
                           charge=photons + excited, modulus=2)
 
 
@@ -776,7 +787,7 @@ def model_two_qubit_full(dressed: DressedCoupling,
     terms = (LindbladTerm(sigma, gamma), LindbladTerm(sigma_aux, gamma_prime),
              LindbladTerm(bare, kappa))
     photons, excited = _excitations(space)
-    return MasterEquation(hamiltonian=h, terms=terms, space=space,
+    return MasterEquation(hamiltonian=h, terms=terms,
                           charge=photons + excited, modulus=2)
 
 

@@ -611,17 +611,17 @@ _TRUNCATION_TOL = 1e-6
 def _solve_steady_checked(build, field_dim: int, retries: int):
     """Steady state with the field dimension retried 1.5x on bad truncation.
 
-    ``build(field_dim)`` returns (master equation, tuple of factor indices
-    keeping the field).  Returns (full state, reduced field state,
+    ``build(field_dim)`` returns the master equation; its field is the
+    last factor of its space.  Returns (full state, reduced field state,
     field_dim used, flagged).  The edge population of each attempt's
     reduced field is measured once; a state still over the edge after the
     last retry is logged and flagged.
     """
     fd = field_dim
     for attempt in range(retries + 1):
-        me, keep = build(fd)
+        me = build(fd)
         rho = steady_state(me)
-        reduced = partial_trace(rho, keep=keep)
+        reduced = partial_trace(rho, keep=[me.space.n_qubits])
         edge = truncation_edge(reduced)
         if edge < _TRUNCATION_TOL:
             return rho, reduced, fd, False
@@ -662,14 +662,13 @@ class _Point:
         space = HilbertSpace(n_qubits=2 if model == "two_qubit" else 1,
                              field_dim=fd)
         if model == "single":
-            me = model_single_qubit_laser(r.g_tilde, r.gamma, r.kappa, space)
-        elif model == "two_qubit":
-            me = model_two_qubit_full(self.dressed, r.aux, r.gamma,
-                                      r.gamma_prime, r.kappa, space)
-        else:
-            me = model_squeezed_laser_effective(self.dressed, r.gamma,
-                                                r.kappa, r.c_prime, space)
-        return me, [space.n_qubits]
+            return model_single_qubit_laser(r.g_tilde, r.gamma, r.kappa,
+                                            space)
+        if model == "two_qubit":
+            return model_two_qubit_full(self.dressed, r.aux, r.gamma,
+                                        r.gamma_prime, r.kappa, space)
+        return model_squeezed_laser_effective(self.dressed, r.gamma, r.kappa,
+                                              r.c_prime, space)
 
     @cached_property
     def trace_error(self) -> float:
@@ -742,8 +741,9 @@ class _Point:
         unchecked solve unless the point already holds one."""
         key = ("field", self.field_dim)
         if key not in self._memo:
-            me, keep = self._build(self.field_dim, "effective")
-            self._memo[key] = partial_trace(steady_state(me), keep=keep)
+            me = self._build(self.field_dim, "effective")
+            self._memo[key] = partial_trace(steady_state(me),
+                                            keep=[me.space.n_qubits])
         return fidelity(self.field, self._memo[key])
 
     @cached_property

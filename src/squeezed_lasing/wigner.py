@@ -134,12 +134,13 @@ def grid_for_density(rho: DensityMatrix, points: int = 129) -> PhaseGrid:
                      nx=points, np=points)
 
 
-def grid_for_gaussian(gs: GaussianState, points: int = 129) -> PhaseGrid:
+def grid_for_gaussian(gs: GaussianState) -> PhaseGrid:
+    """129 x 129 grid sized from the covariance of a Gaussian state."""
     sx = AUTO_GRID_SIGMAS * math.sqrt(gs.cov[0, 0])
     sp = AUTO_GRID_SIGMAS * math.sqrt(gs.cov[1, 1])
     return PhaseGrid(x_min=gs.mean[0] - sx, x_max=gs.mean[0] + sx,
                      p_min=gs.mean[1] - sp, p_max=gs.mean[1] + sp,
-                     nx=points, np=points)
+                     nx=129, np=129)
 
 
 def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:

@@ -14,6 +14,12 @@ may differ in the last digits (about 1e-13 relative in 7 of the 11
 cases on one 2-CPU VM), inside the tolerances above.  So check a claim
 that a change keeps artefacts byte-identical with ``diff -r`` against a
 run of the parent commit on the same machine, not against these files.
+One command runs every case into ``DIR/<case>`` and touches nothing
+under ``tests/golden/``:
+
+    PYTHONPATH=src python tests/test_golden.py --write DIR
+
+Run it in a checkout of each commit, then ``diff -r`` the two DIRs.
 Re-pin only for a change meant to move the numbers, and only the cases
 it moves, from the repo root:
 
@@ -179,6 +185,12 @@ def pin(cases: list[str]) -> None:
         _run(case, GOLDEN / case)
 
 
+def write(out: Path) -> None:
+    """Run every case into ``out/<case>``."""
+    for case in CASES:
+        _run(case, out / case)
+
+
 def _dump_manifest(manifest: dict) -> str:
     # the format ``write_outputs`` writes
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -221,5 +233,9 @@ if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--hash-only"]:
         pin_hashes(args[1:])
+    elif args[:1] == ["--write"]:
+        if len(args) != 2:
+            raise SystemExit("usage: test_golden.py --write DIR")
+        write(Path(args[1]))
     else:
         pin(args)

@@ -1,10 +1,12 @@
 """Dead knobs: every parameter a config may set is read by a resolver,
-every numerics field is read by the pipeline, and one function decides
+every numerics field is read by the pipeline, every defaulted parameter
+of a package function is passed somewhere, and one function decides
 between a dimensionless key and the GHz values it can come from.
 
 A name in ``PARAM_KEYS`` or a ``NumericsSpec`` field that nothing reads
 is still accepted and hashed, so setting it changes the config hash and
-nothing else.  No linter runs on this project, so these tests are what
+nothing else; a default that no call overrides is a constant dressed as
+an option.  No linter runs on this project, so these tests are what
 stop a deletion from leaving such a knob behind.
 """
 
@@ -17,6 +19,7 @@ import squeezed_lasing
 from squeezed_lasing import scenarios
 
 PACKAGE = Path(squeezed_lasing.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _string_constants(*functions) -> set[str]:
@@ -58,3 +61,66 @@ def test_one_precedence_rule():
                for path in PACKAGE.glob("*.py"))
     assert uses == inspect.getsource(scenarios._pick).count("params.keys()")
     assert uses == 1
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function name, parameter, position or None) of each defaulted
+    parameter of each function in the tree.  A method's position skips
+    self or cls, and ``__init__`` is called by its class's name; a
+    keyword-only parameter has no position."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, ast.FunctionDef):
+                method = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                name = (cls.name if method and child.name == "__init__"
+                        else child.name)
+                a = child.args
+                positional = [*a.posonlyargs, *a.args]
+                first = len(positional) - len(a.defaults)
+                out.extend((name, arg.arg, k - method)
+                           for k, arg in enumerate(positional)
+                           if k >= first)
+                out.extend((name, arg.arg, None)
+                           for arg, default in zip(a.kwonlyargs,
+                                                   a.kw_defaults)
+                           if default is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    # a ** or * argument may pass anything
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_default_is_overridden_somewhere():
+    # calls match on the called name alone, so a call of another function
+    # of that name counts too
+    calls = {}
+    for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never = [f"{path.name} {name}({parameter})"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name, parameter, position in _defaulted_parameters(
+                 ast.parse(path.read_text()))
+             if not any(_passes(call, parameter, position)
+                        for call in calls.get(name, []))]
+    assert never == []

@@ -100,8 +100,7 @@ def test_dissipator_traceless_and_mismatch():
 
 def test_rhs_zero_generator():
     space = HilbertSpace(n_qubits=0, field_dim=3)
-    me = MasterEquation(hamiltonian=0.0 * annihilation(space), terms=(),
-                        space=space)
+    me = MasterEquation(hamiltonian=0.0 * annihilation(space), terms=())
     out = rhs(me, random_density(space, 5))
     np.testing.assert_allclose(out, 0, atol=1e-15)
 
@@ -121,8 +120,7 @@ def test_rhs_traceless_and_matches_liouvillian():
 def test_rhs_rejects_nonfinite():
     space = HilbertSpace(n_qubits=0, field_dim=3)
     me = MasterEquation(hamiltonian=0.0 * annihilation(space),
-                        terms=(LindbladTerm(annihilation(space), 1.0),),
-                        space=space)
+                        terms=(LindbladTerm(annihilation(space), 1.0),))
     bad = np.full((3, 3), np.inf, dtype=complex)
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         rhs(me, bad)
@@ -131,15 +129,14 @@ def test_rhs_rejects_nonfinite():
 def test_master_equation_rejects_nonhermitian_h():
     space = HilbertSpace(n_qubits=0, field_dim=3)
     with pytest.raises(ValueError):
-        MasterEquation(hamiltonian=annihilation(space), terms=(), space=space)
+        MasterEquation(hamiltonian=annihilation(space), terms=())
 
 
 def test_liouvillian_damped_oscillator_spectrum():
     space = HilbertSpace(n_qubits=0, field_dim=5)
     kappa = 0.37
     me = MasterEquation(hamiltonian=0.0 * annihilation(space),
-                        terms=(LindbladTerm(annihilation(space), kappa),),
-                        space=space)
+                        terms=(LindbladTerm(annihilation(space), kappa),))
     lmat = liouvillian_matrix(me)
     assert lmat.matrix.shape == (25, 25)
     eigs = np.linalg.eigvals(lmat.matrix.toarray())
@@ -148,13 +145,26 @@ def test_liouvillian_damped_oscillator_spectrum():
     np.testing.assert_allclose(eigs.imag, 0, atol=1e-8)
 
 
+def test_master_equation_takes_the_hamiltonians_space():
+    laser = model_single_qubit_laser(g=0.9, gamma=1.0, kappa=0.3,
+                                     space=HilbertSpace(n_qubits=1,
+                                                        field_dim=6))
+    assert laser.space == laser.hamiltonian.space
+    # a field-only Hamiltonian of the same dimension, 12, is still on
+    # another space than the laser's jumps
+    field = HilbertSpace(n_qubits=0, field_dim=12)
+    a = annihilation(field)
+    with pytest.raises(ValueError, match="different space"):
+        MasterEquation(hamiltonian=0.5 * (a.dag() @ a), terms=laser.terms)
+
+
 def test_master_equation_rejects_callable_hamiltonian():
     space = HilbertSpace(n_qubits=0, field_dim=3)
     with pytest.raises(TypeError, match="Operator"):
         MasterEquation(hamiltonian=lambda t: 0.0 * annihilation(space),
-                       terms=(), space=space)
+                       terms=())
     with pytest.raises(TypeError, match="ndarray"):
-        MasterEquation(hamiltonian=np.zeros((3, 3)), terms=(), space=space)
+        MasterEquation(hamiltonian=np.zeros((3, 3)), terms=())
 
 
 def build_model(kind, g, gamma, kappa, c_prime, r, field_dim):
@@ -208,8 +218,7 @@ def test_generator_preserves_trace_and_hermiticity(kind, g, gamma, kappa,
 
 def charge_free(me):
     """The same master equation without its charge: one sector, all of rho."""
-    return MasterEquation(hamiltonian=me.hamiltonian, terms=me.terms,
-                          space=me.space)
+    return MasterEquation(hamiltonian=me.hamiltonian, terms=me.terms)
 
 
 def off_sector(me) -> np.ndarray:
@@ -280,9 +289,40 @@ def test_sorted_join_matches_dense_join(la, lb):
         assert np.array_equal(got, want)
 
 
+sector_labels = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6,
+                         unique=True).flatmap(
+    lambda values: st.lists(st.sampled_from(values), min_size=1,
+                            max_size=40)).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=sector_labels)
+@example(labels=np.array([5]))
+@example(labels=np.array([0, 0, 0]))
+def test_sector_pairs_are_numbered_from_their_labels(labels):
+    coords = lindblad._SectorCoordinates(labels)
+    cols, rows = np.nonzero(labels[:, None] == labels)
+    assert np.array_equal(coords.cols, cols)
+    assert np.array_equal(coords.rows, rows)
+    # the reference: a dense d x d table of the column-major pair numbers
+    index = np.full((labels.size,) * 2, -1)
+    index[rows, cols] = np.arange(rows.size)
+    numbers = coords.start[cols] + coords.rank[rows]
+    assert np.array_equal(numbers, np.arange(rows.size))
+    # each column's first pair
+    assert np.array_equal(coords.start,
+                          np.where(index < 0, rows.size, index).min(axis=0))
+    assert np.array_equal(coords.mirror, index[cols, rows])
+    assert np.array_equal(coords.diagonal, index.diagonal())
+    for table in (coords.start, coords.rank, coords.diagonal, coords.mirror,
+                  numbers):
+        assert table.dtype == np.int32
+
+
 @pytest.mark.parametrize("scenario, model, field_dim", [
     ("squeezed_laser", "effective", 60),
     ("two_qubit_full", "two_qubit", 40),
+    ("single_laser", "single", 1000),
 ])
 def test_generator_assembly_memory_tracks_its_nonzeros(scenario, model,
                                                        field_dim):
@@ -292,6 +332,8 @@ def test_generator_assembly_memory_tracks_its_nonzeros(scenario, model,
     if model == "two_qubit":
         me = model_two_qubit_full(r.dressed, r.aux, r.gamma, r.gamma_prime,
                                   r.kappa, space)
+    elif model == "single":
+        me = model_single_qubit_laser(r.g_tilde, r.gamma, r.kappa, space)
     else:
         me = model_squeezed_laser_effective(r.dressed, r.gamma, r.kappa,
                                             r.c_prime, space)
@@ -301,9 +343,12 @@ def test_generator_assembly_memory_tracks_its_nonzeros(scenario, model,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a dense pairing of each term's nonzeros took 10-12x
-    assert peak <= 6 * (lmat.data.nbytes + lmat.indices.nbytes
-                        + lmat.indptr.nbytes)
+    # a dense pairing of each term's nonzeros took 10-12x; the single
+    # laser's U(1) sector holds 4 fd - 2 pairs, where a d x d pair table
+    # took 101x
+    bound = 10 if model == "single" else 6
+    assert peak <= bound * (lmat.data.nbytes + lmat.indices.nbytes
+                            + lmat.indptr.nbytes)
 
 
 def record_splu(monkeypatch) -> list:
@@ -347,12 +392,12 @@ def full_sector_solve(me):
     d = me.space.dim
     coords = lindblad._SectorCoordinates(me._labels())
     lmat = coords.generator(me).tocoo()
-    diagonal = coords.index.diagonal()
     keep = lmat.row != 0
     bordered = sp.csc_matrix(
         (np.concatenate([lmat.data[keep], np.ones(d)]),
          (np.concatenate([lmat.row[keep], np.zeros(d, dtype=int)]),
-          np.concatenate([lmat.col[keep], diagonal]))), shape=lmat.shape)
+          np.concatenate([lmat.col[keep], coords.diagonal]))),
+        shape=lmat.shape)
     b = np.zeros(coords.n)
     b[0] = 1.0
     y = scipy_splu(bordered).solve(b)
@@ -478,8 +523,7 @@ def test_pump_inversion_conjugation_spectrum():
     h = -g * (a.dag() @ sigma + a @ sigma.dag())
     pumped = MasterEquation(
         hamiltonian=h,
-        terms=(LindbladTerm(sigma.dag(), gamma), LindbladTerm(a, kappa)),
-        space=space)
+        terms=(LindbladTerm(sigma.dag(), gamma), LindbladTerm(a, kappa)))
     e1 = np.linalg.eigvals(liouvillian_matrix(inverted).matrix.toarray())
     e2 = np.linalg.eigvals(liouvillian_matrix(pumped).matrix.toarray())
     cost = np.abs(e1[:, None] - e2[None, :])
@@ -532,8 +576,7 @@ def test_single_qubit_laser_steady_methods_agree():
 def test_steady_state_pure_decay():
     space = HilbertSpace(n_qubits=0, field_dim=5)
     me = MasterEquation(hamiltonian=0.0 * annihilation(space),
-                        terms=(LindbladTerm(annihilation(space), 0.4),),
-                        space=space)
+                        terms=(LindbladTerm(annihilation(space), 0.4),))
     rho = steady_state(me)
     np.testing.assert_allclose(rho.matrix, fock_projector(space, 0),
                                atol=1e-10)
@@ -550,10 +593,10 @@ def test_steady_state_dark_laser():
 def test_steady_state_degeneracy_detected():
     space = HilbertSpace(n_qubits=1, field_dim=1)
     _, sigma_z, _ = qubit_ops(space, 0)
-    free = MasterEquation(hamiltonian=1.0 * sigma_z, terms=(), space=space)
+    free = MasterEquation(hamiltonian=1.0 * sigma_z, terms=())
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(free)
-    nothing = MasterEquation(hamiltonian=0.0 * sigma_z, terms=(), space=space)
+    nothing = MasterEquation(hamiltonian=0.0 * sigma_z, terms=())
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(nothing)
 
@@ -561,8 +604,7 @@ def test_steady_state_degeneracy_detected():
 def test_steady_state_unknown_method():
     space = HilbertSpace(n_qubits=0, field_dim=3)
     me = MasterEquation(hamiltonian=0.0 * annihilation(space),
-                        terms=(LindbladTerm(annihilation(space), 1.0),),
-                        space=space)
+                        terms=(LindbladTerm(annihilation(space), 1.0),))
     with pytest.raises(ValueError):
         steady_state(me, "magic")
 
