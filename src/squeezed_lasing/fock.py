@@ -192,9 +192,16 @@ def qubit_ops(space: HilbertSpace, which: int) -> tuple[Operator, Operator, Oper
 
 
 def matrix_exponential(op: Operator) -> Operator:
-    import scipy.linalg
-
-    result = scipy.linalg.expm(op.matrix)
+    """exp(G) of an anti-Hermitian G, a unitary: with -iG = V diag(w) V^dag
+    from ``eigh``, exp(G) = V diag(e^{iw}) V^dag.  A G that is not
+    anti-Hermitian raises ValueError."""
+    g = op.matrix
+    scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
+    if np.max(np.abs(g + g.conj().T), initial=0.0) > 1e-10 * scale:
+        raise ValueError("matrix_exponential needs an anti-Hermitian "
+                         "generator")
+    w, v = np.linalg.eigh(-1j * g)
+    result = (v * np.exp(1j * w)) @ v.conj().T
     if not np.all(np.isfinite(result)):
         raise FloatingPointError("matrix exponential produced non-finite entries")
     return Operator(op.space, result)

@@ -19,8 +19,12 @@ A throughout; the bare-mode decay channel enters through the Bogoliubov
 relation a = A cosh r - A^dag sinh r.
 
 Vectorization is column-major: vec(A rho B) = (B^T kron A) vec(rho).
-Liouvillians are kept as scipy sparse matrices, which stay cheap well
-past the dimensions where dense storage stops fitting in memory.
+The steady-state path runs on numpy alone: generators are kept as COO
+triplets (``SparseMatrix``), products of operators are formed from their
+nonzeros by the sorted join ``_join``, and the bordered system is solved
+by the package's own multifrontal LU (``splu``).  scipy's sparse
+matrices serve only ``liouvillian_matrix``, the full complex generator
+that the oracles use.
 
 Each model carries a weak symmetry (Buca & Prosen, NJP 14, 073007): a
 diagonal integer charge Q over the product basis that H conserves and
@@ -53,9 +57,20 @@ coordinates then split into two blocks that it never couples: Re rho_ij
 with n_i - n_j even and Im rho_ij with n_i - n_j odd, which hold the
 populations and so the trace, and the rest, whose right-hand side is
 zero.  The direct solve finds the block of the trace row from the
-assembled matrix and factors that alone.  Nothing declares the split: a
-detuning delta a^dag a stays real in the gauge, so -i delta a^dag a is
-not, it joins the blocks, and the whole sector is factored.
+assembled matrix, by a breadth-first search, and factors that alone.
+Nothing declares the split: a detuning delta a^dag a stays real in the
+gauge, so -i delta a^dag a is not, it joins the blocks, and the whole
+sector is factored.
+
+Each coordinate couples only to those within two photons of its pair's
+photon numbers (n_i, n_j), so the block is a 2-D mesh over them, and
+``splu`` orders it by nested dissection (A. George, SIAM J. Numer. Anal.
+10, 345 (1973)) on those known points, with no graph partitioner.  Its
+dense fronts pivot only inside themselves, so the order must leave no
+front whose unknowns the dynamics keeps to itself: that is why the
+separator of each split is taken on the high-photon side (``_dissect``),
+and why the row that the trace replaces is that of the population that
+leaves slowest.
 """
 
 from __future__ import annotations
@@ -176,13 +191,14 @@ class MasterEquation:
         return self._reduce(self.charge)
 
 
-def _check_trace_null(matrix: sp.spmatrix, diagonal: np.ndarray,
-                      scale: float):
+def _check_trace_null(transposed_product: Callable[[np.ndarray], np.ndarray],
+                      n: int, diagonal: np.ndarray, scale: float):
     """The trace functional (ones on the diagonal pairs) is a left null
-    vector of the generator; ``scale`` is max(1, its largest |entry|)."""
-    trace_vec = np.zeros(matrix.shape[0])
+    vector of the n x n generator whose transpose ``transposed_product``
+    applies; ``scale`` is max(1, its largest |entry|)."""
+    trace_vec = np.zeros(n)
     trace_vec[diagonal] = 1.0
-    residual = np.max(np.abs(matrix.T @ trace_vec))
+    residual = np.max(np.abs(transposed_product(trace_vec)))
     if residual > 1e-10 * scale:
         raise ValueError(f"trace functional is not a left null vector "
                          f"(residual {residual:.2e})")
@@ -199,7 +215,8 @@ class Liouvillian:
         d = self.space.dim
         if self.matrix.shape != (d * d, d * d):
             raise ValueError("Liouvillian shape does not match space")
-        _check_trace_null(self.matrix, np.arange(d) * (d + 1),
+        _check_trace_null(lambda v: self.matrix.T @ v, d * d,
+                          np.arange(d) * (d + 1),
                           max(1.0, np.abs(self.matrix.data).max(initial=0.0)))
 
 
@@ -244,6 +261,15 @@ def _unvec(y: np.ndarray, d: int) -> np.ndarray:
     return y.reshape((d, d), order="F")
 
 
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[k], stops[k]), in memory
+    proportional to their total length."""
+    counts = stops - starts
+    # the k-th entry of range r sits at starts[r] + (k - start of run r)
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.arange(shift.size) + shift
+
+
 def _join(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs (ka, kb) with la[ka] == lb[kb], in the row-major
     order of np.nonzero(la[:, None] == lb), in memory proportional to
@@ -256,11 +282,102 @@ def _join(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(lb, kind="stable")
     sorted_lb = lb[order]
     lo = np.searchsorted(sorted_lb, la, side="left")
-    counts = np.searchsorted(sorted_lb, la, side="right") - lo
-    ka = np.repeat(np.arange(la.size), counts)
-    # the k-th pair of run ka sits at lo[ka] + (k - start of run ka)
-    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return ka, order[np.arange(ka.size) + shift]
+    hi = np.searchsorted(sorted_lb, la, side="right")
+    return np.repeat(np.arange(la.size), hi - lo), order[_ranges(lo, hi)]
+
+
+def _coo(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, values) of the nonzeros of a dense matrix, row by
+    row."""
+    rows, cols = np.nonzero(matrix)
+    return rows, cols, matrix[rows, cols]
+
+
+def _product(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triplets of A B from those of A and B: one per pair of
+    nonzeros A_ik B_kj, joined on k; repeated positions add up."""
+    ka, kb = _join(a[1], b[0])
+    return a[0][ka], b[1][kb], a[2][ka] * b[2][kb]
+
+
+def _coalesce(pieces: list[tuple[np.ndarray, np.ndarray]],
+              n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triplets (major, minor, value) of an n x n matrix given as
+    pieces of positions ``major * n + minor`` (int64) and values, with
+    repeated positions summed and exact zeros dropped, sorted by
+    position, indices as int32.  A stable sort keeps the repeats of a
+    position in the pieces' order, which fixes the last bits of each sum.
+    The list is emptied once the pieces are joined, so that each array
+    is freed as soon as the next one is formed."""
+    key, values = (np.concatenate(x) for x in zip(*pieces))
+    pieces.clear()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    values = values[order]
+    del order
+    first = np.flatnonzero(np.concatenate([[key.size > 0],
+                                           key[1:] != key[:-1]]))
+    values = np.add.reduceat(values, first) if first.size else values
+    keep = values != 0
+    key = key[first[keep]]
+    del first
+    return ((key // n).astype(np.int32), (key % n).astype(np.int32),
+            values[keep])
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """An n x n real sparse matrix as triplets: ``rows``, ``cols`` and
+    ``data``, each position at most once."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    n: int
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.data * x[self.cols],
+                           minlength=self.n)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """The transpose's product with x."""
+        return np.bincount(self.cols, weights=self.data * x[self.rows],
+                           minlength=self.n)
+
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the pattern of |A| + |A|^T: node k's
+        neighbours are indices[indptr[k]:indptr[k + 1]]."""
+        src = np.concatenate([self.cols, self.rows])
+        dst = np.concatenate([self.rows, self.cols])
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        return indptr, dst[order]
+
+    def submatrix(self, keep: np.ndarray) -> SparseMatrix:
+        """The rows and columns ``keep``, numbered in that order; no entry
+        may join a kept node to a dropped one."""
+        index = np.full(self.n, -1, dtype=np.int32)
+        index[keep] = np.arange(keep.size, dtype=np.int32)
+        inside = index[self.rows] >= 0
+        return SparseMatrix(index[self.rows[inside]],
+                            index[self.cols[inside]], self.data[inside],
+                            keep.size)
+
+
+def _reached(indptr: np.ndarray, indices: np.ndarray,
+             start: int) -> np.ndarray:
+    """The sorted nodes that a path joins to node ``start``, by a
+    breadth-first search over an adjacency (``SparseMatrix.adjacency``),
+    one level at a time."""
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    seen[start] = True
+    level = np.array([start])
+    while level.size:
+        near = indices[_ranges(indptr[level], indptr[level + 1])]
+        level = np.unique(near[~seen[near]])
+        seen[level] = True
+    return np.flatnonzero(seen)
 
 
 class _SectorCoordinates:
@@ -315,34 +432,36 @@ class _SectorCoordinates:
         a label; A and B shift the labels alike, which the charge checks
         guarantee, so (p, q) is then a sector pair as well.
         """
-        import scipy.sparse as sp
-
-        eye = sp.identity(self.labels.size, dtype=complex, format="coo")
-        g = -1j * sp.csr_matrix(me.hamiltonian.matrix)
+        d = self.labels.size
+        eye = (np.arange(d), np.arange(d), np.ones(d, dtype=complex))
+        rows, cols, vals = _coo(me.hamiltonian.matrix)
+        g = [(rows, cols, -1j * vals)]
         sandwiches = []
         for term in me.terms:
-            o = sp.csr_matrix(term.jump.matrix)
-            g = g - term.rate * (o.conj().T @ o)
-            sandwiches.append(((2.0 * term.rate) * o.tocoo(), o.tocoo()))
-        g = g.tocoo()
+            o = _coo(term.jump.matrix)
+            rows, cols, vals = _product((o[1], o[0], o[2].conj()), o)
+            g.append((rows, cols, -term.rate * vals))
+            sandwiches.append(((o[0], o[1], (2.0 * term.rate) * o[2]), o))
+        g = _coalesce([(rows.astype(np.int64) * d + cols, vals)
+                       for rows, cols, vals in g], d)
         for a, b in [(g, eye), (eye, g), *sandwiches]:
             yield self._sandwich(a, b)
 
     def _sandwich(self, a, b):
-        """The triplets of A rho B^dag, from A and B in COO form.  The
-        join's index arrays die on return, before the caller holds the
+        """The triplets of A rho B^dag, from those of A and B.  The join's
+        index arrays die on return, before the caller holds the
         triplets."""
-        ka, kb = _join(self.labels[a.row], self.labels[b.row])
-        return (self.number(a.row[ka], b.row[kb]),
-                self.number(a.col[ka], b.col[kb]),
-                a.data[ka] * b.data[kb].conj())
+        ka, kb = _join(self.labels[a[0]], self.labels[b[0]])
+        return (self.number(a[0][ka], b[0][kb]),
+                self.number(a[1][ka], b[1][kb]),
+                a[2][ka] * b[2][kb].conj())
 
     def entries(self, me: MasterEquation):
         """(rows, columns, values) of the whole complex generator on the
         sector pairs, the sandwiches' triplets in turn."""
         return tuple(np.concatenate(x) for x in zip(*self.sandwiches(me)))
 
-    def generator(self, me: MasterEquation) -> sp.csc_matrix:
+    def generator(self, me: MasterEquation) -> SparseMatrix:
         """The sector generator as a real matrix: row k is the part of
         (L rho)_ij that coordinate k holds.
 
@@ -352,16 +471,15 @@ class _SectorCoordinates:
         row keeps the real or the imaginary part of each.  Each sandwich
         becomes its two real pieces, exact zeros dropped, as soon as it
         is formed.  The pieces are joined once, every x_re piece before
-        every x_im piece: the CSC conversion adds repeated positions in
-        that order, which fixes the last bits of the sums.
+        every x_im piece, and repeated positions are summed in that
+        order, which fixes the last bits of the sums.
         """
-        import scipy.sparse as sp
-
         on_re, on_im = [], []
 
         def piece(rows, cols, data):
+            # column-major positions
             keep = data != 0
-            return data[keep], rows[keep], cols[keep]
+            return cols[keep].astype(np.int64) * self.n + rows[keep], data[keep]
 
         for rows, cols, vals in self.sandwiches(me):
             below = self.side[rows] > 0
@@ -372,10 +490,11 @@ class _SectorCoordinates:
             # 0 when p = q
             on_im.append(piece(rows, np.where(s > 0, cols, mirror),
                                s * np.where(below, vals.real, -vals.imag)))
-        data, rows, cols = (np.concatenate(x) for x in zip(*on_re, *on_im))
-        # the pieces would otherwise stay alive under the CSC conversion
+        pieces = on_re + on_im
+        # the pieces would otherwise stay alive under the summation
         del on_re, on_im
-        return sp.csc_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        cols, rows, data = _coalesce(pieces, self.n)
+        return SparseMatrix(rows, cols, data, self.n)
 
     def hermitian(self, x: np.ndarray) -> np.ndarray:
         """The d x d matrix rho, 0 off the sector, from its real
@@ -580,10 +699,13 @@ def schrodinger_evolve(hamiltonian: Callable[[np.ndarray], np.ndarray]
     return sample_times[:next_sample], np.asarray(psis)
 
 
-def _screen_uniqueness(lmat: sp.spmatrix):
-    if lmat.shape[0] < 2:
-        return
-    dense = lmat.toarray()
+def _screen_uniqueness(me: MasterEquation):
+    """Raise if the full generator, dense, has two vanishing singular
+    values."""
+    d = me.space.dim
+    rows, cols, vals = _SectorCoordinates(np.zeros(d, dtype=int)).entries(me)
+    dense = np.zeros((d * d, d * d), dtype=complex)
+    np.add.at(dense, (rows, cols), vals)
     svals = np.linalg.svd(dense, compute_uv=False)
     scale = svals[0] if svals[0] > 0 else 1.0
     if svals[-2] < 1e-8 * scale:
@@ -592,45 +714,194 @@ def _screen_uniqueness(lmat: sp.spmatrix):
             f"{svals[-2] / scale:.2e}); stationary state is not unique")
 
 
-def splu(matrix: sp.csc_matrix):
-    """scipy's SuperLU factorisation of ``matrix``.  The steady-state
-    solve looks it up here, so SuperLU loads on the first solve."""
-    from scipy.sparse.linalg import splu as superlu
+# Nested-dissection leaves: a part of at most this many unknowns is one
+# front.  Pivoting stays inside a front, so small fronts lose digits
+# (leaves of 8 lost up to 7e-13 relative against SuperLU on small random
+# models, leaves of 24-96 at most 4e-14); time and stored entries move
+# little between 32 and 192.
+_LEAF = 96
 
-    return superlu(matrix)
+
+def _dissect(points: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+             nodes: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
+    """Nested dissection of ``nodes`` by their mesh ``points``: the fronts
+    in elimination order (children first) and each front's parent (-1 at
+    a root).
+
+    A part of more than ``_LEAF`` nodes is split at the median of its
+    longer axis; its separator is the high-side nodes with a low-side
+    neighbour in the adjacency (``SparseMatrix.adjacency``), so the two
+    sides left are apart and are dissected in turn.  The low side keeps
+    the nodes that reach into the separator.  In a laser, pumped up the
+    photon ladder through the coherences, those are how a low-photon
+    part loses its population; without them (a low-side separator) the
+    part keeps it to itself, and its pivot block is singular to
+    roundoff.
+    """
+    fronts: list[np.ndarray] = []
+    parents: list[int] = []
+    low_side = np.zeros(indptr.size - 1, dtype=bool)
+
+    def front(pivots: np.ndarray, children: list[int]) -> list[int]:
+        for child in children:
+            parents[child] = len(fronts)
+        fronts.append(pivots)
+        parents.append(-1)
+        return [len(fronts) - 1]
+
+    def split(part: np.ndarray) -> list[int]:
+        """The roots of the fronts that eliminate ``part``."""
+        if part.size == 0:
+            return []
+        at = points[part]
+        lo, hi = at.min(axis=0), at.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        if part.size <= _LEAF or hi[axis] == lo[axis]:
+            return front(part, [])
+        x = at[:, axis]
+        cut = max(np.partition(x, x.size // 2)[x.size // 2], lo[axis] + 1)
+        low, high = part[x < cut], part[x >= cut]
+        low_side[low] = True
+        starts, stops = indptr[high], indptr[high + 1]
+        owner = np.repeat(np.arange(high.size), stops - starts)
+        hits = owner[low_side[indices[_ranges(starts, stops)]]]
+        low_side[low] = False
+        touches = np.zeros(high.size, dtype=bool)
+        touches[hits] = True
+        roots = split(low) + split(high[~touches])
+        return front(high[touches], roots) if touches.any() else roots
+
+    split(nodes)
+    return fronts, parents
+
+
+@dataclass(frozen=True)
+class Factorisation:
+    """A multifrontal solve's result: the solution and the number of
+    entries it stored for back-substitution."""
+
+    solution: np.ndarray
+    nnz: int
+
+
+def splu(matrix: SparseMatrix, rhs: np.ndarray,
+         points: np.ndarray) -> Factorisation:
+    """Solve matrix x = rhs by a multifrontal LU in a nested-dissection
+    order, on numpy alone.  The steady-state solve looks it up here.
+
+    ``points`` gives each unknown but the first a position on an integer
+    mesh that the matrix couples locally, and orders the rest by
+    ``_dissect``; unknown 0, which may couple to all of them, is a root
+    front of its own.  Each original entry is assembled at the front
+    that eliminates its earlier endpoint, and each child's Schur
+    complement is extend-added into its parent.  A front with pivots P
+    and later unknowns B (its boundary) then runs one np.linalg.solve of
+    its pivot block against [coupling to B | right-hand side], with
+    partial pivoting inside the block, keeps that result for the
+    back-substitution, and passes the Schur complement of B and its
+    right-hand side on.  A singular pivot block raises
+    DegenerateSteadyStateError.
+    """
+    n = matrix.n
+    indptr, indices = matrix.adjacency()
+    fronts, parents = _dissect(points, indptr, indices, np.arange(1, n))
+    fronts.append(np.zeros(1, dtype=np.int64))
+    parents = [len(fronts) - 1 if p < 0 else p for p in parents] + [-1]
+    children: list[list[int]] = [[] for _ in fronts]
+    for f, p in enumerate(parents[:-1]):
+        children[p].append(f)
+    perm = np.concatenate(fronts)
+    pos = np.empty(n, dtype=np.int64)
+    pos[perm] = np.arange(n)
+    starts = np.cumsum([0] + [f.size for f in fronts])
+    # each entry goes to the front of its earlier endpoint
+    r, c = pos[matrix.rows], pos[matrix.cols]
+    first = np.minimum(r, c)
+    order = np.argsort(first, kind="stable")
+    r, c, v = r[order], c[order], matrix.data[order]
+    cuts = np.searchsorted(first[order], starts)
+    b = rhs[perm]
+    boundaries, updates, kept = [], {}, []
+    for f, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        pivots = perm[lo:hi]
+        near = pos[indices[_ranges(indptr[pivots], indptr[pivots + 1])]]
+        bound = np.unique(np.concatenate(
+            [near, *(boundaries[k] for k in children[f])]))
+        bound = bound[bound >= hi]
+        boundaries.append(bound)
+        p, m = hi - lo, hi - lo + bound.size
+
+        def local(x):
+            return np.where(x < hi, x - lo, p + np.searchsorted(bound, x))
+
+        front = np.zeros((m, m + 1))
+        sl = slice(cuts[f], cuts[f + 1])
+        front[local(r[sl]), local(c[sl])] = v[sl]
+        front[:p, m] = b[lo:hi]
+        for k in children[f]:
+            # at the child boundary's rows and its columns plus the
+            # right-hand side, through flat indices: faster than np.ix_
+            at = local(boundaries[k])
+            flat = at[:, None] * (m + 1) + np.append(at, m)
+            front.reshape(-1)[flat.ravel()] += updates.pop(k).reshape(-1)
+        try:
+            x = np.linalg.solve(front[:p, :p], front[:p, p:])
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSteadyStateError(
+                f"multifrontal solve met a singular pivot block of "
+                f"{p} unknowns") from exc
+        updates[f] = front[p:, p:] - front[p:, :p] @ x
+        kept.append(x)
+    y = np.zeros(n)
+    for f in reversed(range(len(fronts))):
+        x, bound = kept[f], boundaries[f]
+        y[starts[f]:starts[f + 1]] = x[:, -1] - x[:, :-1] @ y[bound]
+    solution = np.empty(n)
+    solution[perm] = y
+    return Factorisation(solution, sum(x.size for x in kept))
 
 
 def _steady_direct(me: MasterEquation) -> DensityMatrix:
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
     d = me.space.dim
     if d <= UNIQUENESS_SCREEN_MAX_DIM:
-        _screen_uniqueness(liouvillian_matrix(me).matrix)
+        _screen_uniqueness(me)
     # the stationary state lies in the equal-charge sector, which the
     # generator maps onto itself, and is Hermitian
     coords = _SectorCoordinates(me._labels())
     lmat = coords.generator(me)
     scale = max(1.0, np.abs(lmat.data).max(initial=0.0))
     # the diagonal coordinates are the populations, so they carry the trace
-    _check_trace_null(lmat, coords.diagonal, scale)
-    # Sector row 0 is pair (0, 0) and carries d(rho_00)/dt.  Trace
-    # preservation makes the diagonal rows sum to zero, so replacing this
-    # one row keeps full rank and pinning tr(rho) = 1 there makes the
-    # bordered system square.
-    trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int),
-                                            coords.diagonal)),
-                              shape=(1, coords.n))
-    bordered = sp.vstack([trace_row, lmat[1:]], format="csc")
+    _check_trace_null(lmat.rmatvec, coords.n, coords.diagonal, scale)
+    # Trace preservation makes the population rows sum to zero, so
+    # replacing one of them keeps full rank, and pinning tr(rho) = 1 there
+    # makes the bordered system square.  The solve pivots on the replaced
+    # row's population last, so that must be one the steady state holds:
+    # take the one that leaves slowest, |L_kk| least.  A dark state leaves
+    # not at all: its column is zero, so only the trace row can pivot on
+    # it.
+    outflow = np.zeros(coords.n)
+    on_diagonal = lmat.rows == lmat.cols
+    outflow[lmat.rows[on_diagonal]] = np.abs(lmat.data[on_diagonal])
+    root = int(coords.diagonal[np.argmin(outflow[coords.diagonal])])
+    keep = lmat.rows != root
+    bordered = SparseMatrix(
+        np.concatenate([np.full(d, root, dtype=np.int32), lmat.rows[keep]]),
+        np.concatenate([coords.diagonal, lmat.cols[keep]]),
+        np.concatenate([np.ones(d), lmat.data[keep]]), coords.n)
     # Only the coordinates that the trace row reaches can be nonzero: the
-    # rest form blocks with a zero right-hand side, so factor the block of
-    # row 0 alone and leave the others at 0.
-    _, component = connected_components(bordered, connection="weak")
-    live = np.flatnonzero(component == component[0])
+    # rest form blocks with a zero right-hand side, so solve the block of
+    # the trace row alone, with that row first, and leave the others at 0.
+    live = _reached(*bordered.adjacency(), root)
+    live = np.concatenate([[root], live[live != root]])
     b = np.zeros(live.size)
     b[0] = 1.0
+    # each coordinate sits at its pair's photon numbers, folded so that
+    # both coordinates of a pair share a point
+    photons = _excitations(me.space)[0]
+    ni, nj = photons[coords.rows[live]], photons[coords.cols[live]]
+    points = np.stack([np.minimum(ni, nj), np.maximum(ni, nj)], axis=1)
     y = np.zeros(coords.n)
-    y[live] = splu(bordered[live][:, live]).solve(b)
+    y[live] = splu(bordered.submatrix(live), b, points).solution
     residual = np.max(np.abs(lmat @ y))
     if residual > 1e-8 * scale:
         raise DegenerateSteadyStateError(
@@ -675,8 +946,9 @@ def steady_state(me: MasterEquation, method: str = "direct") -> DensityMatrix:
 
     method="direct" solves L vec(rho) = 0 on the equal-charge sector of
     the master equation (all of rho without a charge), in real Hermitian
-    coordinates, with the trace pinned through a bordered sparse LU, and
-    scatters the solution back.  The LU factors only the connected block
+    coordinates, with the trace pinned through a bordered multifrontal LU
+    (``splu``), and scatters the solution back.  The LU factors only the
+    connected block
     of the bordered matrix that holds the trace row, about half the
     sector at resonance by the i^n gauge symmetry (module docstring),
     and all of it once a detuning couples the blocks; the other
@@ -701,14 +973,15 @@ def _excitations(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exchange(mode: Operator, sigma: Operator) -> np.ndarray:
-    """mode^dag sigma^dag + mode sigma, each product formed from sparse
-    factors.  A ladder times a qubit operator has one nonzero product per
-    entry, so this equals the dense product entry for entry."""
-    import scipy.sparse as sp
-
-    m = sp.csr_matrix(mode.matrix)
-    s = sp.csr_matrix(sigma.matrix)
-    return (m.conj().T @ s.conj().T).toarray() + (m @ s).toarray()
+    """mode^dag sigma^dag + mode sigma, each product formed from the
+    factors' nonzeros.  A ladder times a qubit operator has one nonzero
+    product per entry, so this equals the dense product entry for entry."""
+    d = mode.space.dim
+    out = np.zeros((d, d), dtype=complex)
+    for a, b in [(mode.dag(), sigma.dag()), (mode, sigma)]:
+        rows, cols, vals = _product(_coo(a.matrix), _coo(b.matrix))
+        np.add.at(out, (rows, cols), vals)
+    return out
 
 
 def model_single_qubit_laser(g: float, gamma: float, kappa: float,

@@ -608,20 +608,32 @@ class ScenarioOutput:
 _TRUNCATION_TOL = 1e-6
 
 
-def _solve_steady_checked(build, field_dim: int, retries: int):
+def _solved(build, fd: int, solved: dict) -> tuple:
+    """The steady state of ``build(fd)`` and its reduced field (the last
+    factor), from ``solved`` (field_dim -> that pair) when it holds them,
+    else solved and added to it."""
+    if fd not in solved:
+        me = build(fd)
+        rho = steady_state(me)
+        solved[fd] = rho, partial_trace(rho, keep=[me.space.n_qubits])
+    return solved[fd]
+
+
+def _solve_steady_checked(build, field_dim: int, retries: int,
+                          solved: dict | None = None):
     """Steady state with the field dimension retried 1.5x on bad truncation.
 
     ``build(field_dim)`` returns the master equation; its field is the
-    last factor of its space.  Returns (full state, reduced field state,
-    field_dim used, flagged).  The edge population of each attempt's
-    reduced field is measured once; a state still over the edge after the
-    last retry is logged and flagged.
+    last factor of its space.  ``solved`` holds the states of this model
+    already solved, by field_dim (``_solved``).  Returns (full state,
+    reduced field state, field_dim used, flagged).  The edge population
+    of each attempt's reduced field is measured once; a state still over
+    the edge after the last retry is logged and flagged.
     """
+    solved = {} if solved is None else solved
     fd = field_dim
     for attempt in range(retries + 1):
-        me = build(fd)
-        rho = steady_state(me)
-        reduced = partial_trace(rho, keep=[me.space.n_qubits])
+        rho, reduced = _solved(build, fd, solved)
         edge = truncation_edge(reduced)
         if edge < _TRUNCATION_TOL:
             return rho, reduced, fd, False
@@ -640,21 +652,30 @@ class _Point:
 
     Construction runs the checked steady state of ``resolved``, the
     point's working point; every other quantity is computed once, on
-    first use.  ``memo`` holds effective-model fields (by field_dim) and
-    ansatz states (by field_dim and |F|); a point shares it with its
-    two-qubit sibling ``full``.
+    first use.  ``memo`` is the run's: it holds what depends only on the
+    effective model of the point's working point (its dressed coupling,
+    rates and C'), so that points along an axis that leaves that model
+    alone, such as the g' ratio, share it.  That is the effective model's
+    states and reduced fields (by field_dim) and the ansatz states (by
+    field_dim and |F|).  A point whose effective model differs from the
+    one the memo holds empties it first, so it keeps one model's states.
     """
 
     def __init__(self, resolved: ResolvedPoint, numerics: NumericsSpec,
-                 memo: dict | None = None):
+                 memo: dict):
         self.resolved, self.numerics = resolved, numerics
         self.dressed = resolved.dressed
-        self._memo = {} if memo is None else memo
+        effective = (self.dressed, resolved.gamma, resolved.kappa,
+                     resolved.c_prime)
+        if memo.get("effective model") != effective:
+            memo.clear()
+            memo["effective model"] = effective
+        self._memo = memo
+        self._effective = memo.setdefault("effective states", {})
         self.rho, self.field, self.field_dim, flagged = _solve_steady_checked(
-            self._build, numerics.field_dim, numerics.truncation_retries)
+            self._build, numerics.field_dim, numerics.truncation_retries,
+            self._effective if resolved.model == "effective" else None)
         self.truncation_flag = int(flagged)
-        if resolved.model == "effective":
-            self._memo["field", self.field_dim] = self.field
 
     def _build(self, fd: int, model: str | None = None):
         r = self.resolved
@@ -738,13 +759,10 @@ class _Point:
     @cached_property
     def fidelity_vs_effective(self) -> float:
         """Against the effective model's field at this field_dim, from an
-        unchecked solve unless the point already holds one."""
-        key = ("field", self.field_dim)
-        if key not in self._memo:
-            me = self._build(self.field_dim, "effective")
-            self._memo[key] = partial_trace(steady_state(me),
-                                            keep=[me.space.n_qubits])
-        return fidelity(self.field, self._memo[key])
+        unchecked solve unless the memo already holds one."""
+        _, effective = _solved(lambda fd: self._build(fd, "effective"),
+                               self.field_dim, self._effective)
+        return fidelity(self.field, effective)
 
     @cached_property
     def adiabatic_ok(self) -> int:
@@ -812,14 +830,15 @@ _FIDELITY_SWEEP_FULL = _FIDELITY_SWEEP + (
 
 
 def _evaluate_point(scenario: str, resolved: ResolvedPoint,
-                    numerics: NumericsSpec) -> dict:
+                    numerics: NumericsSpec, memo: dict) -> dict:
     columns = (_COLUMNS[scenario][1] if resolved.full is None
                else _FIDELITY_SWEEP_FULL)
-    point = _Point(resolved, numerics)
+    point = _Point(resolved, numerics, memo)
     return {name: attrgetter(path)(point) for name, path in columns}
 
 
-# scenario -> fn(resolved point, numerics) -> one row as a dict
+# scenario -> fn(resolved point, numerics, the run's memo) -> one row as a
+# dict
 _POINT_FUNCS = {name: partial(_evaluate_point, name) for name in _COLUMNS}
 
 
@@ -841,9 +860,10 @@ def _run_sweep(config: RunConfig) -> ScenarioOutput:
     returned: list[dict] = []
     rows: list[tuple] = []
     failed: list[dict] = []
+    memo: dict = {}
     for i, (value, resolved) in enumerate(zip(values, config.points)):
-        rec = _isolated(partial(point_fn, resolved, config.numerics), failed,
-                        i, axis, value)
+        rec = _isolated(partial(point_fn, resolved, config.numerics, memo),
+                        failed, i, axis, value)
         if rec is None:
             continue
         returned.append(rec)
@@ -973,7 +993,7 @@ def ring_cut_anisotropy(w: WignerField) -> tuple[float, float, float]:
 def _wigner_panel(resolved: ResolvedPoint, numerics: NumericsSpec):
     """The steady point at ``resolved`` and, for the lasing and the bare
     frame, (label, Wigner field, cut variances)."""
-    steady = _Point(resolved, numerics)
+    steady = _Point(resolved, numerics, {})
     grid = grid_for_density(steady.field, points=numerics.grid_points)
     w_mode = wigner_from_density(steady.field, grid)
     w_bare = wigner_change_basis(w_mode, steady.dressed.r)
@@ -1077,14 +1097,10 @@ def _one_blas_thread():
 
 def run_scenario(config: RunConfig) -> ScenarioOutput:
     """Execute one scenario, on one BLAS thread, and return its in-memory
-    products.
-
-    ``dress_audit`` and ``rwa_validate`` run on numpy alone.  Every other
-    scenario loads scipy's sparse LU, and with it scipy's OpenBLAS, first,
-    so that ``_one_blas_thread`` pins that library's threads as well.
+    products.  Every scenario runs on numpy alone, so numpy's OpenBLAS is
+    the library whose threads ``_one_blas_thread`` pins; scipy's, where a
+    caller has loaded it, is pinned as well.
     """
-    if config.scenario not in _DRIVE_SCENARIOS:
-        import scipy.sparse.linalg  # noqa: F401
     with _one_blas_thread():
         if config.scenario == "dress_audit":
             return _run_dress_audit(config)

@@ -25,6 +25,10 @@ MASS_TOL = 1e-3
 # half-width of auto-sized grids, in standard deviations per axis
 AUTO_GRID_SIGMAS = 6.0
 
+# radius past which f_0 = e^{-r^2/2} / (2 pi) of the Fock-basis kernels
+# is subnormal (r ~ 37.6), so the kernels' recurrence loses digits there
+KERNEL_RADIUS = math.sqrt(-2.0 * math.log(2 * math.pi * np.finfo(float).tiny))
+
 
 class GridCoverageError(ValueError):
     """The grid misses more than ``MASS_TOL`` of the state's Wigner mass."""
@@ -155,8 +159,6 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     Laguerre recurrence gives f_n = -[(2n - 1 + delta - r^2) f_{n-1}
     + sqrt((n - 1)(n - 1 + delta)) f_{n-2}] / sqrt(n (n + delta)).
     """
-    from scipy.special import xlogy
-
     if rho_A.space.n_qubits != 0:
         raise ValueError("wigner_from_density needs a field-only state; "
                          "trace out the qubits first")
@@ -178,8 +180,10 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
         inner_lo = np.zeros_like(acc)
         inner_hi = np.zeros_like(acc) if delta else None
         f_prev.fill(0.0)
-        np.exp(xlogy(delta / 2, r2) - r2 / 2 - 0.5 * math.lgamma(delta + 1),
-               out=f)
+        # r^delta, with 0^0 = 1 at the origin
+        with np.errstate(divide="ignore"):
+            log_power = (delta / 2) * np.log(r2) if delta else 0.0
+        np.exp(log_power - r2 / 2 - 0.5 * math.lgamma(delta + 1), out=f)
         f /= 2 * math.pi
         for n in range(d - delta):
             if n:
@@ -212,34 +216,54 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     mass = float(values.sum()) * grid.cell_area
     if abs(mass - 1.0) > MASS_TOL:
         x_lo, x_hi, p_lo, p_hi = _operator_extents(rho_A)
-        if (grid.x_min <= x_lo and x_hi <= grid.x_max
+        if not (grid.x_min <= x_lo and x_hi <= grid.x_max
                 and grid.p_min <= p_lo and p_hi <= grid.p_max):
+            raise GridCoverageError(
+                f"grid captures mass {mass:.6f}; suggest extents "
+                f"x in [{x_lo:.2f}, {x_hi:.2f}], p in [{p_lo:.2f}, {p_hi:.2f}]")
+        reach = _reach(rho_A)
+        points = _resolving_points(grid, reach)
+        if points > min(grid.nx, grid.np):
             raise GridCoverageError(
                 f"grid captures mass {mass:.6f} although it spans the "
                 "moment extents; the quadrature is too coarse: suggest "
-                f"{_resolving_points(rho_A, grid)} grid points per axis "
+                f"{max(points, grid.nx, grid.np)} grid points per axis "
                 f"(have {grid.nx} x {grid.np})")
+        if reach > KERNEL_RADIUS:
+            raise GridCoverageError(
+                f"grid captures mass {mass:.6f} although it spans the "
+                "moment extents and its points resolve the state; the "
+                f"state reaches radius {reach:.1f}, and the Fock-basis "
+                f"kernels lose their precision past radius "
+                f"{KERNEL_RADIUS:.1f}, where f_0 underflows")
         raise GridCoverageError(
-            f"grid captures mass {mass:.6f}; suggest extents "
-            f"x in [{x_lo:.2f}, {x_hi:.2f}], p in [{p_lo:.2f}, {p_hi:.2f}]")
+            f"grid captures mass {mass:.6f} although it spans the moment "
+            "extents and its points resolve the state; its mass lies "
+            f"beyond them: suggest extents out to radius {reach:.1f}")
     return WignerField(grid=grid, values=values, basis_tag=ModeBasis.MODE_A)
 
 
-def _resolving_points(rho_A: DensityMatrix, grid: PhaseGrid) -> int:
-    """Points per axis at which the midpoint rule resolves the state.
+def _reach(rho_A: DensityMatrix) -> float:
+    """The radius sqrt(4N + 2) that the state's Wigner function reaches,
+    with N the highest level whose tail population exceeds MASS_TOL: the
+    turning radius of |N>."""
+    pops = np.clip(np.diagonal(rho_A.matrix).real, 0.0, None)
+    tail = np.cumsum(pops[::-1])[::-1]
+    top = int(np.flatnonzero(tail > MASS_TOL)[-1])
+    return math.sqrt(4 * top + 2)
+
+
+def _resolving_points(grid: PhaseGrid, reach: float) -> int:
+    """Points per axis at which the midpoint rule resolves a state that
+    reaches radius ``reach`` (``_reach``).
 
     The rule's mass error is the characteristic function at the alias
     frequency 2 pi / h.  For |n><n| that function, exp(-k^2/2) L_n(k^2),
     dies off beyond k^2 = 4n + 2, so the spacing h must stay below
-    2 pi / sqrt(4N + 2), with N the highest level whose tail population
-    exceeds MASS_TOL.
+    2 pi / reach.
     """
-    pops = np.clip(np.diagonal(rho_A.matrix).real, 0.0, None)
-    tail = np.cumsum(pops[::-1])[::-1]
-    top = int(np.flatnonzero(tail > MASS_TOL)[-1])
-    k_max = math.sqrt(4 * top + 2)
     width = max(grid.x_max - grid.x_min, grid.p_max - grid.p_min)
-    return max(grid.nx, grid.np, math.ceil(width * k_max / (2 * math.pi)))
+    return math.ceil(width * reach / (2 * math.pi))
 
 
 def gaussian_wigner(gs: GaussianState, grid: PhaseGrid) -> WignerField:

@@ -382,10 +382,10 @@ def test_failed_points_exit_3_with_partial_results(tmp_path, monkeypatch):
     import squeezed_lasing.scenarios as scen
     real = scen._POINT_FUNCS["single_laser"]
 
-    def sometimes(point, numerics):
+    def sometimes(point, *rest):
         if point.c_tilde == 2.0:
             raise RuntimeError("synthetic blowup")
-        return real(point, numerics)
+        return real(point, *rest)
 
     monkeypatch.setitem(scen._POINT_FUNCS, "single_laser", sometimes)
     out = tmp_path / "run"
@@ -402,7 +402,7 @@ def test_failed_points_exit_3_with_partial_results(tmp_path, monkeypatch):
 def test_every_point_failing_writes_only_the_manifest(tmp_path, monkeypatch):
     import squeezed_lasing.scenarios as scen
 
-    def always(point, numerics):
+    def always(point, *rest):
         raise RuntimeError(f"synthetic blowup at {point.c_tilde}")
 
     monkeypatch.setitem(scen._POINT_FUNCS, "single_laser", always)

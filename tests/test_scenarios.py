@@ -531,10 +531,10 @@ class TestSweeps:
         import squeezed_lasing.scenarios as scen
         real = scen._POINT_FUNCS["single_laser"]
 
-        def sometimes(point, numerics):
+        def sometimes(point, *rest):
             if point.c_tilde == 2.0:
                 raise RuntimeError("synthetic solver blowup")
-            return real(point, numerics)
+            return real(point, *rest)
 
         monkeypatch.setitem(scen._POINT_FUNCS, "single_laser", sometimes)
         over = {"sweep": {"param": "c_tilde", "start": 1.0, "stop": 3.0,
@@ -553,10 +553,10 @@ class TestSweeps:
         import squeezed_lasing.scenarios as scen
         real = scen._POINT_FUNCS["single_laser"]
 
-        def faulty(point, numerics):
+        def faulty(point, *rest):
             if point.c_tilde == 2.0:
                 raise RuntimeError("synthetic solver blowup")
-            row = real(point, numerics)
+            row = real(point, *rest)
             if point.c_tilde == 1.0:
                 row["purity"] = float("nan")
             return row
@@ -614,6 +614,41 @@ class TestSweeps:
         assert [dict(zip(table.columns, row))["field_dim"]
                 for row in table.rows] == [12, 12]
         assert calls == {"steady_state": 4, "mf_ansatz": 2}
+
+    @pytest.mark.parametrize("scenario", ["fidelity_sweep",
+                                          "two_qubit_full"])
+    def test_gprime_ratio_axis_solves_the_effective_model_once(
+            self, scenario, tmp_path, monkeypatch):
+        # the effective model does not depend on g'/gamma', so of the 8
+        # steady states along a 4-step axis (4 two-qubit, 4 effective) only
+        # 5 are distinct; the run's memo solves those, and the artefacts
+        # are those of points that share nothing
+        from squeezed_lasing import lindblad
+        argv = [scenario, "--set", "sweep.param=gprime_ratio",
+                "--set", "sweep.start=0.02", "--set", "sweep.stop=0.08",
+                "--set", "sweep.steps=4", "--set", "numerics.field_dim=12"]
+        factored = []
+        real_splu = lindblad.splu
+
+        def counting(*args):
+            factored.append(args[0].n)
+            return real_splu(*args)
+
+        monkeypatch.setattr(lindblad, "splu", counting)
+        assert main([*argv, "--out", str(tmp_path / "memo")]) == 0
+        assert len(factored) == 5
+        real_point = scenarios._POINT_FUNCS[scenario]
+        monkeypatch.setitem(scenarios._POINT_FUNCS, scenario,
+                            lambda resolved, numerics, memo:
+                            real_point(resolved, numerics, {}))
+        assert main([*argv, "--out", str(tmp_path / "apart")]) == 0
+        assert len(factored) == 5 + 8
+        written = sorted(p.name for p in (tmp_path / "memo").iterdir())
+        assert written == sorted(p.name for p in
+                                 (tmp_path / "apart").iterdir())
+        for name in written:
+            assert ((tmp_path / "memo" / name).read_bytes()
+                    == (tmp_path / "apart" / name).read_bytes())
 
     def test_squeezed_laser_reports_mf_anchor(self):
         cfg = build_config("squeezed_laser", preset="desk",
@@ -857,23 +892,24 @@ class TestOneBlasThread:
         assert seen == [[1, 1]]
         assert self._counts(controls) == [2, 2]
 
-    def test_a_fresh_run_pins_scipys_library_too(self):
-        # a fresh interpreter has not loaded scipy's OpenBLAS when
-        # run_scenario starts; a steady-state scenario loads it first, so
-        # the first LU already sees one thread in both libraries
+    def test_a_fresh_run_pins_numpys_library_in_its_first_solve(self):
+        # a steady-state run in a fresh interpreter loads no scipy
+        # subpackage, so numpy's OpenBLAS is the one library, and the
+        # first solve already sees it on one thread
         code = textwrap.dedent("""
-            import json
+            import json, sys
             from squeezed_lasing import lindblad, scenarios
             counts = lambda: [get() for get, _ in
                               scenarios._blas_thread_controls()]
             seen, factor = [], lindblad.splu
-            def recording(matrix):
+            def recording(*args):
                 seen.append(counts())
-                return factor(matrix)
+                return factor(*args)
             lindblad.splu = recording
             scenarios.run_scenario(scenarios.build_config(
                 "single_laser", overrides={"numerics": {"field_dim": 6}}))
-            print(json.dumps([seen[0], counts()]))
+            print(json.dumps([seen[0], counts(),
+                              "scipy.linalg" in sys.modules]))
         """)
         src = str(Path(scenarios.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
@@ -882,11 +918,12 @@ class TestOneBlasThread:
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        during, after = json.loads(run.stdout)
+        during, after, scipy_loaded = json.loads(run.stdout)
+        assert not scipy_loaded
         if not after:
             pytest.skip("this BLAS exports no OpenBLAS thread controls")
-        assert during == [1, 1]
-        assert after == [2, 2]
+        assert during == [1]
+        assert after == [2]
 
     def test_without_controls_it_changes_nothing(self, controls, monkeypatch):
         # an MKL or Accelerate build exports none of the OpenBLAS names

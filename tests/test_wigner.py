@@ -23,6 +23,7 @@ from squeezed_lasing.gaussian import (
 from squeezed_lasing.lindblad import partial_trace, steady_state
 from squeezed_lasing.lindblad import model_squeezed_laser_effective
 from squeezed_lasing.dressing import DressedCoupling
+from squeezed_lasing import wigner
 from squeezed_lasing.meanfield import gaussian_mf_solution
 from squeezed_lasing.wigner import (
     MASS_TOL,
@@ -234,6 +235,53 @@ def test_undersized_grid_reports_suggestion():
     rho = to_fock(gs, space)
     with pytest.raises(GridCoverageError, match="suggest extents"):
         wigner_from_density(rho, symmetric_grid(3.0))
+
+
+def coherent_band(nbar, sigmas):
+    """A coherent state of mean photon number nbar, its amplitudes kept
+    within ``sigmas`` Poisson widths of nbar, on the smallest space that
+    holds them."""
+    n = np.arange(int(nbar + sigmas * math.sqrt(nbar)) + 2)
+    amp = np.exp(0.5 * (n * math.log(nbar) - nbar - gammaln(n + 1)))
+    amp[np.abs(n - nbar) > sigmas * math.sqrt(nbar)] = 0.0
+    amp /= np.linalg.norm(amp)
+    return DensityMatrix(HilbertSpace(n_qubits=0, field_dim=n.size),
+                         np.outer(amp, amp))
+
+
+def resolving_grid(rho):
+    """The moment-sized grid with as many points as resolve the state."""
+    coarse = grid_for_density(rho, points=16)
+    points = wigner._resolving_points(coarse, wigner._reach(rho))
+    return grid_for_density(rho, points=max(points, 16))
+
+
+def test_coverage_failure_past_the_kernel_radius_names_it():
+    # |alpha|^2 = 330 sits at x = 36.3 with unit variance, so about 0.5%
+    # of its mass lies past the radius where f_0 underflows; the grid
+    # spans the moment extents at the resolving density (76 points)
+    rho = coherent_band(330.0, 4.0)
+    grid = resolving_grid(rho)
+    with pytest.raises(GridCoverageError) as caught:
+        wigner_from_density(rho, grid)
+    message = str(caught.value)
+    assert f"past radius {wigner.KERNEL_RADIUS:.1f}" in message
+    assert "37.6" in message
+    assert "suggest" not in message
+
+
+def test_coverage_failure_of_a_heavy_tail_suggests_its_radius():
+    # 0.5% of |20> beside the vacuum: the 6-sigma moment extents (about
+    # +-6.6) miss the |20> ring at radius sqrt(82) ~ 9.1, however many
+    # points the grid has
+    space = HilbertSpace(n_qubits=0, field_dim=21)
+    m = np.zeros((21, 21))
+    m[0, 0], m[20, 20] = 0.995, 0.005
+    rho = DensityMatrix(space, m)
+    grid = resolving_grid(rho)
+    with pytest.raises(GridCoverageError,
+                       match=r"suggest extents out to radius 9\.1$"):
+        wigner_from_density(rho, grid)
 
 
 def test_rejects_states_with_qubits():
