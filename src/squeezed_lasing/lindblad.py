@@ -1,13 +1,12 @@
 """Lindblad master equations: Liouvillians and steady states.
 
-Master equations are solved for their stationary state only; the one
-time integrator, :func:`schrodinger_evolve`, propagates pure states (the
-RWA check).  It is an in-house Dormand-Prince 5(4) loop that repeats
-scipy.integrate.RK45 operation for operation, so it takes the same steps
-and returns the same bits, but asks for the Hamiltonian once per step at
-all of that step's stage times.  ``steady_state(method="evolve")``
-relaxes a master equation to its fixed point as the oracle of the direct
-solve, with scipy's RK45.
+Master equations are solved for their stationary state only, by one
+direct solve (``steady_state``); the tests relax them to it as its
+oracle.  The one time integrator, :func:`schrodinger_evolve`, propagates
+pure states (the RWA check).  It is an in-house Dormand-Prince 5(4) loop
+that repeats scipy.integrate.RK45 operation for operation, so it takes
+the same steps and returns the same bits, but asks for the Hamiltonian
+once per step at all of that step's stage times.
 
 The dissipator convention carries the rate outside,
 
@@ -24,7 +23,7 @@ triplets (``SparseMatrix``), products of operators are formed from their
 nonzeros by the sorted join ``_join``, and the bordered system is solved
 by the package's own multifrontal LU (``splu``).  scipy's sparse
 matrices serve only ``liouvillian_matrix``, the full complex generator
-that the oracles use.
+that the tests' oracles use.
 
 Each model carries a weak symmetry (Buca & Prosen, NJP 14, 073007): a
 diagonal integer charge Q over the product basis that H conserves and
@@ -103,10 +102,6 @@ UNIQUENESS_SCREEN_MAX_DIM = 20
 
 class DegenerateSteadyStateError(RuntimeError):
     """The generator has more than one stationary state."""
-
-
-class SteadyStateConvergenceError(RuntimeError):
-    """Long-time integration failed to reach a stationary point."""
 
 
 @dataclass(frozen=True)
@@ -251,14 +246,6 @@ def rhs(me: MasterEquation, rho) -> np.ndarray:
     if not np.all(np.isfinite(out.view(float))):
         raise FloatingPointError("generator produced non-finite entries")
     return out
-
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1, order="F")
-
-
-def _unvec(y: np.ndarray, d: int) -> np.ndarray:
-    return y.reshape((d, d), order="F")
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -509,7 +496,13 @@ class _SectorCoordinates:
 
 def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
     """Sparse matrix L with vec(rhs(rho)) = L vec(rho), over all d^2
-    entries whatever the charge."""
+    entries whatever the charge.
+
+    Only the tests call it, and it needs scipy, which the ``test`` extra
+    installs.  It stays here because the benchmark's tracer wraps it by
+    name; it moves to ``tests/oracles.py`` with ROADMAP item 10 (the
+    tracer's wrappers deleted) or item 2 (the benchmark change).
+    """
     import scipy.sparse as sp
 
     d = me.space.dim
@@ -517,23 +510,6 @@ def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
     return Liouvillian(matrix=sp.csc_matrix((vals, (rows, cols)),
                                             shape=(d * d, d * d)),
                        space=me.space)
-
-
-def _step_invariants(y: np.ndarray, d: int, diag_idx: np.ndarray, where: str):
-    trace = y[diag_idx].sum()
-    if abs(trace - 1.0) > 1e-8:
-        raise FloatingPointError(f"trace drifted to {trace} during {where}")
-    m = _unvec(y, d)
-    herm_dev = np.max(np.abs(m - m.conj().T))
-    if herm_dev > 1e-8 * max(1.0, np.max(np.abs(m))):
-        raise FloatingPointError(f"hermiticity lost ({herm_dev:.2e}) "
-                                 f"during {where}")
-
-
-def _state_from_matrix(m: np.ndarray, space: HilbertSpace,
-                       blocks: np.ndarray | None = None) -> DensityMatrix:
-    m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(space, m / np.trace(m).real, blocks=blocks)
 
 
 # Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 19
@@ -861,7 +837,20 @@ def splu(matrix: SparseMatrix, rhs: np.ndarray,
     return Factorisation(solution, sum(x.size for x in kept))
 
 
-def _steady_direct(me: MasterEquation) -> DensityMatrix:
+def steady_state(me: MasterEquation) -> DensityMatrix:
+    """Stationary state of a time-independent master equation.
+
+    Solves L vec(rho) = 0 on the equal-charge sector of the master
+    equation (all of rho without a charge), in real Hermitian
+    coordinates, with the trace pinned through a bordered multifrontal LU
+    (``splu``), and scatters the solution back.  The LU factors only the
+    connected block of the bordered matrix that holds the trace row,
+    about half the sector at resonance by the i^n gauge symmetry (module
+    docstring), and all of it once a detuning couples the blocks; the
+    other coordinates are 0.  The state's positivity is checked block by
+    block over the sector.  On systems small enough for a dense SVD the
+    full generator is also screened for a degenerate stationary subspace.
+    """
     d = me.space.dim
     if d <= UNIQUENESS_SCREEN_MAX_DIM:
         _screen_uniqueness(me)
@@ -908,62 +897,14 @@ def _steady_direct(me: MasterEquation) -> DensityMatrix:
             f"bordered solve left a generator residual of {residual:.2e}; "
             "the stationary state is not unique or the solve is "
             "ill-conditioned")
+    m = coords.hermitian(y)
+    m = 0.5 * (m + m.conj().T)
     try:
-        return _state_from_matrix(coords.hermitian(y), me.space,
-                                  blocks=coords.labels)
+        return DensityMatrix(me.space, m / np.trace(m).real,
+                             blocks=coords.labels)
     except InvalidStateError as exc:
         raise DegenerateSteadyStateError(
             f"bordered solve returned an invalid state: {exc}") from exc
-
-
-def _steady_evolve(me: MasterEquation, lmat: sp.csc_matrix) -> DensityMatrix:
-    from scipy.integrate import RK45
-
-    d = me.space.dim
-    lcsr = lmat.tocsr()
-    diag_idx = np.arange(d) * (d + 1)
-    y0 = _vec(np.eye(d, dtype=complex) / d)
-    # The stepper tolerances must sit well below the 1e-10 stopping
-    # threshold: near the fixed point the controller rides the stability
-    # boundary and the generator norm plateaus at the local-error level.
-    stepper = RK45(lambda t, v: lcsr @ v, 0.0, y0, np.inf,
-                   rtol=1e-12, atol=1e-14)
-    max_steps = 500_000
-    for n in range(1, max_steps + 1):
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise SteadyStateConvergenceError(f"integrator failed: {message}")
-        _step_invariants(stepper.y, d, diag_idx, "steady-state relaxation")
-        if n % 50 == 0 and np.linalg.norm(lcsr @ stepper.y) <= 1e-10:
-            return _state_from_matrix(_unvec(stepper.y, d), me.space)
-    raise SteadyStateConvergenceError(
-        f"generator norm still above 1e-10 after {max_steps} steps "
-        f"(t = {stepper.t:.3g})")
-
-
-def steady_state(me: MasterEquation, method: str = "direct") -> DensityMatrix:
-    """Stationary state of a time-independent master equation.
-
-    method="direct" solves L vec(rho) = 0 on the equal-charge sector of
-    the master equation (all of rho without a charge), in real Hermitian
-    coordinates, with the trace pinned through a bordered multifrontal LU
-    (``splu``), and scatters the solution back.  The LU factors only the
-    connected block
-    of the bordered matrix that holds the trace row, about half the
-    sector at resonance by the i^n gauge symmetry (module docstring),
-    and all of it once a detuning couples the blocks; the other
-    coordinates are 0.  The state's positivity is checked block by block
-    over the sector;
-    method="evolve" relaxes the full generator from the maximally mixed
-    state until its norm falls below 1e-10.  On systems small enough for
-    a dense SVD the direct branch also screens the full generator for a
-    degenerate stationary subspace.
-    """
-    if method == "direct":
-        return _steady_direct(me)
-    if method == "evolve":
-        return _steady_evolve(me, liouvillian_matrix(me).matrix)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _excitations(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:

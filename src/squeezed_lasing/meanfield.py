@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .dressing import DressedCoupling
-from .fock import (DensityMatrix, HilbertSpace, InvalidStateError,
-                   annihilation, displacement)
+from .fock import DensityMatrix, HilbertSpace, annihilation, displacement
 from .gaussian import GaussianState, to_fock
 from .lindblad import LindbladTerm, dissipator
-
-# slack for integrator drift when asserting spin bounds along trajectories
-BLOCH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -38,14 +33,6 @@ class MeanFieldState:
     def theta(self) -> float:
         """Phase of the field amplitude."""
         return math.atan2(self.F.imag, self.F.real)
-
-
-def check_bloch_bounds(state: MeanFieldState):
-    """Raise if the spin sector leaves the physical range by over BLOCH_TOL."""
-    if abs(state.D) > 1 + BLOCH_TOL:
-        raise InvalidStateError(f"|D| = {abs(state.D):.6f} exceeds 1")
-    if abs(state.S) > 0.5 + BLOCH_TOL:
-        raise InvalidStateError(f"|S| = {abs(state.S):.6f} exceeds 1/2")
 
 
 @dataclass(frozen=True)
@@ -112,51 +99,6 @@ def mf_steady(params: MFParams, theta: float = 0.0) -> MeanFieldState:
     fbar = mag * complex(math.cos(theta), math.sin(theta))
     sbar = params.g_tilde / (c * params.gamma) * fbar
     return MeanFieldState(F=fbar, S=sbar, D=1 / c)
-
-
-@dataclass(frozen=True)
-class MFTrajectory:
-    times: np.ndarray
-    states: Sequence[MeanFieldState]
-
-    @property
-    def final(self) -> MeanFieldState:
-        return self.states[-1]
-
-
-def _pack(state: MeanFieldState) -> np.ndarray:
-    return np.array([state.F.real, state.F.imag,
-                     state.S.real, state.S.imag, state.D])
-
-
-def _unpack(y: np.ndarray) -> MeanFieldState:
-    return MeanFieldState(F=complex(y[0], y[1]), S=complex(y[2], y[3]),
-                          D=float(y[4]))
-
-
-def mf_evolve(state0: MeanFieldState, params: MFParams,
-              t_final: float) -> MFTrajectory:
-    """Integrate the Maxwell-Bloch flow, checking spin bounds en route.
-
-    RK45 runs at rtol 1e-10 and atol 1e-12; the trajectory holds 50
-    uniformly spaced states.
-    """
-    from scipy.integrate import solve_ivp
-
-    check_bloch_bounds(state0)
-
-    def rhs(t, y):
-        return _pack(mf_rhs(_unpack(y), params))
-
-    times = np.linspace(0.0, t_final, 50)
-    sol = solve_ivp(rhs, (0.0, t_final), _pack(state0), method="RK45",
-                    t_eval=times, rtol=1e-10, atol=1e-12)
-    if not sol.success:
-        raise RuntimeError(f"mean-field integration failed: {sol.message}")
-    states = tuple(_unpack(sol.y[:, k]) for k in range(sol.y.shape[1]))
-    for s in states:
-        check_bloch_bounds(s)
-    return MFTrajectory(times=sol.t, states=states)
 
 
 def gaussian_mf_solution(fbar: complex, c_prime: float,

@@ -16,8 +16,9 @@ growing the field dimension while the top Fock levels hold weight.
 Each column of a scenario's spec then names a quantity of the point
 (reduced-field observables, mean field, ansatz fidelity, effective vs
 full model), computed once, on first use.  Sweep points run serially,
-in axis order, in the calling thread: each is one sparse LU, which holds
-the GIL.  A point or a panel that fails is logged and listed in
+in axis order, in the calling thread: each is one multifrontal LU,
+whose front loop runs in Python, and which has not been measured under
+threads.  A point or a panel that fails is logged and listed in
 ``failed_points``, and the others still run.  Truncation health is one
 measured value, the population in the top Fock levels of the reduced
 field: it comes back as the row's ``truncation_flag`` and as log
@@ -47,7 +48,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dressing import (
@@ -560,6 +560,11 @@ def _resolve_run(config: RunConfig) -> tuple:
         panels = [resolve_point(params, "effective")]
         alt = _require(params, "c_prime_alt")
         if alt != panels[0].c_prime:
+            if _panel_stem(alt) == _panel_stem(panels[0].c_prime):
+                raise ConfigError(
+                    f"c_prime {panels[0].c_prime!r} and c_prime_alt "
+                    f"{alt!r} differ but share the panel name "
+                    f"{_panel_stem(alt)!r}; set them further apart")
             panels.append(resolve_point(dict(params, c_prime=alt),
                                         "effective"))
         return tuple(panels)
@@ -990,6 +995,12 @@ def ring_cut_anisotropy(w: WignerField) -> tuple[float, float, float]:
     return var_x, var_p, var_p / var_x
 
 
+def _panel_stem(c_prime: float) -> str:
+    """The name a Wigner panel's grids start with; ``_resolve_run``
+    refuses two panels that would share it."""
+    return f"wigner_c{c_prime:g}"
+
+
 def _wigner_panel(resolved: ResolvedPoint, numerics: NumericsSpec):
     """The steady point at ``resolved`` and, for the lasing and the bare
     frame, (label, Wigner field, cut variances)."""
@@ -1015,7 +1026,7 @@ def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
             continue
         steady, frames = done
         for label, panel, (var_x, var_p, ratio) in frames:
-            name = f"wigner_c{cp:g}_{label}"
+            name = f"{_panel_stem(cp)}_{label}"
             out.grids[name] = panel
             summary_rows.append((cp, label, panel.mass,
                                  float(panel.values.min()), var_x, var_p,
@@ -1159,7 +1170,6 @@ def write_outputs(out_dir: str | Path, config: RunConfig,
         "versions": {
             "package": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "products": products,
         "failed_points": result.failed_points,

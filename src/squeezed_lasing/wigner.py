@@ -25,6 +25,11 @@ MASS_TOL = 1e-3
 # half-width of auto-sized grids, in standard deviations per axis
 AUTO_GRID_SIGMAS = 6.0
 
+# slack, relative to their width, with which a grid spans the moment
+# extents: a grid built from them under another BLAS thread count can
+# differ from a fresh evaluation in the last bits
+_EXTENT_RTOL = 1e-9
+
 # radius past which f_0 = e^{-r^2/2} / (2 pi) of the Fock-basis kernels
 # is subnormal (r ~ 37.6), so the kernels' recurrence loses digits there
 KERNEL_RADIUS = math.sqrt(-2.0 * math.log(2 * math.pi * np.finfo(float).tiny))
@@ -216,8 +221,10 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     mass = float(values.sum()) * grid.cell_area
     if abs(mass - 1.0) > MASS_TOL:
         x_lo, x_hi, p_lo, p_hi = _operator_extents(rho_A)
-        if not (grid.x_min <= x_lo and x_hi <= grid.x_max
-                and grid.p_min <= p_lo and p_hi <= grid.p_max):
+        sx = _EXTENT_RTOL * (x_hi - x_lo)
+        sp = _EXTENT_RTOL * (p_hi - p_lo)
+        if not (grid.x_min <= x_lo + sx and x_hi - sx <= grid.x_max
+                and grid.p_min <= p_lo + sp and p_hi - sp <= grid.p_max):
             raise GridCoverageError(
                 f"grid captures mass {mass:.6f}; suggest extents "
                 f"x in [{x_lo:.2f}, {x_hi:.2f}], p in [{p_lo:.2f}, {p_hi:.2f}]")

@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import mf_evolve, steady_evolve
 
 from squeezed_lasing.cli import main as cli_main
 from squeezed_lasing.dressing import (
@@ -59,7 +60,6 @@ from squeezed_lasing.meanfield import (
     MFParams,
     gaussian_mf_solution,
     mf_ansatz,
-    mf_evolve,
     mf_residual,
     mf_rhs,
     mf_steady,
@@ -292,14 +292,13 @@ def test_criterion_06_solver_cross_validation(report):
     t0 = time.perf_counter()
     space = HilbertSpace(n_qubits=1, field_dim=30)
     laser = model_single_qubit_laser(math.sqrt(5.0 * 0.1), 1.0, 0.1, space)
-    td_laser = trace_distance(steady_state(laser, "direct"),
-                              steady_state(laser, "evolve"))
+    td_laser = trace_distance(steady_state(laser), steady_evolve(laser))
     g_tilde = math.sqrt(5.0 * 0.1 * 11.0)
     base = dress(0.1, 0.2)
     dressed = dress(0.1, 0.2, g=g_tilde / base.norm_N)
     squeezed = model_squeezed_laser_effective(dressed, 1.0, 0.1, 10.0, space)
-    td_squeezed = trace_distance(steady_state(squeezed, "direct"),
-                                 steady_state(squeezed, "evolve"))
+    td_squeezed = trace_distance(steady_state(squeezed),
+                                 steady_evolve(squeezed))
     rng = np.random.default_rng(11)
     m = rng.normal(size=(space.dim, space.dim)) \
         + 1j * rng.normal(size=(space.dim, space.dim))

@@ -158,16 +158,21 @@ def _fragment_id(fragment: str) -> str:
     [*FAST_SWEEP, "--set", "sweep.start=1" + "0" * 400],
     ["--set", "params.c_tilde=1" + "0" * 400],
     ["--set", "numerics.field_dim=1" + "0" * 5000],
+    # two C' that differ but both name their panels wigner_c10
+    ["wigner_panels", "--set", "params.c_prime_alt=10.000001"],
 ], ids=lambda fragments: _fragment_id(fragments[-1]))
 def test_malformed_config_exits_2(tmp_path, fragments):
-    assert main(["single_laser", "--out", str(tmp_path / "o"),
-                 *fragments]) == 2
+    # a leading scenario name replaces single_laser
+    scenario = "single_laser"
+    if not fragments[0].startswith("-"):
+        scenario, *fragments = fragments
+    assert main([scenario, "--out", str(tmp_path / "o"), *fragments]) == 2
     assert not (tmp_path / "o").exists()
     overrides: dict = {}
     for item in fragments[1::2]:
         overrides = _merge(overrides, parse_set_override(item))
     with pytest.raises(ConfigError):
-        build_config("single_laser", overrides=overrides)
+        build_config(scenario, overrides=overrides)
 
 
 @pytest.mark.parametrize("scenario, fragment", [

@@ -1,4 +1,5 @@
-"""Golden artefacts: every scenario at the ``desk`` preset, small numerics.
+"""Golden artefacts: every scenario at the ``desk`` preset, small numerics,
+and the six that run clean at the ``paper-2013`` preset (``paper_*``).
 
 ``tests/golden/<case>/`` holds what ``simulate`` wrote for each case in
 CASES.  The test reruns each case and compares with the north-star
@@ -10,7 +11,7 @@ tolerances:
 - the manifest must be equal apart from ``versions``.
 
 These files are not byte-identical across machines: a rerun elsewhere
-may differ in the last digits (about 1e-13 relative in 7 of the 11
+may differ in the last digits (about 1e-13 relative in 7 of the 11 desk
 cases on one 2-CPU VM), inside the tolerances above.  So check a claim
 that a change keeps artefacts byte-identical with ``diff -r`` against a
 run of the parent commit on the same machine, not against these files.
@@ -94,6 +95,12 @@ CASES = {
     "mf_compare": ["mf_compare", *_sweep(1.5, 6, 2),
                    *_numerics(field_dim=12, n_phases=16)],
 }
+# the paper-2013 runs that end unflagged, at the preset's own numerics;
+# single_laser and wigner_panels are still truncation-limited there
+CASES.update({f"paper_{scenario}": [scenario, "--preset", "paper-2013"]
+              for scenario in ("dress_audit", "rwa_validate",
+                               "squeezed_laser", "two_qubit_full",
+                               "fidelity_sweep", "mf_compare")})
 
 
 def _run(case: str, out: Path) -> None:

@@ -1,6 +1,8 @@
 """Import hygiene: no module-level import that its module never uses, no
 name in ``squeezed_lasing.__all__`` that the package does not define, and
-no module-level private helper that nothing in the package refers to.
+no module-level private helper that nothing in the package refers to;
+and neither importing the CLI nor running any scenario needs scipy, which
+only the tests use.
 
 No linter runs on this project, so this test is what stops a deletion
 from leaving a dead import, a stale export or a dead helper behind.
@@ -82,22 +84,29 @@ def test_every_private_helper_is_used():
     assert dead == [], f"private helpers nothing refers to: {dead}"
 
 
-# the scipy subpackages a run loads only where it solves with them
-_WATCHED = ("scipy.integrate", "scipy.linalg", "scipy.optimize",
-            "scipy.sparse", "scipy.special")
+# a finder ahead of every other that refuses scipy and its submodules, so
+# that any import of scipy fails as it would where scipy is not installed
+_NO_SCIPY = """
+import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, _NoScipy())
+"""
 
 
-def _loaded_after(code: str) -> list[str]:
-    """The packages of ``_WATCHED`` that have a module loaded after running
-    ``code`` in a fresh interpreter."""
+def _run_without_scipy(code: str) -> None:
+    """Run ``code`` in a fresh interpreter where ``import scipy`` fails,
+    and assert that it succeeds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    code += ("; import sys; print(' '.join(sorted({w for w in "
-             f"{_WATCHED!r} for m in sys.modules "
-             "if m == w or m.startswith(w + '.')})))")
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.split()
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY + code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def _run_code(scenario: str, out: Path, *settings: str) -> str:
@@ -108,9 +117,9 @@ def _run_code(scenario: str, out: Path, *settings: str) -> str:
 
 
 def test_cli_import_leaves_scipy_subpackages_out():
-    # each scipy subpackage is imported inside the functions that solve
-    # with it, not with the package
-    assert _loaded_after("import squeezed_lasing.cli") == []
+    # the package imports no scipy: only the tests and
+    # ``lindblad.liouvillian_matrix``, which they call, need it
+    _run_without_scipy("import squeezed_lasing.cli")
 
 
 @pytest.mark.parametrize("scenario, settings", [
@@ -121,7 +130,7 @@ def test_cli_import_leaves_scipy_subpackages_out():
 ], ids=["rwa_validate", "dress_audit"])
 def test_drive_scenarios_run_on_numpy_alone(tmp_path, scenario, settings):
     out = tmp_path / "o"
-    assert _loaded_after(_run_code(scenario, out, *settings)) == []
+    _run_without_scipy(_run_code(scenario, out, *settings))
     assert (out / "manifest.json").exists()
 
 
@@ -138,6 +147,6 @@ def test_drive_scenarios_run_on_numpy_alone(tmp_path, scenario, settings):
         "fidelity_sweep", "mf_compare"])
 def test_steady_state_scenarios_load_what_they_solve_with(
         tmp_path, scenario, settings):
-    # the steady states are the package's own multifrontal solve, so the
-    # probe above sees no scipy subpackage
-    assert _loaded_after(_run_code(scenario, tmp_path / "o", *settings)) == []
+    # the steady states are the package's own multifrontal solve, so a
+    # run needs no scipy
+    _run_without_scipy(_run_code(scenario, tmp_path / "o", *settings))

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import normalised_state, steady_evolve
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import splu as scipy_splu
@@ -421,8 +422,8 @@ def full_sector_solve(me):
     photons = np.arange(d) % me.space.field_dim
     even = (photons[coords.rows] - photons[coords.cols]) % 2 == 0
     dead = even != (coords.rows <= coords.cols)
-    return y, dead, lindblad._state_from_matrix(coords.hermitian(y), me.space,
-                                                blocks=coords.labels)
+    return y, dead, normalised_state(coords.hermitian(y), me.space,
+                                     blocks=coords.labels)
 
 
 @pytest.mark.parametrize("kind", MODELS)
@@ -613,8 +614,8 @@ def test_single_qubit_laser_steady_methods_agree():
     space = HilbertSpace(n_qubits=1, field_dim=14)
     me = model_single_qubit_laser(g=math.sqrt(0.8), gamma=1.0, kappa=0.2,
                                   space=space)
-    direct = steady_state(me, "direct")
-    relaxed = steady_state(me, "evolve")
+    direct = steady_state(me)
+    relaxed = steady_evolve(me)
     assert trace_distance(direct, relaxed) < 1e-6
     a = annihilation(space)
     n_direct = expectation(a.dag() @ a, direct).real
@@ -648,14 +649,6 @@ def test_steady_state_degeneracy_detected():
     nothing = MasterEquation(hamiltonian=0.0 * sigma_z, terms=())
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(nothing)
-
-
-def test_steady_state_unknown_method():
-    space = HilbertSpace(n_qubits=0, field_dim=3)
-    me = MasterEquation(hamiltonian=0.0 * annihilation(space),
-                        terms=(LindbladTerm(annihilation(space), 1.0),))
-    with pytest.raises(ValueError):
-        steady_state(me, "magic")
 
 
 def test_laser_cooperativity_scaling():
@@ -706,7 +699,7 @@ def squeezed_operating_point():
     dressed = DressedCoupling.from_r(r, g_tilde=g_tilde)
     space = HilbertSpace(n_qubits=1, field_dim=30)
     me = model_squeezed_laser_effective(dressed, gamma, kappa, c_prime, space)
-    return me, steady_state(me, "direct")
+    return me, steady_state(me)
 
 
 def test_squeezed_steady_photon_number(squeezed_operating_point):
@@ -768,7 +761,7 @@ def test_two_qubit_decoupled_aux_traces_out():
     dressed = dress(0.1, 0.2, g=2.0)
     silent_aux = dress(0.2, 0.1, g=0.0)
     full = model_two_qubit_full(dressed, silent_aux, 1.0, 0.8, 0.1, space2)
-    reduced = partial_trace(steady_state(full, "direct"), keep=[0, 2])
+    reduced = partial_trace(steady_state(full), keep=[0, 2])
     effective = model_squeezed_laser_effective(dressed, 1.0, 0.1, 0.0, space1)
     assert trace_distance(reduced, steady_state(effective)) < 1e-6
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import check_bloch_bounds, mf_evolve
 
 from squeezed_lasing import fock, meanfield
 from squeezed_lasing.fock import (
@@ -19,10 +20,8 @@ from squeezed_lasing.lindblad import trace_distance
 from squeezed_lasing.meanfield import (
     MeanFieldState,
     MFParams,
-    check_bloch_bounds,
     gaussian_mf_solution,
     mf_ansatz,
-    mf_evolve,
     mf_residual,
     mf_rhs,
     mf_steady,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -279,9 +280,18 @@ def test_coverage_failure_of_a_heavy_tail_suggests_its_radius():
     m[0, 0], m[20, 20] = 0.995, 0.005
     rho = DensityMatrix(space, m)
     grid = resolving_grid(rho)
-    with pytest.raises(GridCoverageError,
-                       match=r"suggest extents out to radius 9\.1$"):
-        wigner_from_density(rho, grid)
+    # the same grid with each bound 4 ulps inward, as a grid built under
+    # another BLAS thread count may be, still spans the extents
+    lo = np.array([grid.x_min, grid.p_min])
+    hi = np.array([grid.x_max, grid.p_max])
+    for _ in range(4):
+        lo, hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    inward = dataclasses.replace(grid, x_min=lo[0], p_min=lo[1],
+                                 x_max=hi[0], p_max=hi[1])
+    for g in (grid, inward):
+        with pytest.raises(GridCoverageError,
+                           match=r"suggest extents out to radius 9\.1$"):
+            wigner_from_density(rho, g)
 
 
 def test_rejects_states_with_qubits():
