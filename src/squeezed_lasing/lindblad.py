@@ -898,7 +898,6 @@ def steady_state(me: MasterEquation) -> DensityMatrix:
             "the stationary state is not unique or the solve is "
             "ill-conditioned")
     m = coords.hermitian(y)
-    m = 0.5 * (m + m.conj().T)
     try:
         return DensityMatrix(me.space, m / np.trace(m).real,
                              blocks=coords.labels)

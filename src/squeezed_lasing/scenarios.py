@@ -130,7 +130,10 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one step")
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+        try:
+            return np.linspace(self.start, self.stop, self.steps)
+        except (ValueError, MemoryError) as exc:  # more than numpy holds
+            raise ConfigError(f"sweep.steps = {self.steps}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -478,6 +481,8 @@ def resolve_point(params: dict, model: str) -> ResolvedPoint:
         unit = DressedCoupling.from_r(float(params["r"]))
         if unit.r < 0:
             raise ConfigError("r must be non-negative")
+        if unit.signature < 0:  # the two round to the same double
+            raise ConfigError(f"r = {unit.r:g} is too large: cosh r = sinh r")
     else:
         unit = depths()
         if unit.signature < 0:

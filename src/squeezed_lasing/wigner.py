@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, InvalidStateError, annihilation, expectation
+from .fock import DensityMatrix, annihilation, expectation
 from .gaussian import GaussianState
 
 # fraction of total mass a grid may miss before reconstruction is refused
@@ -155,15 +155,19 @@ def grid_for_gaussian(gs: GaussianState) -> PhaseGrid:
 def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     """Reconstruct W(X, P) from a field-mode density matrix.
 
-    One pass per diagonal delta shares the radial functions and the
-    phase e^{-i delta theta} among all rho[n + delta, n].  The radial
-    functions are the normalised Fock-basis kernels f_n = (-1)^n
-    sqrt(n! / (n + delta)!) r^delta e^{-r^2/2} L_n^delta(r^2) / (2 pi),
-    bounded by |f_n| <= 1/(2 pi), so no term overflows however large the
-    state.  From f_{-1} = 0 and f_0 formed in the log domain, the
-    Laguerre recurrence gives f_n = -[(2n - 1 + delta - r^2) f_{n-1}
+    rho is Hermitian by its type, so W sums real terms, one per diagonal
+    delta >= 0 and its mirror: w_delta Re(e^{-i delta theta} sum_n c_n f_n),
+    w_0 = 1 and w_delta = 2 above it, with c_n = (rho[n + delta, n]
+    + conj rho[n, n + delta]) / 2 the diagonal's Hermitian part, read once.
+    The normalised Fock-basis kernels f_n = (-1)^n sqrt(n! / (n + delta)!)
+    r^delta e^{-r^2/2} L_n^delta(r^2) / (2 pi) are bounded by 1/(2 pi), so
+    no term overflows however large the state.  From f_{-1} = 0 and f_0
+    formed in the log domain, the Laguerre recurrence gives
+    f_n = -[(2n - 1 + delta - r^2) f_{n-1}
     + sqrt((n - 1)(n - 1 + delta)) f_{n-2}] / sqrt(n (n + delta)).
     """
+    if not isinstance(rho_A, DensityMatrix):
+        raise TypeError("wigner_from_density needs a DensityMatrix")
     if rho_A.space.n_qubits != 0:
         raise ValueError("wigner_from_density needs a field-only state; "
                          "trace out the qubits first")
@@ -173,17 +177,16 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     r2 = x_arr**2 + p_arr**2
     phase_unit = np.exp(-1j * np.arctan2(p_arr, x_arr))
 
-    acc = np.zeros((grid.nx, grid.np), dtype=complex)
-    term = np.empty_like(acc)
+    values = np.zeros_like(r2)
+    inner, term = (np.empty(r2.shape, dtype=complex) for _ in range(2))
     # f_{n-2}, f_{n-1} and the step under way, reused at every step
     f_prev, f, step = (np.empty_like(r2) for _ in range(3))
     for delta in range(d):
-        lower = np.diagonal(mat, offset=-delta)  # rho[n + delta, n]
-        upper = np.diagonal(mat, offset=delta)   # rho[n, n + delta]
-        if np.max(np.abs(lower)) < 1e-18 and np.max(np.abs(upper)) < 1e-18:
+        c = (np.diagonal(mat, offset=-delta)
+             + np.diagonal(mat, offset=delta).conj()) / 2
+        if np.max(np.abs(c)) < 1e-18:
             continue
-        inner_lo = np.zeros_like(acc)
-        inner_hi = np.zeros_like(acc) if delta else None
+        inner.fill(0.0)
         f_prev.fill(0.0)
         # r^delta, with 0^0 = 1 at the origin
         with np.errstate(divide="ignore"):
@@ -202,22 +205,10 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
                 np.negative(step, out=step)
                 step /= math.sqrt(n * (n + delta))
                 f_prev, f, step = f, step, f_prev
-            if abs(lower[n]) >= 1e-18:
-                inner_lo += np.multiply(lower[n], f, out=term)
-            if delta and abs(upper[n]) >= 1e-18:
-                inner_hi += np.multiply(upper[n], f, out=term)
-        if delta == 0:
-            acc += inner_lo
-        else:
-            phase = phase_unit**delta
-            acc += phase * inner_lo + np.conjugate(phase) * inner_hi
+            if abs(c[n]) >= 1e-18:
+                inner += np.multiply(c[n], f, out=term)
+        values += (2.0 if delta else 1.0) * (phase_unit**delta * inner).real
 
-    residue = float(np.max(np.abs(acc.imag)))
-    if residue >= 1e-10:
-        raise InvalidStateError(
-            f"Wigner imaginary residue {residue:.3e}; input is not "
-            "Hermitian enough")
-    values = acc.real
     mass = float(values.sum()) * grid.cell_area
     if abs(mass - 1.0) > MASS_TOL:
         x_lo, x_hi, p_lo, p_hi = _operator_extents(rho_A)

@@ -160,6 +160,10 @@ def _fragment_id(fragment: str) -> str:
     ["--set", "numerics.field_dim=1" + "0" * 5000],
     # two C' that differ but both name their panels wigner_c10
     ["wigner_panels", "--set", "params.c_prime_alt=10.000001"],
+    # cosh r and sinh r round to the same double: no lasing branch
+    ["squeezed_laser", "--set", "params.r=20"],
+    # more sweep steps than numpy can form, refused before any allocation
+    [*FAST_SWEEP, "--set", "sweep.steps=1" + "0" * 20],
 ], ids=lambda fragments: _fragment_id(fragments[-1]))
 def test_malformed_config_exits_2(tmp_path, fragments):
     # a leading scenario name replaces single_laser

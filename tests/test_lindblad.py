@@ -331,6 +331,12 @@ def test_sector_pairs_are_numbered_from_their_labels(labels):
     for table in (coords.start, coords.rank, coords.diagonal, coords.mirror,
                   numbers):
         assert table.dtype == np.int32
+    # rho_ji is written as the exact conjugate of rho_ij, with a real
+    # diagonal, so the steady state needs no re-symmetrising
+    x = np.random.default_rng(labels.size).standard_normal(coords.n)
+    m = coords.hermitian(x)
+    assert np.array_equal(m, m.conj().T)
+    assert not np.any(np.diagonal(m).imag)
 
 
 @pytest.mark.parametrize("scenario, model, field_dim", [

@@ -9,6 +9,7 @@ from scipy.special import gammaln
 from squeezed_lasing.fock import (
     DensityMatrix,
     HilbertSpace,
+    Operator,
     annihilation,
     expectation,
     truncation_edge,
@@ -300,6 +301,31 @@ def test_rejects_states_with_qubits():
     m[0, 0] = 1.0
     with pytest.raises(ValueError):
         wigner_from_density(DensityMatrix(space, m), symmetric_grid(6.0))
+
+
+def test_rejects_an_operator_that_is_not_a_state():
+    # the reconstruction reads rho as Hermitian, which only the type assures
+    space = HilbertSpace(n_qubits=0, field_dim=4)
+    m = np.zeros((space.dim, space.dim), dtype=complex)
+    m[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        wigner_from_density(Operator(space, m), symmetric_grid(6.0))
+
+
+def test_reads_each_diagonal_by_its_hermitian_part():
+    # an anti-Hermitian part that DensityMatrix's 1e-10 check lets through
+    # drops out of W
+    space = HilbertSpace(n_qubits=0, field_dim=20)
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    psi /= np.linalg.norm(psi)
+    rho = DensityMatrix(space, np.outer(psi, psi.conj()))
+    ones = np.ones((space.dim, space.dim))
+    tilted = DensityMatrix(space, rho.matrix + 4e-11j * (ones - np.eye(space.dim)))
+    grid = grid_for_density(rho)
+    w = wigner_from_density(rho, grid).values
+    w_tilted = wigner_from_density(tilted, grid).values
+    assert np.max(np.abs(w_tilted - w)) <= 1e-15 * np.max(np.abs(w))
 
 
 def test_gaussian_wigner_vacuum():
