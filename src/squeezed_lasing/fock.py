@@ -252,6 +252,17 @@ def fock_populations(rho: Operator) -> np.ndarray:
     return diag.reshape((2**nq if nq else 1, d)).sum(axis=0)
 
 
+def coherence_profile(rho: Operator) -> np.ndarray:
+    """Entry delta (0 .. field_dim - 1) is the sum of |rho_ij| over the
+    pairs of basis states whose photon numbers differ by delta, either
+    way round, over any qubits."""
+    space = rho.space
+    q, d = 2**space.n_qubits, space.field_dim
+    field = np.abs(rho.matrix).reshape(q, d, q, d).sum(axis=(0, 2))
+    delta = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    return np.bincount(delta.ravel(), weights=field.ravel(), minlength=d)
+
+
 def truncation_edge(rho: Operator) -> float:
     """Field population in the top tenth of the Fock ladder (at least one level).
 

@@ -31,13 +31,16 @@ each jump operator shifts by one fixed amount, modulo 2 for the Z2
 parity of the squeezed models and exactly for the U(1) charge of the
 plain laser.  The generator then maps the pairs (i, j) with equal charge
 onto themselves, and the direct steady-state solve runs on that sector
-alone.  Its pairs are numbered column by column, and the number of pair
+alone, or on a band of it: the pairs whose photon numbers differ by at
+most K.  Its pairs are numbered column by column, and the number of pair
 (i, j) is start[j] + rank[i]: where column j's pairs begin, plus how many
-states of i's label come before i.  Each generator term A rho B^dag pairs
-the nonzeros of A and B on equal charge by a join over B's labels sorted
-once (a stable argsort, then searchsorted and repeat), and numbers the
-joined pairs from those two length-d arrays, so assembly takes memory in
-proportion to the generator's nonzeros.
+states of i's label come before i, shifted on a band by where column j's
+window begins in i's qubit configuration.  Each generator term A rho
+B^dag pairs the nonzeros of A and B on equal charge, inside the band, by
+a join over B's rows sorted once by label (a stable argsort, then
+searchsorted and repeat), and numbers the joined pairs from length-d
+arrays, so assembly takes memory in proportion to the generator's
+nonzeros on the band.
 
 The generator also maps Hermitian matrices to Hermitian matrices, so on
 the sector it is a real linear map.  The direct solve factors it in real
@@ -343,10 +346,14 @@ class SparseMatrix:
 
     def submatrix(self, keep: np.ndarray) -> SparseMatrix:
         """The rows and columns ``keep``, numbered in that order; no entry
-        may join a kept node to a dropped one."""
+        may join a kept node to a dropped one, else ValueError."""
         index = np.full(self.n, -1, dtype=np.int32)
         index[keep] = np.arange(keep.size, dtype=np.int32)
         inside = index[self.rows] >= 0
+        if np.any(inside != (index[self.cols] >= 0)):
+            raise ValueError("submatrix needs the kept nodes closed under "
+                             "the entries: an entry joins a kept node to a "
+                             "dropped one")
         return SparseMatrix(index[self.rows[inside]],
                             index[self.cols[inside]], self.data[inside],
                             keep.size)
@@ -368,56 +375,120 @@ def _reached(indptr: np.ndarray, indices: np.ndarray,
 
 
 class _SectorCoordinates:
-    """The pairs (i, j) of basis states with equal labels, and the real
-    coordinates of the Hermitian matrices on them.
+    """The pairs (i, j) of basis states with equal labels and photon
+    numbers at most ``band`` apart, and the real coordinates of the
+    Hermitian matrices on them.
 
-    The pairs are numbered column by column.  Column j lists the states
-    with j's label in order, so pair (i, j) is number start[j] + rank[i]:
-    ``start[j]`` numbers column j's first pair, ``diagonal[i]`` the pair
-    (i, i), and ``rank[i] = diagonal[i] - start[i]`` counts the states
-    before i with i's label.  With one label for every state that is the
-    vec index i + d j.  These arrays and ``mirror`` hold int32 (n < 2^31
-    is checked), so the triplets' row and column numbers take 4 bytes
-    each.  Coordinate k of pair (i, j) is Re rho_ij for i <= j and Im
-    rho_ij for i > j.  With m = mirror[k] the number of the pair (j, i),
-    rho_ij = x_k - i x_m above the diagonal and x_m + i x_k below it.
+    State i holds i mod ``field_dim`` photons: the field is the last
+    factor, so the states form blocks of ``field_dim``, one per
+    configuration of the qubits (by default one block, photon number =
+    index).  The band keeps the pairs with |n_i - n_j| <= band, and
+    band >= field_dim - 1 (the default) keeps the whole sector.  Pairs
+    outside the band are never formed, so a band of width K takes time
+    and memory in proportion to d K, not d^2.
+
+    The pairs are numbered column by column.  Column j lists, block by
+    block, the states with j's label in the band around j, in order, so
+    pair (i, j) is number start[j] + offset[j, b] + rank[i], with b the
+    block of i: ``start[j]`` numbers column j's first pair, ``rank[i]``
+    counts the states before i with i's label, and ``offset[j, b]``
+    shifts that count to the first of them inside column j's window in
+    block b (0 for the whole sector, where the number is start[j] +
+    rank[i]).  ``diagonal[i]`` numbers the pair (i, i).  With one label
+    for every state and the whole sector that is the vec index i + d j.
+    These arrays and ``mirror`` hold int32 (n < 2^31 is checked), so the
+    triplets' row and column numbers take 4 bytes each.  Coordinate k of
+    pair (i, j) is Re rho_ij for i <= j and Im rho_ij for i > j.  With
+    m = mirror[k] the number of the pair (j, i), rho_ij = x_k - i x_m
+    above the diagonal and x_m + i x_k below it.
 
     Each generator term is formed from the operators' nonzeros alone: a
-    sorted join pairs them on equal labels and start and rank number the
-    joined pairs, so assembly takes memory in proportion to the
-    generator's nonzeros, never to d^2 pairs per term.
+    sorted join pairs them on equal labels inside the band (``join``)
+    and start, offset and rank number the joined pairs, so assembly
+    takes memory in proportion to the generator's nonzeros on the band,
+    never to d^2 pairs per term.
     """
 
-    def __init__(self, labels: np.ndarray):
+    def __init__(self, labels: np.ndarray, field_dim: int | None = None,
+                 band: int | None = None):
+        d = labels.size
         self.labels = labels
-        # the equal-label mask is symmetric, so the join, in its row-major
-        # order, lists the pairs column by column
-        self.cols, self.rows = _join(labels, labels)
+        self.field_dim = d if field_dim is None else field_dim
+        if band is not None and band < 1:
+            raise ValueError(f"band must be at least 1, got {band}")
+        self.band = self.field_dim - 1 if band is None else min(
+            band, self.field_dim - 1)
+        self.photons = np.arange(d) % self.field_dim
+        self.block = np.arange(d) // self.field_dim
+        self.blocks = d // self.field_dim
+        # the states sorted by (label, index): a key per state, unique
+        _, group = np.unique(labels, return_inverse=True)
+        self._group_key = group.reshape(-1).astype(np.int64) * d
+        self._key = self._group_key + np.arange(d)
+        sorted_key = np.sort(self._key)
+        # the band is symmetric, so the join, in its row-major order,
+        # lists the pairs column by column
+        self.cols, self.rows = self.join(np.arange(d), np.arange(d))
         self.n = self.rows.size
         if self.n >= 2**31:
             raise ValueError(f"{self.n} sector pairs overflow int32 numbers")
-        self.start = np.searchsorted(self.cols, np.arange(labels.size)
-                                     ).astype(np.int32)
+        self.start = np.searchsorted(self.cols, np.arange(d)).astype(np.int32)
         self.diagonal = np.flatnonzero(self.rows == self.cols).astype(np.int32)
-        self.rank = self.diagonal - self.start
+        self.rank = (np.searchsorted(sorted_key, self._key)
+                     - np.searchsorted(sorted_key, self._group_key)
+                     ).astype(np.int32)
+        # the first pair of each column's run inside one block
+        block = self.block[self.rows]
+        first = np.flatnonzero(np.concatenate(
+            [[self.n > 0], (self.cols[1:] != self.cols[:-1])
+             | (block[1:] != block[:-1])]))
+        at = self.cols[first]
+        self.offset = np.zeros((d, self.blocks), dtype=np.int32)
+        self.offset[at, block[first]] = (first - self.start[at]
+                                         - self.rank[self.rows[first]])
         self.mirror = self.number(self.cols, self.rows)
         # +1 below the diagonal, -1 above
         self.side = np.sign(self.rows - self.cols).astype(np.int8)
 
+    def join(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+        """The index pairs (ka, kb) for which (a[ka], b[kb]) is a pair of
+        the band, in the row-major order of ``_join(labels[a],
+        labels[b])`` when b is non-decreasing, in memory proportional to
+        their number.
+
+        b's states are sorted by (label, index); a's window in each block,
+        the states of its label whose photon numbers lie within the band
+        of its own, is then one run of them.
+        """
+        key = self._key[b]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        fd, n = self.field_dim, self.photons[a]
+        corner = self._group_key[a][:, None] + fd * np.arange(self.blocks)
+        lo = np.searchsorted(key, (corner + np.maximum(n - self.band, 0)
+                                   [:, None]).ravel(), side="left")
+        hi = np.searchsorted(key, (corner + np.minimum(n + self.band, fd - 1)
+                                   [:, None]).ravel(), side="right")
+        ka = np.repeat(np.arange(a.size), self.blocks)
+        return np.repeat(ka, hi - lo), order[_ranges(lo, hi)]
+
     def number(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The numbers of the sector pairs (i, j)."""
-        return self.start[j] + self.rank[i]
+        """The numbers of the band's pairs (i, j)."""
+        return self.start[j] + self.offset[j, self.block[i]] + self.rank[i]
 
     def sandwiches(self, me: MasterEquation):
         """(rows, columns, values) of each generator term in turn, on the
-        sector pairs, built from the operators' nonzeros; repeated
+        band's pairs, built from the operators' nonzeros; repeated
         positions add up.
 
         L rho = G rho + rho G^dag + sum_k 2 rate_k O_k rho O_k^dag with
         G = -iH - sum_k rate_k O_k^dag O_k.  In each sandwich A rho B^dag,
         A_ip conj(B_jq) maps pair (p, q) to pair (i, j) when i and j share
         a label; A and B shift the labels alike, which the charge checks
-        guarantee, so (p, q) is then a sector pair as well.
+        guarantee, so (p, q) is then a sector pair as well.  It is kept
+        when (p, q) also lies in the band: the coherences outside it are
+        taken as 0.
         """
         d = self.labels.size
         eye = (np.arange(d), np.arange(d), np.ones(d, dtype=complex))
@@ -435,10 +506,14 @@ class _SectorCoordinates:
             yield self._sandwich(a, b)
 
     def _sandwich(self, a, b):
-        """The triplets of A rho B^dag, from those of A and B.  The join's
-        index arrays die on return, before the caller holds the
-        triplets."""
-        ka, kb = _join(self.labels[a[0]], self.labels[b[0]])
+        """The triplets of A rho B^dag on the band, from those of A and B:
+        the joined pairs (i, j) are the band's, and those whose source
+        (p, q) falls outside it are dropped.  The join's index arrays die
+        on return, before the caller holds the triplets."""
+        ka, kb = self.join(a[0], b[0])
+        inside = np.abs(self.photons[a[1][ka]]
+                        - self.photons[b[1][kb]]) <= self.band
+        ka, kb = ka[inside], kb[inside]
         return (self.number(a[0][ka], b[0][kb]),
                 self.number(a[1][ka], b[1][kb]),
                 a[2][ka] * b[2][kb].conj())
@@ -450,7 +525,9 @@ class _SectorCoordinates:
 
     def generator(self, me: MasterEquation) -> SparseMatrix:
         """The sector generator as a real matrix: row k is the part of
-        (L rho)_ij that coordinate k holds.
+        (L rho)_ij that coordinate k holds.  On a band it is the whole
+        sector's generator with the rows and columns of the band's pairs
+        alone.
 
         A complex entry c in column k (pair (p, q)) multiplies rho_pq =
         x_re + i s x_im, with s the side of (p, q) and x_re, x_im its two
@@ -677,24 +754,36 @@ def schrodinger_evolve(hamiltonian: Callable[[np.ndarray], np.ndarray]
 
 def _screen_uniqueness(me: MasterEquation):
     """Raise if the full generator, dense, has two vanishing singular
-    values."""
+    values.
+
+    The rule is scale-free: the second smallest singular value sigma_2
+    vanishes when it is within the roundoff of the SVD itself, n eps
+    sigma_1 for the n x n generator (n = d^2).  A ratio sigma_2/sigma_1
+    far below 1 is no second null vector by itself: it measures the
+    spread of the rates, which at squeezing r is about 1/cosh^2 r
+    (1e-9 at r = 10).
+    """
     d = me.space.dim
     rows, cols, vals = _SectorCoordinates(np.zeros(d, dtype=int)).entries(me)
     dense = np.zeros((d * d, d * d), dtype=complex)
     np.add.at(dense, (rows, cols), vals)
     svals = np.linalg.svd(dense, compute_uv=False)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    if svals[-2] < 1e-8 * scale:
+    roundoff = d * d * np.finfo(float).eps * svals[0]
+    if svals[-2] <= roundoff:
         raise DegenerateSteadyStateError(
-            f"two singular values vanish (sigma_2/sigma_1 = "
-            f"{svals[-2] / scale:.2e}); stationary state is not unique")
+            f"two singular values vanish (sigma_2 = {svals[-2]:.2e}, within "
+            f"the roundoff n eps sigma_1 = {roundoff:.2e}); stationary "
+            "state is not unique")
 
 
 # Nested-dissection leaves: a part of at most this many unknowns is one
 # front.  Pivoting stays inside a front, so small fronts lose digits
 # (leaves of 8 lost up to 7e-13 relative against SuperLU on small random
 # models, leaves of 24-96 at most 4e-14); time and stored entries move
-# little between 32 and 192.
+# little between 32 and 192.  A block of at most 2 _LEAF unknowns is not
+# dissected at all: split into fronts of this size, a two_qubit_full
+# block at field_dim 5 landed 1.4e-12 from the exact state in trace
+# distance, and 4e-15 as one front.
 _LEAF = 96
 
 
@@ -767,10 +856,11 @@ def splu(matrix: SparseMatrix, rhs: np.ndarray,
 
     ``points`` gives each unknown but the first a position on an integer
     mesh that the matrix couples locally, and orders the rest by
-    ``_dissect``; unknown 0, which may couple to all of them, is a root
-    front of its own.  Each original entry is assembled at the front
-    that eliminates its earlier endpoint, and each child's Schur
-    complement is extend-added into its parent.  A front with pivots P
+    ``_dissect``, unless the matrix has at most 2 ``_LEAF`` unknowns:
+    then the rest are one front.  Unknown 0, which may couple to all of
+    them, is a root front of its own.  Each original entry is assembled
+    at the front that eliminates its earlier endpoint, and each child's
+    Schur complement is extend-added into its parent.  A front with pivots P
     and later unknowns B (its boundary) then runs one np.linalg.solve of
     its pivot block against [coupling to B | right-hand side], with
     partial pivoting inside the block, keeps that result for the
@@ -780,7 +870,10 @@ def splu(matrix: SparseMatrix, rhs: np.ndarray,
     """
     n = matrix.n
     indptr, indices = matrix.adjacency()
-    fronts, parents = _dissect(points, indptr, indices, np.arange(1, n))
+    if n > 2 * _LEAF:
+        fronts, parents = _dissect(points, indptr, indices, np.arange(1, n))
+    else:
+        fronts, parents = ([np.arange(1, n)], [-1]) if n > 1 else ([], [])
     fronts.append(np.zeros(1, dtype=np.int64))
     parents = [len(fronts) - 1 if p < 0 else p for p in parents] + [-1]
     children: list[list[int]] = [[] for _ in fronts]
@@ -837,7 +930,17 @@ def splu(matrix: SparseMatrix, rhs: np.ndarray,
     return Factorisation(solution, sum(x.size for x in kept))
 
 
-def steady_state(me: MasterEquation) -> DensityMatrix:
+class SteadyState(DensityMatrix):
+    """A stationary state, with ``unknowns``, the number of real unknowns
+    that its LU factored."""
+
+    def __init__(self, space: HilbertSpace, matrix: np.ndarray,
+                 blocks: np.ndarray, unknowns: int):
+        super().__init__(space, matrix, blocks=blocks)
+        object.__setattr__(self, "unknowns", unknowns)
+
+
+def steady_state(me: MasterEquation, band: int | None = None) -> SteadyState:
     """Stationary state of a time-independent master equation.
 
     Solves L vec(rho) = 0 on the equal-charge sector of the master
@@ -847,16 +950,27 @@ def steady_state(me: MasterEquation) -> DensityMatrix:
     connected block of the bordered matrix that holds the trace row,
     about half the sector at resonance by the i^n gauge symmetry (module
     docstring), and all of it once a detuning couples the blocks; the
-    other coordinates are 0.  The state's positivity is checked block by
-    block over the sector.  On systems small enough for a dense SVD the
-    full generator is also screened for a degenerate stationary subspace.
+    other coordinates are 0.
+
+    ``band`` = K keeps only the pairs whose photon numbers differ by at
+    most K (``_SectorCoordinates``): the generator is assembled on them
+    alone, coherences further apart are taken as 0, and the LU costs
+    O(field_dim K) in time and memory.  None, or K >= field_dim - 1, is
+    the whole sector.  Whether K is wide enough is the caller's to check,
+    on the state's coherences at photon distance K - 1 and K
+    (``fock.coherence_profile``).  The ||L rho|| residual check applies
+    to the band's generator.
+
+    The state's positivity is checked block by block over the sector.
+    On systems small enough for a dense SVD the full generator is also
+    screened for a degenerate stationary subspace.
     """
     d = me.space.dim
     if d <= UNIQUENESS_SCREEN_MAX_DIM:
         _screen_uniqueness(me)
     # the stationary state lies in the equal-charge sector, which the
     # generator maps onto itself, and is Hermitian
-    coords = _SectorCoordinates(me._labels())
+    coords = _SectorCoordinates(me._labels(), me.space.field_dim, band)
     lmat = coords.generator(me)
     scale = max(1.0, np.abs(lmat.data).max(initial=0.0))
     # the diagonal coordinates are the populations, so they carry the trace
@@ -886,7 +1000,7 @@ def steady_state(me: MasterEquation) -> DensityMatrix:
     b[0] = 1.0
     # each coordinate sits at its pair's photon numbers, folded so that
     # both coordinates of a pair share a point
-    photons = _excitations(me.space)[0]
+    photons = coords.photons
     ni, nj = photons[coords.rows[live]], photons[coords.cols[live]]
     points = np.stack([np.minimum(ni, nj), np.maximum(ni, nj)], axis=1)
     y = np.zeros(coords.n)
@@ -899,8 +1013,8 @@ def steady_state(me: MasterEquation) -> DensityMatrix:
             "ill-conditioned")
     m = coords.hermitian(y)
     try:
-        return DensityMatrix(me.space, m / np.trace(m).real,
-                             blocks=coords.labels)
+        return SteadyState(me.space, m / np.trace(m).real, coords.labels,
+                           live.size)
     except InvalidStateError as exc:
         raise DegenerateSteadyStateError(
             f"bordered solve returned an invalid state: {exc}") from exc

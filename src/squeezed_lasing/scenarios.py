@@ -12,7 +12,9 @@ hash embedded in every file.
 
 Every sweep point, and every Wigner panel, runs one pipeline: a
 ``_Point`` solves the steady state of its resolved working point,
-growing the field dimension while the top Fock levels hold weight.
+growing the field dimension while the top Fock levels hold weight, on a
+band of coherences sized from the point's mean-field ansatz and grown
+while its edge holds weight (``_steady_on_band``).
 Each column of a scenario's spec then names a quantity of the point
 (reduced-field observables, mean field, ansatz fidelity, effective vs
 full model), computed once, on first use.  Sweep points run serially,
@@ -63,11 +65,13 @@ from .dressing import (
 from .fock import (
     HilbertSpace,
     annihilation,
+    coherence_profile,
     expectation,
     qubit_ops,
     truncation_edge,
 )
 from .lindblad import (
+    DegenerateSteadyStateError,
     adiabatic_elimination_ok,
     fidelity,
     model_single_qubit_laser,
@@ -616,34 +620,71 @@ class ScenarioOutput:
 # A state whose truncation edge (``fock.truncation_edge``) reaches this
 # population is truncation-limited.
 _TRUNCATION_TOL = 1e-6
+# A steady state solved on a band of coherences K wide (``steady_state``'s
+# ``band``) is kept once its band edge, the sum of |rho_ij| at photon
+# distance K - 1 and K, is below this.  The first band tried is never
+# narrower than _MIN_BAND, so every field_dim up to _MIN_BAND + 1 solves
+# its whole sector.
+_BAND_TOL = 1e-12
+_MIN_BAND = 16
 
 
-def _solved(build, fd: int, solved: dict) -> tuple:
+def _steady_on_band(me, band: int) -> tuple:
+    """The steady state of ``me`` on the first band, from ``band`` up by
+    1.5x, whose band edge (the sum of |rho_ij| at photon distance
+    band - 1 and band) is below _BAND_TOL.  A band whose solve fails
+    fails the test too.  The whole sector (band field_dim - 1) leaves
+    nothing out, so it is kept whatever its edge.  Returns (state, band,
+    band edge, times the band grew)."""
+    whole = me.space.field_dim - 1
+    band, grown = min(band, whole), 0
+    while True:
+        try:
+            rho = steady_state(me, band=band)
+        except DegenerateSteadyStateError:
+            if band == whole:
+                raise
+            edge = math.inf
+        else:
+            edge = float(coherence_profile(rho)[band - 1:band + 1].sum())
+            if edge < _BAND_TOL or band == whole:
+                return rho, band, edge, grown
+        band, grown = min(math.ceil(1.5 * band), whole), grown + 1
+
+
+def _solved(build, fd: int, solved: dict, band_start=None) -> tuple:
     """The steady state of ``build(fd)`` and its reduced field (the last
     factor), from ``solved`` (field_dim -> that pair) when it holds them,
-    else solved and added to it."""
+    else solved and added to it.  The solve starts on the band
+    ``band_start(fd)`` (``_steady_on_band``), or on the whole sector
+    without ``band_start``, and logs one line of what it factored."""
     if fd not in solved:
         me = build(fd)
-        rho = steady_state(me)
+        start = fd - 1 if band_start is None else band_start(fd)
+        rho, band, edge, grown = _steady_on_band(me, start)
+        log.info("steady state at field_dim %d: band %d, band edge %.2e, "
+                 "%d unknowns factored, band grown %d times", fd, band,
+                 edge, rho.unknowns, grown)
         solved[fd] = rho, partial_trace(rho, keep=[me.space.n_qubits])
     return solved[fd]
 
 
 def _solve_steady_checked(build, field_dim: int, retries: int,
-                          solved: dict | None = None):
+                          solved: dict | None = None, band_start=None):
     """Steady state with the field dimension retried 1.5x on bad truncation.
 
     ``build(field_dim)`` returns the master equation; its field is the
     last factor of its space.  ``solved`` holds the states of this model
-    already solved, by field_dim (``_solved``).  Returns (full state,
-    reduced field state, field_dim used, flagged).  The edge population
-    of each attempt's reduced field is measured once; a state still over
-    the edge after the last retry is logged and flagged.
+    already solved, by field_dim, and ``band_start`` gives the first band
+    of coherences tried at a field_dim (``_solved``).  Returns (full
+    state, reduced field state, field_dim used, flagged).  The edge
+    population of each attempt's reduced field is measured once; a state
+    still over the edge after the last retry is logged and flagged.
     """
     solved = {} if solved is None else solved
     fd = field_dim
     for attempt in range(retries + 1):
-        rho, reduced = _solved(build, fd, solved)
+        rho, reduced = _solved(build, fd, solved, band_start)
         edge = truncation_edge(reduced)
         if edge < _TRUNCATION_TOL:
             return rho, reduced, fd, False
@@ -684,8 +725,23 @@ class _Point:
         self._effective = memo.setdefault("effective states", {})
         self.rho, self.field, self.field_dim, flagged = _solve_steady_checked(
             self._build, numerics.field_dim, numerics.truncation_retries,
-            self._effective if resolved.model == "effective" else None)
+            self._effective if resolved.model == "effective" else None,
+            self._band_start)
         self.truncation_flag = int(flagged)
+
+    def _band_start(self, fd: int) -> int:
+        """The first band of coherences tried at ``fd``: the narrowest K
+        >= _MIN_BAND at which the point's ansatz puts its band edge below
+        _BAND_TOL, else fd - 1, the whole sector.  The ansatz is formed
+        only when _MIN_BAND < fd - 1, and the single laser, whose sector
+        holds no pair more than one photon apart, has none."""
+        if self.dressed is None or fd - 1 <= _MIN_BAND:
+            return fd - 1
+        profile = coherence_profile(self._ansatz(fd))
+        # the edge of each band K from _MIN_BAND to fd - 1
+        edges = profile[_MIN_BAND - 1:-1] + profile[_MIN_BAND:]
+        passing = np.flatnonzero(edges < _BAND_TOL)
+        return _MIN_BAND + int(passing[0]) if passing.size else fd - 1
 
     def _build(self, fd: int, model: str | None = None):
         r = self.resolved
@@ -745,19 +801,24 @@ class _Point:
         return self.mf_f_squared + (math.cosh(2 * self.dressed.r) - 1.0) \
             / (2.0 * (1.0 + self.resolved.c_prime))
 
-    @cached_property
-    def fidelity_ansatz(self) -> float:
+    def _ansatz(self, fd: int):
+        """The mean-field ansatz of the point's field at ``fd``, from the
+        run's memo (by field_dim and |F|) or formed and added to it."""
         f_mag = abs(self.mf.F)
-        key = ("ansatz", self.field_dim, f_mag)
+        key = ("ansatz", fd, f_mag)
         if key not in self._memo:
             self._memo[key] = ansatz = mf_ansatz(
                 f_mag, self.resolved.c_prime, self.dressed.r,
-                self.field.space)
+                HilbertSpace(n_qubits=0, field_dim=fd))
             edge = truncation_edge(ansatz)
             if edge >= _TRUNCATION_TOL:
                 log.warning("ansatz truncation-limited at field_dim %d "
-                            "(edge %.2e)", self.field_dim, edge)
-        return fidelity(self.field, self._memo[key])
+                            "(edge %.2e)", fd, edge)
+        return self._memo[key]
+
+    @cached_property
+    def fidelity_ansatz(self) -> float:
+        return fidelity(self.field, self._ansatz(self.field_dim))
 
     @cached_property
     def gaussian_residual(self) -> float:
@@ -768,10 +829,12 @@ class _Point:
 
     @cached_property
     def fidelity_vs_effective(self) -> float:
-        """Against the effective model's field at this field_dim, from an
-        unchecked solve unless the memo already holds one."""
+        """Against the effective model's field at this field_dim, from a
+        solve whose truncation is not checked, on a band sized as the
+        point's own, unless the memo already holds one."""
         _, effective = _solved(lambda fd: self._build(fd, "effective"),
-                               self.field_dim, self._effective)
+                               self.field_dim, self._effective,
+                               self._band_start)
         return fidelity(self.field, effective)
 
     @cached_property

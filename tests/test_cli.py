@@ -380,6 +380,15 @@ def test_paper_single_laser_at_field_dim_400(tmp_path):
     assert float(row["n_photons"]) == pytest.approx(mean_field, rel=0.01)
 
 
+def test_strong_squeezing_is_not_read_as_a_second_steady_state(tmp_path):
+    # at r = 10 the generator's rates spread over cosh^2 r ~ 1e8, so its
+    # second smallest singular value is 1e-9 of the largest, yet only the
+    # smallest one vanishes
+    assert main(["squeezed_laser", "--out", str(tmp_path / "o"),
+                 "--set", "params.r=10",
+                 "--set", "numerics.field_dim=8"]) == 0
+
+
 def test_output_path_collision_exits_4(tmp_path):
     target = tmp_path / "file"
     target.write_text("occupied")

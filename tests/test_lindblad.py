@@ -46,6 +46,7 @@ from squeezed_lasing.lindblad import (
     steady_state,
     trace_distance,
 )
+from squeezed_lasing import scenarios
 from squeezed_lasing.scenarios import build_config, resolve_point
 
 
@@ -373,6 +374,100 @@ def test_generator_assembly_memory_tracks_its_nonzeros(scenario, model,
                             + lmat.cols.nbytes)
 
 
+def test_submatrix_refuses_an_entry_that_leaves_the_kept_nodes():
+    # 0 - 1 are joined, 2 stands alone
+    matrix = lindblad.SparseMatrix(np.array([0, 1, 2]), np.array([1, 0, 2]),
+                                   np.array([1.0, 2.0, 3.0]), 3)
+    kept = matrix.submatrix(np.array([2]))
+    assert (kept.n, kept.rows.tolist(), kept.data.tolist()) == (1, [0], [3.0])
+    for keep in ([0], [1, 2]):
+        with pytest.raises(ValueError, match="joins a kept node"):
+            matrix.submatrix(np.array(keep))
+
+
+band_sectors = st.tuples(st.integers(1, 9), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(st.just(shape[0]), st.lists(
+        st.integers(-2, 2), min_size=shape[0] * shape[1],
+        max_size=shape[0] * shape[1]).map(np.array)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sector=band_sectors, band=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1))
+@example(sector=(3, np.array([0, 1, 0, 1, 0, 1])), band=1, seed=0)
+def test_band_pairs_are_numbered_from_their_labels(sector, band, seed):
+    field_dim, labels = sector
+    coords = lindblad._SectorCoordinates(labels, field_dim, band)
+    # the reference: a dense d x d mask of the band's pairs and a table of
+    # their column-major numbers
+    photons = np.arange(labels.size) % field_dim
+    mask = ((labels[:, None] == labels)
+            & (np.abs(photons[:, None] - photons) <= band))
+    cols, rows = np.nonzero(mask)
+    assert np.array_equal(coords.cols, cols)
+    assert np.array_equal(coords.rows, rows)
+    index = np.full(mask.shape, -1)
+    index[rows, cols] = np.arange(rows.size)
+    numbers = coords.number(rows, cols)
+    assert np.array_equal(numbers, np.arange(rows.size))
+    assert np.array_equal(coords.mirror, index[cols, rows])
+    assert np.array_equal(coords.diagonal, index.diagonal())
+    for table in (coords.start, coords.rank, coords.offset, coords.diagonal,
+                  coords.mirror, numbers):
+        assert table.dtype == np.int32
+    # the join of any states with non-decreasing ones lists the band's
+    # pairs among them in row-major order
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, labels.size, size=rng.integers(0, 12))
+    b = np.sort(rng.integers(0, labels.size, size=rng.integers(0, 12)))
+    for got, want in zip(coords.join(a, b), np.nonzero(mask[a][:, b]),
+                         strict=True):
+        assert np.array_equal(got, want)
+
+
+def dense_generator(coords, me) -> np.ndarray:
+    lmat = coords.generator(me)
+    out = np.zeros((lmat.n, lmat.n))
+    out[lmat.rows, lmat.cols] = lmat.data
+    return out
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_band_generator_is_the_sector_generator_cut_to_the_band(kind):
+    me = build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 9)
+    whole = lindblad._SectorCoordinates(me._labels())
+    full = dense_generator(whole, me)
+    for band in (1, 2, 5):
+        coords = lindblad._SectorCoordinates(me._labels(), 9, band)
+        assert np.all(np.abs(coords.photons[coords.rows]
+                             - coords.photons[coords.cols]) <= band)
+        at = whole.number(coords.rows, coords.cols)
+        # every term's entries on the band, summed in the same order
+        assert np.array_equal(dense_generator(coords, me), full[at][:, at])
+    # a band as wide as the field is the whole sector, bit for bit
+    rho = steady_state(me)
+    for band in (8, 20):
+        assert np.array_equal(steady_state(me, band=band).matrix, rho.matrix)
+    with pytest.raises(ValueError, match="band must be at least 1"):
+        steady_state(me, band=0)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+@settings(max_examples=15, deadline=None)
+@given(g=rates, gamma=rates, kappa=rates, c_prime=rates,
+       r=st.floats(0.0, 0.6), field_dim=st.integers(8, 24),
+       band=st.integers(1, 22))
+def test_band_solve_is_within_its_edge_of_the_whole_sector(
+        kind, g, gamma, kappa, c_prime, r, field_dim, band):
+    me = build_model(kind, g, gamma, kappa, c_prime, r, field_dim)
+    whole = steady_state(me)
+    rho, kept, edge, grown = scenarios._steady_on_band(
+        me, min(band, field_dim - 2))
+    # the band grew until its edge passed, or to the whole sector
+    assert edge < scenarios._BAND_TOL or kept == field_dim - 1
+    assert trace_distance(rho, whole) <= edge + 1e-13
+
+
 def record_splu(monkeypatch) -> list:
     """Patch lindblad.splu to record the order and dtype of each matrix it
     factors; the solve looks splu up on the module, where tracers patch
@@ -386,6 +481,40 @@ def record_splu(monkeypatch) -> list:
 
     monkeypatch.setattr(lindblad, "splu", recording)
     return factored
+
+
+@pytest.mark.parametrize("scenario, field_dim, live", [
+    ("squeezed_laser", 60, [3660]),
+    # the two-qubit model, then the effective one it is compared with
+    ("two_qubit_full", 40, [6480, 1640]),
+])
+def test_desk_points_factor_each_model_once_on_a_band(monkeypatch, scenario,
+                                                       field_dim, live):
+    factored = record_splu(monkeypatch)
+    cfg = build_config(scenario, preset="desk",
+                       overrides={"numerics": {"field_dim": field_dim}})
+    point = scenarios._Point(cfg.points[0], cfg.numerics, {})
+    if scenario == "two_qubit_full":
+        assert point.fidelity_vs_effective > 0.9
+    assert point.field_dim == field_dim
+    # one factorisation per model, each smaller than its whole live block
+    assert len(factored) == len(live)
+    assert all(n < whole for (n, _), whole in zip(factored, live))
+    whole = steady_state(point._build(field_dim))
+    assert trace_distance(point.rho, whole) <= 1e-12
+
+
+def test_desk_weak_engineering_panel_factors_its_whole_block_once(
+        monkeypatch):
+    factored = record_splu(monkeypatch)
+    cfg = build_config("wigner_panels", preset="desk",
+                       overrides={"params": {"c_prime": 0.01}})
+    [resolved] = cfg.points
+    point = scenarios._Point(resolved, cfg.numerics, {})
+    # at C' = 0.01 the ansatz keeps its band edge over 1e-12 up to the
+    # last band, so the whole live block is solved, once
+    assert point.field_dim == 60
+    assert factored == [(3660, np.float64)]
 
 
 # The sector has 38 / 200 / 800 real coordinates at field_dim 10 (2x2 U(1)
@@ -436,6 +565,10 @@ def full_sector_solve(me):
 @settings(max_examples=15, deadline=None)
 @given(g=rates, gamma=rates, kappa=rates, c_prime=rates,
        r=st.floats(0.0, 1.5), field_dim=st.integers(2, 7))
+# a two_qubit_full block of 120 unknowns, which fronts of at most _LEAF
+# left 1.4e-12 from the whole-sector state and one front leaves 4e-15
+@example(g=4.0, gamma=1 / 32, kappa=1 / 32, c_prime=1 / 32, r=0.5,
+         field_dim=5)
 def test_unfactored_block_is_exactly_zero(kind, g, gamma, kappa, c_prime, r,
                                           field_dim):
     me = build_model(kind, g, gamma, kappa, c_prime, r, field_dim)

@@ -15,7 +15,12 @@ from squeezed_lasing import scenarios
 from squeezed_lasing.cli import main
 from squeezed_lasing.dressing import dress
 from squeezed_lasing.fock import HilbertSpace
-from squeezed_lasing.lindblad import model_single_qubit_laser, partial_trace, steady_state
+from squeezed_lasing.lindblad import (
+    model_single_qubit_laser,
+    model_squeezed_laser_effective,
+    partial_trace,
+    steady_state,
+)
 from squeezed_lasing.scenarios import (
     ConfigError,
     NumericsSpec,
@@ -526,6 +531,27 @@ class TestSweeps:
         assert len(logged) == 1
         assert logged[0].levelno == logging.WARNING
         assert logged[0].name == "squeezed_lasing.scenarios"
+
+    def test_each_solve_logs_its_band(self, caplog):
+        cfg = build_config("squeezed_laser", preset="desk",
+                           overrides={"numerics": {"field_dim": 30}})
+        with caplog.at_level(logging.INFO, logger="squeezed_lasing"):
+            out = run_scenario(cfg)
+        assert out.tables["squeezed_laser"].rows[0][-4:-2] == (30, 0)
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("steady state at")]
+        found = re.fullmatch(
+            r"steady state at field_dim 30: band (\d+), band edge (\S+), "
+            r"(\d+) unknowns factored, band grown (\d+) times", line)
+        band, edge, unknowns, grown = found.groups()
+        # a band narrower than the 29 of the whole sector, which passed
+        assert int(band) < 29 and float(edge) < scenarios._BAND_TOL
+        assert int(grown) == 0
+        r = cfg.points[0]
+        whole = steady_state(model_squeezed_laser_effective(
+            r.dressed, r.gamma, r.kappa, r.c_prime,
+            HilbertSpace(n_qubits=1, field_dim=30)))
+        assert 0 < int(unknowns) < whole.unknowns
 
     def test_failed_point_is_isolated(self, monkeypatch):
         import squeezed_lasing.scenarios as scen
