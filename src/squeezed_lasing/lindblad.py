@@ -77,6 +77,7 @@ leaves slowest.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -95,6 +96,8 @@ from .fock import (
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+log = logging.getLogger("squeezed_lasing.lindblad")
 
 # Dense SVD screening for nonunique steady states is affordable only on
 # small systems; larger models in scope are known to be ergodic.  Past
@@ -930,44 +933,12 @@ def splu(matrix: SparseMatrix, rhs: np.ndarray,
     return Factorisation(solution, sum(x.size for x in kept))
 
 
-class SteadyState(DensityMatrix):
-    """A stationary state, with ``unknowns``, the number of real unknowns
-    that its LU factored."""
-
-    def __init__(self, space: HilbertSpace, matrix: np.ndarray,
-                 blocks: np.ndarray, unknowns: int):
-        super().__init__(space, matrix, blocks=blocks)
-        object.__setattr__(self, "unknowns", unknowns)
-
-
-def steady_state(me: MasterEquation, band: int | None = None) -> SteadyState:
-    """Stationary state of a time-independent master equation.
-
-    Solves L vec(rho) = 0 on the equal-charge sector of the master
-    equation (all of rho without a charge), in real Hermitian
-    coordinates, with the trace pinned through a bordered multifrontal LU
-    (``splu``), and scatters the solution back.  The LU factors only the
-    connected block of the bordered matrix that holds the trace row,
-    about half the sector at resonance by the i^n gauge symmetry (module
-    docstring), and all of it once a detuning couples the blocks; the
-    other coordinates are 0.
-
-    ``band`` = K keeps only the pairs whose photon numbers differ by at
-    most K (``_SectorCoordinates``): the generator is assembled on them
-    alone, coherences further apart are taken as 0, and the LU costs
-    O(field_dim K) in time and memory.  None, or K >= field_dim - 1, is
-    the whole sector.  Whether K is wide enough is the caller's to check,
-    on the state's coherences at photon distance K - 1 and K
-    (``fock.coherence_profile``).  The ||L rho|| residual check applies
-    to the band's generator.
-
-    The state's positivity is checked block by block over the sector.
-    On systems small enough for a dense SVD the full generator is also
-    screened for a degenerate stationary subspace.
-    """
+def _bordered_solve(me: MasterEquation, band: int | None):
+    """The band's coordinates (``_SectorCoordinates``), its sector
+    generator, the generator's scale (its largest entry, at least 1) and
+    the solution of its bordered system with the trace pinned to 1, in
+    those coordinates, unchecked (``steady_state`` checks it)."""
     d = me.space.dim
-    if d <= UNIQUENESS_SCREEN_MAX_DIM:
-        _screen_uniqueness(me)
     # the stationary state lies in the equal-charge sector, which the
     # generator maps onto itself, and is Hermitian
     coords = _SectorCoordinates(me._labels(), me.space.field_dim, band)
@@ -1005,6 +976,41 @@ def steady_state(me: MasterEquation, band: int | None = None) -> SteadyState:
     points = np.stack([np.minimum(ni, nj), np.maximum(ni, nj)], axis=1)
     y = np.zeros(coords.n)
     y[live] = splu(bordered.submatrix(live), b, points).solution
+    log.info("field_dim %d, band %d: %d unknowns factored",
+             coords.field_dim, coords.band, live.size)
+    return coords, lmat, scale, y
+
+
+def steady_state(me: MasterEquation,
+                 band: int | None = None) -> DensityMatrix:
+    """Stationary state of a time-independent master equation.
+
+    Solves L vec(rho) = 0 on the equal-charge sector of the master
+    equation (all of rho without a charge), in real Hermitian
+    coordinates, with the trace pinned through a bordered multifrontal LU
+    (``splu``), and scatters the solution back.  The LU factors only the
+    connected block of the bordered matrix that holds the trace row,
+    about half the sector at resonance by the i^n gauge symmetry (module
+    docstring), and all of it once a detuning couples the blocks; the
+    other coordinates are 0.  Each solve logs, at INFO, the field_dim,
+    the band and the number of unknowns factored.
+
+    ``band`` = K keeps only the pairs whose photon numbers differ by at
+    most K (``_SectorCoordinates``): the generator is assembled on them
+    alone, coherences further apart are taken as 0, and the LU costs
+    O(field_dim K) in time and memory.  None, or K >= field_dim - 1, is
+    the whole sector.  Whether K is wide enough is the caller's to check,
+    on the state's coherences at photon distance K - 1 and K
+    (``fock.coherence_profile``).  The ||L rho|| residual check applies
+    to the band's generator.
+
+    The state's positivity is checked block by block over the sector.
+    On systems small enough for a dense SVD the full generator is also
+    screened for a degenerate stationary subspace.
+    """
+    if me.space.dim <= UNIQUENESS_SCREEN_MAX_DIM:
+        _screen_uniqueness(me)
+    coords, lmat, scale, y = _bordered_solve(me, band)
     residual = np.max(np.abs(lmat @ y))
     if residual > 1e-8 * scale:
         raise DegenerateSteadyStateError(
@@ -1013,11 +1019,27 @@ def steady_state(me: MasterEquation, band: int | None = None) -> SteadyState:
             "ill-conditioned")
     m = coords.hermitian(y)
     try:
-        return SteadyState(me.space, m / np.trace(m).real, coords.labels,
-                           live.size)
+        return DensityMatrix(me.space, m / np.trace(m).real,
+                             blocks=coords.labels)
     except InvalidStateError as exc:
         raise DegenerateSteadyStateError(
             f"bordered solve returned an invalid state: {exc}") from exc
+
+
+def band_profile(me: MasterEquation, band: int) -> np.ndarray:
+    """The coherence profile (``fock.coherence_profile``) of the solution
+    of the bordered system on ``band``, taken as it comes: not checked
+    for its residual or as a state.  A narrow band's solution is no
+    state, but its coherences fall off with the photon distance as the
+    stationary state's do; this reads that fall-off at the cost of the
+    narrow band's solve."""
+    coords, _, _, y = _bordered_solve(me, band)
+    # |rho_ij| from the pair's two coordinates; a population is its own
+    # mirror
+    magnitude = np.hypot(y, y[coords.mirror])
+    magnitude[coords.diagonal] = np.abs(y[coords.diagonal])
+    delta = np.abs(coords.photons[coords.rows] - coords.photons[coords.cols])
+    return np.bincount(delta, weights=magnitude, minlength=coords.field_dim)
 
 
 def _excitations(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,8 @@ hash embedded in every file.
 Every sweep point, and every Wigner panel, runs one pipeline: a
 ``_Point`` solves the steady state of its resolved working point,
 growing the field dimension while the top Fock levels hold weight, on a
-band of coherences sized from the point's mean-field ansatz and grown
+band of coherences sized from the point's mean-field ansatz, or from a
+narrow probe solve where the ansatz asks for a wide band, and grown
 while its edge holds weight (``_steady_on_band``).
 Each column of a scenario's spec then names a quantity of the point
 (reduced-field observables, mean field, ansatz fidelity, effective vs
@@ -73,6 +74,7 @@ from .fock import (
 from .lindblad import (
     DegenerateSteadyStateError,
     adiabatic_elimination_ok,
+    band_profile,
     fidelity,
     model_single_qubit_laser,
     model_squeezed_laser_effective,
@@ -627,17 +629,58 @@ _TRUNCATION_TOL = 1e-6
 # its whole sector.
 _BAND_TOL = 1e-12
 _MIN_BAND = 16
+# A first band whose solve would cost this many times a solve on
+# _MIN_BAND or more is checked first against a probe on _MIN_BAND
+# (``_probed_band``), which then costs a quarter of it at most.
+_PROBE_RATIO = 4
+
+
+def _band_pairs(field_dim: int, band: int) -> int:
+    """The pairs of photon numbers below ``field_dim`` at most ``band``
+    apart, in order; a band's unknowns and its LU's cost go with them."""
+    return field_dim * (2 * band + 1) - band * (band + 1)
+
+
+def _probed_band(me) -> int:
+    """The band at which the coherences of ``me``'s bordered solve on
+    _MIN_BAND, extrapolated geometrically, fall two decades below
+    _BAND_TOL.
+
+    The probe's solve is read as it comes (``band_profile``): it is no
+    state, but inside its band its coherences fall off as the stationary
+    state's do, save the last few diagonals, so the fall-off is read on
+    the band edges at _MIN_BAND / 2 and _MIN_BAND - 2.  The far
+    coherences can fall slower than these (desk C' = 0.01: 0.54 per
+    photon at distance 8-14, 0.64 at 60-70), hence the two decades.  A
+    probe that shows no fall-off gives the whole sector."""
+    profile = band_profile(me, _MIN_BAND)
+    lo, hi = _MIN_BAND // 2, _MIN_BAND - 2
+    edge_lo, edge_hi = (profile[k - 1] + profile[k] for k in (lo, hi))
+    target = 1e-2 * _BAND_TOL
+    if edge_hi <= target:
+        return _MIN_BAND
+    if not edge_hi < edge_lo:
+        return me.space.field_dim - 1
+    steps = (hi - lo) * math.log(target / edge_hi) / math.log(edge_hi
+                                                              / edge_lo)
+    return max(_MIN_BAND, hi + math.ceil(steps))
 
 
 def _steady_on_band(me, band: int) -> tuple:
     """The steady state of ``me`` on the first band, from ``band`` up by
     1.5x, whose band edge (the sum of |rho_ij| at photon distance
-    band - 1 and band) is below _BAND_TOL.  A band whose solve fails
+    band - 1 and band) is below _BAND_TOL.  A start that holds at least
+    _PROBE_RATIO times the pairs of _MIN_BAND is first narrowed to
+    ``_probed_band`` when that is narrower.  A band whose solve fails
     fails the test too.  The whole sector (band field_dim - 1) leaves
     nothing out, so it is kept whatever its edge.  Returns (state, band,
     band edge, times the band grew)."""
-    whole = me.space.field_dim - 1
+    fd = me.space.field_dim
+    whole = fd - 1
     band, grown = min(band, whole), 0
+    if band > _MIN_BAND and (_band_pairs(fd, band)
+                             >= _PROBE_RATIO * _band_pairs(fd, _MIN_BAND)):
+        band = min(band, _probed_band(me))
     while True:
         try:
             rho = steady_state(me, band=band)
@@ -652,25 +695,22 @@ def _steady_on_band(me, band: int) -> tuple:
         band, grown = min(math.ceil(1.5 * band), whole), grown + 1
 
 
-def _solved(build, fd: int, solved: dict, band_start=None) -> tuple:
+def _solved(build, fd: int, solved: dict, band_start) -> tuple:
     """The steady state of ``build(fd)`` and its reduced field (the last
     factor), from ``solved`` (field_dim -> that pair) when it holds them,
-    else solved and added to it.  The solve starts on the band
-    ``band_start(fd)`` (``_steady_on_band``), or on the whole sector
-    without ``band_start``, and logs one line of what it factored."""
+    else solved from the band ``band_start(fd)`` up (``_steady_on_band``)
+    and added to it.  Each solve logs the band it kept."""
     if fd not in solved:
         me = build(fd)
-        start = fd - 1 if band_start is None else band_start(fd)
-        rho, band, edge, grown = _steady_on_band(me, start)
+        rho, band, edge, grown = _steady_on_band(me, band_start(fd))
         log.info("steady state at field_dim %d: band %d, band edge %.2e, "
-                 "%d unknowns factored, band grown %d times", fd, band,
-                 edge, rho.unknowns, grown)
+                 "band grown %d times", fd, band, edge, grown)
         solved[fd] = rho, partial_trace(rho, keep=[me.space.n_qubits])
     return solved[fd]
 
 
 def _solve_steady_checked(build, field_dim: int, retries: int,
-                          solved: dict | None = None, band_start=None):
+                          solved: dict | None, band_start):
     """Steady state with the field dimension retried 1.5x on bad truncation.
 
     ``build(field_dim)`` returns the master equation; its field is the
@@ -730,11 +770,12 @@ class _Point:
         self.truncation_flag = int(flagged)
 
     def _band_start(self, fd: int) -> int:
-        """The first band of coherences tried at ``fd``: the narrowest K
-        >= _MIN_BAND at which the point's ansatz puts its band edge below
-        _BAND_TOL, else fd - 1, the whole sector.  The ansatz is formed
-        only when _MIN_BAND < fd - 1, and the single laser, whose sector
-        holds no pair more than one photon apart, has none."""
+        """The band of coherences that ``_steady_on_band`` starts from at
+        ``fd``: the narrowest K >= _MIN_BAND at which the point's ansatz
+        puts its band edge below _BAND_TOL, else fd - 1, the whole
+        sector.  The ansatz is formed only when _MIN_BAND < fd - 1, and
+        the single laser, whose sector holds no pair more than one
+        photon apart, has none."""
         if self.dressed is None or fd - 1 <= _MIN_BAND:
             return fd - 1
         profile = coherence_profile(self._ansatz(fd))
@@ -807,18 +848,24 @@ class _Point:
         f_mag = abs(self.mf.F)
         key = ("ansatz", fd, f_mag)
         if key not in self._memo:
-            self._memo[key] = ansatz = mf_ansatz(
+            self._memo[key] = mf_ansatz(
                 f_mag, self.resolved.c_prime, self.dressed.r,
                 HilbertSpace(n_qubits=0, field_dim=fd))
-            edge = truncation_edge(ansatz)
-            if edge >= _TRUNCATION_TOL:
-                log.warning("ansatz truncation-limited at field_dim %d "
-                            "(edge %.2e)", fd, edge)
         return self._memo[key]
 
     @cached_property
     def fidelity_ansatz(self) -> float:
-        return fidelity(self.field, self._ansatz(self.field_dim))
+        """Of the field against the ansatz at the point's field_dim.  An
+        ansatz whose own top levels hold weight is logged, once per
+        ansatz, since this fidelity then measures its truncation too."""
+        ansatz = self._ansatz(self.field_dim)
+        key = ("ansatz edge", self.field_dim, abs(self.mf.F))
+        if key not in self._memo:
+            self._memo[key] = edge = truncation_edge(ansatz)
+            if edge >= _TRUNCATION_TOL:
+                log.warning("ansatz truncation-limited at field_dim %d "
+                            "(edge %.2e)", self.field_dim, edge)
+        return fidelity(self.field, ansatz)
 
     @cached_property
     def gaussian_residual(self) -> float:

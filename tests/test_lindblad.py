@@ -24,6 +24,7 @@ from squeezed_lasing.fock import (
     InvalidStateError,
     Operator,
     annihilation,
+    coherence_profile,
     expectation,
     qubit_ops,
 )
@@ -34,6 +35,7 @@ from squeezed_lasing.lindblad import (
     Liouvillian,
     MasterEquation,
     adiabatic_elimination_ok,
+    band_profile,
     dissipator,
     fidelity,
     liouvillian_matrix,
@@ -465,6 +467,40 @@ def test_band_solve_is_within_its_edge_of_the_whole_sector(
         me, min(band, field_dim - 2))
     # the band grew until its edge passed, or to the whole sector
     assert edge < scenarios._BAND_TOL or kept == field_dim - 1
+    assert trace_distance(rho, whole) <= edge + 1e-13
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_band_profile_reads_the_bordered_solve_as_it_comes(kind):
+    me = build_model(kind, 1.0, 0.5, 0.3, 2.0, 0.3, 12)
+    # on a band that passes, the profile of the state it returns
+    for band in (11, 8):
+        rho = steady_state(me, band=band)
+        assert np.allclose(band_profile(me, band), coherence_profile(rho),
+                           rtol=1e-12, atol=1e-16)
+    # a band too narrow for a state still has a profile, 0 outside it
+    profile = band_profile(me, 1)
+    assert np.all(profile[:2] > 0) and np.all(profile[2:] == 0)
+
+
+def test_wide_start_is_narrowed_by_a_probe(monkeypatch):
+    # desk C' = 0.01 at field_dim 150: the coherences need a band of 54,
+    # and a start of the whole sector holds 4.8 times the pairs of the
+    # narrowest band, so that band is probed first
+    cfg = build_config("wigner_panels", preset="desk",
+                       overrides={"params": {"c_prime": 0.01}})
+    [resolved] = cfg.points
+    me = model_squeezed_laser_effective(
+        resolved.dressed, resolved.gamma, resolved.kappa, resolved.c_prime,
+        HilbertSpace(n_qubits=1, field_dim=150))
+    assert scenarios._probed_band(me) == 54
+    factored = record_splu(monkeypatch)
+    rho, band, edge, grown = scenarios._steady_on_band(me, 149)
+    assert (band, grown) == (54, 0) and edge < scenarios._BAND_TOL
+    # the probe, then the band it picked, together less than the whole
+    probe, kept = (n for n, _ in factored)
+    whole = steady_state(me)
+    assert probe < kept and probe + kept < factored[-1][0]
     assert trace_distance(rho, whole) <= edge + 1e-13
 
 

@@ -532,26 +532,52 @@ class TestSweeps:
         assert logged[0].levelno == logging.WARNING
         assert logged[0].name == "squeezed_lasing.scenarios"
 
+    def test_ansatz_read_only_to_size_the_band_is_not_logged(self, caplog):
+        # at C' = 0.01 and field_dim 30 the ansatz's edge is 2.4e-5, and
+        # the band sizing reads it, but wigner_panels reports no fidelity
+        # to it
+        cfg = build_config(
+            "wigner_panels", preset="desk",
+            overrides={"params": {"c_prime": 0.01},
+                       "numerics": {"field_dim": 30, "grid_points": 16}})
+        with caplog.at_level(logging.INFO, logger="squeezed_lasing"):
+            run_scenario(cfg)
+        assert any(m.startswith("steady state at field_dim 30")
+                   for m in caplog.messages)
+        assert not [m for m in caplog.messages
+                    if m.startswith("ansatz truncation-limited")]
+
     def test_each_solve_logs_its_band(self, caplog):
         cfg = build_config("squeezed_laser", preset="desk",
                            overrides={"numerics": {"field_dim": 30}})
         with caplog.at_level(logging.INFO, logger="squeezed_lasing"):
             out = run_scenario(cfg)
         assert out.tables["squeezed_laser"].rows[0][-4:-2] == (30, 0)
-        [line] = [r.getMessage() for r in caplog.records
+        # the one factorisation, then the band the point kept
+        solves = [r.getMessage() for r in caplog.records
+                  if r.name == "squeezed_lasing.lindblad"]
+        [kept] = [r.getMessage() for r in caplog.records
                   if r.getMessage().startswith("steady state at")]
+        [solve] = solves
+        band, unknowns = re.fullmatch(
+            r"field_dim 30, band (\d+): (\d+) unknowns factored",
+            solve).groups()
         found = re.fullmatch(
             r"steady state at field_dim 30: band (\d+), band edge (\S+), "
-            r"(\d+) unknowns factored, band grown (\d+) times", line)
-        band, edge, unknowns, grown = found.groups()
+            r"band grown (\d+) times", kept)
+        assert found.group(1) == band
         # a band narrower than the 29 of the whole sector, which passed
-        assert int(band) < 29 and float(edge) < scenarios._BAND_TOL
-        assert int(grown) == 0
+        assert int(band) < 29 and float(found.group(2)) < scenarios._BAND_TOL
+        assert int(found.group(3)) == 0
         r = cfg.points[0]
-        whole = steady_state(model_squeezed_laser_effective(
-            r.dressed, r.gamma, r.kappa, r.c_prime,
-            HilbertSpace(n_qubits=1, field_dim=30)))
-        assert 0 < int(unknowns) < whole.unknowns
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="squeezed_lasing"):
+            steady_state(model_squeezed_laser_effective(
+                r.dressed, r.gamma, r.kappa, r.c_prime,
+                HilbertSpace(n_qubits=1, field_dim=30)))
+        [whole] = caplog.messages
+        assert whole.startswith("field_dim 30, band 29: ")
+        assert 0 < int(unknowns) < int(whole.split()[4])
 
     def test_failed_point_is_isolated(self, monkeypatch):
         import squeezed_lasing.scenarios as scen
