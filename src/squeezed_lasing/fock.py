@@ -147,7 +147,7 @@ def _block_eigmin(mat: np.ndarray, blocks: np.ndarray) -> float:
     _, first, size = np.unique(blocks[order], return_index=True,
                                return_counts=True)
     eigmin = math.inf
-    for n in np.unique(size):
+    for n in sorted(set(size.tolist())):
         members = order[first[size == n][:, None] + np.arange(n)]
         stack = mat[members[:, :, None], members[:, None, :]]
         eigmin = min(eigmin, float(np.linalg.eigvalsh(stack)[:, 0].min()))

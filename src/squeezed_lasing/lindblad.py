@@ -73,6 +73,24 @@ front whose unknowns the dynamics keeps to itself: that is why the
 separator of each split is taken on the high-photon side (``_dissect``),
 and why the row that the trace replaces is that of the population that
 leaves slowest.
+
+The solve is split, as multifrontal solvers are (Duff & Reid, ACM TOMS
+9, 302 (1983)), into a symbolic plan and a numeric pass.  The plan
+(``_Plan``) holds all that depends on the bordered matrix's pattern, its
+mesh points and its trace row alone: the trace row's block and where its
+entries sit among the bordered matrix's, and the block's fronts, their
+children, the entry order and the front cuts, each front's boundary, and
+each entry's and each child's place in its front, as int32 (``_Fronts``).
+It is built from one adjacency, in time linear in each front's lists
+plus a sort of its boundary.  Plans are kept in a memo of at most 32 MB
+(``_PLAN_BYTES``), least recently used out, and looked up by the exact
+pattern (the bordered matrix's rows and columns, in order), points and
+trace row, compared in full.  A sweep's points at one field_dim and band
+share a pattern, so each is analysed once, and a later solve runs only
+front assembly, extend-add, the dense solves and back-substitution, in
+the same order, so its result is the same bit for bit.  The generator is
+assembled for every solve: its pattern depends on its values, because
+exact zeros are dropped.
 """
 
 from __future__ import annotations
@@ -172,12 +190,13 @@ class MasterEquation:
 
         def shifts(op: Operator) -> np.ndarray:
             rows, cols = np.nonzero(op.matrix)
-            return np.unique(self._reduce(charge[rows] - charge[cols]))
+            return self._reduce(charge[rows] - charge[cols])
 
         if np.any(shifts(self.hamiltonian) != 0):
             raise ValueError("Hamiltonian does not conserve the charge")
         for k, term in enumerate(self.terms):
-            if shifts(term.jump).size > 1:
+            shift = shifts(term.jump)
+            if np.any(shift != shift[:1]):
                 raise ValueError(f"jump operator {k} does not shift the "
                                  "charge by one fixed amount")
 
@@ -362,17 +381,31 @@ class SparseMatrix:
                             keep.size)
 
 
+def _distinct(values: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, in no set order, in time
+    proportional to their number.  ``stamp`` is an integer array over
+    their range: each entry writes its index there, and the one entry
+    per value whose index is read back is kept, so it needs no reset
+    between calls."""
+    at = np.arange(values.size)
+    stamp[values] = at
+    return values[stamp[values] == at]
+
+
 def _reached(indptr: np.ndarray, indices: np.ndarray,
              start: int) -> np.ndarray:
     """The sorted nodes that a path joins to node ``start``, by a
     breadth-first search over an adjacency (``SparseMatrix.adjacency``),
-    one level at a time."""
-    seen = np.zeros(indptr.size - 1, dtype=bool)
+    one level at a time, each in time proportional to its neighbour
+    lists."""
+    n = indptr.size - 1
+    seen = np.zeros(n, dtype=bool)
+    stamp = np.empty(n, dtype=np.intp)
     seen[start] = True
     level = np.array([start])
     while level.size:
         near = indices[_ranges(indptr[level], indptr[level + 1])]
-        level = np.unique(near[~seen[near]])
+        level = _distinct(near[~seen[near]], stamp)
         seen[level] = True
     return np.flatnonzero(seen)
 
@@ -852,6 +885,226 @@ class Factorisation:
     nnz: int
 
 
+def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
+    """Integers in [0, ``bound``) as int16 where that holds them, else as
+    int32, copied only to change type: a plan keeps its patterns, points
+    and orders so, at 2 bytes an index on every desk pattern."""
+    return index.astype(np.int16 if bound <= 2**15 else np.int32, copy=False)
+
+
+def _same_pattern(matrix: SparseMatrix, points: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray, known: np.ndarray) -> bool:
+    """Whether ``matrix`` has the entries at ``rows``, ``cols``, in that
+    order, and ``points`` are the ``known`` points, compared in full."""
+    return (matrix.rows.size == rows.size and points.shape == known.shape
+            and np.array_equal(matrix.rows, rows)
+            and np.array_equal(matrix.cols, cols)
+            and np.array_equal(points, known))
+
+
+class _Fronts:
+    """``splu``'s symbolic analysis of one matrix: all that depends on
+    its pattern (``rows``, ``cols``, ``n``) and its mesh ``points`` alone.
+
+    Unknown 0 is a root front of its own.  The rest are ordered by
+    ``_dissect`` on the adjacency given, or are one front when there are
+    at most 2 ``_LEAF`` of them.  The fronts, children first, are cut at
+    ``steps`` in the order ``perm``; ``children`` lists each front's.  A
+    front's boundary (``boundaries``, as sorted places in that order) is
+    the later unknowns that its pivots or its children's boundaries
+    touch, found in time proportional to those lists (``_distinct``)
+    and sorted; one position map then numbers the pivots and the
+    boundary inside the front.  The entries are listed front by front
+    (``order``), each at the front that eliminates its earlier endpoint,
+    and ``at`` holds each entry's flat place in its front, ``child_at``
+    each child's boundary rows in its parent, as int32 (a front past
+    int32 places would have over 46,000 unknowns, 17 GB dense).
+    """
+
+    def __init__(self, matrix: SparseMatrix, points: np.ndarray,
+                 indptr: np.ndarray, indices: np.ndarray):
+        n = matrix.n
+        self.n = n
+        self.rows, self.cols = _narrow(matrix.rows, n), _narrow(matrix.cols, n)
+        self.points = _narrow(points, points.max(initial=0) + 1)
+        if n > 2 * _LEAF:
+            fronts, parents = _dissect(points, indptr, indices,
+                                       np.arange(1, n))
+        else:
+            fronts, parents = ([np.arange(1, n)], [-1]) if n > 1 else ([], [])
+        fronts.append(np.zeros(1, dtype=np.int64))
+        parents = [len(fronts) - 1 if p < 0 else p for p in parents] + [-1]
+        self.children: list[list[int]] = [[] for _ in fronts]
+        for f, p in enumerate(parents[:-1]):
+            self.children[p].append(f)
+        perm = np.concatenate(fronts)
+        pos = np.empty(n, dtype=np.int64)
+        pos[perm] = np.arange(n)
+        starts = np.cumsum([0] + [f.size for f in fronts]).tolist()
+        # each entry goes to the front of its earlier endpoint
+        r, c = pos[matrix.rows], pos[matrix.cols]
+        first = np.minimum(r, c)
+        order = np.argsort(first, kind="stable")
+        r, c = r[order], c[order]
+        cuts = np.searchsorted(first[order], starts).tolist()
+        stamp = np.empty(n, dtype=np.intp)
+        local = np.empty(n, dtype=np.int64)
+        self.at = np.empty(order.size, dtype=np.int32)
+        self.boundaries: list[np.ndarray] = []
+        self.child_at: list[list[np.ndarray]] = []
+        # (first pivot, last pivot + 1, front size, first entry, last
+        # entry + 1) per front
+        self.steps: list[tuple[int, int, int, int, int]] = []
+        for f, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+            pivots = perm[lo:hi]
+            near = np.concatenate(
+                [pos[indices[_ranges(indptr[pivots], indptr[pivots + 1])]],
+                 *(self.boundaries[k] for k in self.children[f])])
+            bound = np.sort(_distinct(near[near >= hi], stamp))
+            p, m = hi - lo, hi - lo + bound.size
+            local[lo:hi] = np.arange(p)
+            local[bound] = np.arange(p, m)
+            e0, e1 = cuts[f], cuts[f + 1]
+            self.at[e0:e1] = local[r[e0:e1]] * (m + 1) + local[c[e0:e1]]
+            self.child_at.append([local[self.boundaries[k]].astype(np.int32)
+                                  for k in self.children[f]])
+            self.boundaries.append(_narrow(bound, n))
+            self.steps.append((lo, hi, m, e0, e1))
+        self.perm = _narrow(perm, n)
+        self.order = order.astype(np.int32)
+
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (
+            self.rows, self.cols, self.points, self.perm, self.order, self.at,
+            *self.boundaries, *(at for ats in self.child_at for at in ats)))
+
+    def fits(self, matrix: SparseMatrix, points: np.ndarray) -> bool:
+        """Whether this is the analysis of ``matrix``'s pattern at
+        ``points``."""
+        return matrix.n == self.n and _same_pattern(
+            matrix, points, self.rows, self.cols, self.points)
+
+    def factor(self, data: np.ndarray, rhs: np.ndarray) -> Factorisation:
+        """The numeric pass: solve the matrix with entries ``data`` (in
+        the analysed pattern's order) against ``rhs``."""
+        v = data[self.order]
+        b = rhs[self.perm]
+        updates, kept = {}, []
+        for f, (lo, hi, m, e0, e1) in enumerate(self.steps):
+            p = hi - lo
+            front = np.zeros((m, m + 1))
+            flat = front.reshape(-1)
+            flat[self.at[e0:e1]] = v[e0:e1]
+            front[:p, m] = b[lo:hi]
+            for k, at in zip(self.children[f], self.child_at[f]):
+                # at the child boundary's rows and its columns plus the
+                # right-hand side, through flat indices: faster than np.ix_
+                flat[(at[:, None] * (m + 1) + np.append(at, m)).ravel()] += (
+                    updates.pop(k).reshape(-1))
+            try:
+                x = np.linalg.solve(front[:p, :p], front[:p, p:])
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateSteadyStateError(
+                    f"multifrontal solve met a singular pivot block of "
+                    f"{p} unknowns") from exc
+            updates[f] = front[p:, p:] - front[p:, :p] @ x
+            kept.append(x)
+        y = np.zeros(self.n)
+        for (lo, hi, *_), x, bound in zip(reversed(self.steps),
+                                          reversed(kept),
+                                          reversed(self.boundaries)):
+            y[lo:hi] = x[:, -1] - x[:, :-1] @ y[bound]
+        solution = np.empty(self.n)
+        solution[self.perm] = y
+        return Factorisation(solution, sum(x.size for x in kept))
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What a bordered solve reads from its matrix's pattern alone: that
+    pattern and its mesh points (``rows``, ``cols``, ``points``) and the
+    trace row ``root``, which look the plan up; the block that the trace
+    row reaches, root first (``live``); the places of the block's
+    entries among the bordered matrix's (``take``); and ``splu``'s
+    analysis of the block (``fronts``)."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    points: np.ndarray
+    root: int
+    live: np.ndarray
+    take: np.ndarray
+    fronts: _Fronts
+
+    def nbytes(self) -> int:
+        return self.fronts.nbytes() + sum(a.nbytes for a in (
+            self.rows, self.cols, self.points, self.live, self.take))
+
+    def fits(self, matrix: SparseMatrix, points: np.ndarray,
+             root: int) -> bool:
+        return root == self.root and _same_pattern(
+            matrix, points, self.rows, self.cols, self.points)
+
+
+def _analyse(bordered: SparseMatrix, points: np.ndarray, root: int) -> _Plan:
+    """The plan of a bordered matrix with its trace row at ``root``, from
+    one adjacency: the breadth-first search for the trace row's block
+    and, renumbered to the block, the nested dissection."""
+    indptr, indices = bordered.adjacency()
+    # Only the coordinates that the trace row reaches can be nonzero: the
+    # rest form blocks with a zero right-hand side, so solve the block of
+    # the trace row alone, with that row first, and leave the others at 0.
+    live = _reached(indptr, indices, root)
+    live = np.concatenate([[root], live[live != root]])
+    # the block of the entries' numbers carries their places as its data
+    block = SparseMatrix(bordered.rows, bordered.cols,
+                         np.arange(bordered.rows.size),
+                         bordered.n).submatrix(live)
+    index = np.empty(bordered.n, dtype=np.int32)
+    index[live] = np.arange(live.size, dtype=np.int32)
+    starts, stops = indptr[live], indptr[live + 1]
+    block_indptr = np.zeros(live.size + 1, dtype=np.int64)
+    np.cumsum(stops - starts, out=block_indptr[1:])
+    fronts = _Fronts(block, points[live], block_indptr,
+                     index[indices[_ranges(starts, stops)]])
+    n = bordered.n
+    return _Plan(_narrow(bordered.rows, n), _narrow(bordered.cols, n),
+                 _narrow(points, points.max(initial=0) + 1), root,
+                 _narrow(live, n), block.data.astype(np.int32), fronts)
+
+
+# The plans kept for reuse, least recently used first, and the bytes they
+# may hold together.  A sweep's points at one field_dim and band share a
+# pattern: desk squeezed_sweep solves 2 patterns 5 times, paper-2013
+# fidelity_sweep 3 patterns 20 times.  A plan takes 13-20 bytes per
+# entry of the bordered matrix: 0.35-1.75 MB at desk size, 27 MB for the
+# fd-500 band of 66 at paper-2013 C' = 0.01.  32 MB keep every pattern of
+# a desk or fd-60 sweep, or that one fd-500 plan, and a new large pattern
+# drops the old ones rather than stacking on them: kept, the fd-500
+# panels' earlier plans raised that run's peak from 359 to 394 MB.
+_PLAN_BYTES = 32 * 2**20
+_plans: list[_Plan] = []
+
+
+def _plan(bordered: SparseMatrix, points: np.ndarray,
+          root: int) -> tuple[_Plan, bool]:
+    """The memo's plan for this exact pattern, points and root, made now
+    if there is none, and whether it was reused.  It becomes the most
+    recently used, and the least recently used go while the memo holds
+    more than ``_PLAN_BYTES``; the newest always stays, since ``splu``
+    finds the block's analysis in the memo."""
+    for k, plan in enumerate(_plans):
+        if plan.fits(bordered, points, root):
+            _plans.append(_plans.pop(k))
+            return plan, True
+    plan = _analyse(bordered, points, root)
+    _plans.append(plan)
+    held = [p.nbytes() for p in _plans]
+    while len(held) > 1 and sum(held) > _PLAN_BYTES:
+        del _plans[0], held[0]
+    return plan, False
+
+
 def splu(matrix: SparseMatrix, rhs: np.ndarray,
          points: np.ndarray) -> Factorisation:
     """Solve matrix x = rhs by a multifrontal LU in a nested-dissection
@@ -870,74 +1123,39 @@ def splu(matrix: SparseMatrix, rhs: np.ndarray,
     back-substitution, and passes the Schur complement of B and its
     right-hand side on.  A singular pivot block raises
     DegenerateSteadyStateError.
+
+    The order, the fronts and their boundaries and where each entry
+    lands depend on the pattern and the points alone (``_Fronts``).  A
+    matrix whose pattern and points are those of a block in the plan
+    memo (``_bordered_solve``) reuses that analysis and runs only the
+    numeric pass: front assembly, extend-add, the dense solves and the
+    back-substitution, in the same order, so the result is the same bit
+    for bit.  Any other matrix is analysed first.
     """
-    n = matrix.n
-    indptr, indices = matrix.adjacency()
-    if n > 2 * _LEAF:
-        fronts, parents = _dissect(points, indptr, indices, np.arange(1, n))
-    else:
-        fronts, parents = ([np.arange(1, n)], [-1]) if n > 1 else ([], [])
-    fronts.append(np.zeros(1, dtype=np.int64))
-    parents = [len(fronts) - 1 if p < 0 else p for p in parents] + [-1]
-    children: list[list[int]] = [[] for _ in fronts]
-    for f, p in enumerate(parents[:-1]):
-        children[p].append(f)
-    perm = np.concatenate(fronts)
-    pos = np.empty(n, dtype=np.int64)
-    pos[perm] = np.arange(n)
-    starts = np.cumsum([0] + [f.size for f in fronts])
-    # each entry goes to the front of its earlier endpoint
-    r, c = pos[matrix.rows], pos[matrix.cols]
-    first = np.minimum(r, c)
-    order = np.argsort(first, kind="stable")
-    r, c, v = r[order], c[order], matrix.data[order]
-    cuts = np.searchsorted(first[order], starts)
-    b = rhs[perm]
-    boundaries, updates, kept = [], {}, []
-    for f, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        pivots = perm[lo:hi]
-        near = pos[indices[_ranges(indptr[pivots], indptr[pivots + 1])]]
-        bound = np.unique(np.concatenate(
-            [near, *(boundaries[k] for k in children[f])]))
-        bound = bound[bound >= hi]
-        boundaries.append(bound)
-        p, m = hi - lo, hi - lo + bound.size
-
-        def local(x):
-            return np.where(x < hi, x - lo, p + np.searchsorted(bound, x))
-
-        front = np.zeros((m, m + 1))
-        sl = slice(cuts[f], cuts[f + 1])
-        front[local(r[sl]), local(c[sl])] = v[sl]
-        front[:p, m] = b[lo:hi]
-        for k in children[f]:
-            # at the child boundary's rows and its columns plus the
-            # right-hand side, through flat indices: faster than np.ix_
-            at = local(boundaries[k])
-            flat = at[:, None] * (m + 1) + np.append(at, m)
-            front.reshape(-1)[flat.ravel()] += updates.pop(k).reshape(-1)
-        try:
-            x = np.linalg.solve(front[:p, :p], front[:p, p:])
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateSteadyStateError(
-                f"multifrontal solve met a singular pivot block of "
-                f"{p} unknowns") from exc
-        updates[f] = front[p:, p:] - front[p:, :p] @ x
-        kept.append(x)
-    y = np.zeros(n)
-    for f in reversed(range(len(fronts))):
-        x, bound = kept[f], boundaries[f]
-        y[starts[f]:starts[f + 1]] = x[:, -1] - x[:, :-1] @ y[bound]
-    solution = np.empty(n)
-    solution[perm] = y
-    return Factorisation(solution, sum(x.size for x in kept))
+    for plan in _plans:
+        if plan.fronts.fits(matrix, points):
+            return plan.fronts.factor(matrix.data, rhs)
+    return _Fronts(matrix, points, *matrix.adjacency()).factor(matrix.data,
+                                                               rhs)
 
 
 def _bordered_solve(me: MasterEquation, band: int | None):
     """The band's coordinates (``_SectorCoordinates``), its sector
     generator, the generator's scale (its largest entry, at least 1) and
     the solution of its bordered system with the trace pinned to 1, in
-    those coordinates, unchecked (``steady_state`` checks it)."""
+    those coordinates, unchecked (``steady_state`` checks it).
+
+    The generator is assembled anew, because its pattern depends on its
+    values (exact zeros are dropped).  Everything that depends on the
+    bordered matrix's pattern alone, with the mesh points and the trace
+    row, is a plan (``_Plan``): the trace row's block and where its
+    entries sit, and the block's nested dissection and fronts
+    (``_Fronts``).  Plans are kept in a memo of at most ``_PLAN_BYTES``,
+    least recently used out, and looked up by that exact pattern, points
+    and root, compared in full.  So a sweep analyses each field_dim and band
+    once, and each later solve on it runs the numeric pass alone, bit
+    for bit as a fresh analysis would.
+    """
     d = me.space.dim
     # the stationary state lies in the equal-charge sector, which the
     # generator maps onto itself, and is Hermitian
@@ -962,22 +1180,21 @@ def _bordered_solve(me: MasterEquation, band: int | None):
         np.concatenate([np.full(d, root, dtype=np.int32), lmat.rows[keep]]),
         np.concatenate([coords.diagonal, lmat.cols[keep]]),
         np.concatenate([np.ones(d), lmat.data[keep]]), coords.n)
-    # Only the coordinates that the trace row reaches can be nonzero: the
-    # rest form blocks with a zero right-hand side, so solve the block of
-    # the trace row alone, with that row first, and leave the others at 0.
-    live = _reached(*bordered.adjacency(), root)
-    live = np.concatenate([[root], live[live != root]])
-    b = np.zeros(live.size)
-    b[0] = 1.0
     # each coordinate sits at its pair's photon numbers, folded so that
     # both coordinates of a pair share a point
-    photons = coords.photons
-    ni, nj = photons[coords.rows[live]], photons[coords.cols[live]]
-    points = np.stack([np.minimum(ni, nj), np.maximum(ni, nj)], axis=1)
+    ni, nj = coords.photons[coords.rows], coords.photons[coords.cols]
+    points = np.stack([np.minimum(ni, nj), np.maximum(ni, nj)], axis=1,
+                      dtype=np.int32)
+    plan, reused = _plan(bordered, points, root)
+    b = np.zeros(plan.live.size)
+    b[0] = 1.0
+    block = SparseMatrix(plan.fronts.rows, plan.fronts.cols,
+                         bordered.data[plan.take], plan.live.size)
     y = np.zeros(coords.n)
-    y[live] = splu(bordered.submatrix(live), b, points).solution
-    log.info("field_dim %d, band %d: %d unknowns factored",
-             coords.field_dim, coords.band, live.size)
+    y[plan.live] = splu(block, b, plan.fronts.points).solution
+    log.info("field_dim %d, band %d: %d unknowns factored, pattern %s",
+             coords.field_dim, coords.band, plan.live.size,
+             "reused" if reused else "analysed")
     return coords, lmat, scale, y
 
 

@@ -40,6 +40,31 @@ def test_artifacts_do_not_depend_on_the_blas_thread_setting(tmp_path):
     assert written["1"] == written["2"]
 
 
+def test_a_warm_plan_memo_writes_the_bytes_of_a_fresh_process(tmp_path):
+    # the sweep's two points share a band at field_dim 30, so a fresh
+    # process analyses it once; in this process the runs after the first
+    # find every plan in the memo
+    argv = ["squeezed_laser", "--set", "sweep.param=c_tilde",
+            "--set", "sweep.start=1", "--set", "sweep.stop=2",
+            "--set", "sweep.steps=2", "--set", "numerics.field_dim=30"]
+    src = str(Path(squeezed_lasing.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "squeezed_lasing.cli", *argv,
+                          "--out", str(tmp_path / "fresh")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    written = []
+    for out in ("fresh", "first", "warm"):
+        if out != "fresh":
+            assert main([*argv, "--out", str(tmp_path / out)]) == 0
+        written.append({p.name: p.read_bytes()
+                        for p in (tmp_path / out).iterdir()})
+    assert sorted(written[0]) == ["manifest.json", "squeezed_laser.csv"]
+    assert written[0] == written[1] == written[2]
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["single_laser", "--out", "d"])
     assert args.scenario == "single_laser"

@@ -1,8 +1,8 @@
 """Import hygiene: no module-level import that its module never uses, no
 name in ``squeezed_lasing.__all__`` that the package does not define, and
 no module-level private helper that nothing in the package refers to;
-and neither importing the CLI nor running any scenario needs scipy, which
-only the tests use.
+neither importing the CLI nor running any scenario needs scipy, which
+only the tests use; and no steady-state run loads numpy.ma.
 
 No linter runs on this project, so this test is what stops a deletion
 from leaving a dead import, a stale export or a dead helper behind.
@@ -150,3 +150,14 @@ def test_steady_state_scenarios_load_what_they_solve_with(
     # the steady states are the package's own multifrontal solve, so a
     # run needs no scipy
     _run_without_scipy(_run_code(scenario, tmp_path / "o", *settings))
+
+
+def test_steady_state_runs_leave_numpy_ma_unloaded(tmp_path):
+    # numpy 2.4's np.unique without index outputs imports numpy.ma (for
+    # np.ma.is_masked) on its first call: 5.7 ms and 1.2 MB that no
+    # steady-state run needs
+    runs = "\n".join(_run_code(scenario, tmp_path / scenario)
+                     for scenario in ("squeezed_laser", "two_qubit_full",
+                                      "wigner_panels"))
+    _run_without_scipy(runs + "\nassert 'numpy.ma' not in sys.modules, "
+                       "'numpy.ma was loaded'")

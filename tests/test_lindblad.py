@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -574,8 +575,14 @@ def test_direct_solve_factors_only_the_sector(monkeypatch, kind, unknowns):
 
 def full_sector_solve(me):
     """The bordered sector system over all its real coordinates, factored
-    whole with scipy's splu: (coordinates, mask of the coordinates that
-    the i^n gauge keeps apart from the trace row, state)."""
+    whole with scipy's splu: (its solution, mask of the coordinates that
+    the i^n gauge keeps apart from the trace row, state).
+
+    The state is that solution refined against residuals in extended
+    precision, as in complex_full_steady: unrefined, SuperLU's whole-
+    sector solve is itself ~1e-12 off on stiff models (1.7e-12 at
+    two_qubit_full, g = 1, gamma = 1/32, kappa = 2.75, C' = 1/64, r = 1,
+    field_dim 3)."""
     d = me.space.dim
     coords = lindblad._SectorCoordinates(me._labels())
     lmat = coords.generator(me)
@@ -587,13 +594,18 @@ def full_sector_solve(me):
         shape=(lmat.n, lmat.n))
     b = np.zeros(coords.n)
     b[0] = 1.0
-    y = scipy_splu(bordered).solve(b)
+    lu = scipy_splu(bordered)
+    y = lu.solve(b)
+    x, wide = y, bordered.toarray().astype(np.longdouble)
+    for _ in range(3):
+        residual = b - wide @ x.astype(np.longdouble)
+        x = x + lu.solve(residual.astype(float))
     # basis states list the qubits first, so k mod field_dim is the
     # photon number; coordinate k holds Re rho_ij for i <= j, else Im
     photons = np.arange(d) % me.space.field_dim
     even = (photons[coords.rows] - photons[coords.cols]) % 2 == 0
     dead = even != (coords.rows <= coords.cols)
-    return y, dead, normalised_state(coords.hermitian(y), me.space,
+    return y, dead, normalised_state(coords.hermitian(x), me.space,
                                      blocks=coords.labels)
 
 
@@ -605,13 +617,16 @@ def full_sector_solve(me):
 # left 1.4e-12 from the whole-sector state and one front leaves 4e-15
 @example(g=4.0, gamma=1 / 32, kappa=1 / 32, c_prime=1 / 32, r=0.5,
          field_dim=5)
+# where the unrefined SuperLU reference was 1.7e-12 off (full_sector_solve)
+@example(g=1.0, gamma=1 / 32, kappa=2.75, c_prime=1 / 64, r=1.0,
+         field_dim=3)
 def test_unfactored_block_is_exactly_zero(kind, g, gamma, kappa, c_prime, r,
                                           field_dim):
     me = build_model(kind, g, gamma, kappa, c_prime, r, field_dim)
     y, dead, expected = full_sector_solve(me)
     # the whole-sector factorization leaves the block away from the trace
-    # row at exactly 0, and its state is the block solve's, another
-    # factorisation, to roundoff
+    # row at exactly 0, and its refined state is the block solve's,
+    # another factorisation, to roundoff
     assert np.all(y[dead] == 0)
     assert trace_distance(steady_state(me), expected) <= 1e-12
 
@@ -665,6 +680,148 @@ def test_multifrontal_solve_matches_superlu(kind, g, gamma, kappa, c_prime,
     finally:
         lindblad.splu = real
     assert trace_distance(rho, expected) <= 1e-12
+
+
+@contextlib.contextmanager
+def plan_memo():
+    """lindblad's plan memo, empty inside the block and restored after;
+    yields the list that the solves fill."""
+    saved = lindblad._plans
+    lindblad._plans = []
+    try:
+        yield lindblad._plans
+    finally:
+        lindblad._plans = saved
+
+
+def record_analyses(monkeypatch) -> list:
+    """Patch lindblad._analyse to record the order of each bordered
+    matrix whose pattern it analyses."""
+    analysed = []
+    real = lindblad._analyse
+
+    def recording(bordered, *args):
+        analysed.append(bordered.n)
+        return real(bordered, *args)
+
+    monkeypatch.setattr(lindblad, "_analyse", recording)
+    return analysed
+
+
+def bordered_outcome(me, band):
+    """The bytes of the bordered solve's unchecked solution, or the error
+    that stopped it."""
+    try:
+        return lindblad._bordered_solve(me, band)[3].tobytes()
+    except DegenerateSteadyStateError as exc:
+        return str(exc)
+
+
+model_rates = st.tuples(rates, rates, rates, rates)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+@settings(max_examples=10, deadline=None)
+@given(first=model_rates, second=model_rates, r=st.floats(0.0, 1.5),
+       field_dim=st.integers(3, 20), band=st.integers(1, 19))
+def test_a_reused_plan_solves_bit_for_bit_as_a_fresh_one(
+        kind, first, second, r, field_dim, band):
+    band = min(band, field_dim - 1)
+    me = build_model(kind, *second, r, field_dim)
+    with plan_memo():
+        cold = bordered_outcome(me, band)
+    with plan_memo() as plans:
+        bordered_outcome(build_model(kind, *first, r, field_dim), band)
+        [plan] = plans
+        # other rates, the same pattern: the plan is reused
+        warm = bordered_outcome(me, band)
+        assert len(plans) == 1 and plans[0] is plan
+    assert warm == cold
+
+
+def test_a_new_pattern_gets_its_own_analysis(monkeypatch):
+    analysed = record_analyses(monkeypatch)
+    squeezed = build_model("squeezed_laser_effective", 0.7, 1.0, 0.3, 2.0,
+                           0.5, 12)
+    # v = 0 drops the bare decay's squeezing terms: as many unknowns, a
+    # sparser pattern
+    plain = build_model("squeezed_laser_effective", 0.7, 1.0, 0.3, 2.0,
+                        0.0, 12)
+    cases = [(plain, None), (squeezed, 6), (squeezed, 7)]
+    with plan_memo():
+        cold = [bordered_outcome(me, band) for me, band in cases]
+    del analysed[:]
+    with plan_memo() as plans:
+        warm = [bordered_outcome(me, band)
+                for me, band in [(squeezed, None), *cases]]
+        assert len(plans) == len(analysed) == 4
+    assert warm[1:] == cold
+    assert analysed[0] == analysed[1] > analysed[3] > analysed[2]
+
+
+@pytest.mark.parametrize("scenario, settings, solves, patterns", [
+    # the perfbench squeezed_sweep: the C~ = 1.5 point grows its band once
+    ("squeezed_laser", {"sweep": {"param": "c_tilde", "start": 1.5,
+                                  "stop": 6.0, "steps": 4},
+                        "numerics": {"field_dim": 60}}, 5, 2),
+    # the two-qubit model and the effective one
+    ("two_qubit_full", {"numerics": {"field_dim": 40}}, 2, 2),
+])
+def test_a_sweep_analyses_each_pattern_once(monkeypatch, scenario, settings,
+                                            solves, patterns):
+    monkeypatch.setattr(lindblad, "_plans", [])
+    analysed = record_analyses(monkeypatch)
+    factored = record_splu(monkeypatch)
+    scenarios.run_scenario(build_config(scenario, preset="desk",
+                                        overrides=settings))
+    assert (len(factored), len(analysed)) == (solves, patterns)
+
+
+def test_splu_finds_or_makes_the_analysis_of_any_matrix(monkeypatch):
+    # the bordered solve's block, solved again from copies of its arrays:
+    # found in the memo by content, and analysed afresh outside it
+    factored = []
+    real = lindblad.splu
+
+    def recording(*args):
+        factored.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lindblad, "splu", recording)
+    me = build_model("two_qubit_full", 0.7, 1.0, 0.3, 2.0, 0.5, 10)
+    lindblad._bordered_solve(me, None)
+    [(block, b, points)] = factored
+    planned = real(block, b, points).solution.tobytes()
+    copy = lindblad.SparseMatrix(block.rows.copy(), block.cols.copy(),
+                                 block.data.copy(), block.n)
+    assert real(copy, b, points.copy()).solution.tobytes() == planned
+    with plan_memo() as plans:
+        assert real(copy, b, points.copy()).solution.tobytes() == planned
+        assert plans == []
+
+
+def test_the_plan_memo_keeps_at_most_its_bytes(monkeypatch):
+    me = build_model("squeezed_laser_effective", 0.7, 1.0, 0.3, 2.0, 0.5, 12)
+    bands = range(1, 8)
+    with plan_memo() as widest:
+        lindblad._bordered_solve(me, bands[-1])
+    # room for two plans of the widest band
+    monkeypatch.setattr(lindblad, "_PLAN_BYTES", 2 * widest[0].nbytes())
+    plans = []
+    monkeypatch.setattr(lindblad, "_plans", plans)
+    analysed = record_analyses(monkeypatch)
+    for band in bands:
+        lindblad._bordered_solve(me, band)
+        assert sum(plan.nbytes() for plan in plans) <= lindblad._PLAN_BYTES
+    assert len(analysed) == len(bands) and 1 < len(plans) < len(bands)
+    # the most recent band is kept, the least recent is analysed again
+    for band in (bands[-1], bands[0]):
+        lindblad._bordered_solve(me, band)
+    assert len(analysed) == len(bands) + 1
+    # a plan larger than the memo stays alone, until the next one
+    monkeypatch.setattr(lindblad, "_PLAN_BYTES", widest[0].nbytes() - 1)
+    lindblad._bordered_solve(me, 11)
+    assert len(plans) == 1 and len(analysed) == len(bands) + 2
 
 
 def dense_hamiltonian(kind, me, g, c_prime, r):

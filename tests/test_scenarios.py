@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from squeezed_lasing import scenarios
+from squeezed_lasing import lindblad, scenarios
 from squeezed_lasing.cli import main
 from squeezed_lasing.dressing import dress
 from squeezed_lasing.fock import HilbertSpace
@@ -547,7 +547,9 @@ class TestSweeps:
         assert not [m for m in caplog.messages
                     if m.startswith("ansatz truncation-limited")]
 
-    def test_each_solve_logs_its_band(self, caplog):
+    def test_each_solve_logs_its_band(self, caplog, monkeypatch):
+        # an empty plan memo, so that each pattern is analysed here
+        monkeypatch.setattr(lindblad, "_plans", [])
         cfg = build_config("squeezed_laser", preset="desk",
                            overrides={"numerics": {"field_dim": 30}})
         with caplog.at_level(logging.INFO, logger="squeezed_lasing"):
@@ -560,8 +562,8 @@ class TestSweeps:
                   if r.getMessage().startswith("steady state at")]
         [solve] = solves
         band, unknowns = re.fullmatch(
-            r"field_dim 30, band (\d+): (\d+) unknowns factored",
-            solve).groups()
+            r"field_dim 30, band (\d+): (\d+) unknowns factored, "
+            r"pattern analysed", solve).groups()
         found = re.fullmatch(
             r"steady state at field_dim 30: band (\d+), band edge (\S+), "
             r"band grown (\d+) times", kept)
@@ -577,7 +579,13 @@ class TestSweeps:
                 HilbertSpace(n_qubits=1, field_dim=30)))
         [whole] = caplog.messages
         assert whole.startswith("field_dim 30, band 29: ")
+        assert whole.endswith(", pattern analysed")
         assert 0 < int(unknowns) < int(whole.split()[4])
+        # the same point again reuses its band's plan
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="squeezed_lasing.lindblad"):
+            run_scenario(cfg)
+        assert caplog.messages == [solve.replace("analysed", "reused")]
 
     def test_failed_point_is_isolated(self, monkeypatch):
         import squeezed_lasing.scenarios as scen
@@ -675,7 +683,6 @@ class TestSweeps:
         # steady states along a 4-step axis (4 two-qubit, 4 effective) only
         # 5 are distinct; the run's memo solves those, and the artefacts
         # are those of points that share nothing
-        from squeezed_lasing import lindblad
         argv = [scenario, "--set", "sweep.param=gprime_ratio",
                 "--set", "sweep.start=0.02", "--set", "sweep.stop=0.08",
                 "--set", "sweep.steps=4", "--set", "numerics.field_dim=12"]
