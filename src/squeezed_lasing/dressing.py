@@ -50,7 +50,6 @@ sqrt(2/(pi x)) from x = 1e3 to 1e300.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -405,8 +404,10 @@ def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace):
     A scalar t gives one (d, d) matrix.  A 1-d array of n times gives the
     (n, d, d) stack from one (n, 4) @ (4, d^2) product: the form
     ``schrodinger_evolve`` asks for once per step, at all its stage times.
-    Both forms take each time's phases from the same scalar math/cmath
-    calls.
+    Both forms take each time's phases from one loop of scalar math.cos
+    and math.sin calls, written as a flat list of (real, imaginary)
+    pairs: e^{+-i x} is (cos x, +-sin x), the bits that cmath.exp(+-1j x)
+    gives at every t >= 0.
     """
     a = annihilation(space)
     sigma, _, _ = qubit_ops(space, 0)
@@ -417,17 +418,19 @@ def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace):
     eta1, eta2, omega1, omega2 = (params.eta1, params.eta2,
                                   params.Omega1, params.Omega2)
     difference, total = params.epsilon - params.omega, params.epsilon + params.omega
-
-    def phases(t: float) -> tuple[complex, ...]:
-        theta = 2 * (eta1 * math.sin(omega1 * t) + eta2 * math.sin(omega2 * t))
-        alpha = cmath.exp(1j * (difference * t + theta))
-        beta = cmath.exp(-1j * (total * t + theta))
-        return alpha, beta, alpha.conjugate(), beta.conjugate()
+    sin, cos = math.sin, math.cos
 
     def hamiltonian(t) -> np.ndarray:
         times = np.asarray(t, dtype=float)
-        table = np.array([phases(s) for s in times.ravel().tolist()])
-        return (table @ stack).reshape(times.shape + shape)
+        table: list[float] = []
+        for s in times.ravel().tolist():
+            theta = 2 * (eta1 * sin(omega1 * s) + eta2 * sin(omega2 * s))
+            x, y = difference * s + theta, total * s + theta
+            cos_x, sin_x, cos_y, sin_y = cos(x), sin(x), cos(y), sin(y)
+            # alpha, beta, conj alpha, conj beta
+            table += (cos_x, sin_x, cos_y, -sin_y, cos_x, -sin_x, cos_y, sin_y)
+        phases = np.array(table).view(complex).reshape(-1, 4)
+        return (phases @ stack).reshape(times.shape + shape)
 
     return hamiltonian
 

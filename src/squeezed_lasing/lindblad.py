@@ -662,7 +662,10 @@ _RTOL, _ATOL = 1e-8, 1e-10
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    """sqrt(Re x . Re x + Im x . Im x) / sqrt(x.size) for a complex
+    vector x: np.linalg.norm(x) / sqrt(x.size), operation for operation."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im)) / x.size ** 0.5
 
 
 def schrodinger_evolve(hamiltonian: Callable[[np.ndarray], np.ndarray]
@@ -688,7 +691,8 @@ def schrodinger_evolve(hamiltonian: Callable[[np.ndarray], np.ndarray]
     times[k] and psis[0] = psi0; ``t_final = 0`` gives ``n_store`` copies
     of psi0 at t = 0.  Norm is asserted after every accepted step but
     states are not renormalized; a step that would have to shrink below
-    10 ulp of t raises RuntimeError.
+    10 ulp of t raises RuntimeError.  Neither ``psi0`` nor a stack that
+    the Hamiltonian returns is written.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     norm0 = np.linalg.norm(psi0)
@@ -732,9 +736,19 @@ def schrodinger_evolve(hamiltonian: Callable[[np.ndarray], np.ndarray]
     h_abs = min(100 * h0, h1, t_final)
 
     K = np.empty((7, d), dtype=complex)
-    # stage s combines the stages before it: scipy's K[:s].T with A[s, :s]
-    combos = [(K[:s].T, _DP_A[s, :s]) for s in range(1, 6)]
-    abs_y = np.abs(y)
+    # stage s combines the stages before it (scipy's K[:s].T with A[s, :s])
+    # into K[s]; these views, and the buffers below, serve every step
+    combos = [(K[:s].T, _DP_A[s, :s], K[s]) for s in range(1, 6)]
+    nodes, stage_sum, error_sum = _DP_C[1:], K[:-1].T, K.T
+    dy, error = np.empty(d, dtype=complex), np.empty(d, dtype=complex)
+    # h, the tolerances and the error scale are held as the operations
+    # below cast them, h as (h, 0) and the scale as (scale, 0), so no
+    # operation converts a Python scalar or casts an array anew
+    step = np.empty((), dtype=complex)
+    rtol, atol = np.array(_RTOL), np.array(_ATOL)
+    complex_scale = np.zeros(d, dtype=complex)
+    scale = complex_scale.real
+    abs_y, abs_new = np.abs(y), np.empty(d)
     psis = [psi0]
     next_sample = 1
     while t < t_final:
@@ -748,18 +762,29 @@ def schrodinger_evolve(hamiltonian: Callable[[np.ndarray], np.ndarray]
                                    "less than spacing between numbers.")
             t_new = min(t + h_abs, t_final)
             h = t_new - t
-            h_abs = np.abs(h)
-            stages = generators(t + _DP_C[1:] * h)
+            h_abs = abs(h)
+            step[()] = h
+            stages = generators(t + nodes * h)
             K[0] = f
-            for s, (prefix, a) in enumerate(combos, start=1):
-                dy = np.dot(prefix, a) * h
-                K[s] = np.dot(stages[s - 1], y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            # scipy's y + dot(K[:s].T, A[s, :s]) h, one operation at a time
+            for stage, (prefix, a, k) in zip(stages, combos):
+                np.dot(prefix, a, out=dy)
+                dy *= step
+                dy += y
+                np.dot(stage, dy, out=k)
+            np.dot(stage_sum, _DP_B, out=dy)
+            dy *= step
+            y_new = y + dy
             f_new = np.dot(stages[4], y_new)
             K[6] = f_new
-            abs_new = np.abs(y_new)
-            scale = _ATOL + np.maximum(abs_y, abs_new) * _RTOL
-            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
+            np.dot(error_sum, _DP_E, out=error)
+            error *= step
+            error /= complex_scale
+            error_norm = _rms(error)
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else min(
                     _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -768,7 +793,8 @@ def schrodinger_evolve(hamiltonian: Callable[[np.ndarray], np.ndarray]
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t_old, y_old = t, y
-        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        t, y, f = t_new, y_new, f_new
+        abs_y, abs_new = abs_new, abs_y
         norm = math.sqrt(np.vdot(y, y).real)
         if abs(norm - 1.0) > 1e-7:
             raise FloatingPointError(f"norm drifted to {norm}")

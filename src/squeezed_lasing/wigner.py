@@ -165,6 +165,8 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     formed in the log domain, the Laguerre recurrence gives
     f_n = -[(2n - 1 + delta - r^2) f_{n-1}
     + sqrt((n - 1)(n - 1 + delta)) f_{n-2}] / sqrt(n (n + delta)).
+    Terms with |c_n| < 1e-18 are dropped, and each diagonal's recurrence
+    stops at the last n it keeps.
     """
     if not isinstance(rho_A, DensityMatrix):
         raise TypeError("wigner_from_density needs a DensityMatrix")
@@ -184,7 +186,8 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     for delta in range(d):
         c = (np.diagonal(mat, offset=-delta)
              + np.diagonal(mat, offset=delta).conj()) / 2
-        if np.max(np.abs(c)) < 1e-18:
+        kept = np.flatnonzero(np.abs(c) >= 1e-18)
+        if not kept.size:
             continue
         inner.fill(0.0)
         f_prev.fill(0.0)
@@ -193,17 +196,18 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
             log_power = (delta / 2) * np.log(r2) if delta else 0.0
         np.exp(log_power - r2 / 2 - 0.5 * math.lgamma(delta + 1), out=f)
         f /= 2 * math.pi
-        for n in range(d - delta):
+        # the f_n past the last kept c_n are never summed
+        for n in range(kept[-1] + 1):
             if n:
                 # the recurrence above, in place, one operation at a time
                 # in its own order, so every value is the same bit for bit
+                # (-x / s and x / -s round alike)
                 np.subtract(2 * n - 1 + delta, r2, out=step)
                 step *= f
                 np.multiply(math.sqrt((n - 1) * (n - 1 + delta)), f_prev,
                             out=f_prev)
                 step += f_prev
-                np.negative(step, out=step)
-                step /= math.sqrt(n * (n + delta))
+                step /= -math.sqrt(n * (n + delta))
                 f_prev, f, step = f, step, f_prev
             if abs(c[n]) >= 1e-18:
                 inner += np.multiply(c[n], f, out=term)

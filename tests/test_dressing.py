@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 from fractions import Fraction
@@ -429,6 +430,48 @@ def test_interaction_picture_closed_form_property(t, eta1, eta2, omega, gap,
     tol = 1e-14 * (1 + (params.epsilon + params.omega) * t)
     np.testing.assert_allclose(h, exact.matrix, rtol=0, atol=tol)
     assert np.array_equal(h, h.conj().T)
+
+
+def cmath_phase_hamiltonian(params, space, times):
+    """The batched H_I(t) with each time's phases from cmath.exp(+-1j x),
+    as the closed form was first written: the bit-for-bit reference of
+    the cos/sin phase table."""
+    a = annihilation(space)
+    sigma, _, _ = qubit_ops(space, 0)
+    up = params.g * (a @ sigma.dag()).matrix
+    down = params.g * (a @ sigma).matrix
+    stack = np.stack([up, down, up.conj().T, down.conj().T]).reshape(4, -1)
+    rows = []
+    for t in times:
+        theta = 2 * (params.eta1 * math.sin(params.Omega1 * t)
+                     + params.eta2 * math.sin(params.Omega2 * t))
+        alpha = cmath.exp(1j * ((params.epsilon - params.omega) * t + theta))
+        beta = cmath.exp(-1j * ((params.epsilon + params.omega) * t + theta))
+        rows.append((alpha, beta, alpha.conjugate(), beta.conjugate()))
+    return (np.array(rows) @ stack).reshape(len(times), space.dim, space.dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(omega=st.floats(0.0, 500.0), gap=st.floats(1e-3, 500.0),
+       g=st.floats(0.01, 5.0), eta1=st.floats(0.0, 2.0),
+       eta2=st.floats(0.0, 2.0), detunings=st.tuples(st.floats(-50.0, 50.0),
+                                                      st.floats(-50.0, 50.0)),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       field_dim=st.integers(2, 5))
+def test_interaction_picture_phase_table_matches_cmath_bit_for_bit(
+        omega, gap, g, eta1, eta2, detunings, fractions, field_dim):
+    # drives anywhere near the sidebands, at times up to (epsilon + omega) t
+    # = 1e5, where the phase arguments are large
+    epsilon = omega + gap
+    params = SystemParams(epsilon=epsilon, omega=omega, g=g, eta1=eta1,
+                          eta2=eta2, Omega1=max(0.0, gap + detunings[0]),
+                          Omega2=max(0.0, epsilon + omega + detunings[1]))
+    space = HilbertSpace(n_qubits=1, field_dim=field_dim)
+    times = [1e5 / (epsilon + omega) * f for f in fractions]
+    h = interaction_picture_hamiltonian(params, space)
+    expected = cmath_phase_hamiltonian(params, space, times)
+    assert h(np.array(times)).tobytes() == expected.tobytes()
+    assert h(times[0]).tobytes() == expected[0].tobytes()
 
 
 def test_interaction_picture_no_drive_limit():

@@ -720,22 +720,40 @@ def bordered_outcome(me, band):
 model_rates = st.tuples(rates, rates, rates, rates)
 
 
+def same_pattern(a, b) -> bool:
+    """Whether two plans were made for one bordered pattern, mesh and
+    trace row."""
+    return (a.root == b.root and np.array_equal(a.rows, b.rows)
+            and np.array_equal(a.cols, b.cols)
+            and np.array_equal(a.points, b.points))
+
+
 @pytest.mark.parametrize("kind", MODELS)
 @settings(max_examples=10, deadline=None)
 @given(first=model_rates, second=model_rates, r=st.floats(0.0, 1.5),
        field_dim=st.integers(3, 20), band=st.integers(1, 19))
+# at r = 5e-324 one model's generator entry underflows to an exact zero,
+# which the assembly drops: the two bordered patterns differ
+@example(first=(1.0, 1.0, 1.0, 1.0), second=(1.0, 1.0, 0.5, 1.0), r=5e-324,
+         field_dim=3, band=1)
 def test_a_reused_plan_solves_bit_for_bit_as_a_fresh_one(
         kind, first, second, r, field_dim, band):
     band = min(band, field_dim - 1)
     me = build_model(kind, *second, r, field_dim)
-    with plan_memo():
+    with plan_memo() as plans:
         cold = bordered_outcome(me, band)
+        [fresh] = plans
     with plan_memo() as plans:
         bordered_outcome(build_model(kind, *first, r, field_dim), band)
         [plan] = plans
-        # other rates, the same pattern: the plan is reused
         warm = bordered_outcome(me, band)
-        assert len(plans) == 1 and plans[0] is plan
+        if same_pattern(plan, fresh):
+            # other rates, the same pattern: the plan is reused
+            assert len(plans) == 1 and plans[0] is plan
+        else:
+            # another pattern is analysed anew
+            assert len(plans) == 2 and plans[0] is plan
+            assert same_pattern(plans[1], fresh)
     assert warm == cold
 
 
@@ -1221,6 +1239,36 @@ def test_schrodinger_evolve_rejects_a_bad_hamiltonian():
     # a non-finite Hamiltonian fails the minimum-step check, not a loop
     with pytest.raises(RuntimeError, match="integrator failed"):
         schrodinger_evolve(np.full((2, 2), np.nan), psi0, 1.0)
+
+
+def test_schrodinger_evolve_writes_none_of_its_inputs():
+    rng = np.random.default_rng(7)
+    d = 4
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    matrix = m + m.conj().T
+    psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi0 /= np.linalg.norm(psi0)
+    psi0_bytes, matrix_bytes = psi0.tobytes(), matrix.tobytes()
+    _, constant = schrodinger_evolve(matrix, psi0, 2.0, n_store=5)
+    assert psi0.tobytes() == psi0_bytes
+    assert matrix.tobytes() == matrix_bytes
+    # a callable that returns one cached, writable stack per batch size
+    cache = {}
+
+    def cached(times):
+        if times.size not in cache:
+            cache[times.size] = np.repeat(matrix[np.newaxis], times.size, 0)
+        return cache[times.size]
+
+    _, psis = schrodinger_evolve(cached, psi0, 2.0, n_store=5)
+    assert psi0.tobytes() == psi0_bytes
+    assert sorted(cache) == [1, 5]
+    for n, stack in cache.items():
+        assert stack.flags.writeable
+        assert stack.tobytes() == np.repeat(matrix[np.newaxis], n, 0).tobytes()
+    assert np.array_equal(psis, constant)
+    # the returned states are the caller's to write
+    assert not np.shares_memory(psis, psi0)
 
 
 def _rk45_samples(hamiltonian, psi0, t_final, n_store):

@@ -328,6 +328,22 @@ def test_reads_each_diagonal_by_its_hermitian_part():
     assert np.max(np.abs(w_tilted - w)) <= 1e-15 * np.max(np.abs(w))
 
 
+def test_empty_fock_levels_leave_the_grid_bit_identical():
+    # the recurrence stops at each diagonal's last kept coefficient, so
+    # levels past the state's add no step and no term
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    psi /= np.linalg.norm(psi)
+    small = DensityMatrix(HilbertSpace(n_qubits=0, field_dim=12),
+                          np.outer(psi, psi.conj()))
+    padded = np.zeros((30, 30), dtype=complex)
+    padded[:12, :12] = small.matrix
+    large = DensityMatrix(HilbertSpace(n_qubits=0, field_dim=30), padded)
+    grid = grid_for_density(small)
+    assert (wigner_from_density(large, grid).values.tobytes()
+            == wigner_from_density(small, grid).values.tobytes())
+
+
 def test_gaussian_wigner_vacuum():
     w = gaussian_wigner(GaussianState.vacuum(), symmetric_grid(6.0, 33))
     assert w.values[16, 16] == pytest.approx(1 / (2 * math.pi), rel=1e-12)
