@@ -1262,21 +1262,32 @@ def write_outputs(out_dir: str | Path, config: RunConfig,
                   for row in table.rows]
         (out_path / fname).write_text("\n".join(lines) + "\n")
         products.append(fname)
+    # a bare-frame grid holds its lasing twin's values array
+    # (wigner_change_basis) and sorts just before it, so the text of the
+    # last values formatted is kept for the next grid
+    w_values, w_text = None, None
     for name, grid_field in sorted(result.grids.items()):
         fname = f"{name}.txt"
         g = grid_field.grid
-        lines = [f"# config_hash: {chash}",
-                 f"# frame: {grid_field.basis_tag.value} "
-                 f"squeeze_r: {_format_cell(grid_field.squeeze_r)}",
-                 "# columns: x p w"]
-        # one row of the grid at a time, from Python floats: a
-        # _format_cell call per cell took twice as long
-        ps = [format(p, ".17g") for p in g.p_centers.tolist()]
-        for x, row in zip(g.x_centers.tolist(), grid_field.values.tolist()):
-            xi = format(x, ".17g")
-            lines += [f"{xi} {p} {format(w, '.17g')}"
-                      for p, w in zip(ps, row)]
-        (out_path / fname).write_text("\n".join(lines) + "\n")
+        if grid_field.values is not w_values:
+            # the last grid's text goes first, so two are never held
+            w_values, w_text = grid_field.values, None
+            flat = w_values.ravel().tolist()
+            # one %-pass over the grid: a format() call per cell took
+            # longer
+            w_text = ("%.17g\n" * len(flat) % tuple(flat)).splitlines(True)
+        ps = [format(p, ".17g") + " " for p in g.p_centers.tolist()]
+        with (out_path / fname).open("w") as fh:
+            fh.write(f"# config_hash: {chash}\n"
+                     f"# frame: {grid_field.basis_tag.value} "
+                     f"squeeze_r: {_format_cell(grid_field.squeeze_r)}\n"
+                     "# columns: x p w\n")
+            # one row of the grid at a time, so the file's text is never
+            # held whole
+            for i, x in enumerate(g.x_centers.tolist()):
+                xi = format(x, ".17g") + " "
+                row = w_text[i * g.np:(i + 1) * g.np]
+                fh.write("".join([xi + p + w for p, w in zip(ps, row)]))
         products.append(fname)
     manifest = {
         "scenario": config.scenario,

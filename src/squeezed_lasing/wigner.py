@@ -99,7 +99,14 @@ class WignerField:
     squeeze_r: float = 0.0
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = self.values
+        # a read-only float64 array that owns its data, such as another
+        # field's values, is kept as it is (no view of a writable array
+        # gets in); any other input is copied
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                and values.flags.c_contiguous and values.flags.owndata
+                and not values.flags.writeable):
+            values = np.array(values, dtype=float)
         if values.shape != (self.grid.nx, self.grid.np):
             raise ValueError(f"values shape {values.shape} does not match "
                              f"grid ({self.grid.nx}, {self.grid.np})")
@@ -166,7 +173,9 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     f_n = -[(2n - 1 + delta - r^2) f_{n-1}
     + sqrt((n - 1)(n - 1 + delta)) f_{n-2}] / sqrt(n (n + delta)).
     Terms with |c_n| < 1e-18 are dropped, and each diagonal's recurrence
-    stops at the last n it keeps.
+    stops at the last n it keeps.  f_n and sum_n c_n f_n depend on a cell
+    only through r^2, so the recurrence runs once per distinct radius,
+    and only the phase factor is formed cell by cell.
     """
     if not isinstance(rho_A, DensityMatrix):
         raise TypeError("wigner_from_density needs a DensityMatrix")
@@ -176,11 +185,17 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     mat = rho_A.matrix
     d = rho_A.space.field_dim
     x_arr, p_arr = grid.mesh()
-    r2 = x_arr**2 + p_arr**2
+    cell_r2 = x_arr**2 + p_arr**2
+    r2, radius_of = np.unique(cell_r2.ravel(), return_inverse=True)
+    radius_of = radius_of.reshape(cell_r2.shape)
     phase_unit = np.exp(-1j * np.arctan2(p_arr, x_arr))
 
-    values = np.zeros_like(r2)
-    inner, term = (np.empty(r2.shape, dtype=complex) for _ in range(2))
+    values = np.zeros_like(cell_r2)
+    inner = np.empty(cell_r2.shape, dtype=complex)
+    # Re and Im of sum_n c_n f_n per radius: c_n f_n as a complex product
+    # has parts c_n.real f_n and c_n.imag f_n up to the sign of a zero,
+    # which no sum into the grid can keep
+    inner_re, inner_im, term = (np.empty_like(r2) for _ in range(3))
     # f_{n-2}, f_{n-1} and the step under way, reused at every step
     f_prev, f, step = (np.empty_like(r2) for _ in range(3))
     for delta in range(d):
@@ -189,7 +204,8 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
         kept = np.flatnonzero(np.abs(c) >= 1e-18)
         if not kept.size:
             continue
-        inner.fill(0.0)
+        inner_re.fill(0.0)
+        inner_im.fill(0.0)
         f_prev.fill(0.0)
         # r^delta, with 0^0 = 1 at the origin
         with np.errstate(divide="ignore"):
@@ -210,7 +226,12 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
                 step /= -math.sqrt(n * (n + delta))
                 f_prev, f, step = f, step, f_prev
             if abs(c[n]) >= 1e-18:
-                inner += np.multiply(c[n], f, out=term)
+                inner_re += np.multiply(c[n].real, f, out=term)
+                # a real c_n adds only zeros to the imaginary part
+                if c[n].imag:
+                    inner_im += np.multiply(c[n].imag, f, out=term)
+        np.take(inner_re, radius_of, out=inner.real)
+        np.take(inner_im, radius_of, out=inner.imag)
         values += (2.0 if delta else 1.0) * (phase_unit**delta * inner).real
 
     mass = float(values.sum()) * grid.cell_area

@@ -9,6 +9,9 @@ that relax to them, integrated with scipy (a test-only dependency):
   mixed state until the generator's norm falls below 1e-10;
 - ``mf_evolve`` integrates the Maxwell-Bloch flow (``meanfield.mf_rhs``)
   with ``solve_ivp``, checking the spin bounds at every stored state.
+
+``wigner_per_cell`` is the Wigner kernel as it ran before it took each
+distinct radius once: the Laguerre recurrence on every grid cell.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import math
+
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
 
 from squeezed_lasing.fock import DensityMatrix, HilbertSpace, InvalidStateError
 from squeezed_lasing.lindblad import MasterEquation, liouvillian_matrix
 from squeezed_lasing.meanfield import MeanFieldState, MFParams, mf_rhs
+from squeezed_lasing.wigner import PhaseGrid
 
 # slack for integrator drift when asserting spin bounds along trajectories
 BLOCH_TOL = 1e-7
@@ -131,3 +137,40 @@ def mf_evolve(state0: MeanFieldState, params: MFParams,
     for s in states:
         check_bloch_bounds(s)
     return MFTrajectory(times=sol.t, states=states)
+
+
+def wigner_per_cell(rho_A: DensityMatrix, grid: PhaseGrid) -> np.ndarray:
+    """W on ``grid``, with the recurrence and the inner sums of
+    ``wigner.wigner_from_density`` run on every cell; no mass check."""
+    mat = rho_A.matrix
+    x_arr, p_arr = grid.mesh()
+    r2 = x_arr**2 + p_arr**2
+    phase_unit = np.exp(-1j * np.arctan2(p_arr, x_arr))
+    values = np.zeros_like(r2)
+    inner, term = (np.empty(r2.shape, dtype=complex) for _ in range(2))
+    f_prev, f, step = (np.empty_like(r2) for _ in range(3))
+    for delta in range(rho_A.space.field_dim):
+        c = (np.diagonal(mat, offset=-delta)
+             + np.diagonal(mat, offset=delta).conj()) / 2
+        kept = np.flatnonzero(np.abs(c) >= 1e-18)
+        if not kept.size:
+            continue
+        inner.fill(0.0)
+        f_prev.fill(0.0)
+        with np.errstate(divide="ignore"):
+            log_power = (delta / 2) * np.log(r2) if delta else 0.0
+        np.exp(log_power - r2 / 2 - 0.5 * math.lgamma(delta + 1), out=f)
+        f /= 2 * math.pi
+        for n in range(kept[-1] + 1):
+            if n:
+                np.subtract(2 * n - 1 + delta, r2, out=step)
+                step *= f
+                np.multiply(math.sqrt((n - 1) * (n - 1 + delta)), f_prev,
+                            out=f_prev)
+                step += f_prev
+                step /= -math.sqrt(n * (n + delta))
+                f_prev, f, step = f, step, f_prev
+            if abs(c[n]) >= 1e-18:
+                inner += np.multiply(c[n], f, out=term)
+        values += (2.0 if delta else 1.0) * (phase_unit**delta * inner).real
+    return values

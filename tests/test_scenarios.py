@@ -25,6 +25,7 @@ from squeezed_lasing.scenarios import (
     ConfigError,
     NumericsSpec,
     RunConfig,
+    ScenarioOutput,
     SweepSpec,
     build_config,
     parse_set_override,
@@ -1047,10 +1048,78 @@ class TestWriters:
         assert lines[0] == f"# config_hash: {cfg.config_hash}"
         assert lines[1].startswith("# frame: mode_a squeeze_r: ")
         assert lines[2] == "# columns: x p w"
-        body = [ln.split() for ln in lines[3:]]
-        assert len(body) == 17 * 17
+        body = np.array([[float(v) for v in ln.split()] for ln in lines[3:]])
+        assert body.shape == (17 * 17, 3)
         grid = result.grids["wigner_c1_bare"].grid
-        np.testing.assert_allclose(
-            np.array([float(b[2]) for b in body]).reshape(17, 17),
-            result.grids["wigner_c1_bare"].values)
-        assert float(body[0][0]) == pytest.approx(float(grid.x_centers[0]))
+        x, p, w = (col.reshape(17, 17) for col in body.T)
+        # .17g round-trips doubles exactly
+        assert np.array_equal(x, np.broadcast_to(grid.x_centers[:, None], x.shape))
+        assert np.array_equal(p, np.broadcast_to(grid.p_centers[None, :], p.shape))
+        assert np.array_equal(w, result.grids["wigner_c1_bare"].values)
+
+    @staticmethod
+    def _grid_text(chash, field):
+        # the grid writer as it ran before it shared and streamed its text
+        g = field.grid
+        lines = [f"# config_hash: {chash}",
+                 f"# frame: {field.basis_tag.value} "
+                 f"squeeze_r: {format(float(field.squeeze_r), '.17g')}",
+                 "# columns: x p w"]
+        ps = [format(p, ".17g") for p in g.p_centers.tolist()]
+        for x, row in zip(g.x_centers.tolist(), field.values.tolist()):
+            xi = format(x, ".17g")
+            lines += [f"{xi} {p} {format(w, '.17g')}" for p, w in zip(ps, row)]
+        return ("\n".join(lines) + "\n").encode()
+
+    def _assert_grids_written_as_before(self, out_dir, cfg, result):
+        write_outputs(out_dir, cfg, result)
+        for name, field in result.grids.items():
+            assert ((out_dir / f"{name}.txt").read_bytes()
+                    == self._grid_text(cfg.config_hash, field)), name
+
+    @pytest.fixture()
+    def panels_config(self):
+        over = {"params": {"c_prime": 1.0, "c_prime_alt": 2.0},
+                "numerics": {"field_dim": 24, "grid_points": 17}}
+        return build_config("wigner_panels", preset="desk", file_data=over)
+
+    def test_grid_files_match_the_per_grid_writer(self, tmp_path,
+                                                  panels_config):
+        # each lasing grid and its bare twin share one values array
+        result = run_scenario(panels_config)
+        assert (result.grids["wigner_c1_bare"].values
+                is result.grids["wigner_c1_lasing"].values)
+        self._assert_grids_written_as_before(tmp_path, panels_config, result)
+
+    def test_grids_of_one_shape_do_not_share_text(self, tmp_path,
+                                                  panels_config):
+        grid = PhaseGrid(x_min=-6.0, x_max=6.0, p_min=-6.0, p_max=6.0,
+                         nx=20, np=20)
+        x, p = grid.mesh()
+        result = ScenarioOutput()
+        for name, width in (("a", 1.0), ("b", 1.2)):
+            values = (np.exp(-(x**2 + p**2) / (2 * width**2))
+                      / (2 * math.pi * width**2))
+            values.setflags(write=False)
+            result.grids[name] = WignerField(grid=grid, values=values,
+                                             basis_tag=ModeBasis.MODE_A)
+        self._assert_grids_written_as_before(tmp_path, panels_config, result)
+
+    def test_grid_values_at_the_edges_of_the_double_format(self, tmp_path,
+                                                           panels_config):
+        grid = PhaseGrid(x_min=-1.0, x_max=1.0, p_min=-1.0, p_max=1.0,
+                         nx=64, np=64)
+        rng = np.random.default_rng(7)
+        # near-uniform doubles, most of which need all 17 digits
+        values = (1 + rng.uniform(-1e-3, 1e-3, (64, 64))) / 4.0
+        edges = [5e-324, -0.0, 1e-300, 0.1 + 0.2, 1 / 3, 2.0**-1074 * 3]
+        values[0, :len(edges)] = edges
+        field = WignerField(grid=grid, values=values,
+                            basis_tag=ModeBasis.MODE_A)
+        result = ScenarioOutput(grids={"edges": field})
+        self._assert_grids_written_as_before(tmp_path, panels_config, result)
+        lines = (tmp_path / "edges.txt").read_text().splitlines()[3:]
+        assert lines[1].endswith(" -0")
+        assert lines[3].endswith(" 0.30000000000000004")
+        w = np.array([float(ln.split()[2]) for ln in lines]).reshape(64, 64)
+        assert w.tobytes() == field.values.tobytes()

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from squeezed_lasing.fock import (
@@ -27,6 +29,7 @@ from squeezed_lasing.lindblad import model_squeezed_laser_effective
 from squeezed_lasing.dressing import DressedCoupling
 from squeezed_lasing import wigner
 from squeezed_lasing.meanfield import gaussian_mf_solution
+from oracles import wigner_per_cell
 from squeezed_lasing.wigner import (
     MASS_TOL,
     GridCoverageError,
@@ -344,6 +347,73 @@ def test_empty_fock_levels_leave_the_grid_bit_identical():
             == wigner_from_density(small, grid).values.tobytes())
 
 
+def random_state(field_dim, seed, real, near_cut):
+    """A mixed state of rank up to 3; ``near_cut`` sets off-diagonal
+    pairs to magnitudes just under, at and just over the 1e-18 cut."""
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, 4))
+    psi = rng.standard_normal((field_dim, rank))
+    if not real:
+        psi = psi + 1j * rng.standard_normal((field_dim, rank))
+    m = (psi @ psi.conj().T).astype(complex)
+    m /= np.trace(m).real
+    if near_cut and field_dim > 1:
+        pairs = []
+        for scale in (1 - 1e-6, 1.0, 1 + 1e-6):
+            n = int(rng.integers(0, field_dim - 1))
+            delta = int(rng.integers(1, field_dim - n))
+            phase = 1 if real else np.exp(1j * rng.uniform(0, 2 * math.pi))
+            pairs.append((n, delta, 1e-18 * scale * phase))
+
+        def set_pairs():
+            for n, delta, v in pairs:
+                m[n + delta, n] = v
+                m[n, n + delta] = np.conj(v)
+
+        # the entries replaced may leave m indefinite: lift its spectrum,
+        # then set them again, which moves it by less than 1e-17
+        set_pairs()
+        m += (1e-3 - min(0.0, np.linalg.eigvalsh(m)[0])) * np.eye(field_dim)
+        m /= np.trace(m).real
+        set_pairs()
+    return DensityMatrix(HilbertSpace(n_qubits=0, field_dim=field_dim), m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_dim=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+       real=st.booleans(), near_cut=st.booleans(), centred=st.booleans(),
+       stretch=st.tuples(*[st.floats(1.0, 1.3)] * 4),
+       extra=st.tuples(st.integers(0, 8), st.integers(0, 8)))
+@example(field_dim=24, seed=1, real=False, near_cut=True, centred=True,
+         stretch=(1.0, 1.0, 1.0, 1.0), extra=(0, 0))
+@example(field_dim=1, seed=0, real=True, near_cut=False, centred=True,
+         stretch=(1.0, 1.0, 1.0, 1.0), extra=(0, 0))
+def test_kernel_matches_the_per_cell_recurrence_bit_for_bit(
+        field_dim, seed, real, near_cut, centred, stretch, extra):
+    # the recurrence runs once per distinct radius; every value must be
+    # the one the recurrence run on every cell gives
+    rho = random_state(field_dim, seed, real, near_cut)
+    # past the top level's turning radius, with a spacing that resolves it
+    radius = math.sqrt(4 * field_dim - 2) + 7
+    if centred:
+        # odd axes at spacing 0.5: the centre cell sits at r = 0 exactly
+        nx = 2 * math.ceil(2 * radius) + 1 + 2 * extra[0]
+        grid = PhaseGrid(x_min=-nx / 4, x_max=nx / 4,
+                         p_min=-(nx + 2) / 4, p_max=(nx + 2) / 4,
+                         nx=nx, np=nx + 2)
+        x, p = grid.mesh()
+        assert np.count_nonzero(x**2 + p**2 == 0.0) == 1
+    else:
+        x_lo, x_hi, p_lo, p_hi = (-radius * stretch[0], radius * stretch[1],
+                                  -radius * stretch[2], radius * stretch[3])
+        grid = PhaseGrid(
+            x_min=x_lo, x_max=x_hi, p_min=p_lo, p_max=p_hi,
+            nx=math.ceil((x_hi - x_lo) * radius / (2 * math.pi)) + extra[0],
+            np=math.ceil((p_hi - p_lo) * radius / (2 * math.pi)) + extra[1])
+    assert (wigner_from_density(rho, grid).values.tobytes()
+            == wigner_per_cell(rho, grid).tobytes())
+
+
 def test_gaussian_wigner_vacuum():
     w = gaussian_wigner(GaussianState.vacuum(), symmetric_grid(6.0, 33))
     assert w.values[16, 16] == pytest.approx(1 / (2 * math.pi), rel=1e-12)
@@ -394,6 +464,26 @@ def test_change_basis_vacuum_becomes_squeezed():
     ref = gaussian_wigner(
         symplectic_change_to_a_basis(GaussianState.vacuum(), r), out.grid)
     np.testing.assert_allclose(out.values, ref.values, atol=1e-10)
+
+
+def test_change_basis_shares_the_read_only_values():
+    w = gaussian_wigner(GaussianState.vacuum(), symmetric_grid(6.0, 33))
+    assert wigner_change_basis(w, 0.4).values is w.values
+
+
+def test_field_copies_a_writable_array():
+    w = gaussian_wigner(GaussianState.vacuum(), symmetric_grid(6.0, 33))
+    values = w.values.copy()
+    field = WignerField(grid=w.grid, values=values, basis_tag=ModeBasis.MODE_A)
+    assert field.values is not values
+    assert not field.values.flags.writeable
+    values[16, 16] = 0.0
+    assert field.values[16, 16] == w.values[16, 16]
+    # a read-only view of a writable array is copied too
+    view = w.values.copy()[:]
+    view.setflags(write=False)
+    assert WignerField(grid=w.grid, values=view,
+                       basis_tag=ModeBasis.MODE_A).values is not view
 
 
 def test_change_basis_errors():
