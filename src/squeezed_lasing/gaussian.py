@@ -19,18 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    FLUSH_BELOW,
     DensityMatrix,
     HilbertSpace,
     InvalidStateError,
     annihilation,
-    displacement,
+    displacement_elements,
     expectation,
-    phase_rotation,
-    squeeze,
 )
 
 # det V may round slightly below the uncertainty bound for pure states
 DET_TOL = 1e-10
+
+# ``kept_state`` refuses a kept mass below this: its entries are then built
+# from products that have met the subnormal range
+_KEPT_MASS_FLOOR = 1e-250
 
 
 @dataclass(frozen=True)
@@ -157,31 +160,82 @@ def compose(dec: GaussianDecomposition) -> GaussianState:
     return GaussianState(mean=mean, cov=cov)
 
 
+def squeezed_thermal_elements(r: float, n_thermal: float,
+                              field_dim: int) -> np.ndarray:
+    """<m|S(r) rho_th(n) S(r)^dag|n> for m, n below ``field_dim``: the
+    exact elements of a squeezed thermal state (S as in
+    ``fock.squeeze``), real, symmetric, and 0 wherever m + n is odd.
+
+    With nu = 2 n + 1 and E = nu^2 + 2 nu cosh 2r + 1, the state's
+    Bargmann generating function is T exp(a (u^2 + v^2) / 2 + c u v)
+    with T = 2 / sqrt(E), a = 2 nu sinh 2r / E and c = (nu^2 - 1) / E,
+    so that (Miatto & Quesada, Quantum 4, 366 (2020))
+
+        sqrt(m + 1) rho_{m+1,n} = a sqrt(m) rho_{m-1,n} + c sqrt(n) rho_{m,n-1}
+
+    from row 0, rho_{0,2k} = T a^k sqrt((2k)!) / (2^k k!).  No two terms
+    of an entry differ in sign, so the recurrence loses no digits.
+    """
+    nu = 2 * n_thermal + 1
+    big_e = nu * nu + 2 * nu * math.cosh(2 * r) + 1
+    a = 2 * nu * math.sinh(2 * r) / big_e
+    c = 4 * n_thermal * (n_thermal + 1) / big_e
+    d = field_dim
+    roots = np.sqrt(np.arange(d))
+    rho = np.zeros((d, d))
+    rho[0, 0] = 2 / math.sqrt(big_e)
+    even = np.arange(2, d, 2)
+    rho[0, 2::2] = rho[0, 0] * np.cumprod(a * roots[even - 1] / roots[even])
+    c_roots = c * roots[1:]
+    for m in range(d - 1):
+        # row m + 1 from rows m - 1 and m
+        row = rho[m + 1]
+        np.multiply(c_roots, rho[m, :-1], out=row[1:])
+        if m:
+            row += (a * math.sqrt(m)) * rho[m - 1]
+        row /= math.sqrt(m + 1)
+    # the rows' upper parts agree with the lower ones to roundoff; mirror
+    rho = np.tril(rho)
+    rho[np.abs(rho) < FLUSH_BELOW] = 0.0
+    return rho + np.tril(rho, -1).T
+
+
+def kept_state(matrix: np.ndarray, space: HilbertSpace,
+               blocks: np.ndarray | None = None) -> DensityMatrix:
+    """The state of exact Fock elements cut off at ``space``'s levels:
+    ``matrix`` over its trace, the mass those levels keep.  A kept mass
+    below _KEPT_MASS_FLOOR raises InvalidStateError instead, since the
+    state then lies beyond field_dim and its kept entries have lost
+    their digits to underflow."""
+    mass = float(np.trace(matrix).real)
+    if not mass >= _KEPT_MASS_FLOOR:
+        raise InvalidStateError(
+            f"the {space.field_dim} kept Fock levels hold mass {mass:.3e}: "
+            "the state lies beyond field_dim")
+    return DensityMatrix(space, matrix / mass, blocks=blocks)
+
+
 def to_fock(gs: GaussianState, space: HilbertSpace) -> DensityMatrix:
     """Fock-basis density matrix of the Gaussian state.
 
-    The thermal diagonal keeps levels until their cumulative weight
-    reaches 1 - 1e-12 (renormalized if the space ends first), then is
-    conjugated by the squeeze, rotation, and displacement operators.
+    The exact elements of D(alpha) R(phi) and of the squeezed thermal
+    core (``fock.displacement_elements``, ``squeezed_thermal_elements``),
+    with R(phi) and the phase of alpha as diagonal rotations, are cut off
+    at field_dim levels and contracted there.  The result is renormalised
+    over the kept levels (``kept_state``) and validated as a state.
     """
     if space.n_qubits != 0:
         raise ValueError("to_fock needs a field-only space")
     dec = decompose(gs)
-    weights = np.zeros(space.field_dim)
-    q = dec.n_tilde / (1 + dec.n_tilde)
-    w = 1.0 / (1 + dec.n_tilde)
-    cumulative = 0.0
-    for n in range(space.field_dim):
-        weights[n] = w
-        cumulative += w
-        if cumulative >= 1 - 1e-12:
-            break
-        w *= q
-    thermal = np.diag(weights / weights.sum()).astype(complex)
-    u = (displacement(space, dec.alpha)
-         @ phase_rotation(space, dec.phi)
-         @ squeeze(space, dec.r_tilde)).matrix
-    return DensityMatrix(space, u @ thermal @ u.conj().T)
+    d = space.field_dim
+    core = squeezed_thermal_elements(dec.r_tilde, dec.n_tilde, d)
+    theta = math.atan2(dec.alpha.imag, dec.alpha.real)
+    n = np.arange(d)
+    # D(alpha) R(phi) = R(theta) D(|alpha|) R(phi - theta)
+    u = (np.exp(1j * theta * n)[:, None]
+         * displacement_elements(abs(dec.alpha), d)
+         * np.exp(1j * (dec.phi - theta) * n))
+    return kept_state(u @ core @ u.conj().T, space)
 
 
 def symplectic_change_to_a_basis(gs: GaussianState, r: float) -> GaussianState:

@@ -1099,6 +1099,12 @@ def _analyse(bordered: SparseMatrix, points: np.ndarray, root: int) -> _Plan:
                  _narrow(live, n), block.data.astype(np.int32), fronts)
 
 
+# A bordered solve whose root holds less than this fraction of the largest
+# population is solved again, rooted at that one.  Desk runs and perfbench
+# roots hold at least 0.12 of it, paper-2013 golden runs 4.8e-7; the singular
+# fronts met so far had roots that held roundoff alone.
+_ROOT_FLOOR = 1e-10
+
 # The plans kept for reuse, least recently used first, and the bytes they
 # may hold together.  A sweep's points at one field_dim and band share a
 # pattern: desk squeezed_sweep solves 2 patterns 5 times, paper-2013
@@ -1182,7 +1188,6 @@ def _bordered_solve(me: MasterEquation, band: int | None):
     once, and each later solve on it runs the numeric pass alone, bit
     for bit as a fresh analysis would.
     """
-    d = me.space.dim
     # the stationary state lies in the equal-charge sector, which the
     # generator maps onto itself, and is Hermitian
     coords = _SectorCoordinates(me._labels(), me.space.field_dim, band)
@@ -1193,14 +1198,42 @@ def _bordered_solve(me: MasterEquation, band: int | None):
     # Trace preservation makes the population rows sum to zero, so
     # replacing one of them keeps full rank, and pinning tr(rho) = 1 there
     # makes the bordered system square.  The solve pivots on the replaced
-    # row's population last, so that must be one the steady state holds:
-    # take the one that leaves slowest, |L_kk| least.  A dark state leaves
-    # not at all: its column is zero, so only the trace row can pivot on
-    # it.
+    # row's population (the root) last, so that must be one the steady
+    # state holds: take the one that leaves slowest, |L_kk| least.  A dark
+    # state leaves not at all: its column is zero, so only the trace row
+    # can pivot on it.  A population that leaves slowly may still be one
+    # the state does not hold, such as |g,0> of a laser pumped up to the
+    # truncation.  So where a front turns out singular, the solve is
+    # rooted at the population that leaves fastest instead, and where the
+    # root holds less than _ROOT_FLOOR of the largest population, at that
+    # largest one; a zero column keeps its own row.
     outflow = np.zeros(coords.n)
     on_diagonal = lmat.rows == lmat.cols
     outflow[lmat.rows[on_diagonal]] = np.abs(lmat.data[on_diagonal])
-    root = int(coords.diagonal[np.argmin(outflow[coords.diagonal])])
+    order = coords.diagonal[np.argsort(outflow[coords.diagonal],
+                                       kind="stable")]
+    root = int(order[0])
+    try:
+        y = _rooted_solve(coords, lmat, root)
+    except DegenerateSteadyStateError:
+        if np.any(lmat.cols == root):
+            root = int(order[-1])
+            y = _rooted_solve(coords, lmat, root)
+        else:
+            raise
+    populations = y[coords.diagonal]
+    if (y[root] < _ROOT_FLOOR * populations.max()
+            and np.any(lmat.cols == root)):
+        root = int(coords.diagonal[np.argmax(populations)])
+        y = _rooted_solve(coords, lmat, root)
+    return coords, lmat, scale, y
+
+
+def _rooted_solve(coords: _SectorCoordinates, lmat: SparseMatrix,
+                  root: int) -> np.ndarray:
+    """The solution, in ``coords``, of the generator's bordered system
+    with population ``root``'s row replaced by the trace row."""
+    d = coords.diagonal.size
     keep = lmat.rows != root
     bordered = SparseMatrix(
         np.concatenate([np.full(d, root, dtype=np.int32), lmat.rows[keep]]),
@@ -1221,7 +1254,7 @@ def _bordered_solve(me: MasterEquation, band: int | None):
     log.info("field_dim %d, band %d: %d unknowns factored, pattern %s",
              coords.field_dim, coords.band, plan.live.size,
              "reused" if reused else "analysed")
-    return coords, lmat, scale, y
+    return y
 
 
 def steady_state(me: MasterEquation,

@@ -16,8 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dressing import DressedCoupling
-from .fock import DensityMatrix, HilbertSpace, annihilation, displacement
-from .gaussian import GaussianState, to_fock
+from .fock import (
+    DensityMatrix,
+    HilbertSpace,
+    annihilation,
+    displacement_elements,
+)
+from .gaussian import (
+    GaussianState,
+    decompose,
+    kept_state,
+    squeezed_thermal_elements,
+    to_fock,
+)
 from .lindblad import LindbladTerm, dissipator
 
 
@@ -72,6 +83,14 @@ class MFParams:
                    C_tilde_prime=c_tilde_prime, r=r)
 
 
+def _require_finite(**values):
+    """Raise ValueError naming the first argument that is not finite."""
+    for name, value in values.items():
+        z = complex(value)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def mf_rhs(state: MeanFieldState, params: MFParams) -> MeanFieldState:
     """Time derivative of (F, S, D) under the Maxwell-Bloch flow."""
     g, gamma, kappa = params.g_tilde, params.gamma, params.kappa
@@ -111,6 +130,7 @@ def gaussian_mf_solution(fbar: complex, c_prime: float,
 
         V = diag(C~' + e^{2r}, C~' + e^{-2r}) / (1 + C~').
     """
+    _require_finite(fbar=fbar, c_prime=c_prime, r=r)
     if r < 0 or c_prime < 0:
         raise ValueError("r and c_prime must be non-negative")
     fbar = complex(fbar)
@@ -148,29 +168,37 @@ def mf_ansatz(fbar_mag: float, c_prime: float, r: float,
 
         D(alpha e^{i theta}) = R_theta D(alpha) R_theta^dag,
 
-    which holds exactly on the truncated space too, because the truncated
-    a is a single off-diagonal.  So with the undisplaced core C and
-    D = D(fbar_mag), each member is R_theta D (R_theta^dag C R_theta) D^dag
-    R_theta^dag, whose entry (m, n) sums
-    e^{i theta [(m - n) - (p - q)]} D_mp C_pq D*_nq over p and q.  The
-    uniform average over theta keeps only p - q = m - n, so band j >= 0
-    of the mixture is
+    so with the undisplaced core C and D = D(fbar_mag), each member is
+    R_theta D (R_theta^dag C R_theta) D^dag R_theta^dag, whose entry
+    (m, n) sums e^{i theta [(m - n) - (p - q)]} D_mp C_pq D*_nq over p
+    and q.  The uniform average over theta keeps only p - q = m - n, so
+    band j >= 0 of the mixture is
 
-        rho_{m, m-j} = sum_p D_{m,p} C_{p,p-j} D*_{m-j,p-j},
+        rho_{m, m-j} = sum_p D_{m,p} C_{p,p-j} D_{m-j,p-j},
 
-    and the upper triangle follows by Hermitian symmetry.  Only the core
-    (in ``to_fock``) and the mixture are validated as states.
+    and the upper triangle follows by symmetry.  D and C are the exact,
+    real Fock elements (``fock.displacement_elements``,
+    ``gaussian.squeezed_thermal_elements``) cut off at field_dim levels.
+    The core couples only levels of equal parity, so the odd bands are
+    exactly 0 and only the even ones are contracted.  The mixture is
+    renormalised over the kept levels (``gaussian.kept_state``), which
+    raises where they hold next to none of it, and validated once, as a
+    state block diagonal in photon parity.
     """
+    _require_finite(fbar_mag=fbar_mag, c_prime=c_prime, r=r)
     if fbar_mag < 0:
         raise ValueError("fbar_mag must be non-negative")
-    core = to_fock(gaussian_mf_solution(0j, c_prime, r), space).matrix
-    disp = displacement(space, fbar_mag).matrix
+    # a diagonal covariance: the core's squeeze axis is x, phi = 0
+    dec = decompose(gaussian_mf_solution(0j, c_prime, r))
     d = space.field_dim
-    rho = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        band = np.sum(disp[j:, j:] * np.diag(core, -j)
-                      * disp[:d - j, :d - j].conj(), axis=1)
-        rows = np.arange(j, d)
-        rho[rows - j, rows] = band.conj()
-        rho[rows, rows - j] = band
-    return DensityMatrix(space, rho)
+    core = squeezed_thermal_elements(dec.r_tilde, dec.n_tilde, d)
+    disp = displacement_elements(fbar_mag, d)
+    lower = np.zeros((d, d))
+    # band j of a d x d matrix, (j + i, i), as a strided view of its rows
+    flat_lower, flat_core = lower.reshape(-1), core.reshape(-1)
+    for j in range(0, d, 2):
+        flat_lower[j * d::d + 1] = np.einsum(
+            "ij,j,ij->i", disp[j:, j:], flat_core[j * d::d + 1],
+            disp[:d - j, :d - j])
+    rho = lower + np.tril(lower, -1).T
+    return kept_state(rho, space, blocks=np.arange(d) % 2)

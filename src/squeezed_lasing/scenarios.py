@@ -857,7 +857,10 @@ class _Point:
     def fidelity_ansatz(self) -> float:
         """Of the field against the ansatz at the point's field_dim.  An
         ansatz whose own top levels hold weight is logged, once per
-        ansatz, since this fidelity then measures its truncation too."""
+        ansatz, since this fidelity then measures its truncation too.  The
+        edge is read on the ansatz the fidelity is taken against, which is
+        renormalised over the kept levels: weight the ansatz has past
+        field_dim raises its top levels' share, so it is not hidden."""
         ansatz = self._ansatz(self.field_dim)
         key = ("ansatz edge", self.field_dim, abs(self.mf.F))
         if key not in self._memo:
@@ -1203,12 +1206,14 @@ def _one_blas_thread():
     """Run the enclosed code on one BLAS thread, then restore the caller's
     thread counts, also when it raises.
 
-    A point's dense work is small (fd-60 products and exponentials), and
-    waking a second OpenBLAS thread for it costs more than it saves: on a
-    2-CPU machine, the four ansatz calls of an fd-60 sweep took 0.26-0.79 s
-    with two threads and 0.03 s with one.  With one thread the artefacts
-    also no longer depend on the ``OPENBLAS_NUM_THREADS`` the program was
-    started with.
+    What still runs dense is small at desk scale: the multifrontal
+    solve's pivot blocks, the state checks' eigvalsh and the fidelity's
+    eigh, on fd-60 fields and their joint states.  A second OpenBLAS
+    thread gains nothing there (on a 2-CPU machine the perfbench desk
+    workloads took the same time in process, 0.10-0.13 s, either way) and
+    3% on the fd-500 paper-2013 panels (3.05 s against 2.95 s).  With one
+    thread the artefacts do not depend on the ``OPENBLAS_NUM_THREADS``
+    the program was started with.
     """
     controls = _blas_thread_controls()
     saved = [get() for get, _ in controls]

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from squeezed_lasing.fock import (
     DensityMatrix,
@@ -10,6 +14,7 @@ from squeezed_lasing.fock import (
     annihilation,
     commutator,
     displacement,
+    displacement_elements,
     expectation,
     fock_populations,
     identity,
@@ -196,6 +201,83 @@ def test_displacement_inverse():
     alpha = 1.2 + 0.8j  # |alpha|^2 = 2.08 < field_dim/4
     prod = (displacement(space, alpha) @ displacement(space, -alpha)).matrix
     np.testing.assert_allclose(prod, np.eye(space.dim), atol=1e-8)
+
+
+def _resolved_field_dim(alpha: float) -> int:
+    """The least field_dim whose levels below field_dim/2 an exponential
+    on twice as many levels resolves: D(alpha)|n> for n < field_dim/2
+    keeps its weight below (sqrt(n) + alpha)^2 plus 12 widths and 30."""
+    fd = 2
+    while 2 * fd < ((math.sqrt(fd / 2) + alpha) ** 2
+                    + 12 * (math.sqrt(fd / 2) + alpha) + 30):
+        fd += 1
+    return fd
+
+
+@settings(max_examples=12, deadline=None)
+@given(x=st.floats(0.0, 60.0))
+@example(x=0.0)
+@example(x=60.0)
+def test_displacement_elements_match_the_exponential(x):
+    # the exponential of the truncated generator is exact on the levels
+    # far from its own edge
+    alpha = math.sqrt(x)
+    fd = _resolved_field_dim(alpha)
+    oracle = displacement(HilbertSpace(n_qubits=0, field_dim=2 * fd), alpha)
+    half = fd // 2
+    elements = displacement_elements(alpha, fd)
+    assert np.max(np.abs(elements[:half, :half]
+                         - oracle.matrix[:half, :half])) <= 1e-13
+
+
+def test_displacement_elements_match_the_exponential_far_out():
+    # |alpha|^2 = 500 needs 3,206 levels, where fock.displacement's dense
+    # eigh takes seconds.  The generator G = alpha (a^dag - a) is real and
+    # tridiagonal, and S^dag G S = -iH with S = diag(i^k) and H real
+    # symmetric, so exp(G) = S V e^{-iw} V^T S^dag from scipy's tridiagonal
+    # eigensolver; exp(G) is real, so it is also S^dag V e^{iw} V^T S
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    alpha = math.sqrt(500.0)
+    fd = _resolved_field_dim(alpha)
+    w, v = eigh_tridiagonal(np.zeros(2 * fd),
+                            alpha * np.sqrt(np.arange(1, 2 * fd)))
+    half = fd // 2
+    low = v[:half]
+    phase = 1j ** np.arange(half)
+    oracle = (phase.conj()[:, None] * ((low * np.exp(1j * w)) @ low.T)
+              * phase)
+    elements = displacement_elements(alpha, fd)
+    assert np.max(np.abs(elements[:half, :half] - oracle)) <= 1e-13
+
+
+@settings(max_examples=4, deadline=None)
+@given(x=st.floats(0.0, 1500.0))
+# past |alpha|^2 ~ 1,400, e^(-|alpha|^2 / 2) underflows: only the scaled
+# recurrence reaches the elements near the diagonal
+@example(x=1500.0)
+@example(x=0.25)
+def test_displacement_elements_match_the_closed_form(x):
+    mpmath = pytest.importorskip("mpmath")
+    alpha = math.sqrt(x)
+    fd = int(x + 8 * alpha) + 30
+    elements = displacement_elements(alpha, fd)
+
+    def exact(m, n):
+        if m < n:
+            return (-1) ** (n - m) * exact(n, m)
+        a = mpmath.mpf(alpha)
+        # zeroprec lets an exact zero, L_1(1) = 0, come out as 0
+        return float(mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
+                     * a ** (m - n) * mpmath.exp(-a * a / 2)
+                     * mpmath.laguerre(n, m - n, a * a, zeroprec=1000))
+
+    step = max(1, fd // 60)
+    for m in sorted({0, fd // 3, int(x), fd - 1}):
+        cols = np.arange(0, fd, step)
+        with mpmath.workdps(40):
+            row = np.array([exact(m, n) for n in cols])
+        worst = np.max(np.abs(elements[m, cols] - row))
+        assert worst <= 1e-12 * np.max(np.abs(row)), (m, worst)
 
 
 def test_matrix_exponential_antihermitian_unitary():

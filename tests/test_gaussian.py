@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squeezed_lasing.fock import (
@@ -10,6 +10,7 @@ from squeezed_lasing.fock import (
     InvalidStateError,
     annihilation,
     expectation,
+    squeeze,
 )
 from squeezed_lasing.gaussian import (
     GaussianDecomposition,
@@ -19,6 +20,7 @@ from squeezed_lasing.gaussian import (
     from_moments,
     gaussian_fidelity,
     moments_from_fock,
+    squeezed_thermal_elements,
     symplectic_change_to_a_basis,
     to_fock,
 )
@@ -183,6 +185,27 @@ def test_fock_moment_round_trip_property(dec):
     again = moments_from_fock(rho)
     np.testing.assert_allclose(again.mean, gs.mean, rtol=0, atol=1e-9)
     np.testing.assert_allclose(again.cov, gs.cov, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=15, deadline=None)
+@given(r=st.floats(-1.5, 1.5), n_thermal=st.floats(0.0, 0.7))
+@example(r=1.5, n_thermal=0.7)
+@example(r=0.0, n_thermal=0.0)
+def test_squeezed_thermal_elements_match_the_exponential(r, n_thermal):
+    # S rho_th S^dag with S the exponential of the truncated generator on
+    # 200 levels, exact on the 50 lowest; the thermal weights that matter
+    # sit far below its edge
+    fd = 100
+    s = squeeze(HilbertSpace(n_qubits=0, field_dim=2 * fd), r).matrix
+    q = n_thermal / (1 + n_thermal)
+    oracle = (s * ((1 - q) * q ** np.arange(2 * fd))) @ s.conj().T
+    elements = squeezed_thermal_elements(r, n_thermal, fd)
+    half = fd // 2
+    assert np.max(np.abs(elements[:half, :half]
+                         - oracle[:half, :half])) <= 1e-13
+    n = np.arange(fd)
+    assert np.array_equal(elements, elements.T)
+    assert not np.any(elements[(n[:, None] + n[None, :]) % 2 == 1])
 
 
 def test_to_fock_vacuum():

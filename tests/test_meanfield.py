@@ -13,9 +13,16 @@ from squeezed_lasing.fock import (
     InvalidStateError,
     annihilation,
     displacement,
+    displacement_elements,
     expectation,
+    truncation_edge,
 )
-from squeezed_lasing.gaussian import GaussianState, decompose, to_fock
+from squeezed_lasing.gaussian import (
+    GaussianState,
+    decompose,
+    squeezed_thermal_elements,
+    to_fock,
+)
 from squeezed_lasing.lindblad import trace_distance
 from squeezed_lasing.meanfield import (
     MeanFieldState,
@@ -287,14 +294,21 @@ def test_ansatz_members_are_coherent_in_bare_basis():
 
 
 def _ansatz_reference(fbar_mag, c_prime, r, space, n_phases):
-    """The ring mixture built member by member, one to_fock per phase."""
-    acc = np.zeros((space.dim, space.dim), dtype=complex)
+    """The ring mixture built member by member: each member is
+    D(fbar) C D(fbar)^dag from the exact elements cut off at field_dim, and
+    the mixture is normalised once, over the kept levels."""
+    d = space.field_dim
+    dec = decompose(gaussian_mf_solution(0j, c_prime, r))
+    core = squeezed_thermal_elements(dec.r_tilde, dec.n_tilde, d)
+    disp = displacement_elements(fbar_mag, d)
+    acc = np.zeros((d, d), dtype=complex)
     for k in range(n_phases):
         theta = 2 * math.pi * (k + 0.5) / n_phases
-        fbar = fbar_mag * complex(math.cos(theta), math.sin(theta))
-        member = to_fock(gaussian_mf_solution(fbar, c_prime, r), space)
-        acc += member.matrix
-    return DensityMatrix(space, acc / n_phases)
+        # D(fbar_mag e^{i theta}) = R D(fbar_mag) R^dag
+        rot = np.exp(1j * theta * np.arange(d))
+        member = rot[:, None] * disp * rot.conj()
+        acc += member @ core @ member.conj().T
+    return DensityMatrix(space, acc / np.trace(acc).real)
 
 
 @settings(max_examples=25, deadline=None)
@@ -310,6 +324,14 @@ def test_ansatz_matches_member_loop(field_dim, fbar_mag, c_prime, r):
     # degree at most 2 field_dim - 2, which this rule integrates exactly
     ref = _ansatz_reference(fbar_mag, c_prime, r, space, 2 * field_dim - 1)
     assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-13
+    # a member's own state is the same member over its kept mass
+    member = to_fock(gaussian_mf_solution(fbar_mag + 0j, c_prime, r), space)
+    d = field_dim
+    dec = decompose(gaussian_mf_solution(0j, c_prime, r))
+    disp = displacement_elements(fbar_mag, d)
+    kept = disp @ squeezed_thermal_elements(dec.r_tilde, dec.n_tilde, d) \
+        @ disp.T
+    assert np.max(np.abs(member.matrix - kept / np.trace(kept))) <= 1e-13
 
 
 @settings(max_examples=25, deadline=None)
@@ -328,8 +350,9 @@ def test_displacement_phase_covariance(field_dim, fbar_mag, theta):
 
 
 def test_ansatz_work_is_one_core_and_one_displacement(monkeypatch):
-    # one to_fock for the undisplaced core (three exponentials), one
-    # displacement, and only the core and the mixture validated as states
+    # the undisplaced core and the displacement from their closed-form
+    # elements: no to_fock, no exponential, and only the mixture validated
+    # as a state
     counts = {"to_fock": 0, "expm": 0, "state": 0}
 
     def counting(name, fn):
@@ -345,4 +368,42 @@ def test_ansatz_work_is_one_core_and_one_displacement(monkeypatch):
     monkeypatch.setattr(DensityMatrix, "__init__",
                         counting("state", DensityMatrix.__init__))
     mf_ansatz(1.2, 10.0, 1.15, HilbertSpace(n_qubits=0, field_dim=30))
-    assert counts == {"to_fock": 1, "expm": 4, "state": 2}
+    assert counts == {"to_fock": 0, "expm": 0, "state": 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_dim=st.integers(2, 40), fbar_mag=st.floats(0.0, 6.0),
+       c_prime=st.floats(0.0, 20.0), r=st.floats(0.0, 1.5))
+@example(field_dim=60, fbar_mag=15.62, c_prime=0.01, r=1.0)
+def test_ansatz_is_a_hermitian_unit_trace_parity_state(field_dim, fbar_mag,
+                                                        c_prime, r):
+    rho = mf_ansatz(fbar_mag, c_prime, r,
+                    HilbertSpace(n_qubits=0, field_dim=field_dim)).matrix
+    assert np.array_equal(rho, rho.conj().T)
+    assert abs(np.trace(rho) - 1) <= 1e-14
+    n = np.arange(field_dim)
+    assert not np.any(rho[(n[:, None] - n[None, :]) % 2 == 1])
+
+
+@pytest.mark.parametrize("name", ["fbar_mag", "c_prime", "r"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_are_named(name, value):
+    args = {"fbar_mag": 1.0, "c_prime": 1.0, "r": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        mf_ansatz(**args, space=HilbertSpace(n_qubits=0, field_dim=8))
+    fbar_name = "fbar" if name == "fbar_mag" else name
+    solution_args = {"fbar": args["fbar_mag"], "c_prime": args["c_prime"],
+                     "r": args["r"]}
+    with pytest.raises(ValueError, match=f"^{fbar_name} must be finite"):
+        gaussian_mf_solution(**solution_args)
+
+
+def test_ansatz_beyond_the_kept_levels_is_refused():
+    # |F|^2 = 2,000 at field_dim 40: the kept levels hold e^-1800 of the
+    # state, which no double can carry
+    with pytest.raises(InvalidStateError, match="kept Fock levels"):
+        mf_ansatz(math.sqrt(2000.0), 0.01, 1.0,
+                  HilbertSpace(n_qubits=0, field_dim=40))
+    # at |F|^2 = 400 they hold 6.6e-74 of it, and it is renormalised
+    rho = mf_ansatz(20.0, 0.01, 1.0, HilbertSpace(n_qubits=0, field_dim=40))
+    assert truncation_edge(rho) > 0.5

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from squeezed_lasing import lindblad, scenarios
+from squeezed_lasing import fock, lindblad, scenarios
 from squeezed_lasing.cli import main
 from squeezed_lasing.dressing import dress
 from squeezed_lasing.fock import HilbertSpace
@@ -464,6 +464,28 @@ class TestSweeps:
         axis = [dict(zip(table.columns, row))["c_tilde"] for row in table.rows]
         assert axis == [1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("scenario", [
+        "squeezed_laser", "two_qubit_full", "fidelity_sweep", "mf_compare",
+        "wigner_panels"])
+    def test_no_scenario_takes_a_matrix_exponential(self, monkeypatch,
+                                                    scenario):
+        # the ansatz and every Gaussian state come from closed-form Fock
+        # elements; field_dim 18 is the least at which the band start
+        # forms an ansatz too
+        def refuse(op):
+            raise AssertionError("fock.matrix_exponential was called")
+
+        monkeypatch.setattr(fock, "matrix_exponential", refuse)
+        formed = []
+        real = scenarios.mf_ansatz
+        monkeypatch.setattr(scenarios, "mf_ansatz",
+                            lambda *args: formed.append(args) or real(*args))
+        cfg = build_config(scenario, preset="desk", overrides={
+            "numerics": {"field_dim": 18, "n_phases": 16, "grid_points": 64}})
+        out = run_scenario(cfg)
+        assert not out.failed_points
+        assert formed
+
     def test_truncation_retry_escalates_field_dim(self):
         cfg = build_config(
             "single_laser", preset="desk",
@@ -517,7 +539,7 @@ class TestSweeps:
         assert len(recwarn) == 0
 
     def test_truncation_limited_ansatz_is_logged(self, caplog):
-        # the field fits (edge 6.0e-7) but the ansatz does not (2.4e-6)
+        # the field fits (edge 6.0e-7) but the ansatz does not (2.1e-6)
         cfg = build_config(
             "squeezed_laser", preset="desk",
             overrides={"params": {"c_tilde": 3.0, "c_prime": 1.0},
@@ -534,7 +556,7 @@ class TestSweeps:
         assert logged[0].name == "squeezed_lasing.scenarios"
 
     def test_ansatz_read_only_to_size_the_band_is_not_logged(self, caplog):
-        # at C' = 0.01 and field_dim 30 the ansatz's edge is 2.4e-5, and
+        # at C' = 0.01 and field_dim 30 the ansatz's edge is 1.9e-5, and
         # the band sizing reads it, but wigner_panels reports no fidelity
         # to it
         cfg = build_config(
