@@ -48,6 +48,10 @@ class GaussianState:
         cov = np.array(self.cov, dtype=float)
         if cov.shape != (2, 2):
             raise ValueError("cov must be 2x2")
+        for name, value in (("mean", mean), ("cov", cov)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{value.tolist()}")
         if abs(cov[0, 1] - cov[1, 0]) > 1e-10 * max(1.0, np.max(np.abs(cov))):
             raise InvalidStateError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)

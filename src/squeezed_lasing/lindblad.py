@@ -48,9 +48,10 @@ Hermitian coordinates, numbered as the pairs: Re rho_ij for i <= j and
 Im rho_ij for i > j, so the bordered system is a real sparse matrix with
 as many unknowns as the sector has pairs.  Each term's complex entries
 become their real pieces as soon as the term is formed, so the complex
-generator is never held whole on the way.  ``liouvillian_matrix`` numbers
-all d^2 pairs the same way, with one label for every state, for the
-complex generator, which the oracles use.
+generator is never held whole on the way.  With one label for every
+state, the same numbering covers all d^2 pairs: the uniqueness screen
+takes the dense SVD of that real generator, and ``liouvillian_matrix``
+sums the same terms into the complex one, which the oracles use.
 
 At resonance every model is real in the gauge |n> -> i^n |n> of the
 photon number n: there -iH and each jump operator (up to a phase) are
@@ -66,7 +67,7 @@ sector is factored.
 
 Each coordinate couples only to those within two photons of its pair's
 photon numbers (n_i, n_j), so the block is a 2-D mesh over them, and
-``splu`` orders it by nested dissection (A. George, SIAM J. Numer. Anal.
+the solve orders it by nested dissection (A. George, SIAM J. Numer. Anal.
 10, 345 (1973)) on those known points, with no graph partitioner.  Its
 dense fronts pivot only inside themselves, so the order must leave no
 front whose unknowns the dynamics keeps to itself: that is why the
@@ -77,20 +78,21 @@ leaves slowest.
 The solve is split, as multifrontal solvers are (Duff & Reid, ACM TOMS
 9, 302 (1983)), into a symbolic plan and a numeric pass.  The plan
 (``_Plan``) holds all that depends on the bordered matrix's pattern, its
-mesh points and its trace row alone: the trace row's block and where its
-entries sit among the bordered matrix's, and the block's fronts, their
-children, the entry order and the front cuts, each front's boundary, and
-each entry's and each child's place in its front, as int32 (``_Fronts``).
-It is built from one adjacency, in time linear in each front's lists
-plus a sort of its boundary.  Plans are kept in a memo of at most 32 MB
-(``_PLAN_BYTES``), least recently used out, and looked up by the exact
-pattern (the bordered matrix's rows and columns, in order), points and
-trace row, compared in full.  A sweep's points at one field_dim and band
-share a pattern, so each is analysed once, and a later solve runs only
-front assembly, extend-add, the dense solves and back-substitution, in
-the same order, so its result is the same bit for bit.  The generator is
-assembled for every solve: its pattern depends on its values, because
-exact zeros are dropped.
+mesh points and its trace row alone: those three, its lookup key; the
+trace row's block and where its entries sit among the bordered
+matrix's; and the block's fronts, their children, the entry order and
+the front cuts, each front's boundary, and each entry's and each child's
+place in its front, as int32.  It is built from one adjacency, in time
+linear in each front's lists plus a sort of its boundary.  Plans are
+kept in a memo of at most 32 MB (``_PLAN_BYTES``), least recently used
+out, and looked up by the exact pattern (the bordered matrix's rows and
+columns, in order), points and trace row, compared in full.  A sweep's
+points at one field_dim and band share a pattern, so each is analysed
+once.  ``splu`` is the numeric pass of the plan it is handed: front
+assembly, extend-add, the dense solves and back-substitution, in the
+same order on every solve, so a reused plan gives the result of a fresh
+one bit for bit.  The generator is assembled for every solve: its
+pattern depends on its values, because exact zeros are dropped.
 """
 
 from __future__ import annotations
@@ -554,11 +556,6 @@ class _SectorCoordinates:
                 self.number(a[1][ka], b[1][kb]),
                 a[2][ka] * b[2][kb].conj())
 
-    def entries(self, me: MasterEquation):
-        """(rows, columns, values) of the whole complex generator on the
-        sector pairs, the sandwiches' triplets in turn."""
-        return tuple(np.concatenate(x) for x in zip(*self.sandwiches(me)))
-
     def generator(self, me: MasterEquation) -> SparseMatrix:
         """The sector generator as a real matrix: row k is the part of
         (L rho)_ij that coordinate k holds.  On a band it is the whole
@@ -619,7 +616,9 @@ def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
     import scipy.sparse as sp
 
     d = me.space.dim
-    rows, cols, vals = _SectorCoordinates(np.zeros(d, dtype=int)).entries(me)
+    coords = _SectorCoordinates(np.zeros(d, dtype=int))
+    rows, cols, vals = (np.concatenate(x)
+                        for x in zip(*coords.sandwiches(me)))
     return Liouvillian(matrix=sp.csc_matrix((vals, (rows, cols)),
                                             shape=(d * d, d * d)),
                        space=me.space)
@@ -818,6 +817,12 @@ def _screen_uniqueness(me: MasterEquation):
     """Raise if the full generator, dense, has two vanishing singular
     values.
 
+    The generator is the real one in Hermitian coordinates, with one
+    label for every state, so over all d^2 coordinates: its null space
+    has dimension 2 or more exactly when two independent stationary
+    density matrices exist, as the complex generator's does: that one is
+    spanned by Hermitian matrices, since L(rho^dag) = (L rho)^dag.
+
     The rule is scale-free: the second smallest singular value sigma_2
     vanishes when it is within the roundoff of the SVD itself, n eps
     sigma_1 for the n x n generator (n = d^2).  A ratio sigma_2/sigma_1
@@ -826,9 +831,9 @@ def _screen_uniqueness(me: MasterEquation):
     (1e-9 at r = 10).
     """
     d = me.space.dim
-    rows, cols, vals = _SectorCoordinates(np.zeros(d, dtype=int)).entries(me)
-    dense = np.zeros((d * d, d * d), dtype=complex)
-    np.add.at(dense, (rows, cols), vals)
+    lmat = _SectorCoordinates(np.zeros(d, dtype=int)).generator(me)
+    dense = np.zeros((d * d, d * d))
+    dense[lmat.rows, lmat.cols] = lmat.data
     svals = np.linalg.svd(dense, compute_uv=False)
     roundoff = d * d * np.finfo(float).eps * svals[0]
     if svals[-2] <= roundoff:
@@ -918,44 +923,55 @@ def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
     return index.astype(np.int16 if bound <= 2**15 else np.int32, copy=False)
 
 
-def _same_pattern(matrix: SparseMatrix, points: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray, known: np.ndarray) -> bool:
-    """Whether ``matrix`` has the entries at ``rows``, ``cols``, in that
-    order, and ``points`` are the ``known`` points, compared in full."""
-    return (matrix.rows.size == rows.size and points.shape == known.shape
-            and np.array_equal(matrix.rows, rows)
-            and np.array_equal(matrix.cols, cols)
-            and np.array_equal(points, known))
+class _Plan:
+    """What a bordered solve reads from its matrix's pattern alone, made
+    from one adjacency.
 
+    It is looked up by that pattern and its mesh points (``rows``,
+    ``cols``, ``points``) and the trace row ``root``.  Only the
+    coordinates that the trace row reaches can be nonzero: the rest form
+    blocks with a zero right-hand side, so the solve runs on the block of
+    the trace row alone (``live``, root first), whose entries sit at
+    ``take`` among the bordered matrix's, in the pattern ``block_rows``,
+    ``block_cols``; the others stay 0.
 
-class _Fronts:
-    """``splu``'s symbolic analysis of one matrix: all that depends on
-    its pattern (``rows``, ``cols``, ``n``) and its mesh ``points`` alone.
-
-    Unknown 0 is a root front of its own.  The rest are ordered by
-    ``_dissect`` on the adjacency given, or are one front when there are
-    at most 2 ``_LEAF`` of them.  The fronts, children first, are cut at
-    ``steps`` in the order ``perm``; ``children`` lists each front's.  A
-    front's boundary (``boundaries``, as sorted places in that order) is
-    the later unknowns that its pivots or its children's boundaries
-    touch, found in time proportional to those lists (``_distinct``)
-    and sorted; one position map then numbers the pivots and the
-    boundary inside the front.  The entries are listed front by front
-    (``order``), each at the front that eliminates its earlier endpoint,
-    and ``at`` holds each entry's flat place in its front, ``child_at``
-    each child's boundary rows in its parent, as int32 (a front past
-    int32 places would have over 46,000 unknowns, 17 GB dense).
+    The block's unknown 0 is a root front of its own.  The rest are
+    ordered by ``_dissect`` on the block's adjacency, or are one front
+    when there are at most 2 ``_LEAF`` of them.  The fronts, children
+    first, are cut at ``steps`` in the order ``perm``; ``children`` lists
+    each front's.  A front's boundary (``boundaries``, as sorted places
+    in that order) is the later unknowns that its pivots or its
+    children's boundaries touch, found in time proportional to those
+    lists (``_distinct``) and sorted; one position map then numbers the
+    pivots and the boundary inside the front.  The entries are listed
+    front by front (``order``), each at the front that eliminates its
+    earlier endpoint, and ``at`` holds each entry's flat place in its
+    front, ``child_at`` each child's boundary rows in its parent, as
+    int32 (a front past int32 places would have over 46,000 unknowns,
+    17 GB dense).
     """
 
-    def __init__(self, matrix: SparseMatrix, points: np.ndarray,
-                 indptr: np.ndarray, indices: np.ndarray):
-        n = matrix.n
-        self.n = n
-        self.rows, self.cols = _narrow(matrix.rows, n), _narrow(matrix.cols, n)
-        self.points = _narrow(points, points.max(initial=0) + 1)
+    def __init__(self, bordered: SparseMatrix, points: np.ndarray,
+                 root: int):
+        indptr, indices = bordered.adjacency()
+        live = _reached(indptr, indices, root)
+        live = np.concatenate([[root], live[live != root]])
+        # the block of the entries' numbers carries their places as its data
+        block = SparseMatrix(bordered.rows, bordered.cols,
+                             np.arange(bordered.rows.size),
+                             bordered.n).submatrix(live)
+        index = np.empty(bordered.n, dtype=np.int32)
+        index[live] = np.arange(live.size, dtype=np.int32)
+        starts, stops = indptr[live], indptr[live + 1]
+        block_indptr = np.zeros(live.size + 1, dtype=np.int64)
+        np.cumsum(stops - starts, out=block_indptr[1:])
+        block_indices = index[indices[_ranges(starts, stops)]]
+        n = live.size
+        self.block_rows = _narrow(block.rows, n)
+        self.block_cols = _narrow(block.cols, n)
         if n > 2 * _LEAF:
-            fronts, parents = _dissect(points, indptr, indices,
-                                       np.arange(1, n))
+            fronts, parents = _dissect(points[live], block_indptr,
+                                       block_indices, np.arange(1, n))
         else:
             fronts, parents = ([np.arange(1, n)], [-1]) if n > 1 else ([], [])
         fronts.append(np.zeros(1, dtype=np.int64))
@@ -968,7 +984,7 @@ class _Fronts:
         pos[perm] = np.arange(n)
         starts = np.cumsum([0] + [f.size for f in fronts]).tolist()
         # each entry goes to the front of its earlier endpoint
-        r, c = pos[matrix.rows], pos[matrix.cols]
+        r, c = pos[block.rows], pos[block.cols]
         first = np.minimum(r, c)
         order = np.argsort(first, kind="stable")
         r, c = r[order], c[order]
@@ -984,7 +1000,8 @@ class _Fronts:
         for f, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
             pivots = perm[lo:hi]
             near = np.concatenate(
-                [pos[indices[_ranges(indptr[pivots], indptr[pivots + 1])]],
+                [pos[block_indices[_ranges(block_indptr[pivots],
+                                           block_indptr[pivots + 1])]],
                  *(self.boundaries[k] for k in self.children[f])])
             bound = np.sort(_distinct(near[near >= hi], stamp))
             p, m = hi - lo, hi - lo + bound.size
@@ -998,105 +1015,29 @@ class _Fronts:
             self.steps.append((lo, hi, m, e0, e1))
         self.perm = _narrow(perm, n)
         self.order = order.astype(np.int32)
+        # the lookup key and the block's place, made after the front
+        # analysis: made before it, they raised perfbench two_qubit's peak
+        # RSS in every pair measured (heap layout, not live memory)
+        self.rows = _narrow(bordered.rows, bordered.n)
+        self.cols = _narrow(bordered.cols, bordered.n)
+        self.points = _narrow(points, points.max(initial=0) + 1)
+        self.root = root
+        self.live = _narrow(live, bordered.n)
+        self.take = block.data.astype(np.int32)
 
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (
-            self.rows, self.cols, self.points, self.perm, self.order, self.at,
+            self.rows, self.cols, self.points, self.live, self.take,
+            self.block_rows, self.block_cols, self.perm, self.order, self.at,
             *self.boundaries, *(at for ats in self.child_at for at in ats)))
-
-    def fits(self, matrix: SparseMatrix, points: np.ndarray) -> bool:
-        """Whether this is the analysis of ``matrix``'s pattern at
-        ``points``."""
-        return matrix.n == self.n and _same_pattern(
-            matrix, points, self.rows, self.cols, self.points)
-
-    def factor(self, data: np.ndarray, rhs: np.ndarray) -> Factorisation:
-        """The numeric pass: solve the matrix with entries ``data`` (in
-        the analysed pattern's order) against ``rhs``."""
-        v = data[self.order]
-        b = rhs[self.perm]
-        updates, kept = {}, []
-        for f, (lo, hi, m, e0, e1) in enumerate(self.steps):
-            p = hi - lo
-            front = np.zeros((m, m + 1))
-            flat = front.reshape(-1)
-            flat[self.at[e0:e1]] = v[e0:e1]
-            front[:p, m] = b[lo:hi]
-            for k, at in zip(self.children[f], self.child_at[f]):
-                # at the child boundary's rows and its columns plus the
-                # right-hand side, through flat indices: faster than np.ix_
-                flat[(at[:, None] * (m + 1) + np.append(at, m)).ravel()] += (
-                    updates.pop(k).reshape(-1))
-            try:
-                x = np.linalg.solve(front[:p, :p], front[:p, p:])
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateSteadyStateError(
-                    f"multifrontal solve met a singular pivot block of "
-                    f"{p} unknowns") from exc
-            updates[f] = front[p:, p:] - front[p:, :p] @ x
-            kept.append(x)
-        y = np.zeros(self.n)
-        for (lo, hi, *_), x, bound in zip(reversed(self.steps),
-                                          reversed(kept),
-                                          reversed(self.boundaries)):
-            y[lo:hi] = x[:, -1] - x[:, :-1] @ y[bound]
-        solution = np.empty(self.n)
-        solution[self.perm] = y
-        return Factorisation(solution, sum(x.size for x in kept))
-
-
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """What a bordered solve reads from its matrix's pattern alone: that
-    pattern and its mesh points (``rows``, ``cols``, ``points``) and the
-    trace row ``root``, which look the plan up; the block that the trace
-    row reaches, root first (``live``); the places of the block's
-    entries among the bordered matrix's (``take``); and ``splu``'s
-    analysis of the block (``fronts``)."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    points: np.ndarray
-    root: int
-    live: np.ndarray
-    take: np.ndarray
-    fronts: _Fronts
-
-    def nbytes(self) -> int:
-        return self.fronts.nbytes() + sum(a.nbytes for a in (
-            self.rows, self.cols, self.points, self.live, self.take))
 
     def fits(self, matrix: SparseMatrix, points: np.ndarray,
              root: int) -> bool:
-        return root == self.root and _same_pattern(
-            matrix, points, self.rows, self.cols, self.points)
-
-
-def _analyse(bordered: SparseMatrix, points: np.ndarray, root: int) -> _Plan:
-    """The plan of a bordered matrix with its trace row at ``root``, from
-    one adjacency: the breadth-first search for the trace row's block
-    and, renumbered to the block, the nested dissection."""
-    indptr, indices = bordered.adjacency()
-    # Only the coordinates that the trace row reaches can be nonzero: the
-    # rest form blocks with a zero right-hand side, so solve the block of
-    # the trace row alone, with that row first, and leave the others at 0.
-    live = _reached(indptr, indices, root)
-    live = np.concatenate([[root], live[live != root]])
-    # the block of the entries' numbers carries their places as its data
-    block = SparseMatrix(bordered.rows, bordered.cols,
-                         np.arange(bordered.rows.size),
-                         bordered.n).submatrix(live)
-    index = np.empty(bordered.n, dtype=np.int32)
-    index[live] = np.arange(live.size, dtype=np.int32)
-    starts, stops = indptr[live], indptr[live + 1]
-    block_indptr = np.zeros(live.size + 1, dtype=np.int64)
-    np.cumsum(stops - starts, out=block_indptr[1:])
-    fronts = _Fronts(block, points[live], block_indptr,
-                     index[indices[_ranges(starts, stops)]])
-    n = bordered.n
-    return _Plan(_narrow(bordered.rows, n), _narrow(bordered.cols, n),
-                 _narrow(points, points.max(initial=0) + 1), root,
-                 _narrow(live, n), block.data.astype(np.int32), fronts)
+        """Whether this is the plan of ``matrix``'s pattern at ``points``
+        and ``root``, compared in full."""
+        return (root == self.root and np.array_equal(matrix.rows, self.rows)
+                and np.array_equal(matrix.cols, self.cols)
+                and np.array_equal(points, self.points))
 
 
 # A bordered solve whose root holds less than this fraction of the largest
@@ -1123,13 +1064,13 @@ def _plan(bordered: SparseMatrix, points: np.ndarray,
     """The memo's plan for this exact pattern, points and root, made now
     if there is none, and whether it was reused.  It becomes the most
     recently used, and the least recently used go while the memo holds
-    more than ``_PLAN_BYTES``; the newest always stays, since ``splu``
-    finds the block's analysis in the memo."""
+    more than ``_PLAN_BYTES``; the newest always stays, since it is the
+    one that a sweep's next point at this field_dim and band reuses."""
     for k, plan in enumerate(_plans):
         if plan.fits(bordered, points, root):
             _plans.append(_plans.pop(k))
             return plan, True
-    plan = _analyse(bordered, points, root)
+    plan = _Plan(bordered, points, root)
     _plans.append(plan)
     held = [p.nbytes() for p in _plans]
     while len(held) > 1 and sum(held) > _PLAN_BYTES:
@@ -1138,37 +1079,53 @@ def _plan(bordered: SparseMatrix, points: np.ndarray,
 
 
 def splu(matrix: SparseMatrix, rhs: np.ndarray,
-         points: np.ndarray) -> Factorisation:
-    """Solve matrix x = rhs by a multifrontal LU in a nested-dissection
+         plan: _Plan) -> Factorisation:
+    """Solve matrix x = rhs, the trace row's block of a bordered matrix
+    (``_Plan``), by a multifrontal LU in the plan's nested-dissection
     order, on numpy alone.  The steady-state solve looks it up here.
 
-    ``points`` gives each unknown but the first a position on an integer
-    mesh that the matrix couples locally, and orders the rest by
-    ``_dissect``, unless the matrix has at most 2 ``_LEAF`` unknowns:
-    then the rest are one front.  Unknown 0, which may couple to all of
-    them, is a root front of its own.  Each original entry is assembled
+    This is the numeric pass: the order, the fronts and their boundaries
+    and where each entry lands are the plan's.  Each entry is assembled
     at the front that eliminates its earlier endpoint, and each child's
-    Schur complement is extend-added into its parent.  A front with pivots P
-    and later unknowns B (its boundary) then runs one np.linalg.solve of
-    its pivot block against [coupling to B | right-hand side], with
-    partial pivoting inside the block, keeps that result for the
-    back-substitution, and passes the Schur complement of B and its
-    right-hand side on.  A singular pivot block raises
-    DegenerateSteadyStateError.
-
-    The order, the fronts and their boundaries and where each entry
-    lands depend on the pattern and the points alone (``_Fronts``).  A
-    matrix whose pattern and points are those of a block in the plan
-    memo (``_bordered_solve``) reuses that analysis and runs only the
-    numeric pass: front assembly, extend-add, the dense solves and the
-    back-substitution, in the same order, so the result is the same bit
-    for bit.  Any other matrix is analysed first.
+    Schur complement is extend-added into its parent.  A front with
+    pivots P and later unknowns B (its boundary) then runs one
+    np.linalg.solve of its pivot block against [coupling to B |
+    right-hand side], with partial pivoting inside the block, keeps that
+    result for the back-substitution, and passes the Schur complement of
+    B and its right-hand side on.  A singular pivot block raises
+    DegenerateSteadyStateError.  Every solve on one plan runs these
+    operations in the same order, so a reused plan gives the result of a
+    fresh one bit for bit.
     """
-    for plan in _plans:
-        if plan.fronts.fits(matrix, points):
-            return plan.fronts.factor(matrix.data, rhs)
-    return _Fronts(matrix, points, *matrix.adjacency()).factor(matrix.data,
-                                                               rhs)
+    v = matrix.data[plan.order]
+    b = rhs[plan.perm]
+    updates, kept = {}, []
+    for f, (lo, hi, m, e0, e1) in enumerate(plan.steps):
+        p = hi - lo
+        front = np.zeros((m, m + 1))
+        flat = front.reshape(-1)
+        flat[plan.at[e0:e1]] = v[e0:e1]
+        front[:p, m] = b[lo:hi]
+        for k, at in zip(plan.children[f], plan.child_at[f]):
+            # at the child boundary's rows and its columns plus the
+            # right-hand side, through flat indices: faster than np.ix_
+            flat[(at[:, None] * (m + 1) + np.append(at, m)).ravel()] += (
+                updates.pop(k).reshape(-1))
+        try:
+            x = np.linalg.solve(front[:p, :p], front[:p, p:])
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSteadyStateError(
+                f"multifrontal solve met a singular pivot block of "
+                f"{p} unknowns") from exc
+        updates[f] = front[p:, p:] - front[p:, :p] @ x
+        kept.append(x)
+    y = np.zeros(matrix.n)
+    for (lo, hi, *_), x, bound in zip(reversed(plan.steps), reversed(kept),
+                                      reversed(plan.boundaries)):
+        y[lo:hi] = x[:, -1] - x[:, :-1] @ y[bound]
+    solution = np.empty(matrix.n)
+    solution[plan.perm] = y
+    return Factorisation(solution, sum(x.size for x in kept))
 
 
 def _bordered_solve(me: MasterEquation, band: int | None):
@@ -1181,12 +1138,12 @@ def _bordered_solve(me: MasterEquation, band: int | None):
     values (exact zeros are dropped).  Everything that depends on the
     bordered matrix's pattern alone, with the mesh points and the trace
     row, is a plan (``_Plan``): the trace row's block and where its
-    entries sit, and the block's nested dissection and fronts
-    (``_Fronts``).  Plans are kept in a memo of at most ``_PLAN_BYTES``,
-    least recently used out, and looked up by that exact pattern, points
-    and root, compared in full.  So a sweep analyses each field_dim and band
-    once, and each later solve on it runs the numeric pass alone, bit
-    for bit as a fresh analysis would.
+    entries sit, and the block's nested dissection and fronts.  Plans
+    are kept in a memo of at most ``_PLAN_BYTES``, least recently used
+    out, and looked up by that exact pattern, points and root, compared
+    in full.  So a sweep analyses each field_dim and band once, and each
+    later solve on it runs the numeric pass (``splu``) alone, bit for bit
+    as a fresh analysis would.
     """
     # the stationary state lies in the equal-charge sector, which the
     # generator maps onto itself, and is Hermitian
@@ -1247,10 +1204,10 @@ def _rooted_solve(coords: _SectorCoordinates, lmat: SparseMatrix,
     plan, reused = _plan(bordered, points, root)
     b = np.zeros(plan.live.size)
     b[0] = 1.0
-    block = SparseMatrix(plan.fronts.rows, plan.fronts.cols,
+    block = SparseMatrix(plan.block_rows, plan.block_cols,
                          bordered.data[plan.take], plan.live.size)
     y = np.zeros(coords.n)
-    y[plan.live] = splu(block, b, plan.fronts.points).solution
+    y[plan.live] = splu(block, b, plan).solution
     log.info("field_dim %d, band %d: %d unknowns factored, pattern %s",
              coords.field_dim, coords.band, plan.live.size,
              "reused" if reused else "analysed")

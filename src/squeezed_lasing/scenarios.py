@@ -1169,8 +1169,10 @@ def _run_wigner_panels(config: RunConfig) -> ScenarioOutput:
     return out
 
 
-# get/set thread-count symbol pairs an OpenBLAS may export: numpy's wheel
-# bundles an ILP64 build with the 64_ suffix, scipy's an LP64 build without
+# get/set thread-count symbol pairs that numpy's OpenBLAS may export: its
+# 64-bit wheels bundle an ILP64 build with the 64_ suffix (scipy_-prefixed
+# since numpy 2.0), its 32-bit ones an LP64 build without, and a build
+# against a system OpenBLAS exports the plain names
 _BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
                         "scipy_openblas_{}_num_threads",
                         "openblas_{}_num_threads64_",
@@ -1178,27 +1180,22 @@ _BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
 
 
 def _blas_thread_controls() -> list[tuple]:
-    """One ``(get, set)`` pair of thread-count functions per OpenBLAS that
-    numpy and scipy loaded; empty for a BLAS without them (MKL, Accelerate).
-    scipy's counts only once ``scipy.linalg`` has loaded it."""
+    """The ``(get, set)`` pair of thread-count functions of numpy's
+    OpenBLAS, the one library that the scenarios run on; empty for a BLAS
+    without them (MKL, Accelerate)."""
     import ctypes
-    import sys
 
     import numpy.linalg._umath_linalg as numpy_lapack
 
-    modules = [numpy_lapack, sys.modules.get("scipy.linalg._fblas")]
-    controls = []
-    for module in filter(None, modules):
-        lib = ctypes.CDLL(module.__file__)
-        for pattern in _BLAS_THREAD_SYMBOLS:
-            get = getattr(lib, pattern.format("get"), None)
-            set_ = getattr(lib, pattern.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return controls
+    lib = ctypes.CDLL(numpy_lapack.__file__)
+    for pattern in _BLAS_THREAD_SYMBOLS:
+        get = getattr(lib, pattern.format("get"), None)
+        set_ = getattr(lib, pattern.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return [(get, set_)]
+    return []
 
 
 @contextmanager
@@ -1229,8 +1226,8 @@ def _one_blas_thread():
 def run_scenario(config: RunConfig) -> ScenarioOutput:
     """Execute one scenario, on one BLAS thread, and return its in-memory
     products.  Every scenario runs on numpy alone, so numpy's OpenBLAS is
-    the library whose threads ``_one_blas_thread`` pins; scipy's, where a
-    caller has loaded it, is pinned as well.
+    the library whose threads ``_one_blas_thread`` pins; scipy's, which
+    only the tests load, is theirs to pin.
     """
     with _one_blas_thread():
         if config.scenario == "dress_audit":

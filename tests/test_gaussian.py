@@ -86,6 +86,18 @@ def test_from_moments_rejects_unphysical():
         from_moments(0, -0.4, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["mean", "cov"])
+def test_state_refuses_non_finite_entries(name, bad):
+    # refused by name before the eigenvalue checks, which would read a NaN
+    # covariance as "non-positive eigenvalue 0.000e+00" and let an
+    # infinite one through
+    values = {"mean": np.zeros(2), "cov": 2.0 * np.eye(2)}
+    values[name].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        GaussianState(**values)
+
+
 def test_state_validation():
     with pytest.raises(InvalidStateError):
         GaussianState(mean=np.zeros(2), cov=0.5 * np.eye(2))

@@ -2,7 +2,8 @@
 name in ``squeezed_lasing.__all__`` that the package does not define, and
 no module-level private helper that nothing in the package refers to;
 neither importing the CLI nor running any scenario needs scipy, which
-only the tests use; and no steady-state run loads numpy.ma.
+only the tests use, and the package imports it only in the tests' oracle
+``lindblad.liouvillian_matrix``; and no steady-state run loads numpy.ma.
 
 No linter runs on this project, so this test is what stops a deletion
 from leaving a dead import, a stale export or a dead helper behind.
@@ -82,6 +83,45 @@ def test_every_private_helper_is_used():
     dead = [f"{module} {name}" for module, tree in trees.items()
             for name in _private_definitions(tree) if name not in used]
     assert dead == [], f"private helpers nothing refers to: {dead}"
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    return any(name == "scipy" or name.startswith("scipy.") for name in names)
+
+
+def _oracle_scopes(tree: ast.Module) -> list[ast.stmt]:
+    """lindblad's ``liouvillian_matrix`` and its ``TYPE_CHECKING`` block:
+    the places where the package may import scipy."""
+    return [node for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "liouvillian_matrix"
+            or isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING"]
+
+
+def test_scipy_is_imported_only_for_the_tests_oracle():
+    allowed, stray = 0, []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        if path == PACKAGE / "lindblad.py":
+            inside = {id(node) for scope in _oracle_scopes(tree)
+                      for node in ast.walk(scope)}
+        for node in ast.walk(tree):
+            if _imports_scipy(node):
+                if id(node) in inside:
+                    allowed += 1
+                else:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == [], f"scipy imported outside liouvillian_matrix: {stray}"
+    # the check sees the imports that it lets stand
+    assert allowed == 2
 
 
 # a finder ahead of every other that refuses scipy and its submodules, so

@@ -272,7 +272,8 @@ def test_sector_steady_state_matches_full_solve(kind, g, gamma, kappa,
     lfull = liouvillian_matrix(me).matrix
     inside = ~off_sector(me).reshape(-1, order="F")
     vec, outside = np.flatnonzero(inside), np.flatnonzero(~inside)
-    rows, cols, vals = lindblad._SectorCoordinates(me._labels()).entries(me)
+    terms = lindblad._SectorCoordinates(me._labels()).sandwiches(me)
+    rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
     sector = sp.csc_matrix((vals, (rows, cols)), shape=(vec.size, vec.size))
     diff = (sector - lfull[vec][:, vec]).toarray()
     assert np.max(np.abs(diff)) <= 1e-13 * abs(lfull).max()
@@ -649,7 +650,7 @@ def test_detuning_joins_the_blocks(monkeypatch, kind, unknowns):
     assert trace_distance(rho, complex_full_steady(me)) <= 1e-12
 
 
-def scipy_block_solve(matrix, rhs, points):
+def scipy_block_solve(matrix, rhs, plan):
     """lindblad.splu's stand-in: scipy's SuperLU, with its default
     COLAMD order and threshold pivoting over the whole block."""
     block = sp.csc_matrix((matrix.data, (matrix.rows, matrix.cols)),
@@ -699,16 +700,16 @@ def plan_memo():
 
 
 def record_analyses(monkeypatch) -> list:
-    """Patch lindblad._analyse to record the order of each bordered
-    matrix whose pattern it analyses."""
+    """Patch lindblad._Plan to record the order of each bordered matrix
+    whose pattern it analyses."""
     analysed = []
-    real = lindblad._analyse
+    real = lindblad._Plan
 
     def recording(bordered, *args):
         analysed.append(bordered.n)
         return real(bordered, *args)
 
-    monkeypatch.setattr(lindblad, "_analyse", recording)
+    monkeypatch.setattr(lindblad, "_Plan", recording)
     return analysed
 
 
@@ -808,27 +809,47 @@ def test_a_sweep_analyses_each_pattern_once(monkeypatch, scenario, settings,
     assert (len(factored), len(analysed)) == (solves, patterns)
 
 
-def test_splu_finds_or_makes_the_analysis_of_any_matrix(monkeypatch):
-    # the bordered solve's block, solved again from copies of its arrays:
-    # found in the memo by content, and analysed afresh outside it
-    factored = []
-    real = lindblad.splu
+def test_a_plan_from_copied_arrays_solves_as_the_memos_did(monkeypatch):
+    # the bordered solve's pattern, analysed again from copies of its
+    # arrays: the new plan's numeric pass repeats the memo plan's bits
+    made, factored = [], []
+    real_plan, real_splu = lindblad._Plan, lindblad.splu
+
+    def planning(*args):
+        made.append(args)
+        return real_plan(*args)
 
     def recording(*args):
         factored.append(args)
-        return real(*args)
+        return real_splu(*args)
 
+    monkeypatch.setattr(lindblad, "_Plan", planning)
     monkeypatch.setattr(lindblad, "splu", recording)
     me = build_model("two_qubit_full", 0.7, 1.0, 0.3, 2.0, 0.5, 10)
-    lindblad._bordered_solve(me, None)
-    [(block, b, points)] = factored
-    planned = real(block, b, points).solution.tobytes()
-    copy = lindblad.SparseMatrix(block.rows.copy(), block.cols.copy(),
-                                 block.data.copy(), block.n)
-    assert real(copy, b, points.copy()).solution.tobytes() == planned
-    with plan_memo() as plans:
-        assert real(copy, b, points.copy()).solution.tobytes() == planned
-        assert plans == []
+    with plan_memo():
+        lindblad._bordered_solve(me, None)
+    [(bordered, points, root)] = made
+    [(block, b, plan)] = factored
+    copy = real_plan(lindblad.SparseMatrix(
+        bordered.rows.copy(), bordered.cols.copy(), bordered.data.copy(),
+        bordered.n), points.copy(), root)
+    assert copy is not plan and copy.fits(bordered, points, root)
+    again = lindblad.SparseMatrix(copy.block_rows, copy.block_cols,
+                                  bordered.data[copy.take], copy.live.size)
+    assert (real_splu(again, b, copy).solution.tobytes()
+            == real_splu(block, b, plan).solution.tobytes())
+    # nbytes counts every array that the plan keeps, in lists or not
+    kept = []
+    for value in vars(copy).values():
+        stack = [value]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, np.ndarray):
+                kept.append(item)
+            elif isinstance(item, list):
+                stack += item
+    assert len(kept) > 10
+    assert copy.nbytes() == sum(a.nbytes for a in kept)
 
 
 def test_the_plan_memo_keeps_at_most_its_bytes(monkeypatch):
@@ -1012,6 +1033,44 @@ def test_steady_state_degeneracy_detected():
     nothing = MasterEquation(hamiltonian=0.0 * sigma_z, terms=())
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(nothing)
+
+
+def degenerate_models() -> list:
+    """The two models of test_steady_state_degeneracy_detected: a free
+    qubit and nothing at all."""
+    space = HilbertSpace(n_qubits=1, field_dim=1)
+    _, sigma_z, _ = qubit_ops(space, 0)
+    return [MasterEquation(hamiltonian=h * sigma_z, terms=())
+            for h in (1.0, 0.0)]
+
+
+@pytest.mark.parametrize("me", [
+    *(build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, fd)
+      for kind, fd in zip(MODELS, (10, 10, 5))),
+    # rates spread over cosh^2 r ~ 1e8: sigma_2 is 1e-10 of sigma_1
+    build_model("squeezed_laser_effective", 1.0, 1.0, 0.002, 1.0, 10.0, 8),
+    *degenerate_models(),
+], ids=[*MODELS, "r10", "free_qubit", "nothing"])
+def test_real_generator_screen_decides_as_the_complex_svd(me):
+    d = me.space.dim
+    svals = np.linalg.svd(liouvillian_matrix(me).matrix.toarray(),
+                          compute_uv=False)
+    degenerate = svals[-2] <= d * d * np.finfo(float).eps * svals[0]
+    try:
+        lindblad._screen_uniqueness(me)
+    except DegenerateSteadyStateError:
+        assert degenerate
+    else:
+        assert not degenerate
+        # the real Hermitian coordinates scale each entry of rho by 1 or
+        # sqrt(2), so the two SVDs' sigma_2 / sigma_1 agree within 4x
+        lmat = lindblad._SectorCoordinates(
+            np.zeros(d, dtype=int)).generator(me)
+        real = np.linalg.svd(sp.csc_matrix(
+            (lmat.data, (lmat.rows, lmat.cols)), shape=(d * d,) * 2
+        ).toarray(), compute_uv=False)
+        ratio = (real[-2] / real[0]) / (svals[-2] / svals[0])
+        assert 0.25 <= ratio <= 4.0
 
 
 def test_laser_cooperativity_scaling():

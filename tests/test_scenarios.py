@@ -906,13 +906,11 @@ class TestOneBlasThread:
     thread counts back however the scenario ends."""
 
     @pytest.fixture()
-    def controls(self):
-        # scipy's OpenBLAS loads with scipy.linalg, whichever test ran first
-        import scipy.linalg  # noqa: F401
-
-        # the caller runs two threads on each library during the test
-        controls = scenarios._blas_thread_controls()
-        if not controls:
+    def controls(self, scipy_blas_controls):
+        # numpy's library, then scipy's, which only the tests load; the
+        # caller runs two threads on each during the test
+        controls = scenarios._blas_thread_controls() + scipy_blas_controls
+        if len(controls) < 2:
             pytest.skip("this BLAS exports no OpenBLAS thread controls")
         saved = [get() for get, _ in controls]
         for _, set_ in controls:
@@ -945,16 +943,20 @@ class TestOneBlasThread:
                        "numerics": {"field_dim": 16}})
 
     def test_numpy_and_scipy_each_have_their_controls(self, controls):
-        # numpy's and scipy's wheels each bundle their own OpenBLAS
-        assert len(controls) == 2
+        # numpy's and scipy's wheels each bundle their own OpenBLAS, and
+        # the package probes numpy's alone, scipy loaded or not
+        assert len(scenarios._blas_thread_controls()) == 1
         assert self._counts(controls) == [2, 2]
+        controls[0][1](3)
+        assert self._counts(controls) == [3, 2]
 
     def test_one_thread_inside_and_the_callers_count_after(
             self, controls, monkeypatch):
         seen = self._recording_solve(controls, monkeypatch)
         out = run_scenario(self._small_sweep())
         assert len(out.tables["single_laser"].rows) == 2
-        assert seen == [[1, 1], [1, 1]]
+        # numpy's library on one thread, scipy's left as the caller set it
+        assert seen == [[1, 2], [1, 2]]
         assert self._counts(controls) == [2, 2]
 
     def test_numerical_failure_restores_the_callers_count(
@@ -971,7 +973,7 @@ class TestOneBlasThread:
                                       "numerics": {"field_dim": 6}})
         with pytest.raises(np.linalg.LinAlgError):
             run_scenario(cfg)
-        assert seen == [[1, 1]]
+        assert seen == [[1, 2]]
         assert self._counts(controls) == [2, 2]
 
     def test_a_fresh_run_pins_numpys_library_in_its_first_solve(self):
