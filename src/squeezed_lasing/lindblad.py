@@ -32,15 +32,16 @@ parity of the squeezed models and exactly for the U(1) charge of the
 plain laser.  The generator then maps the pairs (i, j) with equal charge
 onto themselves, and the direct steady-state solve runs on that sector
 alone, or on a band of it: the pairs whose photon numbers differ by at
-most K.  Its pairs are numbered column by column, and the number of pair
-(i, j) is start[j] + rank[i]: where column j's pairs begin, plus how many
-states of i's label come before i, shifted on a band by where column j's
-window begins in i's qubit configuration.  Each generator term A rho
-B^dag pairs the nonzeros of A and B on equal charge, inside the band, by
-a join over B's rows sorted once by label (a stable argsort, then
-searchsorted and repeat), and numbers the joined pairs from length-d
-arrays, so assembly takes memory in proportion to the generator's
-nonzeros on the band.
+most K, which the solve sizes itself (``steady_state``).  Its pairs are
+numbered column by column, and the number of pair (i, j) is start[j] +
+rank[i]: where column j's pairs begin, plus how many states of i's label
+come before i, shifted on a band by where column j's window begins in
+i's qubit configuration.  Each generator term A rho B^dag pairs the
+nonzeros of A and B, found once per master equation, on equal charge,
+inside the band, by a join over B's rows sorted once by label (a stable
+argsort, then searchsorted and repeat), and numbers the joined pairs
+from length-d arrays, so assembly takes memory in proportion to the
+generator's nonzeros on the band.
 
 The generator also maps Hermitian matrices to Hermitian matrices, so on
 the sector it is a real linear map.  The direct solve factors it in real
@@ -111,6 +112,7 @@ from .fock import (
     InvalidStateError,
     Operator,
     annihilation,
+    coherence_profile,
     qubit_ops,
 )
 
@@ -164,6 +166,8 @@ class MasterEquation:
     space: HilbertSpace = field(init=False)
     charge: np.ndarray | None = None
     modulus: int = 0
+    # the nonzeros of H, then of each jump operator (``_coo``), found once
+    nonzeros: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.hamiltonian, Operator):
@@ -177,6 +181,9 @@ class MasterEquation:
         scale = max(1.0, float(np.max(np.abs(self.hamiltonian.matrix))))
         if not self.hamiltonian.is_hermitian(tol=1e-10 * scale):
             raise ValueError("Hamiltonian is not Hermitian")
+        object.__setattr__(self, "nonzeros", tuple(
+            _coo(op.matrix)
+            for op in (self.hamiltonian, *(t.jump for t in self.terms))))
         if self.charge is not None:
             self._check_charge()
 
@@ -190,14 +197,11 @@ class MasterEquation:
         charge.setflags(write=False)
         object.__setattr__(self, "charge", charge)
 
-        def shifts(op: Operator) -> np.ndarray:
-            rows, cols = np.nonzero(op.matrix)
-            return self._reduce(charge[rows] - charge[cols])
-
-        if np.any(shifts(self.hamiltonian) != 0):
+        h, *jumps = (self._reduce(charge[rows] - charge[cols])
+                     for rows, cols, _ in self.nonzeros)
+        if np.any(h != 0):
             raise ValueError("Hamiltonian does not conserve the charge")
-        for k, term in enumerate(self.terms):
-            shift = shifts(term.jump)
+        for k, shift in enumerate(jumps):
             if np.any(shift != shift[:1]):
                 raise ValueError(f"jump operator {k} does not shift the "
                                  "charge by one fixed amount")
@@ -530,11 +534,10 @@ class _SectorCoordinates:
         """
         d = self.labels.size
         eye = (np.arange(d), np.arange(d), np.ones(d, dtype=complex))
-        rows, cols, vals = _coo(me.hamiltonian.matrix)
+        (rows, cols, vals), *jumps = me.nonzeros
         g = [(rows, cols, -1j * vals)]
         sandwiches = []
-        for term in me.terms:
-            o = _coo(term.jump.matrix)
+        for term, o in zip(me.terms, jumps):
             rows, cols, vals = _product((o[1], o[0], o[2].conj()), o)
             g.append((rows, cols, -term.rate * vals))
             sandwiches.append(((o[0], o[1], (2.0 * term.rate) * o[2]), o))
@@ -602,6 +605,14 @@ class _SectorCoordinates:
         m = np.zeros((self.labels.size,) * 2, dtype=complex)
         m[self.rows, self.cols] = re + 1j * im
         return m
+
+    def profile(self, x: np.ndarray) -> np.ndarray:
+        """``fock.coherence_profile`` of the matrix with real coordinates
+        x, each |rho_ij| read from the pair's two (or one, on the diagonal)."""
+        magnitude = np.hypot(x, x[self.mirror])
+        magnitude[self.diagonal] = np.abs(x[self.diagonal])
+        delta = np.abs(self.photons[self.rows] - self.photons[self.cols])
+        return np.bincount(delta, weights=magnitude, minlength=self.field_dim)
 
 
 def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
@@ -1041,9 +1052,10 @@ class _Plan:
 
 
 # A bordered solve whose root holds less than this fraction of the largest
-# population is solved again, rooted at that one.  Desk runs and perfbench
-# roots hold at least 0.12 of it, paper-2013 golden runs 4.8e-7; the singular
-# fronts met so far had roots that held roundoff alone.
+# population is solved again, rooted at that one, and the solution with the
+# smaller residual is kept.  Desk runs and perfbench roots hold at least
+# 0.12 of it, paper-2013 golden runs 4.8e-7; the singular fronts met so far
+# had roots that held roundoff alone.
 _ROOT_FLOOR = 1e-10
 
 # The plans kept for reuse, least recently used first, and the bytes they
@@ -1130,9 +1142,10 @@ def splu(matrix: SparseMatrix, rhs: np.ndarray,
 
 def _bordered_solve(me: MasterEquation, band: int | None):
     """The band's coordinates (``_SectorCoordinates``), its sector
-    generator, the generator's scale (its largest entry, at least 1) and
-    the solution of its bordered system with the trace pinned to 1, in
-    those coordinates, unchecked (``steady_state`` checks it).
+    generator, the generator's scale (its largest entry, at least 1), the
+    solution of its bordered system with the trace pinned to 1, in those
+    coordinates, unchecked (``steady_state`` checks it), and the
+    solution's coherence profile.
 
     The generator is assembled anew, because its pattern depends on its
     values (exact zeros are dropped).  Everything that depends on the
@@ -1162,8 +1175,9 @@ def _bordered_solve(me: MasterEquation, band: int | None):
     # the state does not hold, such as |g,0> of a laser pumped up to the
     # truncation.  So where a front turns out singular, the solve is
     # rooted at the population that leaves fastest instead, and where the
-    # root holds less than _ROOT_FLOOR of the largest population, at that
-    # largest one; a zero column keeps its own row.
+    # root holds less than _ROOT_FLOOR of the largest population, solved
+    # again at that largest one, keeping whichever solution leaves the
+    # smaller residual, the first on a tie; a zero column keeps its own row.
     outflow = np.zeros(coords.n)
     on_diagonal = lmat.rows == lmat.cols
     outflow[lmat.rows[on_diagonal]] = np.abs(lmat.data[on_diagonal])
@@ -1181,9 +1195,11 @@ def _bordered_solve(me: MasterEquation, band: int | None):
     populations = y[coords.diagonal]
     if (y[root] < _ROOT_FLOOR * populations.max()
             and np.any(lmat.cols == root)):
-        root = int(coords.diagonal[np.argmax(populations)])
-        y = _rooted_solve(coords, lmat, root)
-    return coords, lmat, scale, y
+        again = _rooted_solve(coords, lmat,
+                              int(coords.diagonal[np.argmax(populations)]))
+        if np.max(np.abs(lmat @ again)) < np.max(np.abs(lmat @ y)):
+            y = again
+    return coords, lmat, scale, y, coords.profile(y)
 
 
 def _rooted_solve(coords: _SectorCoordinates, lmat: SparseMatrix,
@@ -1214,6 +1230,70 @@ def _rooted_solve(coords: _SectorCoordinates, lmat: SparseMatrix,
     return y
 
 
+# The band rule.  A steady state solved on a band of K is kept once its
+# band edge, the sum of |rho_ij| at photon distance K - 1 and K, is below
+# _BAND_TOL; else its band grows _BAND_GROWTH times.  A predicted start is
+# never narrower than _MIN_BAND, so every field_dim up to _MIN_BAND + 1
+# solves its whole sector.  A start whose solve would cost _PROBE_RATIO
+# times one on _MIN_BAND or more is first probed on _MIN_BAND.
+_BAND_TOL = 1e-12
+_MIN_BAND = 16
+_PROBE_RATIO = 4
+_BAND_GROWTH = 1.5
+
+
+def predicted_band(field_dim: int, predict: Callable[[], Operator]) -> int:
+    """The narrowest band K >= _MIN_BAND at which ``predict()``, a state
+    whose coherences fall off as the stationary one's, has its band edge
+    below _BAND_TOL, else field_dim - 1; ``predict`` is called only when
+    _MIN_BAND < field_dim - 1."""
+    if field_dim - 1 <= _MIN_BAND:
+        return field_dim - 1
+    profile = coherence_profile(predict())
+    # the edge of each band K from _MIN_BAND to field_dim - 1
+    edges = profile[_MIN_BAND - 1:-1] + profile[_MIN_BAND:]
+    passing = np.flatnonzero(edges < _BAND_TOL)
+    return _MIN_BAND + int(passing[0]) if passing.size else field_dim - 1
+
+
+def _probed_width(profile: np.ndarray, whole: int) -> int:
+    """The band at which the profile of the probe, the bordered solve on
+    _MIN_BAND, extrapolated geometrically from its band edges at
+    _MIN_BAND / 2 and _MIN_BAND - 2, falls two decades below _BAND_TOL,
+    else the whole sector.  The far coherences can fall slower (desk
+    C' = 0.01: 0.54 per photon at distance 8-14, 0.64 at 60-70)."""
+    lo, hi = _MIN_BAND // 2, _MIN_BAND - 2
+    edge_lo, edge_hi = (profile[k - 1] + profile[k] for k in (lo, hi))
+    target = 1e-2 * _BAND_TOL
+    if edge_hi <= target:
+        return _MIN_BAND
+    if not edge_hi < edge_lo:
+        return whole
+    steps = (hi - lo) * math.log(target / edge_hi) / math.log(edge_hi
+                                                              / edge_lo)
+    return max(_MIN_BAND, hi + math.ceil(steps))
+
+
+def _checked_state(space: HilbertSpace, coords: _SectorCoordinates,
+                   lmat: SparseMatrix, scale: float,
+                   y: np.ndarray) -> DensityMatrix:
+    """The normalised state of a bordered solution y, its generator
+    residual and positivity checked; else DegenerateSteadyStateError."""
+    residual = np.max(np.abs(lmat @ y))
+    if residual > 1e-8 * scale:
+        raise DegenerateSteadyStateError(
+            f"bordered solve left a generator residual of {residual:.2e}; "
+            "the stationary state is not unique or the solve is "
+            "ill-conditioned")
+    m = coords.hermitian(y)
+    try:
+        return DensityMatrix(space, m / np.trace(m).real,
+                             blocks=coords.labels)
+    except InvalidStateError as exc:
+        raise DegenerateSteadyStateError(
+            f"bordered solve returned an invalid state: {exc}") from exc
+
+
 def steady_state(me: MasterEquation,
                  band: int | None = None) -> DensityMatrix:
     """Stationary state of a time-independent master equation.
@@ -1225,54 +1305,58 @@ def steady_state(me: MasterEquation,
     connected block of the bordered matrix that holds the trace row,
     about half the sector at resonance by the i^n gauge symmetry (module
     docstring), and all of it once a detuning couples the blocks; the
-    other coordinates are 0.  Each solve logs, at INFO, the field_dim,
-    the band and the number of unknowns factored.
+    other coordinates are 0.
 
-    ``band`` = K keeps only the pairs whose photon numbers differ by at
-    most K (``_SectorCoordinates``): the generator is assembled on them
-    alone, coherences further apart are taken as 0, and the LU costs
-    O(field_dim K) in time and memory.  None, or K >= field_dim - 1, is
-    the whole sector.  Whether K is wide enough is the caller's to check,
-    on the state's coherences at photon distance K - 1 and K
-    (``fock.coherence_profile``).  The ||L rho|| residual check applies
-    to the band's generator.
+    ``band`` = K is the first band tried, sized by the band rule above.
+    A band of K keeps only the pairs whose photon numbers differ by at
+    most K (``_SectorCoordinates``): coherences further apart are taken
+    as 0, and the LU costs O(field_dim K).  A start that holds
+    _PROBE_RATIO times the pairs of _MIN_BAND or more is narrowed to the
+    probe's band (``_probed_width``) where that is narrower, and a probe
+    that picks _MIN_BAND is kept as that band's pass.  Each pass reads
+    its band edge once, from its coordinates, and the band grows while
+    the edge is _BAND_TOL or more or the pass fails its checks.  The
+    whole sector, K >= field_dim - 1, is kept whatever its edge; None
+    solves it with no probe.  Each LU logs, at INFO, its field_dim, band
+    and unknowns, and each call the band kept, its edge and its growths.
 
-    The state's positivity is checked block by block over the sector.
-    On systems small enough for a dense SVD the full generator is also
+    Only the kept pass is checked: its ||L rho|| residual on the band's
+    generator, then its positivity block by block over the sector.  On
+    systems small enough for a dense SVD the full generator is also
     screened for a degenerate stationary subspace.
     """
     if me.space.dim <= UNIQUENESS_SCREEN_MAX_DIM:
         _screen_uniqueness(me)
-    coords, lmat, scale, y = _bordered_solve(me, band)
-    residual = np.max(np.abs(lmat @ y))
-    if residual > 1e-8 * scale:
-        raise DegenerateSteadyStateError(
-            f"bordered solve left a generator residual of {residual:.2e}; "
-            "the stationary state is not unique or the solve is "
-            "ill-conditioned")
-    m = coords.hermitian(y)
-    try:
-        return DensityMatrix(me.space, m / np.trace(m).real,
-                             blocks=coords.labels)
-    except InvalidStateError as exc:
-        raise DegenerateSteadyStateError(
-            f"bordered solve returned an invalid state: {exc}") from exc
+    fd = me.space.field_dim
+    whole = fd - 1
 
+    def pairs(k: int) -> int:
+        # the pairs of photon numbers below fd at most k apart
+        return fd * (2 * k + 1) - k * (k + 1)
 
-def band_profile(me: MasterEquation, band: int) -> np.ndarray:
-    """The coherence profile (``fock.coherence_profile``) of the solution
-    of the bordered system on ``band``, taken as it comes: not checked
-    for its residual or as a state.  A narrow band's solution is no
-    state, but its coherences fall off with the photon distance as the
-    stationary state's do; this reads that fall-off at the cost of the
-    narrow band's solve."""
-    coords, _, _, y = _bordered_solve(me, band)
-    # |rho_ij| from the pair's two coordinates; a population is its own
-    # mirror
-    magnitude = np.hypot(y, y[coords.mirror])
-    magnitude[coords.diagonal] = np.abs(y[coords.diagonal])
-    delta = np.abs(coords.photons[coords.rows] - coords.photons[coords.cols])
-    return np.bincount(delta, weights=magnitude, minlength=coords.field_dim)
+    solved, grown, probe = None, 0, band is not None
+    band = whole if band is None else min(band, whole)
+    if (probe and band > _MIN_BAND
+            and pairs(band) >= _PROBE_RATIO * pairs(_MIN_BAND)):
+        solved = _bordered_solve(me, _MIN_BAND)
+        band = min(band, _probed_width(solved[-1], whole))
+        if band != _MIN_BAND:
+            solved = None
+    while True:
+        try:
+            coords, lmat, scale, y, profile = solved or _bordered_solve(
+                me, None if band == whole else band)
+            edge = float(profile[band - 1:band + 1].sum())
+            if edge < _BAND_TOL or band == whole:
+                rho = _checked_state(me.space, coords, lmat, scale, y)
+                log.info("steady state at field_dim %d: band %d, band edge "
+                         "%.2e, band grown %d times", fd, band, edge, grown)
+                return rho
+        except DegenerateSteadyStateError:
+            if band == whole:
+                raise
+        solved = None
+        band, grown = min(math.ceil(_BAND_GROWTH * band), whole), grown + 1
 
 
 def _excitations(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,9 @@ hash embedded in every file.
 
 Every sweep point, and every Wigner panel, runs one pipeline: a
 ``_Point`` solves the steady state of its resolved working point,
-growing the field dimension while the top Fock levels hold weight, on a
-band of coherences sized from the point's mean-field ansatz, or from a
-narrow probe solve where the ansatz asks for a wide band, and grown
-while its edge holds weight (``_steady_on_band``).
+growing the field dimension while the top Fock levels hold weight; each
+solve starts from the band of coherences that the point's mean-field
+ansatz predicts, and ``steady_state`` sizes the band from there.
 Each column of a scenario's spec then names a quantity of the point
 (reduced-field observables, mean field, ansatz fidelity, effective vs
 full model), computed once, on first use.  Sweep points run serially,
@@ -66,20 +65,18 @@ from .dressing import (
 from .fock import (
     HilbertSpace,
     annihilation,
-    coherence_profile,
     expectation,
     qubit_ops,
     truncation_edge,
 )
 from .lindblad import (
-    DegenerateSteadyStateError,
     adiabatic_elimination_ok,
-    band_profile,
     fidelity,
     model_single_qubit_laser,
     model_squeezed_laser_effective,
     model_two_qubit_full,
     partial_trace,
+    predicted_band,
     schrodinger_evolve,
     steady_state,
 )
@@ -622,89 +619,15 @@ class ScenarioOutput:
 # A state whose truncation edge (``fock.truncation_edge``) reaches this
 # population is truncation-limited.
 _TRUNCATION_TOL = 1e-6
-# A steady state solved on a band of coherences K wide (``steady_state``'s
-# ``band``) is kept once its band edge, the sum of |rho_ij| at photon
-# distance K - 1 and K, is below this.  The first band tried is never
-# narrower than _MIN_BAND, so every field_dim up to _MIN_BAND + 1 solves
-# its whole sector.
-_BAND_TOL = 1e-12
-_MIN_BAND = 16
-# A first band whose solve would cost this many times a solve on
-# _MIN_BAND or more is checked first against a probe on _MIN_BAND
-# (``_probed_band``), which then costs a quarter of it at most.
-_PROBE_RATIO = 4
-
-
-def _band_pairs(field_dim: int, band: int) -> int:
-    """The pairs of photon numbers below ``field_dim`` at most ``band``
-    apart, in order; a band's unknowns and its LU's cost go with them."""
-    return field_dim * (2 * band + 1) - band * (band + 1)
-
-
-def _probed_band(me) -> int:
-    """The band at which the coherences of ``me``'s bordered solve on
-    _MIN_BAND, extrapolated geometrically, fall two decades below
-    _BAND_TOL.
-
-    The probe's solve is read as it comes (``band_profile``): it is no
-    state, but inside its band its coherences fall off as the stationary
-    state's do, save the last few diagonals, so the fall-off is read on
-    the band edges at _MIN_BAND / 2 and _MIN_BAND - 2.  The far
-    coherences can fall slower than these (desk C' = 0.01: 0.54 per
-    photon at distance 8-14, 0.64 at 60-70), hence the two decades.  A
-    probe that shows no fall-off gives the whole sector."""
-    profile = band_profile(me, _MIN_BAND)
-    lo, hi = _MIN_BAND // 2, _MIN_BAND - 2
-    edge_lo, edge_hi = (profile[k - 1] + profile[k] for k in (lo, hi))
-    target = 1e-2 * _BAND_TOL
-    if edge_hi <= target:
-        return _MIN_BAND
-    if not edge_hi < edge_lo:
-        return me.space.field_dim - 1
-    steps = (hi - lo) * math.log(target / edge_hi) / math.log(edge_hi
-                                                              / edge_lo)
-    return max(_MIN_BAND, hi + math.ceil(steps))
-
-
-def _steady_on_band(me, band: int) -> tuple:
-    """The steady state of ``me`` on the first band, from ``band`` up by
-    1.5x, whose band edge (the sum of |rho_ij| at photon distance
-    band - 1 and band) is below _BAND_TOL.  A start that holds at least
-    _PROBE_RATIO times the pairs of _MIN_BAND is first narrowed to
-    ``_probed_band`` when that is narrower.  A band whose solve fails
-    fails the test too.  The whole sector (band field_dim - 1) leaves
-    nothing out, so it is kept whatever its edge.  Returns (state, band,
-    band edge, times the band grew)."""
-    fd = me.space.field_dim
-    whole = fd - 1
-    band, grown = min(band, whole), 0
-    if band > _MIN_BAND and (_band_pairs(fd, band)
-                             >= _PROBE_RATIO * _band_pairs(fd, _MIN_BAND)):
-        band = min(band, _probed_band(me))
-    while True:
-        try:
-            rho = steady_state(me, band=band)
-        except DegenerateSteadyStateError:
-            if band == whole:
-                raise
-            edge = math.inf
-        else:
-            edge = float(coherence_profile(rho)[band - 1:band + 1].sum())
-            if edge < _BAND_TOL or band == whole:
-                return rho, band, edge, grown
-        band, grown = min(math.ceil(1.5 * band), whole), grown + 1
 
 
 def _solved(build, fd: int, solved: dict, band_start) -> tuple:
     """The steady state of ``build(fd)`` and its reduced field (the last
     factor), from ``solved`` (field_dim -> that pair) when it holds them,
-    else solved from the band ``band_start(fd)`` up (``_steady_on_band``)
-    and added to it.  Each solve logs the band it kept."""
+    else solved from the band ``band_start(fd)`` up and added to it."""
     if fd not in solved:
         me = build(fd)
-        rho, band, edge, grown = _steady_on_band(me, band_start(fd))
-        log.info("steady state at field_dim %d: band %d, band edge %.2e, "
-                 "band grown %d times", fd, band, edge, grown)
+        rho = steady_state(me, band=band_start(fd))
         solved[fd] = rho, partial_trace(rho, keep=[me.space.n_qubits])
     return solved[fd]
 
@@ -770,19 +693,11 @@ class _Point:
         self.truncation_flag = int(flagged)
 
     def _band_start(self, fd: int) -> int:
-        """The band of coherences that ``_steady_on_band`` starts from at
-        ``fd``: the narrowest K >= _MIN_BAND at which the point's ansatz
-        puts its band edge below _BAND_TOL, else fd - 1, the whole
-        sector.  The ansatz is formed only when _MIN_BAND < fd - 1, and
-        the single laser, whose sector holds no pair more than one
-        photon apart, has none."""
-        if self.dressed is None or fd - 1 <= _MIN_BAND:
+        """The first band at ``fd``: the ansatz's prediction, or the whole
+        sector for the single laser, which has no pair two photons apart."""
+        if self.dressed is None:
             return fd - 1
-        profile = coherence_profile(self._ansatz(fd))
-        # the edge of each band K from _MIN_BAND to fd - 1
-        edges = profile[_MIN_BAND - 1:-1] + profile[_MIN_BAND:]
-        passing = np.flatnonzero(edges < _BAND_TOL)
-        return _MIN_BAND + int(passing[0]) if passing.size else fd - 1
+        return predicted_band(fd, partial(self._ansatz, fd))
 
     def _build(self, fd: int, model: str | None = None):
         r = self.resolved

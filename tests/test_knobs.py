@@ -63,6 +63,34 @@ def test_one_precedence_rule():
     assert uses == 1
 
 
+def _bound_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(the names assigned, the names imported) anywhere in the tree."""
+    assigned, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target",
+                                                        None)])
+            assigned |= {n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.asname or a.name for a in node.names}
+    return assigned, imported
+
+
+def test_one_band_rule():
+    # the band tolerance, the narrowest band, the probe ratio and the
+    # growth factor are the steady-state solve's own: each is bound in one
+    # module, and the harness that calls the solve binds none of them
+    names = {"_BAND_TOL", "_MIN_BAND", "_PROBE_RATIO", "_BAND_GROWTH"}
+    bound = {path.stem: _bound_names(ast.parse(path.read_text()))
+             for path in PACKAGE.glob("*.py")}
+    for name in sorted(names):
+        assert [m for m, (assigned, _) in sorted(bound.items())
+                if name in assigned] == ["lindblad"], name
+    assigned, imported = bound["scenarios"]
+    assert not names & (assigned | imported)
+
+
 def _defaulted_parameters(tree: ast.Module):
     """(function name, parameter, position or None) of each defaulted
     parameter of each function in the tree.  A method's position skips

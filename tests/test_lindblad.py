@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,7 +38,6 @@ from squeezed_lasing.lindblad import (
     Liouvillian,
     MasterEquation,
     adiabatic_elimination_ok,
-    band_profile,
     dissipator,
     fidelity,
     liouvillian_matrix,
@@ -465,23 +466,53 @@ def test_band_solve_is_within_its_edge_of_the_whole_sector(
         kind, g, gamma, kappa, c_prime, r, field_dim, band):
     me = build_model(kind, g, gamma, kappa, c_prime, r, field_dim)
     whole = steady_state(me)
-    rho, kept, edge, grown = scenarios._steady_on_band(
-        me, min(band, field_dim - 2))
+    with band_log() as kept:
+        rho = steady_state(me, band=min(band, field_dim - 2))
+    [(_, band, _)] = kept
+    edge = coherence_profile(rho)[band - 1:band + 1].sum()
     # the band grew until its edge passed, or to the whole sector
-    assert edge < scenarios._BAND_TOL or kept == field_dim - 1
+    assert edge < lindblad._BAND_TOL or band == field_dim - 1
     assert trace_distance(rho, whole) <= edge + 1e-13
 
 
+@contextlib.contextmanager
+def band_log():
+    """Yields a list that fills, inside the block, with the (field_dim,
+    band kept, times the band grew) of each steady state solved, read
+    from lindblad's INFO summary lines."""
+    found = []
+
+    class Summaries(logging.Handler):
+        def emit(self, record):
+            m = re.fullmatch(r"steady state at field_dim (\d+): band (\d+), "
+                             r"band edge \S+, band grown (\d+) times",
+                             record.getMessage())
+            if m:
+                found.append(tuple(map(int, m.groups())))
+
+    logger = logging.getLogger("squeezed_lasing.lindblad")
+    level = logger.level
+    handler = Summaries(logging.INFO)
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield found
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 @pytest.mark.parametrize("kind", MODELS)
-def test_band_profile_reads_the_bordered_solve_as_it_comes(kind):
+def test_a_band_pass_reads_the_profile_of_its_state(kind):
     me = build_model(kind, 1.0, 0.5, 0.3, 2.0, 0.3, 12)
     # on a band that passes, the profile of the state it returns
     for band in (11, 8):
-        rho = steady_state(me, band=band)
-        assert np.allclose(band_profile(me, band), coherence_profile(rho),
-                           rtol=1e-12, atol=1e-16)
+        *solved, profile = lindblad._bordered_solve(me, band)
+        rho = lindblad._checked_state(me.space, *solved)
+        assert np.allclose(profile, coherence_profile(rho), rtol=1e-12,
+                           atol=1e-16)
     # a band too narrow for a state still has a profile, 0 outside it
-    profile = band_profile(me, 1)
+    profile = lindblad._bordered_solve(me, 1)[-1]
     assert np.all(profile[:2] > 0) and np.all(profile[2:] == 0)
 
 
@@ -495,15 +526,30 @@ def test_wide_start_is_narrowed_by_a_probe(monkeypatch):
     me = model_squeezed_laser_effective(
         resolved.dressed, resolved.gamma, resolved.kappa, resolved.c_prime,
         HilbertSpace(n_qubits=1, field_dim=150))
-    assert scenarios._probed_band(me) == 54
     factored = record_splu(monkeypatch)
-    rho, band, edge, grown = scenarios._steady_on_band(me, 149)
-    assert (band, grown) == (54, 0) and edge < scenarios._BAND_TOL
+    with band_log() as kept:
+        rho = steady_state(me, band=149)
+    assert kept == [(150, 54, 0)]
+    edge = coherence_profile(rho)[53:55].sum()
+    assert edge < lindblad._BAND_TOL
     # the probe, then the band it picked, together less than the whole
-    probe, kept = (n for n, _ in factored)
+    probe, band = (n for n, _ in factored)
     whole = steady_state(me)
-    assert probe < kept and probe + kept < factored[-1][0]
+    assert probe < band and probe + band < factored[-1][0]
     assert trace_distance(rho, whole) <= edge + 1e-13
+
+
+def test_a_probe_that_picks_its_own_band_is_that_bands_solve(monkeypatch):
+    # the single laser's sector holds no pair more than one photon apart,
+    # so a probe on the narrowest band reads no fall-off to extrapolate,
+    # picks that band, and is kept as its solve
+    me = build_model("single_qubit_laser", 1.0, 1.0, 0.3, 1.0, 0.0, 130)
+    factored = record_splu(monkeypatch)
+    with band_log() as kept:
+        rho = steady_state(me, band=129)
+    assert kept == [(130, lindblad._MIN_BAND, 0)] and len(factored) == 1
+    assert np.array_equal(
+        steady_state(me, band=lindblad._MIN_BAND).matrix, rho.matrix)
 
 
 def record_splu(monkeypatch) -> list:
@@ -791,6 +837,11 @@ def test_a_new_pattern_gets_its_own_analysis(monkeypatch):
     assert analysed[0] == analysed[1] > analysed[3] > analysed[2]
 
 
+# the bands that each run factors, in order
+SWEEP_BANDS = {"squeezed_laser": [20, 30, 20, 20, 20],
+               "two_qubit_full": [20, 20], "wigner_panels": [20, 59]}
+
+
 @pytest.mark.parametrize("scenario, settings, solves, patterns", [
     # the perfbench squeezed_sweep: the C~ = 1.5 point grows its band once
     ("squeezed_laser", {"sweep": {"param": "c_tilde", "start": 1.5,
@@ -798,15 +849,50 @@ def test_a_new_pattern_gets_its_own_analysis(monkeypatch):
                         "numerics": {"field_dim": 60}}, 5, 2),
     # the two-qubit model and the effective one
     ("two_qubit_full", {"numerics": {"field_dim": 40}}, 2, 2),
+    # the desk panels: C' = 10 on the ansatz's band, C' = 0.01 whole
+    ("wigner_panels", {}, 2, 2),
 ])
-def test_a_sweep_analyses_each_pattern_once(monkeypatch, scenario, settings,
-                                            solves, patterns):
+def test_a_sweep_analyses_each_pattern_once(monkeypatch, caplog, scenario,
+                                            settings, solves, patterns):
     monkeypatch.setattr(lindblad, "_plans", [])
     analysed = record_analyses(monkeypatch)
     factored = record_splu(monkeypatch)
-    scenarios.run_scenario(build_config(scenario, preset="desk",
-                                        overrides=settings))
+    with caplog.at_level(logging.INFO, logger="squeezed_lasing.lindblad"):
+        scenarios.run_scenario(build_config(scenario, preset="desk",
+                                            overrides=settings))
     assert (len(factored), len(analysed)) == (solves, patterns)
+    # the bands factored, in order, from each LU's INFO line
+    solved = [int(m.group(1)) for m in map(
+        re.compile(r"field_dim \d+, band (\d+): \d+ unknowns factored").match,
+        caplog.messages) if m]
+    assert solved == SWEEP_BANDS[scenario]
+
+
+# two_qubit_full at g = 1, kappa = 1/64, C' = 1/8, r ~ 0: the first root
+# holds 4e-11 (gamma = 2, field_dim 12) or less of the largest population,
+# under _ROOT_FLOOR, and leaves a residual of 2e-17 of the scale; rooted
+# again at the largest population, the solve leaves 1e-8 or more, which
+# failed the residual or the positivity check when the second solution
+# was kept whatever it left
+@pytest.mark.parametrize("gamma, field_dim", [(2.0, 12), (3.0, 12),
+                                              (4.0, 11)])
+def test_a_floor_reroot_keeps_the_solution_with_the_smaller_residual(
+        monkeypatch, gamma, field_dim):
+    me = build_model("two_qubit_full", 1.0, gamma, 1 / 64, 1 / 8, 1.2e-38,
+                     field_dim)
+    residuals = []
+    real = lindblad._rooted_solve
+
+    def recording(coords, lmat, root):
+        y = real(coords, lmat, root)
+        residuals.append(np.max(np.abs(lmat @ y)))
+        return y
+
+    monkeypatch.setattr(lindblad, "_rooted_solve", recording)
+    rho = steady_state(me)
+    [first, again] = residuals
+    assert first < again
+    assert trace_distance(rho, full_sector_solve(me)[2]) <= 1e-12
 
 
 def test_a_plan_from_copied_arrays_solves_as_the_memos_did(monkeypatch):

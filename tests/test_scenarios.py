@@ -578,12 +578,9 @@ class TestSweeps:
         with caplog.at_level(logging.INFO, logger="squeezed_lasing"):
             out = run_scenario(cfg)
         assert out.tables["squeezed_laser"].rows[0][-4:-2] == (30, 0)
-        # the one factorisation, then the band the point kept
-        solves = [r.getMessage() for r in caplog.records
-                  if r.name == "squeezed_lasing.lindblad"]
-        [kept] = [r.getMessage() for r in caplog.records
-                  if r.getMessage().startswith("steady state at")]
-        [solve] = solves
+        # the one factorisation, then the band the solve kept
+        [solve, kept] = [r.getMessage() for r in caplog.records
+                         if r.name == "squeezed_lasing.lindblad"]
         band, unknowns = re.fullmatch(
             r"field_dim 30, band (\d+): (\d+) unknowns factored, "
             r"pattern analysed", solve).groups()
@@ -592,7 +589,7 @@ class TestSweeps:
             r"band grown (\d+) times", kept)
         assert found.group(1) == band
         # a band narrower than the 29 of the whole sector, which passed
-        assert int(band) < 29 and float(found.group(2)) < scenarios._BAND_TOL
+        assert int(band) < 29 and float(found.group(2)) < lindblad._BAND_TOL
         assert int(found.group(3)) == 0
         r = cfg.points[0]
         caplog.clear()
@@ -600,15 +597,16 @@ class TestSweeps:
             steady_state(model_squeezed_laser_effective(
                 r.dressed, r.gamma, r.kappa, r.c_prime,
                 HilbertSpace(n_qubits=1, field_dim=30)))
-        [whole] = caplog.messages
+        [whole, whole_kept] = caplog.messages
         assert whole.startswith("field_dim 30, band 29: ")
         assert whole.endswith(", pattern analysed")
+        assert whole_kept.startswith("steady state at field_dim 30: band 29,")
         assert 0 < int(unknowns) < int(whole.split()[4])
         # the same point again reuses its band's plan
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="squeezed_lasing.lindblad"):
             run_scenario(cfg)
-        assert caplog.messages == [solve.replace("analysed", "reused")]
+        assert caplog.messages == [solve.replace("analysed", "reused"), kept]
 
     def test_failed_point_is_isolated(self, monkeypatch):
         import squeezed_lasing.scenarios as scen
