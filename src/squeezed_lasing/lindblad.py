@@ -74,7 +74,8 @@ dense fronts pivot only inside themselves, so the order must leave no
 front whose unknowns the dynamics keeps to itself: that is why the
 separator of each split is taken on the high-photon side (``_dissect``),
 and why the row that the trace replaces is that of the population that
-leaves slowest.
+leaves slowest.  That pick is factored once; only a singular front
+roots it again, at the population that leaves fastest.
 
 The solve is split, as multifrontal solvers are (Duff & Reid, ACM TOMS
 9, 302 (1983)), into a symbolic plan and a numeric pass.  The plan
@@ -1051,13 +1052,6 @@ class _Plan:
                 and np.array_equal(points, self.points))
 
 
-# A bordered solve whose root holds less than this fraction of the largest
-# population is solved again, rooted at that one, and the solution with the
-# smaller residual is kept.  Desk runs and perfbench roots hold at least
-# 0.12 of it, paper-2013 golden runs 4.8e-7; the singular fronts met so far
-# had roots that held roundoff alone.
-_ROOT_FLOOR = 1e-10
-
 # The plans kept for reuse, least recently used first, and the bytes they
 # may hold together.  A sweep's points at one field_dim and band share a
 # pattern: desk squeezed_sweep solves 2 patterns 5 times, paper-2013
@@ -1156,7 +1150,8 @@ def _bordered_solve(me: MasterEquation, band: int | None):
     out, and looked up by that exact pattern, points and root, compared
     in full.  So a sweep analyses each field_dim and band once, and each
     later solve on it runs the numeric pass (``splu``) alone, bit for bit
-    as a fresh analysis would.
+    as a fresh analysis would.  A call factors once, and a second time
+    only after a singular front.
     """
     # the stationary state lies in the equal-charge sector, which the
     # generator maps onto itself, and is Hermitian
@@ -1173,32 +1168,22 @@ def _bordered_solve(me: MasterEquation, band: int | None):
     # state leaves not at all: its column is zero, so only the trace row
     # can pivot on it.  A population that leaves slowly may still be one
     # the state does not hold, such as |g,0> of a laser pumped up to the
-    # truncation.  So where a front turns out singular, the solve is
-    # rooted at the population that leaves fastest instead, and where the
-    # root holds less than _ROOT_FLOOR of the largest population, solved
-    # again at that largest one, keeping whichever solution leaves the
-    # smaller residual, the first on a tie; a zero column keeps its own row.
+    # truncation.  Where a front then turns out singular, the solve is
+    # rooted once more, at the population that leaves fastest; a zero
+    # column keeps its own row.  A root that the state barely holds but
+    # whose fronts are regular needs no second solve: the checks of the
+    # kept pass (``_checked_state``) judge its solution as any other.
     outflow = np.zeros(coords.n)
     on_diagonal = lmat.rows == lmat.cols
     outflow[lmat.rows[on_diagonal]] = np.abs(lmat.data[on_diagonal])
     order = coords.diagonal[np.argsort(outflow[coords.diagonal],
                                        kind="stable")]
-    root = int(order[0])
     try:
-        y = _rooted_solve(coords, lmat, root)
+        y = _rooted_solve(coords, lmat, int(order[0]))
     except DegenerateSteadyStateError:
-        if np.any(lmat.cols == root):
-            root = int(order[-1])
-            y = _rooted_solve(coords, lmat, root)
-        else:
+        if not np.any(lmat.cols == order[0]):
             raise
-    populations = y[coords.diagonal]
-    if (y[root] < _ROOT_FLOOR * populations.max()
-            and np.any(lmat.cols == root)):
-        again = _rooted_solve(coords, lmat,
-                              int(coords.diagonal[np.argmax(populations)]))
-        if np.max(np.abs(lmat @ again)) < np.max(np.abs(lmat @ y)):
-            y = again
+        y = _rooted_solve(coords, lmat, int(order[-1]))
     return coords, lmat, scale, y, coords.profile(y)
 
 

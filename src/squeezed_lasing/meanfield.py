@@ -58,15 +58,14 @@ class MFParams:
     gamma: float
     kappa: float
     C_tilde_prime: float = 0.0
-    r: float = 0.0
 
     def __post_init__(self):
         if self.gamma <= 0 or self.kappa <= 0:
             raise ValueError("gamma and kappa must be positive")
         if self.g_tilde < 0:
             raise ValueError("g_tilde must be non-negative")
-        if self.C_tilde_prime < 0 or self.r < 0:
-            raise ValueError("C_tilde_prime and r must be non-negative")
+        if self.C_tilde_prime < 0:
+            raise ValueError("C_tilde_prime must be non-negative")
 
     @property
     def cooperativity(self) -> float:
@@ -76,11 +75,10 @@ class MFParams:
 
     @classmethod
     def from_cooperativity(cls, c_tilde: float, gamma: float, kappa: float,
-                           c_tilde_prime: float = 0.0,
-                           r: float = 0.0) -> "MFParams":
+                           c_tilde_prime: float = 0.0) -> "MFParams":
         g_tilde = math.sqrt(c_tilde * gamma * kappa * (1 + c_tilde_prime))
         return cls(g_tilde=g_tilde, gamma=gamma, kappa=kappa,
-                   C_tilde_prime=c_tilde_prime, r=r)
+                   C_tilde_prime=c_tilde_prime)
 
 
 def _require_finite(**values):

@@ -745,8 +745,7 @@ class _Point:
     def mf(self):
         r = self.resolved
         return mf_steady(MFParams(g_tilde=r.g_tilde, gamma=r.gamma,
-                                  kappa=r.kappa, C_tilde_prime=r.c_prime,
-                                  r=self.dressed.r))
+                                  kappa=r.kappa, C_tilde_prime=r.c_prime))
 
     @cached_property
     def mf_f_squared(self) -> float:

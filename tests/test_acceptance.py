@@ -406,7 +406,7 @@ def test_criterion_08_ansatz_fidelity_crossover(report):
         rho_f = partial_trace(steady_state(model_squeezed_laser_effective(
             dressed, 1.0, 0.1, 10.0, space)), keep=[1])
         mf = mf_steady(MFParams(g_tilde=g_tilde, gamma=1.0, kappa=0.1,
-                                C_tilde_prime=10.0, r=dressed.r))
+                                C_tilde_prime=10.0))
         fids.append(fidelity(rho_f, mf_ansatz(abs(mf.F), 10.0, dressed.r,
                                               rho_f.space)))
     monotone = all(b > a for a, b in zip(fids, fids[1:]))

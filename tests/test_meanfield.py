@@ -35,9 +35,9 @@ from squeezed_lasing.meanfield import (
 )
 
 
-def operating_params(c_tilde=5.0, c_prime=10.0, r=1.15):
+def operating_params(c_tilde=5.0, c_prime=10.0):
     return MFParams.from_cooperativity(c_tilde, gamma=1.0, kappa=0.02,
-                                       c_tilde_prime=c_prime, r=r)
+                                       c_tilde_prime=c_prime)
 
 
 def test_params_cooperativity_round_trip():
@@ -46,8 +46,6 @@ def test_params_cooperativity_round_trip():
     assert p.g_tilde == pytest.approx(math.sqrt(5 * 0.02 * 11), rel=1e-12)
     with pytest.raises(ValueError):
         MFParams(g_tilde=1.0, gamma=0.0, kappa=0.1)
-    with pytest.raises(ValueError):
-        MFParams(g_tilde=1.0, gamma=1.0, kappa=0.1, r=-0.2)
 
 
 def test_rhs_trivial_fixed_point():
