@@ -18,12 +18,8 @@ from .fock import (
     InvalidStateError,
     Operator,
     annihilation,
-    displacement,
     expectation,
-    identity,
-    phase_rotation,
     qubit_ops,
-    squeeze,
 )
 from .dressing import (
     DressedCoupling,
@@ -51,16 +47,10 @@ from .meanfield import (
     mf_residual,
     mf_steady,
 )
-from .gaussian import (
-    GaussianState,
-    gaussian_fidelity,
-    moments_from_fock,
-    to_fock,
-)
+from .gaussian import GaussianState, to_fock
 from .wigner import (
     PhaseGrid,
     WignerField,
-    gaussian_wigner,
     grid_for_density,
     wigner_change_basis,
     wigner_from_density,
@@ -98,17 +88,13 @@ __all__ = [
     "WignerField",
     "annihilation",
     "build_config",
-    "displacement",
     "dissipator",
     "dress",
     "effective_H",
     "expectation",
     "fidelity",
-    "gaussian_fidelity",
     "gaussian_mf_solution",
-    "gaussian_wigner",
     "grid_for_density",
-    "identity",
     "interaction_picture_hamiltonian",
     "mf_ansatz",
     "mf_residual",
@@ -116,13 +102,10 @@ __all__ = [
     "model_single_qubit_laser",
     "model_squeezed_laser_effective",
     "model_two_qubit_full",
-    "moments_from_fock",
     "partial_trace",
-    "phase_rotation",
     "qubit_ops",
     "resonance_audit",
     "run_scenario",
-    "squeeze",
     "steady_state",
     "to_fock",
     "wigner_change_basis",

@@ -20,12 +20,14 @@ counter-rotating coupling above into a rotating one; this is how the
 auxiliary qubit used for engineered dissipation is driven.
 
 The module also audits the discarded sidebands for near-resonances and
-builds the lab-frame Hamiltonian (an Operator at one time), the
-interaction-picture Hamiltonian (a closure for ``schrodinger_evolve``
-that maps a time to a dense matrix and a 1-d array of times to the
-stack of them, every sideband summed in closed form by the
-Jacobi-Anger identity sum_n J_n(x) e^{i n phi} = e^{i x sin phi},
-DLMF 10.12.1) and the static effective Hamiltonian of the RWA check.
+builds the interaction-picture Hamiltonian (a closure for
+``schrodinger_evolve`` that maps a time to a dense matrix and a 1-d
+array of times to the stack of them, every sideband summed in closed
+form by the Jacobi-Anger identity sum_n J_n(x) e^{i n phi} =
+e^{i x sin phi}, DLMF 10.12.1) and the static effective Hamiltonian of
+the RWA check.  The lab-frame Hamiltonian and the co-moving frame that
+conjugates it into the interaction picture are the tests' references
+(``tests/test_dressing.py``).
 
 The Bessel weights come from ``_bessel_j``, which returns J_0 .. J_M(x)
 as a list of Python floats, from one of two regimes:
@@ -348,43 +350,6 @@ def resonance_audit(params: SystemParams, max_index: int = 30,
     spurious.sort(key=lambda t: (abs(t.detuning), -t.weight, t.indices))
     return ResonanceReport(kept_terms=kept, spurious_terms=spurious,
                            threshold=g_threshold)
-
-
-def lab_frame_H(params: SystemParams, space: HilbertSpace, t: float) -> Operator:
-    """Full lab-frame Hamiltonian at time t.
-
-    H(t) = omega a^dag a + [epsilon/2 + sum_j eta_j Omega_j cos(Omega_j t)] sigma_z
-           + g sigma_x (a + a^dag)
-    """
-    if space.n_qubits < 1:
-        raise ValueError("lab-frame model needs at least one qubit")
-    a = annihilation(space)
-    _, sigma_z, sigma_x = qubit_ops(space, 0)
-    static = (params.omega * (a.dag() @ a)
-              + (params.epsilon / 2) * sigma_z
-              + params.g * (sigma_x @ (a + a.dag())))
-    drive = (params.eta1 * params.Omega1 * math.cos(params.Omega1 * t)
-             + params.eta2 * params.Omega2 * math.cos(params.Omega2 * t))
-    return static + drive * sigma_z
-
-
-def frame_unitary(params: SystemParams, space: HilbertSpace, t: float) -> Operator:
-    """The co-moving frame U_c(t) in which the dressing expansion is made.
-
-    U_c = exp[-i omega t a^dag a - i (epsilon t / 2
-              + sum_j eta_j sin(Omega_j t)) sigma_z];
-    both exponents are diagonal, so the matrix is assembled directly.
-    Conjugating the bare coupling, U_c^dag [g sigma_x (a+a^dag)] U_c,
-    gives the exact interaction-picture Hamiltonian.
-    """
-    a = annihilation(space)
-    _, sigma_z, _ = qubit_ops(space, 0)
-    phase_q = (params.epsilon * t / 2
-               + params.eta1 * math.sin(params.Omega1 * t)
-               + params.eta2 * math.sin(params.Omega2 * t))
-    exponent = params.omega * t * np.diag((a.dag() @ a).matrix).real \
-        + phase_q * np.diag(sigma_z.matrix).real
-    return Operator(space, np.diag(np.exp(-1j * exponent)))
 
 
 def interaction_picture_hamiltonian(params: SystemParams, space: HilbertSpace):

@@ -116,9 +116,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
-
     def _check_same_space(self, other: "Operator"):
         if self.space != other.space:
             raise ValueError(f"operator spaces differ: {self.space} vs {other.space}")
@@ -170,10 +167,6 @@ def _block_eigmin(mat: np.ndarray, blocks: np.ndarray) -> float:
     return eigmin
 
 
-def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.dim))
-
-
 def annihilation(space: HilbertSpace) -> Operator:
     """Field annihilation operator ``a`` embedded in the full space."""
     if space.field_dim < 2:
@@ -221,28 +214,6 @@ def matrix_exponential(op: Operator) -> Operator:
     if not np.all(np.isfinite(result)):
         raise FloatingPointError("matrix exponential produced non-finite entries")
     return Operator(op.space, result)
-
-
-def displacement(space: HilbertSpace, alpha: complex) -> Operator:
-    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
-    a = annihilation(space)
-    return matrix_exponential(alpha * a.dag() - np.conj(alpha) * a)
-
-
-def squeeze(space: HilbertSpace, r: float) -> Operator:
-    """S = exp[r (a^dag^2 - a^2) / 2], real squeezing parameter r.
-
-    For r > 0 the x = a + a^dag quadrature of S|0> is antisqueezed
-    (variance e^{2r}) and p is squeezed.
-    """
-    a = annihilation(space)
-    return matrix_exponential((0.5 * r) * (a.dag() @ a.dag() - a @ a))
-
-
-def phase_rotation(space: HilbertSpace, phi: float) -> Operator:
-    """exp(i phi a^dag a), which maps a -> a e^{-i phi} under conjugation."""
-    a = annihilation(space)
-    return matrix_exponential(1j * phi * (a.dag() @ a))
 
 
 def laguerre_functions(x, delta, count: int):
@@ -329,15 +300,6 @@ def displacement_elements(magnitude: float, field_dim: int) -> np.ndarray:
 def expectation(op: Operator, rho: Operator) -> complex:
     op._check_same_space(rho)
     return complex(np.trace(op.matrix @ rho.matrix))
-
-
-def adjoint_action(u: Operator, op: Operator) -> Operator:
-    """U op U^dag."""
-    return Operator(op.space, u.matrix @ op.matrix @ u.matrix.conj().T)
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a @ b - b @ a
 
 
 def fock_populations(rho: Operator) -> np.ndarray:

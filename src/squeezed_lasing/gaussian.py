@@ -23,9 +23,7 @@ from .fock import (
     DensityMatrix,
     HilbertSpace,
     InvalidStateError,
-    annihilation,
     displacement_elements,
-    expectation,
 )
 
 # det V may round slightly below the uncertainty bound for pure states
@@ -67,23 +65,10 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @classmethod
-    def vacuum(cls) -> "GaussianState":
-        return cls(mean=np.zeros(2), cov=np.eye(2))
-
     @property
     def mean_A(self) -> complex:
         """<A> = (<x> + i <p>) / 2."""
         return complex(self.mean[0], self.mean[1]) / 2
-
-    def occupation(self) -> float:
-        """<A^dag A>, including the displacement contribution."""
-        return abs(self.mean_A) ** 2 + (self.cov[0, 0] + self.cov[1, 1] - 2) / 4
-
-    def moment_A2(self) -> complex:
-        """<A^2>, including the displacement contribution."""
-        central = (self.cov[0, 0] - self.cov[1, 1] + 2j * self.cov[0, 1]) / 4
-        return self.mean_A**2 + central
 
 
 @dataclass(frozen=True)
@@ -98,30 +83,6 @@ class GaussianDecomposition:
     def __post_init__(self):
         if self.n_tilde < 0:
             raise InvalidStateError(f"thermal occupation {self.n_tilde} < 0")
-
-
-def from_moments(meanA: complex, nA: float, A2: complex) -> GaussianState:
-    """Gaussian state with the given <A>, <A^dag A>, <A^2>.
-
-    The moments are converted to central ones, so the covariance does
-    not depend on how much of nA is carried by the displacement.
-    """
-    meanA = complex(meanA)
-    A2 = complex(A2)
-    n_c = nA - abs(meanA) ** 2
-    a2_c = A2 - meanA**2
-    v11 = 1 + 2 * n_c + 2 * a2_c.real
-    v22 = 1 + 2 * n_c - 2 * a2_c.real
-    v12 = 2 * a2_c.imag
-    mean = 2 * np.array([meanA.real, meanA.imag])
-    return GaussianState(mean=mean, cov=np.array([[v11, v12], [v12, v22]]))
-
-
-def _rotation(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    # conjugating a state by exp(i phi A^dag A) sends <A> to e^{i phi}<A>,
-    # a counterclockwise rotation of the quadrature plane
-    return np.array([[c, -s], [s, c]])
 
 
 def decompose(gs: GaussianState) -> GaussianDecomposition:
@@ -155,20 +116,12 @@ def decompose(gs: GaussianState) -> GaussianDecomposition:
                                  r_tilde=r_tilde, n_tilde=n_tilde)
 
 
-def compose(dec: GaussianDecomposition) -> GaussianState:
-    """Gaussian state of the canonical factor product."""
-    m = _rotation(dec.phi)
-    core = np.diag([math.exp(2 * dec.r_tilde), math.exp(-2 * dec.r_tilde)])
-    cov = (2 * dec.n_tilde + 1) * (m @ core @ m.T)
-    mean = 2 * np.array([dec.alpha.real, dec.alpha.imag])
-    return GaussianState(mean=mean, cov=cov)
-
-
 def squeezed_thermal_elements(r: float, n_thermal: float,
                               field_dim: int) -> np.ndarray:
     """<m|S(r) rho_th(n) S(r)^dag|n> for m, n below ``field_dim``: the
-    exact elements of a squeezed thermal state (S as in
-    ``fock.squeeze``), real, symmetric, and 0 wherever m + n is odd.
+    exact elements of a squeezed thermal state, with
+    S(r) = exp[r (a^dag^2 - a^2) / 2]: real, symmetric, and 0 wherever
+    m + n is odd.
 
     With nu = 2 n + 1 and E = nu^2 + 2 nu cosh 2r + 1, the state's
     Bargmann generating function is T exp(a (u^2 + v^2) / 2 + c u v)
@@ -240,41 +193,3 @@ def to_fock(gs: GaussianState, space: HilbertSpace) -> DensityMatrix:
          * displacement_elements(abs(dec.alpha), d)
          * np.exp(1j * (dec.phi - theta) * n))
     return kept_state(u @ core @ u.conj().T, space)
-
-
-def symplectic_change_to_a_basis(gs: GaussianState, r: float) -> GaussianState:
-    """The same physical state in bare-mode quadratures.
-
-    The A quadratures are the bare ones stretched by diag(e^r, e^-r),
-    so going back applies the inverse scaling to mean and covariance.
-    """
-    s_inv = np.diag([math.exp(-r), math.exp(r)])
-    return GaussianState(mean=s_inv @ gs.mean, cov=s_inv @ gs.cov @ s_inv)
-
-
-def gaussian_fidelity(gs1: GaussianState, gs2: GaussianState) -> float:
-    """Closed-form Uhlmann fidelity (squared convention) of two states.
-
-    With vacuum covariance = identity the single-mode formula reads
-    F = 2 exp(-dd^T (V1+V2)^{-1} dd / 2) / (sqrt(D + delta) - sqrt(delta))
-    with D = det(V1+V2) and delta = (det V1 - 1)(det V2 - 1); two
-    coherent states give exp(-|alpha1 - alpha2|^2).
-    """
-    vsum = gs1.cov + gs2.cov
-    dd = gs2.mean - gs1.mean
-    quad = float(dd @ np.linalg.solve(vsum, dd))
-    big_d = float(np.linalg.det(vsum))
-    delta = max(0.0, (float(np.linalg.det(gs1.cov)) - 1)
-                * (float(np.linalg.det(gs2.cov)) - 1))
-    fid = 2.0 * math.exp(-0.5 * quad) / (math.sqrt(big_d + delta)
-                                         - math.sqrt(delta))
-    return min(1.0, fid)
-
-
-def moments_from_fock(rho: DensityMatrix) -> GaussianState:
-    """Gaussian summary of a Fock-basis state's first two moments."""
-    a = annihilation(rho.space)
-    mean_a = expectation(a, rho)
-    n_a = expectation(a.dag() @ a, rho).real
-    a2 = expectation(a @ a, rho)
-    return from_moments(mean_a, n_a, a2)

@@ -1,11 +1,14 @@
 """Lindblad master equations: Liouvillians and steady states.
 
 Master equations are solved for their stationary state only, by one
-direct solve (``steady_state``); the tests relax them to it as its
-oracle.  The one time integrator, :func:`schrodinger_evolve`, propagates
-pure states (the RWA check).  It is an in-house Dormand-Prince 5(4) loop
-that repeats scipy.integrate.RK45 operation for operation, so it takes
-the same steps and returns the same bits, but asks for the Hamiltonian
+direct solve (``steady_state``).  Its references live in
+``tests/oracles.py``, not here: the relaxation that the tests take as
+its oracle, the generator applied densely (-i[H, rho] plus every
+dissipator) and the trace distance.  The one time integrator,
+:func:`schrodinger_evolve`, propagates pure states (the RWA check).  It
+is an in-house Dormand-Prince 5(4) loop that repeats
+scipy.integrate.RK45 operation for operation, so it takes the same
+steps and returns the same bits, but asks for the Hamiltonian
 once per step at all of that step's stage times.
 
 The dissipator convention carries the rate outside,
@@ -266,18 +269,6 @@ def dissipator(term: LindbladTerm, rho) -> np.ndarray:
     o_rho = o @ rho
     odo = o.conj().T @ o
     return term.rate * (2.0 * (o_rho @ o.conj().T) - odo @ rho - rho @ odo)
-
-
-def rhs(me: MasterEquation, rho) -> np.ndarray:
-    """-i[H, rho] plus all dissipators; the full generator output."""
-    rho = _as_matrix(rho, me.space)
-    h = me.hamiltonian.matrix
-    out = -1j * (h @ rho - rho @ h)
-    for term in me.terms:
-        out += dissipator(term, rho)
-    if not np.all(np.isfinite(out.view(float))):
-        raise FloatingPointError("generator produced non-finite entries")
-    return out
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -617,8 +608,8 @@ class _SectorCoordinates:
 
 
 def liouvillian_matrix(me: MasterEquation) -> Liouvillian:
-    """Sparse matrix L with vec(rhs(rho)) = L vec(rho), over all d^2
-    entries whatever the charge.
+    """Sparse matrix L with vec(-i[H, rho] + sum of dissipators) =
+    L vec(rho), over all d^2 entries whatever the charge.
 
     Only the tests call it, and it needs scipy, which the ``test`` extra
     installs.  It stays here because the benchmark's tracer wraps it by
@@ -1504,9 +1495,3 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     # (each stray 1e-17 contributes 3e-9), so zero them before the sum
     ivals[ivals < ivals.max() * 1e-14] = 0.0
     return float(np.sqrt(ivals).sum() ** 2)
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(1/2) tr |rho - sigma|."""
-    diff = _as_matrix(rho, rho.space) - _as_matrix(sigma, rho.space)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

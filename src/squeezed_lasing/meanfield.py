@@ -40,11 +40,6 @@ class MeanFieldState:
     S: complex
     D: float
 
-    @property
-    def theta(self) -> float:
-        """Phase of the field amplitude."""
-        return math.atan2(self.F.imag, self.F.real)
-
 
 @dataclass(frozen=True)
 class MFParams:
@@ -73,13 +68,6 @@ class MFParams:
         return self.g_tilde**2 / (self.gamma * self.kappa
                                   * (1 + self.C_tilde_prime))
 
-    @classmethod
-    def from_cooperativity(cls, c_tilde: float, gamma: float, kappa: float,
-                           c_tilde_prime: float = 0.0) -> "MFParams":
-        g_tilde = math.sqrt(c_tilde * gamma * kappa * (1 + c_tilde_prime))
-        return cls(g_tilde=g_tilde, gamma=gamma, kappa=kappa,
-                   C_tilde_prime=c_tilde_prime)
-
 
 def _require_finite(**values):
     """Raise ValueError naming the first argument that is not finite."""
@@ -87,16 +75,6 @@ def _require_finite(**values):
         z = complex(value)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def mf_rhs(state: MeanFieldState, params: MFParams) -> MeanFieldState:
-    """Time derivative of (F, S, D) under the Maxwell-Bloch flow."""
-    g, gamma, kappa = params.g_tilde, params.gamma, params.kappa
-    f_dot = -kappa * (1 + params.C_tilde_prime) * state.F + g * state.S
-    s_dot = -gamma * state.S + g * state.D * state.F
-    d_dot = (-4 * g * (state.S * state.F.conjugate()).real
-             - 2 * gamma * (state.D - 1))
-    return MeanFieldState(F=f_dot, S=s_dot, D=d_dot)
 
 
 def mf_steady(params: MFParams, theta: float = 0.0) -> MeanFieldState:

@@ -511,6 +511,15 @@ def resolve_point(params: dict, model: str) -> ResolvedPoint:
                          gamma_prime=gamma_prime, aux=aux)
 
 
+# The RWA check's Dormand-Prince loop follows H(t), whose fastest phase
+# turns at epsilon + omega, and attempts about 2 t_final (epsilon + omega) steps:
+# 2.09, 1.85 and 2.14 times t_final (epsilon + omega) at desk, at desk
+# with epsilon = 1000 g and at paper-2013.  A step takes about 25 us at
+# field_dim 16 on a 2-CPU VM, so this many steps take about 50 s; a run
+# predicted past it is refused before it starts.
+_RWA_MAX_STEPS = 2_000_000
+
+
 @dataclass(frozen=True)
 class ResolvedDrives:
     """What ``dress_audit`` and ``rwa_validate`` read: the system, its
@@ -555,6 +564,16 @@ def _resolve_drives(params: dict, evolve: bool) -> ResolvedDrives:
     if evolve:  # a small g~ can carry gt_max / g~ past the float range
         [t_final] = _finite("t_final = gt_max / g_tilde",
                             gt_max / reference.g_tilde)
+        steps = 2 * t_final * (eps + om)
+        if steps > _RWA_MAX_STEPS:
+            eps_key = ("epsilon_over_g" if "epsilon_over_g" in params
+                       else "epsilon_ghz")
+            raise ConfigError(
+                f"the RWA run would take about {steps:.3g} integrator "
+                f"steps, 2 t_final (epsilon + omega), past the "
+                f"{_RWA_MAX_STEPS:.0e} that finish in about a minute: "
+                f"lower {eps_key} ({params[eps_key]!r}) or gt_max "
+                f"({gt_max!r})")
     return ResolvedDrives(system, reference, gt_max, start_excited, t_final)
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DensityMatrix, annihilation, expectation
-from .gaussian import GaussianState
 
 # fraction of total mass a grid may miss before reconstruction is refused
 MASS_TOL = 1e-3
@@ -124,10 +123,6 @@ class WignerField:
     def mass(self) -> float:
         return float(self.values.sum()) * self.grid.cell_area
 
-    def moment(self, fx) -> float:
-        """Midpoint quadrature of fx(X, P) * W."""
-        x, p = self.grid.mesh()
-        return float(np.sum(fx(x, p) * self.values)) * self.grid.cell_area
 
 
 def _operator_extents(rho: DensityMatrix) -> tuple[float, float, float, float]:
@@ -148,15 +143,6 @@ def grid_for_density(rho: DensityMatrix, points: int = 129) -> PhaseGrid:
     x_lo, x_hi, p_lo, p_hi = _operator_extents(rho)
     return PhaseGrid(x_min=x_lo, x_max=x_hi, p_min=p_lo, p_max=p_hi,
                      nx=points, np=points)
-
-
-def grid_for_gaussian(gs: GaussianState) -> PhaseGrid:
-    """129 x 129 grid sized from the covariance of a Gaussian state."""
-    sx = AUTO_GRID_SIGMAS * math.sqrt(gs.cov[0, 0])
-    sp = AUTO_GRID_SIGMAS * math.sqrt(gs.cov[1, 1])
-    return PhaseGrid(x_min=gs.mean[0] - sx, x_max=gs.mean[0] + sx,
-                     p_min=gs.mean[1] - sp, p_max=gs.mean[1] + sp,
-                     nx=129, np=129)
 
 
 def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
@@ -287,18 +273,6 @@ def _resolving_points(grid: PhaseGrid, reach: float) -> int:
     """
     width = max(grid.x_max - grid.x_min, grid.p_max - grid.p_min)
     return math.ceil(width * reach / (2 * math.pi))
-
-
-def gaussian_wigner(gs: GaussianState, grid: PhaseGrid) -> WignerField:
-    """Exact Gaussian Wigner function on the grid."""
-    det = float(np.linalg.det(gs.cov))
-    vinv = np.linalg.inv(gs.cov)
-    x_arr, p_arr = grid.mesh()
-    dx = x_arr - gs.mean[0]
-    dp = p_arr - gs.mean[1]
-    quad = vinv[0, 0] * dx**2 + 2 * vinv[0, 1] * dx * dp + vinv[1, 1] * dp**2
-    values = np.exp(-quad / 2) / (2 * math.pi * math.sqrt(det))
-    return WignerField(grid=grid, values=values, basis_tag=ModeBasis.MODE_A)
 
 
 def wigner_change_basis(w: WignerField, r: float) -> WignerField:

@@ -1,4 +1,6 @@
-"""Reference integrators that check the package's direct solutions.
+"""References that check the package: its direct solutions against
+trajectories that relax to them, and its closed forms against the
+textbook definitions they replace.
 
 The package computes steady states by a direct solve and the mean-field
 fixed point in closed form.  The tests check both against trajectories
@@ -7,8 +9,23 @@ that relax to them, integrated with scipy (a test-only dependency):
 - ``steady_evolve`` relaxes the full master-equation generator
   (``lindblad.liouvillian_matrix``) with scipy's RK45, from the maximally
   mixed state until the generator's norm falls below 1e-10;
-- ``mf_evolve`` integrates the Maxwell-Bloch flow (``meanfield.mf_rhs``)
-  with ``solve_ivp``, checking the spin bounds at every stored state.
+- ``mf_evolve`` integrates the Maxwell-Bloch flow (``mf_rhs``) with
+  ``solve_ivp``, checking the spin bounds at every stored state.
+
+The other references are the definitions that the package's run path
+does not need, kept here with the numerics they always had:
+
+- Fock-space unitaries as exponentials of their truncated generators
+  (``displacement``, ``squeeze``, ``phase_rotation``, each through
+  ``fock.matrix_exponential``), against which the closed-form Fock
+  elements of ``fock`` and ``gaussian`` are checked, with ``identity``
+  and ``commutator``;
+- the master equation's generator applied densely (``rhs``) and the
+  trace distance (``trace_distance``);
+- Gaussian states built from moments or canonical factors
+  (``from_moments``, ``compose``, ``vacuum``), their bare-mode form
+  (``symplectic_change_to_a_basis``), and their Wigner functions in
+  closed form (``gaussian_wigner`` on ``grid_for_gaussian``).
 
 ``wigner_per_cell`` is the Wigner kernel as it ran before it took each
 distinct radius once: the Laguerre recurrence on every grid cell.
@@ -24,10 +41,145 @@ import math
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
 
-from squeezed_lasing.fock import DensityMatrix, HilbertSpace, InvalidStateError
-from squeezed_lasing.lindblad import MasterEquation, liouvillian_matrix
-from squeezed_lasing.meanfield import MeanFieldState, MFParams, mf_rhs
-from squeezed_lasing.wigner import PhaseGrid
+from squeezed_lasing.fock import (
+    DensityMatrix,
+    HilbertSpace,
+    InvalidStateError,
+    Operator,
+    annihilation,
+    matrix_exponential,
+)
+from squeezed_lasing.gaussian import GaussianDecomposition, GaussianState
+from squeezed_lasing.lindblad import (
+    MasterEquation,
+    _as_matrix,
+    dissipator,
+    liouvillian_matrix,
+)
+from squeezed_lasing.meanfield import MeanFieldState, MFParams
+from squeezed_lasing.wigner import (
+    AUTO_GRID_SIGMAS,
+    ModeBasis,
+    PhaseGrid,
+    WignerField,
+)
+
+
+def identity(space: HilbertSpace) -> Operator:
+    return Operator(space, np.eye(space.dim))
+
+
+def displacement(space: HilbertSpace, alpha: complex) -> Operator:
+    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
+    a = annihilation(space)
+    return matrix_exponential(alpha * a.dag() - np.conj(alpha) * a)
+
+
+def squeeze(space: HilbertSpace, r: float) -> Operator:
+    """S = exp[r (a^dag^2 - a^2) / 2], real squeezing parameter r.
+
+    For r > 0 the x = a + a^dag quadrature of S|0> is antisqueezed
+    (variance e^{2r}) and p is squeezed.
+    """
+    a = annihilation(space)
+    return matrix_exponential((0.5 * r) * (a.dag() @ a.dag() - a @ a))
+
+
+def phase_rotation(space: HilbertSpace, phi: float) -> Operator:
+    """exp(i phi a^dag a), which maps a -> a e^{-i phi} under conjugation."""
+    a = annihilation(space)
+    return matrix_exponential(1j * phi * (a.dag() @ a))
+
+
+def commutator(a: Operator, b: Operator) -> Operator:
+    return a @ b - b @ a
+
+
+def rhs(me: MasterEquation, rho) -> np.ndarray:
+    """-i[H, rho] plus all dissipators; the full generator output."""
+    rho = _as_matrix(rho, me.space)
+    h = me.hamiltonian.matrix
+    out = -1j * (h @ rho - rho @ h)
+    for term in me.terms:
+        out += dissipator(term, rho)
+    if not np.all(np.isfinite(out.view(float))):
+        raise FloatingPointError("generator produced non-finite entries")
+    return out
+
+
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """(1/2) tr |rho - sigma|."""
+    diff = _as_matrix(rho, rho.space) - _as_matrix(sigma, rho.space)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def vacuum() -> GaussianState:
+    return GaussianState(mean=np.zeros(2), cov=np.eye(2))
+
+
+def from_moments(meanA: complex, nA: float, A2: complex) -> GaussianState:
+    """Gaussian state with the given <A>, <A^dag A>, <A^2>.
+
+    The moments are converted to central ones, so the covariance does
+    not depend on how much of nA is carried by the displacement.
+    """
+    meanA = complex(meanA)
+    A2 = complex(A2)
+    n_c = nA - abs(meanA) ** 2
+    a2_c = A2 - meanA**2
+    v11 = 1 + 2 * n_c + 2 * a2_c.real
+    v22 = 1 + 2 * n_c - 2 * a2_c.real
+    v12 = 2 * a2_c.imag
+    mean = 2 * np.array([meanA.real, meanA.imag])
+    return GaussianState(mean=mean, cov=np.array([[v11, v12], [v12, v22]]))
+
+
+def _rotation(phi: float) -> np.ndarray:
+    c, s = math.cos(phi), math.sin(phi)
+    # conjugating a state by exp(i phi A^dag A) sends <A> to e^{i phi}<A>,
+    # a counterclockwise rotation of the quadrature plane
+    return np.array([[c, -s], [s, c]])
+
+
+def compose(dec: GaussianDecomposition) -> GaussianState:
+    """Gaussian state of the canonical factor product."""
+    m = _rotation(dec.phi)
+    core = np.diag([math.exp(2 * dec.r_tilde), math.exp(-2 * dec.r_tilde)])
+    cov = (2 * dec.n_tilde + 1) * (m @ core @ m.T)
+    mean = 2 * np.array([dec.alpha.real, dec.alpha.imag])
+    return GaussianState(mean=mean, cov=cov)
+
+
+def symplectic_change_to_a_basis(gs: GaussianState, r: float) -> GaussianState:
+    """The same physical state in bare-mode quadratures.
+
+    The A quadratures are the bare ones stretched by diag(e^r, e^-r),
+    so going back applies the inverse scaling to mean and covariance.
+    """
+    s_inv = np.diag([math.exp(-r), math.exp(r)])
+    return GaussianState(mean=s_inv @ gs.mean, cov=s_inv @ gs.cov @ s_inv)
+
+
+def grid_for_gaussian(gs: GaussianState) -> PhaseGrid:
+    """129 x 129 grid sized from the covariance of a Gaussian state."""
+    sx = AUTO_GRID_SIGMAS * math.sqrt(gs.cov[0, 0])
+    sp = AUTO_GRID_SIGMAS * math.sqrt(gs.cov[1, 1])
+    return PhaseGrid(x_min=gs.mean[0] - sx, x_max=gs.mean[0] + sx,
+                     p_min=gs.mean[1] - sp, p_max=gs.mean[1] + sp,
+                     nx=129, np=129)
+
+
+def gaussian_wigner(gs: GaussianState, grid: PhaseGrid) -> WignerField:
+    """Exact Gaussian Wigner function on the grid."""
+    det = float(np.linalg.det(gs.cov))
+    vinv = np.linalg.inv(gs.cov)
+    x_arr, p_arr = grid.mesh()
+    dx = x_arr - gs.mean[0]
+    dp = p_arr - gs.mean[1]
+    quad = vinv[0, 0] * dx**2 + 2 * vinv[0, 1] * dx * dp + vinv[1, 1] * dp**2
+    values = np.exp(-quad / 2) / (2 * math.pi * math.sqrt(det))
+    return WignerField(grid=grid, values=values, basis_tag=ModeBasis.MODE_A)
+
 
 # slack for integrator drift when asserting spin bounds along trajectories
 BLOCH_TOL = 1e-7
@@ -86,6 +238,16 @@ def steady_evolve(me: MasterEquation) -> DensityMatrix:
     raise SteadyStateConvergenceError(
         f"generator norm still above 1e-10 after {max_steps} steps "
         f"(t = {stepper.t:.3g})")
+
+
+def mf_rhs(state: MeanFieldState, params: MFParams) -> MeanFieldState:
+    """Time derivative of (F, S, D) under the Maxwell-Bloch flow."""
+    g, gamma, kappa = params.g_tilde, params.gamma, params.kappa
+    f_dot = -kappa * (1 + params.C_tilde_prime) * state.F + g * state.S
+    s_dot = -gamma * state.S + g * state.D * state.F
+    d_dot = (-4 * g * (state.S * state.F.conjugate()).real
+             - 2 * gamma * (state.D - 1))
+    return MeanFieldState(F=f_dot, S=s_dot, D=d_dot)
 
 
 def check_bloch_bounds(state: MeanFieldState):

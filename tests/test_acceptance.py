@@ -18,7 +18,16 @@ import time
 
 import numpy as np
 import pytest
-from oracles import mf_evolve, steady_evolve
+from oracles import (
+    compose,
+    gaussian_wigner,
+    grid_for_gaussian,
+    mf_evolve,
+    mf_rhs,
+    rhs,
+    steady_evolve,
+    trace_distance,
+)
 
 from squeezed_lasing.cli import main as cli_main
 from squeezed_lasing.dressing import (
@@ -39,7 +48,6 @@ from squeezed_lasing.fock import (
 )
 from squeezed_lasing.gaussian import (
     GaussianDecomposition,
-    compose,
     decompose,
     to_fock,
 )
@@ -50,10 +58,8 @@ from squeezed_lasing.lindblad import (
     model_squeezed_laser_effective,
     model_two_qubit_full,
     partial_trace,
-    rhs,
     schrodinger_evolve,
     steady_state,
-    trace_distance,
 )
 from squeezed_lasing.meanfield import (
     MeanFieldState,
@@ -61,14 +67,11 @@ from squeezed_lasing.meanfield import (
     gaussian_mf_solution,
     mf_ansatz,
     mf_residual,
-    mf_rhs,
     mf_steady,
 )
 from squeezed_lasing.scenarios import ring_cut_anisotropy
 from squeezed_lasing.wigner import (
     grid_for_density,
-    grid_for_gaussian,
-    gaussian_wigner,
     wigner_change_basis,
     wigner_from_density,
 )

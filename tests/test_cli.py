@@ -21,7 +21,10 @@ FAST_SWEEP = ["--set", "sweep.param=c_tilde", "--set", "sweep.start=1",
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_setting(tmp_path):
-    # run_scenario works on one BLAS thread whatever the environment says
+    # run_scenario works on one BLAS thread whatever the environment says.
+    # Desk two_qubit_full needs it: without the pin its fidelity_ansatz and
+    # fidelity_vs_effective cells differ between 1 and 2 threads (desk
+    # squeezed_laser at fd 60 writes the same bytes either way)
     src = str(Path(squeezed_lasing.__file__).resolve().parents[1])
     written = {}
     for threads in ("1", "2"):
@@ -30,13 +33,12 @@ def test_artifacts_do_not_depend_on_the_blas_thread_setting(tmp_path):
             filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"threads-{threads}"
         run = subprocess.run(
-            [sys.executable, "-m", "squeezed_lasing.cli", "squeezed_laser",
-             "--preset", "desk", "--set", "numerics.field_dim=60",
-             "--out", str(out)],
+            [sys.executable, "-m", "squeezed_lasing.cli", "two_qubit_full",
+             "--preset", "desk", "--out", str(out)],
             env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(written["1"]) == ["manifest.json", "squeezed_laser.csv"]
+    assert sorted(written["1"]) == ["manifest.json", "two_qubit_full.csv"]
     assert written["1"] == written["2"]
 
 
@@ -338,6 +340,29 @@ def test_derived_value_past_the_float_range_exits_2(tmp_path, preset,
         overrides = _merge(overrides, parse_set_override(item))
     with pytest.raises(ConfigError, match="finite"):
         build_config(scenario, preset=preset, overrides=overrides)
+
+
+@pytest.mark.parametrize("preset, key, value", [
+    # about 3.6e21, 1.3e7 and 4.3e18 integrator steps, 2 t_final
+    # (epsilon + omega), against desk's 1.3e4 and paper-2013's 1.9e4
+    ("desk", "epsilon_over_g", 1e20),
+    ("paper-2013", "epsilon_ghz", 1e4),
+    ("desk", "gt_max", 1e15),
+], ids=["epsilon_over_g", "epsilon_ghz", "gt_max"])
+def test_an_rwa_run_past_the_step_bound_exits_2(tmp_path, preset, key,
+                                                 value):
+    # refused when the config is built, so no propagation starts; the
+    # message names the epsilon key in use and gt_max
+    assert main(["rwa_validate", "--preset", preset, "--out",
+                 str(tmp_path / "o"), "--set", f"params.{key}={value}"]) == 2
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError, match="integrator steps") as refused:
+        build_config("rwa_validate", preset=preset,
+                     overrides={"params": {key: value}})
+    message = str(refused.value)
+    assert f"{key} ({value!r})" in message
+    epsilon_key = "epsilon_ghz" if preset == "paper-2013" else "epsilon_over_g"
+    assert f"lower {epsilon_key} (" in message and "or gt_max (" in message
 
 
 def test_dress_audit_accepts_a_gt_max_it_never_reads(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import jv
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import commutator, identity
 
 from squeezed_lasing.dressing import (
     DegenerateDressingError,
@@ -16,13 +17,48 @@ from squeezed_lasing.dressing import (
     _bessel_j,
     dress,
     effective_H,
-    frame_unitary,
     interaction_picture_hamiltonian,
-    lab_frame_H,
     resonance_audit,
     small_amplitude_estimates,
 )
-from squeezed_lasing.fock import HilbertSpace, annihilation, commutator, qubit_ops
+from squeezed_lasing.fock import HilbertSpace, Operator, annihilation, qubit_ops
+
+
+def lab_frame_H(params: SystemParams, space: HilbertSpace, t: float) -> Operator:
+    """Full lab-frame Hamiltonian at time t.
+
+    H(t) = omega a^dag a + [epsilon/2 + sum_j eta_j Omega_j cos(Omega_j t)] sigma_z
+           + g sigma_x (a + a^dag)
+    """
+    if space.n_qubits < 1:
+        raise ValueError("lab-frame model needs at least one qubit")
+    a = annihilation(space)
+    _, sigma_z, sigma_x = qubit_ops(space, 0)
+    static = (params.omega * (a.dag() @ a)
+              + (params.epsilon / 2) * sigma_z
+              + params.g * (sigma_x @ (a + a.dag())))
+    drive = (params.eta1 * params.Omega1 * math.cos(params.Omega1 * t)
+             + params.eta2 * params.Omega2 * math.cos(params.Omega2 * t))
+    return static + drive * sigma_z
+
+
+def frame_unitary(params: SystemParams, space: HilbertSpace, t: float) -> Operator:
+    """The co-moving frame U_c(t) in which the dressing expansion is made.
+
+    U_c = exp[-i omega t a^dag a - i (epsilon t / 2
+              + sum_j eta_j sin(Omega_j t)) sigma_z];
+    both exponents are diagonal, so the matrix is assembled directly.
+    Conjugating the bare coupling, U_c^dag [g sigma_x (a+a^dag)] U_c,
+    gives the exact interaction-picture Hamiltonian.
+    """
+    a = annihilation(space)
+    _, sigma_z, _ = qubit_ops(space, 0)
+    phase_q = (params.epsilon * t / 2
+               + params.eta1 * math.sin(params.Omega1 * t)
+               + params.eta2 * math.sin(params.Omega2 * t))
+    exponent = params.omega * t * np.diag((a.dag() @ a).matrix).real \
+        + phase_q * np.diag(sigma_z.matrix).real
+    return Operator(space, np.diag(np.exp(-1j * exponent)))
 
 
 # scipy's J is a sound reference only over the arguments these tests use:
@@ -565,8 +601,6 @@ def test_effective_hamiltonian_u1_charge():
     h = effective_H(dc, space)
     mode = dc.mode_operator(space)
     _, sigma_z, _ = qubit_ops(space, 0)
-    from squeezed_lasing.fock import identity
-
     proj_e = 0.5 * (sigma_z + identity(space))
     charge = mode.dag() @ mode - proj_e
     comm = commutator(h, charge).matrix

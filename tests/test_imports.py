@@ -1,16 +1,20 @@
 """Import hygiene: no module-level import that its module never uses, no
-name in ``squeezed_lasing.__all__`` that the package does not define, and
-no module-level private helper that nothing in the package refers to;
-neither importing the CLI nor running any scenario needs scipy, which
-only the tests use, and the package imports it only in the tests' oracle
+name in ``squeezed_lasing.__all__`` that the package does not define,
+no module-level private helper that nothing in the package refers to,
+and no function, class or method that only the tests reach; README's
+library quick start runs as written on the exported names; neither
+importing the CLI nor running any scenario needs scipy, which only the
+tests use, and the package imports it only in the tests' oracle
 ``lindblad.liouvillian_matrix``; and no steady-state run loads numpy.ma.
 
 No linter runs on this project, so this test is what stops a deletion
-from leaving a dead import, a stale export or a dead helper behind.
+from leaving a dead import, a stale export or a dead helper behind, and
+what keeps the tests' references in ``tests/``.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +87,128 @@ def test_every_private_helper_is_used():
     dead = [f"{module} {name}" for module, tree in trees.items()
             for name in _private_definitions(tree) if name not in used]
     assert dead == [], f"private helpers nothing refers to: {dead}"
+
+
+# Never called by the package, but wrapped by name by the benchmark's
+# tracer (perfbench/tracing.py), so they stay until the tracer goes:
+# ROADMAP items 10 (per-point records from inside the program) and 2 (the
+# benchmark change that deletes the tracer).
+_TRACER_PINNED = {"fock.matrix_exponential", "lindblad.liouvillian_matrix"}
+
+_SCOPES = (ast.FunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+# a string naming an attribute path, such as a table column's "mf.D"
+_PATH = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _locals(scope: ast.FunctionDef | ast.Lambda) -> set[str]:
+    """The names a function binds: its parameters and every name its body
+    assigns, imports or defines, not counting the scopes nested in it."""
+    args = scope.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    todo = list(scope.body) if isinstance(scope, ast.FunctionDef) else []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_bound_names(node))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, _COMPREHENSIONS + (ast.Lambda,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _names_read(node: ast.AST, hidden: frozenset = frozenset()):
+    """Every name ``node`` may reach a definition by: bare names that no
+    enclosing function binds itself, attribute names, and each part of an
+    attribute path written as a string (``attrgetter``'s columns)."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in hidden:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+          and _PATH.fullmatch(node.value)):
+        yield from node.value.split(".")
+    if isinstance(node, _SCOPES):
+        hidden = hidden | _locals(node)
+    elif isinstance(node, _COMPREHENSIONS):
+        hidden = hidden | {n.id for gen in node.generators
+                           for n in ast.walk(gen.target)
+                           if isinstance(n, ast.Name)}
+    for child in ast.iter_child_nodes(node):
+        yield from _names_read(child, hidden)
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(key, name, nodes) for the module's top-level code (key None), each
+    top-level function and class, and each method not named like a dunder;
+    a class's nodes are its body apart from those methods."""
+    yield None, None, [node for node in tree.body
+                       if not isinstance(node, (ast.FunctionDef,
+                                                ast.ClassDef))]
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node.name, [node]
+        elif isinstance(node, ast.ClassDef):
+            methods = [item for item in node.body
+                       if isinstance(item, ast.FunctionDef)
+                       and not item.name.endswith("__")]
+            for item in methods:
+                yield f"{module}.{node.name}.{item.name}", item.name, [item]
+            rest = [item for item in node.body if item not in methods]
+            yield (f"{module}.{node.name}", node.name,
+                   node.bases + node.decorator_list + rest)
+
+
+def test_every_definition_is_reached_from_the_package():
+    # A definition is reached when code outside any definition, or inside
+    # one already reached, names it; ``__init__``'s re-exports and the
+    # definition's own body do not count, so what only tests call, or
+    # only such code calls, is listed
+    pending, reached = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for key, name, nodes in _definitions(path.stem, tree):
+            names = {n for node in nodes for n in _names_read(node)}
+            if key is None or key in _TRACER_PINNED:
+                reached |= names
+            else:
+                pending[key] = (name, names)
+    grew = True
+    while grew:
+        grew = False
+        for key, (name, names) in list(pending.items()):
+            if name in reached:
+                reached |= names
+                del pending[key]
+                grew = True
+    assert not pending, ("defined under src/ but reached only from tests: "
+                         f"{sorted(pending)}")
+
+
+def _quick_start() -> str:
+    """The python block under README's ``## Quick start (library)``."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Quick start (library)\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_quick_start_runs_on_the_exported_names():
+    code = _quick_start()
+    imported = [alias.name for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "squeezed_lasing" for alias in node.names]
+    assert imported
+    assert set(imported) <= set(squeezed_lasing.__all__)
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def _imports_scipy(node: ast.AST) -> bool:

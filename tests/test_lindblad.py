@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
-from oracles import normalised_state, steady_evolve
+from oracles import normalised_state, rhs, steady_evolve, trace_distance
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import splu as scipy_splu
@@ -45,10 +45,8 @@ from squeezed_lasing.lindblad import (
     model_squeezed_laser_effective,
     model_two_qubit_full,
     partial_trace,
-    rhs,
     schrodinger_evolve,
     steady_state,
-    trace_distance,
 )
 from squeezed_lasing import scenarios
 from squeezed_lasing.scenarios import build_config, resolve_point
