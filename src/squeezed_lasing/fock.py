@@ -216,17 +216,17 @@ def matrix_exponential(op: Operator) -> Operator:
     return Operator(op.space, result)
 
 
-def laguerre_functions(x, delta, count: int):
+def laguerre_functions(x, delta, count: int, chain: list | None = None):
     """Yield g_k for k = 0 .. count - 1, where
 
         g_k(x) = sqrt(k! / (k + delta)!) x^(delta/2) e^(-x/2) L_k^(delta)(x)
 
-    with L the generalized Laguerre polynomial.  The Fock elements of a
-    real displacement are these, <k + delta|D(alpha)|k> = g_k(alpha^2)
-    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), and so are the
-    radial terms of a Wigner function's Fock-basis kernel, up to
-    (-1)^k / (2 pi).  ``x`` >= 0 and the integers ``delta`` >= 0
-    broadcast together, and each yielded array has their shape.
+    with L the generalized Laguerre polynomial, for ``x`` >= 0 and integers
+    ``delta`` >= 0 that broadcast together; the next step overwrites each
+    yielded array.  ``displacement_elements`` reads these as the Fock
+    elements <k + delta|D(alpha)|k> = g_k(alpha^2) of a real displacement
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), and
+    ``wigner.wigner_from_density`` as its kernel, (-1)^k g_k(r^2) / (2 pi).
 
     g_0 is e^(-x/2) times the square root of the product of x / j over
     j <= delta, and then
@@ -235,10 +235,16 @@ def laguerre_functions(x, delta, count: int):
                                   - sqrt((k - 1)(k - 1 + delta)) g_{k-2}.
 
     Every |g_k| <= 1, but g_0 underflows where x passes about 1,400, and
-    the recurrence can climb from a g_0 far below that.  So each entry is
-    carried as a mantissa times 2**scale, rescaled by exact powers of 2,
-    and only the yielded values may underflow.  The rescaling assumes
-    x + delta < 2**60.
+    the recurrence can climb from a g_0 far below that.  So an entry whose
+    g_0 is below about 2**-512 is carried as a mantissa times 2**scale,
+    rescaled by exact powers of 2 (assuming x + delta < 2**60), and is
+    multiplied by 2**scale as it is yielded, 0 below 2**-1074.  The others
+    carry their own values, which stay far from subnormal numbers, so each
+    is the one the scaled form gives, bit for bit.
+
+    ``chain``, a list that the caller keeps across calls on one ``x`` with
+    a scalar ``delta`` that grows, carries x^delta / delta! from each call
+    to the next, which resumes it where the last one stopped.
     """
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta, dtype=np.int64)
@@ -246,37 +252,49 @@ def laguerre_functions(x, delta, count: int):
     # e^(-x/2) = 2^-k e^(k ln 2 - x/2), the reduced argument exact
     half = x / 2
     k = np.floor(half / math.log(2))
-    mantissa = np.broadcast_to(np.exp((k * _LN2_HI - half) + k * _LN2_LO),
-                               shape)
-    scale = np.broadcast_to(-k.astype(np.int64), shape).copy()
+    mantissa = np.exp((k * _LN2_HI - half) + k * _LN2_LO)
     # x^delta / delta!, normalised every few factors so that it neither
-    # overflows nor underflows on the way
+    # overflows nor underflows on the way; a scalar delta takes every factor
+    top, first = int(delta.max(initial=0)), 1
     product, product_scale = np.ones(shape), np.zeros(shape, dtype=np.int64)
-    for j in range(1, int(delta.max(initial=0)) + 1):
-        np.multiply(product, x / j, out=product, where=delta >= j)
+    if chain and chain[0] <= top:
+        first, product[...], product_scale[...] = chain[0] + 1, *chain[1:]
+    for j in range(first, top + 1):
+        np.multiply(product, x / j, out=product,
+                    where=delta >= j if delta.ndim else True)
         if j % _RENORMALISE_EVERY == 0:
             product, exponent = np.frexp(product)
             product_scale += exponent
+    if chain is not None:
+        chain[:] = top, product.copy(), product_scale.copy()
     product, exponent = np.frexp(product)
     product_scale += exponent
-    odd = product_scale % 2
-    cur = mantissa * np.sqrt(np.ldexp(product, odd))
-    scale += (product_scale - odd) // 2
-    yield np.ldexp(cur, scale)
-    prev = np.zeros(shape)
+    cur = mantissa * np.sqrt(product * ((product_scale & 1) + 1))
+    scale = (product_scale >> 1) - k.astype(np.int64)
+    own = scale >= -_SCALE_STEP
+    cur = np.ldexp(cur, np.where(own, scale, 0))
+    factor = None if own.all() else np.ldexp(1.0, np.where(own, 0, scale))
+    prev, step, out = np.zeros(shape), np.empty(shape), np.empty(shape)
     base = delta - x
     steps = np.arange(count).reshape((count,) + (1,) * delta.ndim)
     roots = np.sqrt(steps * (steps + delta))
-    for n in range(1, count):
-        prev, cur = cur, ((base + (2 * n - 1)) * cur
-                          - roots[n - 1] * prev) / roots[n]
-        if n % _RENORMALISE_EVERY == 0:
-            big = np.maximum(np.abs(cur), np.abs(prev)) > _SCALE_AT
-            if big.any():
-                shift = np.where(big, _SCALE_STEP, 0)
-                cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
-                scale += shift
-        yield np.ldexp(cur, scale)
+    for n in range(count):
+        if n:
+            # the step in place, one operation at a time in its own order
+            np.add(base, 2 * n - 1, out=step)
+            step *= cur
+            np.multiply(roots[n - 1], prev, out=prev)
+            step -= prev
+            step /= roots[n]
+            prev, cur, step = cur, step, prev
+        if factor is not None and n % _RENORMALISE_EVERY == 0:
+            big = np.nonzero(np.maximum(np.abs(cur), np.abs(prev))
+                             > _SCALE_AT)
+            cur[big] = np.ldexp(cur[big], -_SCALE_STEP)
+            prev[big] = np.ldexp(prev[big], -_SCALE_STEP)
+            scale[big] += _SCALE_STEP
+            factor[big] = np.ldexp(1.0, scale[big])
+        yield cur if factor is None else np.multiply(cur, factor, out=out)
 
 
 def displacement_elements(magnitude: float, field_dim: int) -> np.ndarray:

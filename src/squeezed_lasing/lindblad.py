@@ -484,6 +484,13 @@ class _SectorCoordinates:
         # +1 below the diagonal, -1 above
         self.side = np.sign(self.rows - self.cols).astype(np.int8)
 
+    def points(self) -> np.ndarray:
+        """Each coordinate at its pair's photon numbers, folded so that
+        both coordinates of a pair share a point: the mesh of its plan."""
+        ni, nj = self.photons[self.rows], self.photons[self.cols]
+        return np.stack([np.minimum(ni, nj), np.maximum(ni, nj)], axis=1,
+                        dtype=np.int32)
+
     def join(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
                                                         np.ndarray]:
         """The index pairs (ka, kb) for which (a[ka], b[kb]) is a pair of
@@ -1188,11 +1195,7 @@ def _rooted_solve(coords: _SectorCoordinates, lmat: SparseMatrix,
         np.concatenate([np.full(d, root, dtype=np.int32), lmat.rows[keep]]),
         np.concatenate([coords.diagonal, lmat.cols[keep]]),
         np.concatenate([np.ones(d), lmat.data[keep]]), coords.n)
-    # each coordinate sits at its pair's photon numbers, folded so that
-    # both coordinates of a pair share a point
-    ni, nj = coords.photons[coords.rows], coords.photons[coords.cols]
-    points = np.stack([np.minimum(ni, nj), np.maximum(ni, nj)], axis=1,
-                      dtype=np.int32)
+    points = coords.points()
     plan, reused = _plan(bordered, points, root)
     b = np.zeros(plan.live.size)
     b[0] = 1.0
@@ -1289,11 +1292,11 @@ def steady_state(me: MasterEquation,
     as 0, and the LU costs O(field_dim K).  A start that holds
     _PROBE_RATIO times the pairs of _MIN_BAND or more is narrowed to the
     probe's band (``_probed_width``) where that is narrower, and a probe
-    that picks _MIN_BAND is kept as that band's pass.  Each pass reads
-    its band edge once, from its coordinates, and the band grows while
-    the edge is _BAND_TOL or more or the pass fails its checks.  The
-    whole sector, K >= field_dim - 1, is kept whatever its edge; None
-    solves it with no probe.  Each LU logs, at INFO, its field_dim, band
+    that picks _MIN_BAND is kept as that band's pass; else its plans
+    leave the memo.  Each pass reads its band edge once, from its
+    coordinates, and the band grows while the edge is _BAND_TOL or more
+    or the pass fails its checks.  The whole sector, K >= field_dim - 1,
+    is kept whatever its edge; None solves it with no probe.  Each LU logs, at INFO, its field_dim, band
     and unknowns, and each call the band kept, its edge and its growths.
 
     Only the kept pass is checked: its ||L rho|| residual on the band's
@@ -1317,6 +1320,10 @@ def steady_state(me: MasterEquation,
         solved = _bordered_solve(me, _MIN_BAND)
         band = min(band, _probed_width(solved[-1], whole))
         if band != _MIN_BAND:
+            # its plans would serve another probe alone, beside the band's
+            points = solved[0].points()
+            _plans[:] = [p for p in _plans
+                         if not np.array_equal(p.points, points)]
             solved = None
     while True:
         try:

@@ -18,13 +18,13 @@ ansatz predicts, and ``steady_state`` sizes the band from there.
 Each column of a scenario's spec then names a quantity of the point
 (reduced-field observables, mean field, ansatz fidelity, effective vs
 full model), computed once, on first use.  Sweep points run serially,
-in axis order, in the calling thread: each is one multifrontal LU,
-whose front loop runs in Python, and which has not been measured under
-threads.  A point or a panel that fails is logged and listed in
-``failed_points``, and the others still run.  Truncation health is one
-measured value, the population in the top Fock levels of the reduced
-field: it comes back as the row's ``truncation_flag`` and as log
-records, never as a Python warning.
+in axis order, in the calling thread: a point may probe, grow its band
+or retry, and its multifrontal LUs run their front loop in Python,
+which has not been measured under threads.  A point or a panel that
+fails is logged and listed in ``failed_points``, and the others still
+run.  Truncation health is one measured value, the population in the
+top Fock levels of the reduced field: it comes back as the row's
+``truncation_flag`` and as log records, never as a Python warning.
 
 Two parameter families are understood: dimensionless ratios
 (``kappa_over_gamma``, ``c_tilde``, ``epsilon_over_g``, ...), with rates
@@ -139,6 +139,16 @@ class SweepSpec:
             raise ConfigError(f"sweep.steps = {self.steps}: {exc}") from None
 
 
+# Past these a run would take about a gigabyte, and is refused when the
+# config is built.  Desk wigner_panels (both panels) measured 52 MB and
+# 0.6 s at 129^2 points per grid and 268 MB and 10 s at 1025^2: about
+# 210 B and 9 us per grid cell.  Desk rwa_validate measured 36 MB and
+# 1.5 s at 61 stored samples and 1.08 GB and 26 s at 1e6: about 1 KB and
+# 24 us per sample (field_dim 8; the states grow with field_dim).
+_GRID_MAX_POINTS = 2048
+_STORE_MAX_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class NumericsSpec:
     field_dim: int = 40
@@ -156,10 +166,23 @@ class NumericsSpec:
             raise ConfigError("n_phases must be at least 16")
         if self.grid_points < 16:
             raise ConfigError("grid_points must be at least 16")
+        if self.grid_points > _GRID_MAX_POINTS:
+            cells = float(self.grid_points) ** 2
+            raise ConfigError(
+                f"numerics.grid_points = {self.grid_points} asks for "
+                f"{cells:.3g} cells per Wigner grid, about "
+                f"{210 * cells:.3g} bytes; at most {_GRID_MAX_POINTS} "
+                "points per axis are accepted")
         if self.truncation_retries < 0:
             raise ConfigError("truncation_retries must be non-negative")
         if self.store_points < 2:
             raise ConfigError("store_points must be at least 2")
+        if self.store_points > _STORE_MAX_POINTS:
+            raise ConfigError(
+                f"numerics.store_points = {self.store_points} asks for "
+                f"{self.store_points:.3g} stored samples, about "
+                f"{1000.0 * self.store_points:.3g} bytes; at most "
+                f"{_STORE_MAX_POINTS:.0e} are accepted")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, annihilation, expectation
+from .fock import DensityMatrix, laguerre_functions
 
 # fraction of total mass a grid may miss before reconstruction is refused
 MASS_TOL = 1e-3
@@ -28,10 +28,6 @@ AUTO_GRID_SIGMAS = 6.0
 # extents: a grid built from them under another BLAS thread count can
 # differ from a fresh evaluation in the last bits
 _EXTENT_RTOL = 1e-9
-
-# radius past which f_0 = e^{-r^2/2} / (2 pi) of the Fock-basis kernels
-# is subnormal (r ~ 37.6), so the kernels' recurrence loses digits there
-KERNEL_RADIUS = math.sqrt(-2.0 * math.log(2 * math.pi * np.finfo(float).tiny))
 
 
 class GridCoverageError(ValueError):
@@ -126,15 +122,19 @@ class WignerField:
 
 
 def _operator_extents(rho: DensityMatrix) -> tuple[float, float, float, float]:
-    a = annihilation(rho.space)
-    x_op = a + a.dag()
-    p_op = 1j * (a.dag() - a)
-    mx = expectation(x_op, rho).real
-    mp = expectation(p_op, rho).real
-    vx = expectation(x_op @ x_op, rho).real - mx**2
-    vp = expectation(p_op @ p_op, rho).real - mp**2
-    sx = AUTO_GRID_SIGMAS * math.sqrt(max(vx, 1e-12))
-    sp = AUTO_GRID_SIGMAS * math.sqrt(max(vp, 1e-12))
+    """AUTO_GRID_SIGMAS standard deviations of x = a + a^dag and p =
+    i(a^dag - a) about their means, from <a>, <a^2> and the populations
+    (on the truncated ladder a a^dag = a^dag a + 1 but at the top)."""
+    if rho.space.n_qubits != 0:
+        raise ValueError("grid_for_density needs a field-only state")
+    m, n = rho.matrix, np.arange(rho.space.field_dim)
+    a1 = np.sqrt(n[1:]) @ np.diagonal(m, -1)
+    a2 = np.sqrt(n[2:] * n[1:-1]) @ np.diagonal(m, -2)
+    pops = np.diagonal(m).real
+    both = (2 * n + 1) @ pops - n.size * pops[-1]
+    mx, mp = 2 * a1.real, 2 * a1.imag
+    sx = AUTO_GRID_SIGMAS * math.sqrt(max(both + 2 * a2.real - mx**2, 1e-12))
+    sp = AUTO_GRID_SIGMAS * math.sqrt(max(both - 2 * a2.real - mp**2, 1e-12))
     return mx - sx, mx + sx, mp - sp, mp + sp
 
 
@@ -152,12 +152,10 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     delta >= 0 and its mirror: w_delta Re(e^{-i delta theta} sum_n c_n f_n),
     w_0 = 1 and w_delta = 2 above it, with c_n = (rho[n + delta, n]
     + conj rho[n, n + delta]) / 2 the diagonal's Hermitian part, read once.
-    The normalised Fock-basis kernels f_n = (-1)^n sqrt(n! / (n + delta)!)
-    r^delta e^{-r^2/2} L_n^delta(r^2) / (2 pi) are bounded by 1/(2 pi), so
-    no term overflows however large the state.  From f_{-1} = 0 and f_0
-    formed in the log domain, the Laguerre recurrence gives
-    f_n = -[(2n - 1 + delta - r^2) f_{n-1}
-    + sqrt((n - 1)(n - 1 + delta)) f_{n-2}] / sqrt(n (n + delta)).
+    The Fock-basis kernels are f_n = (-1)^n g_n(r^2) / (2 pi), with g_n
+    from ``fock.laguerre_functions``, which ``fock.displacement_elements``
+    reads too; its power-of-2 scale keeps their digits at any radius.
+    The sign, the 1 / (2 pi) and w_delta go into c_n.
     Terms with |c_n| < 1e-18 are dropped, and each diagonal's recurrence
     stops at the last n it keeps.  f_n and sum_n c_n f_n depend on a cell
     only through r^2, so the recurrence runs once per distinct radius,
@@ -175,50 +173,39 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
     r2, radius_of = np.unique(cell_r2.ravel(), return_inverse=True)
     radius_of = radius_of.reshape(cell_r2.shape)
     phase_unit = np.exp(-1j * np.arctan2(p_arr, x_arr))
+    kernel_sign = (-1.0) ** np.arange(d) / (2 * math.pi)
 
     values = np.zeros_like(cell_r2)
-    inner = np.empty(cell_r2.shape, dtype=complex)
-    # Re and Im of sum_n c_n f_n per radius: c_n f_n as a complex product
-    # has parts c_n.real f_n and c_n.imag f_n up to the sign of a zero,
-    # which no sum into the grid can keep
+    # e^{-i delta theta}, turned on by one e^{-i theta} per diagonal
+    rotation, turned = np.ones_like(phase_unit), 0
     inner_re, inner_im, term = (np.empty_like(r2) for _ in range(3))
-    # f_{n-2}, f_{n-1} and the step under way, reused at every step
-    f_prev, f, step = (np.empty_like(r2) for _ in range(3))
+    gathered = np.empty_like(cell_r2)
+    chain: list = []
     for delta in range(d):
         c = (np.diagonal(mat, offset=-delta)
              + np.diagonal(mat, offset=delta).conj()) / 2
         kept = np.flatnonzero(np.abs(c) >= 1e-18)
         if not kept.size:
             continue
+        for _ in range(delta - turned):
+            rotation *= phase_unit
+        turned = delta
+        count = kept[-1] + 1
+        coef = c[:count] * kernel_sign[:count] * (2.0 if delta else 1.0)
         inner_re.fill(0.0)
         inner_im.fill(0.0)
-        f_prev.fill(0.0)
-        # r^delta, with 0^0 = 1 at the origin
-        with np.errstate(divide="ignore"):
-            log_power = (delta / 2) * np.log(r2) if delta else 0.0
-        np.exp(log_power - r2 / 2 - 0.5 * math.lgamma(delta + 1), out=f)
-        f /= 2 * math.pi
-        # the f_n past the last kept c_n are never summed
-        for n in range(kept[-1] + 1):
-            if n:
-                # the recurrence above, in place, one operation at a time
-                # in its own order, so every value is the same bit for bit
-                # (-x / s and x / -s round alike)
-                np.subtract(2 * n - 1 + delta, r2, out=step)
-                step *= f
-                np.multiply(math.sqrt((n - 1) * (n - 1 + delta)), f_prev,
-                            out=f_prev)
-                step += f_prev
-                step /= -math.sqrt(n * (n + delta))
-                f_prev, f, step = f, step, f_prev
+        # the g_n past the last kept c_n are never summed
+        for n, g in enumerate(laguerre_functions(r2, delta, count, chain)):
             if abs(c[n]) >= 1e-18:
-                inner_re += np.multiply(c[n].real, f, out=term)
+                inner_re += np.multiply(coef[n].real, g, out=term)
                 # a real c_n adds only zeros to the imaginary part
-                if c[n].imag:
-                    inner_im += np.multiply(c[n].imag, f, out=term)
-        np.take(inner_re, radius_of, out=inner.real)
-        np.take(inner_im, radius_of, out=inner.imag)
-        values += (2.0 if delta else 1.0) * (phase_unit**delta * inner).real
+                if coef[n].imag:
+                    inner_im += np.multiply(coef[n].imag, g, out=term)
+        np.take(inner_re, radius_of, out=gathered)
+        values += np.multiply(rotation.real, gathered, out=gathered)
+        if coef.imag.any():
+            np.take(inner_im, radius_of, out=gathered)
+            values -= np.multiply(rotation.imag, gathered, out=gathered)
 
     mass = float(values.sum()) * grid.cell_area
     if abs(mass - 1.0) > MASS_TOL:
@@ -238,13 +225,6 @@ def wigner_from_density(rho_A: DensityMatrix, grid: PhaseGrid) -> WignerField:
                 "moment extents; the quadrature is too coarse: suggest "
                 f"{max(points, grid.nx, grid.np)} grid points per axis "
                 f"(have {grid.nx} x {grid.np})")
-        if reach > KERNEL_RADIUS:
-            raise GridCoverageError(
-                f"grid captures mass {mass:.6f} although it spans the "
-                "moment extents and its points resolve the state; the "
-                f"state reaches radius {reach:.1f}, and the Fock-basis "
-                f"kernels lose their precision past radius "
-                f"{KERNEL_RADIUS:.1f}, where f_0 underflows")
         raise GridCoverageError(
             f"grid captures mass {mass:.6f} although it spans the moment "
             "extents and its points resolve the state; its mass lies "

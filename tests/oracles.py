@@ -47,6 +47,7 @@ from squeezed_lasing.fock import (
     InvalidStateError,
     Operator,
     annihilation,
+    laguerre_functions,
     matrix_exponential,
 )
 from squeezed_lasing.gaussian import GaussianDecomposition, GaussianState
@@ -302,37 +303,34 @@ def mf_evolve(state0: MeanFieldState, params: MFParams,
 
 
 def wigner_per_cell(rho_A: DensityMatrix, grid: PhaseGrid) -> np.ndarray:
-    """W on ``grid``, with the recurrence and the inner sums of
-    ``wigner.wigner_from_density`` run on every cell; no mass check."""
+    """W on ``grid``, with ``fock.laguerre_functions`` and the inner sums
+    of ``wigner.wigner_from_density`` run on every cell; no mass check."""
     mat = rho_A.matrix
+    d = rho_A.space.field_dim
     x_arr, p_arr = grid.mesh()
     r2 = x_arr**2 + p_arr**2
     phase_unit = np.exp(-1j * np.arctan2(p_arr, x_arr))
+    kernel_sign = (-1.0) ** np.arange(d) / (2 * math.pi)
     values = np.zeros_like(r2)
-    inner, term = (np.empty(r2.shape, dtype=complex) for _ in range(2))
-    f_prev, f, step = (np.empty_like(r2) for _ in range(3))
-    for delta in range(rho_A.space.field_dim):
+    rotation, turned = np.ones_like(phase_unit), 0
+    inner_re, inner_im, term = (np.empty_like(r2) for _ in range(3))
+    for delta in range(d):
         c = (np.diagonal(mat, offset=-delta)
              + np.diagonal(mat, offset=delta).conj()) / 2
         kept = np.flatnonzero(np.abs(c) >= 1e-18)
         if not kept.size:
             continue
-        inner.fill(0.0)
-        f_prev.fill(0.0)
-        with np.errstate(divide="ignore"):
-            log_power = (delta / 2) * np.log(r2) if delta else 0.0
-        np.exp(log_power - r2 / 2 - 0.5 * math.lgamma(delta + 1), out=f)
-        f /= 2 * math.pi
-        for n in range(kept[-1] + 1):
-            if n:
-                np.subtract(2 * n - 1 + delta, r2, out=step)
-                step *= f
-                np.multiply(math.sqrt((n - 1) * (n - 1 + delta)), f_prev,
-                            out=f_prev)
-                step += f_prev
-                step /= -math.sqrt(n * (n + delta))
-                f_prev, f, step = f, step, f_prev
+        for _ in range(delta - turned):
+            rotation *= phase_unit
+        turned = delta
+        coef = (c[:kept[-1] + 1] * kernel_sign[:kept[-1] + 1]
+                * (2.0 if delta else 1.0))
+        inner_re.fill(0.0)
+        inner_im.fill(0.0)
+        for n, g in enumerate(laguerre_functions(r2, delta, kept[-1] + 1)):
             if abs(c[n]) >= 1e-18:
-                inner += np.multiply(c[n], f, out=term)
-        values += (2.0 if delta else 1.0) * (phase_unit**delta * inner).real
+                inner_re += np.multiply(coef[n].real, g, out=term)
+                inner_im += np.multiply(coef[n].imag, g, out=term)
+        values += rotation.real * inner_re
+        values -= rotation.imag * inner_im
     return values

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,30 @@ def test_an_rwa_run_past_the_step_bound_exits_2(tmp_path, preset, key,
     assert f"{key} ({value!r})" in message
     epsilon_key = "epsilon_ghz" if preset == "paper-2013" else "epsilon_over_g"
     assert f"lower {epsilon_key} (" in message and "or gt_max (" in message
+
+
+@pytest.mark.parametrize("scenario, key, value, size", [
+    ("wigner_panels", "grid_points", 10**7, "1e+14 cells"),
+    ("rwa_validate", "store_points", 10**10, "1e+10 stored samples"),
+], ids=["grid_points", "store_points"])
+def test_an_oversized_grid_or_sample_count_exits_2(tmp_path, scenario, key,
+                                                   value, size):
+    # refused when the config is built, before anything of that size
+    # is allocated: the refusal takes well under a megabyte
+    tracemalloc.start()
+    try:
+        assert main([scenario, "--out", str(tmp_path / "o"),
+                     "--set", f"numerics.{key}={value}"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError) as refused:
+        build_config(scenario, overrides={"numerics": {key: value}})
+    assert f"numerics.{key} = {value} asks for {size}" in str(refused.value)
+    # the largest count the fd-500 paper panels have asked for is accepted
+    build_config("wigner_panels", overrides={"numerics": {"grid_points": 1587}})
 
 
 def test_dress_audit_accepts_a_gt_max_it_never_reads(tmp_path):

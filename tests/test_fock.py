@@ -15,6 +15,7 @@ from squeezed_lasing.fock import (
     displacement_elements,
     expectation,
     fock_populations,
+    laguerre_functions,
     qubit_ops,
     truncation_edge,
 )
@@ -282,6 +283,19 @@ def test_displacement_elements_match_the_closed_form(x):
             row = np.array([exact(m, n) for n in cols])
         worst = np.max(np.abs(elements[m, cols] - row))
         assert worst <= 1e-12 * np.max(np.abs(row)), (m, worst)
+
+
+def test_a_chained_call_gives_the_values_of_a_fresh_one():
+    # a chain resumes x^delta / delta! for a larger delta and starts it
+    # again for a smaller one; the g_k are the same bits either way, out
+    # to radii whose g_0 takes the scaled path
+    x = np.linspace(0.0, 2500.0, 301)
+    chain: list = []
+    for delta in (3, 11, 2, 40, 40):
+        fresh = list(map(np.copy, laguerre_functions(x, delta, 30)))
+        chained = list(map(np.copy, laguerre_functions(x, delta, 30, chain)))
+        assert np.array(fresh).tobytes() == np.array(chained).tobytes()
+        assert chain[0] == delta
 
 
 def test_matrix_exponential_antihermitian_unitary():

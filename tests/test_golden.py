@@ -20,7 +20,12 @@ under ``tests/golden/``:
 
     PYTHONPATH=src python tests/test_golden.py --write DIR
 
-Run it in a checkout of each commit, then ``diff -r`` the two DIRs.
+Run it in a checkout of each commit, then ``diff -r`` the two DIRs, or
+compare them within the tolerances above, worst deviation per file:
+
+    PYTHONPATH=src python tests/test_golden.py --compare OLD_DIR NEW_DIR
+
+which exits 1 if any file passes them (``tests/golden`` may be OLD_DIR).
 Re-pin only for a change meant to move the numbers, and only the cases
 it moves, from the repo root:
 
@@ -42,6 +47,7 @@ with a fresh run, so this mode cannot hide a number that moved.
 from __future__ import annotations
 
 import json
+import math
 import re
 import shutil
 import sys
@@ -110,12 +116,21 @@ def _run(case: str, out: Path) -> None:
 def _compare_table(name: str, new: list[str], gold: list[str], sep) -> None:
     """Leading comments and the CSV header exact; data columns per the
     module docstring."""
+    worst = _table_deviation(name, new, gold, sep)
+    assert worst <= RTOL, f"{name}: a column moved by {worst:.3e} of its scale"
+
+
+def _table_deviation(name: str, new: list[str], gold: list[str], sep) -> float:
+    """The largest max |new - golden| over a data column, relative to that
+    column's largest golden magnitude; raises AssertionError where a
+    comment, the header, a text or an integer cell differs."""
     n_head = next(i for i, line in enumerate(gold)
                   if not line.startswith("#")) + (sep == ",")
     assert new[:n_head] == gold[:n_head], f"{name}: header"
     assert len(new) == len(gold), f"{name}: line count"
     rows_new = [line.split(sep) for line in new[n_head:]]
     rows_gold = [line.split(sep) for line in gold[n_head:]]
+    worst = 0.0
     for col, cells_gold in enumerate(zip(*rows_gold)):
         cells_new = [row[col] for row in rows_new]
         try:
@@ -127,10 +142,28 @@ def _compare_table(name: str, new: list[str], gold: list[str], sep) -> None:
             assert cells_new == list(cells_gold), f"{name}: column {col}"
             continue
         scale = max(abs(v) for v in values_gold)
-        worst = max(abs(float(a) - b)
-                    for a, b in zip(cells_new, values_gold))
-        assert worst <= RTOL * scale, \
-            f"{name}: column {col} moved by {worst:.3e} (scale {scale:.3e})"
+        moved = max(abs(float(a) - b) for a, b in zip(cells_new, values_gold))
+        worst = max(worst, moved / scale if scale
+                    else math.inf if moved else 0.0)
+    return worst
+
+
+def _manifest_deviation(new, gold, path: str = "manifest") -> float:
+    """The largest |new - golden| / |golden| over the manifests' floats
+    (absolute where the golden float is 0); raises AssertionError where a
+    key, a string, an integer or a list length differs."""
+    if isinstance(gold, dict):
+        assert isinstance(new, dict) and sorted(new) == sorted(gold), path
+        return max((_manifest_deviation(new[k], gold[k], f"{path}.{k}")
+                    for k in gold if k != "versions"), default=0.0)
+    if isinstance(gold, list):
+        assert isinstance(new, list) and len(new) == len(gold), path
+        return max((_manifest_deviation(a, b, f"{path}[{i}]")
+                    for i, (a, b) in enumerate(zip(new, gold))), default=0.0)
+    if isinstance(gold, float) and type(new) in (int, float):
+        return abs(new - gold) / (abs(gold) or 1.0)
+    assert new == gold and type(new) is type(gold), path
+    return 0.0
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -176,6 +209,43 @@ def test_hash_only_repin_restores_only_the_hash(tmp_path, monkeypatch):
         pin_hashes([case])
 
 
+def _perturb_largest(path: Path, column: int, factor: float) -> None:
+    """Scale the largest-magnitude cell of a CSV data column."""
+    lines = path.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    rows = [line.split(",") for line in lines[start:]]
+    row = max(rows, key=lambda r: abs(float(r[column])))
+    row[column] = repr(float(row[column]) * factor)
+    path.write_text("\n".join(lines[:start] + [",".join(r) for r in rows])
+                    + "\n")
+
+
+@pytest.mark.parametrize("relative, flagged", [(1e-9, True), (1e-12, False)])
+def test_compare_flags_a_move_past_the_tolerance(tmp_path, capsys, relative,
+                                                 flagged):
+    # one table cell, and separately one manifest float, moved by
+    # ``relative`` of the column's or the float's size
+    for moved in ("table", "manifest"):
+        old, new = tmp_path / moved / "old", tmp_path / moved / "new"
+        for side in (old, new):
+            shutil.copytree(GOLDEN / "single_laser", side / "single_laser")
+        if moved == "table":
+            _perturb_largest(new / "single_laser" / "single_laser.csv", 1,
+                             1 + relative)
+        else:
+            path = new / "single_laser" / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["config"]["params"]["c_prime"] *= 1 + relative
+            path.write_text(_dump_manifest(manifest))
+        assert compare(old, new) == flagged
+        assert f"{relative:.3e}" in capsys.readouterr().out
+    # a text cell that differs is a mismatch, whatever its size
+    path = new / "single_laser" / "single_laser.csv"
+    path.write_text(path.read_text().replace("c_tilde", "c_tild", 1))
+    assert compare(old, new) == 1
+    assert "mismatch" in capsys.readouterr().out
+
+
 def _check_cases(cases: list[str]) -> None:
     unknown = sorted(set(cases) - set(CASES))
     if unknown:
@@ -190,6 +260,41 @@ def pin(cases: list[str]) -> None:
     for case in cases or CASES:
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         _run(case, GOLDEN / case)
+
+
+def compare(old: Path, new: Path) -> int:
+    """Print the worst deviation of each table, grid and manifest of the
+    cases run into ``new`` from the same files under ``old`` (each a
+    ``--write`` directory, or ``tests/golden``); 1 if any passes RTOL or
+    differs where it must match exactly, else 0."""
+    status = 0
+    for case_dir in sorted(p for p in old.iterdir() if p.is_dir()):
+        case = case_dir.name
+        names = sorted(p.name for p in case_dir.iterdir())
+        if not (new / case).is_dir() or sorted(
+                p.name for p in (new / case).iterdir()) != names:
+            print(f"{case}: files differ")
+            status = 1
+            continue
+        for name in names:
+            text_new = (new / case / name).read_text()
+            text_old = (case_dir / name).read_text()
+            try:
+                if name == "manifest.json":
+                    worst = _manifest_deviation(json.loads(text_new),
+                                                json.loads(text_old))
+                else:
+                    worst = _table_deviation(
+                        f"{case}/{name}", text_new.splitlines(),
+                        text_old.splitlines(),
+                        "," if name.endswith(".csv") else None)
+            except AssertionError as exc:
+                print(f"{case}/{name}: mismatch at {exc}")
+                status = 1
+                continue
+            print(f"{case}/{name}: worst deviation {worst:.3e}")
+            status |= worst > RTOL
+    return int(status)
 
 
 def write(out: Path) -> None:
@@ -240,6 +345,10 @@ if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--hash-only"]:
         pin_hashes(args[1:])
+    elif args[:1] == ["--compare"]:
+        if len(args) != 3:
+            raise SystemExit("usage: test_golden.py --compare OLD NEW")
+        sys.exit(compare(Path(args[1]), Path(args[2])))
     elif args[:1] == ["--write"]:
         if len(args) != 2:
             raise SystemExit("usage: test_golden.py --write DIR")

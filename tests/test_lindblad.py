@@ -537,6 +537,25 @@ def test_wide_start_is_narrowed_by_a_probe(monkeypatch):
     assert trace_distance(rho, whole) <= edge + 1e-13
 
 
+def test_a_probe_that_picks_another_band_leaves_no_plan():
+    # desk C' = 0.01 at field_dim 150 probes the narrowest band and keeps
+    # 54 (above); the memo then holds that band's plan and none of the
+    # probe's pattern
+    cfg = build_config("wigner_panels", preset="desk",
+                       overrides={"params": {"c_prime": 0.01}})
+    [resolved] = cfg.points
+    me = model_squeezed_laser_effective(
+        resolved.dressed, resolved.gamma, resolved.kappa, resolved.c_prime,
+        HilbertSpace(n_qubits=1, field_dim=150))
+    with plan_memo() as plans:
+        steady_state(me, band=149)
+    probe = lindblad._SectorCoordinates(me._labels(), 150,
+                                        lindblad._MIN_BAND).points()
+    kept = lindblad._SectorCoordinates(me._labels(), 150, 54).points()
+    assert [np.array_equal(p.points, kept) for p in plans] == [True]
+    assert not any(np.array_equal(p.points, probe) for p in plans)
+
+
 def test_a_probe_that_picks_its_own_band_is_that_bands_solve(monkeypatch):
     # the single laser's sector holds no pair more than one photon apart,
     # so a probe on the narrowest band reads no fall-off to extrapolate,

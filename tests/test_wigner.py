@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
@@ -266,18 +267,55 @@ def resolving_grid(rho):
     return grid_for_density(rho, points=max(points, 16))
 
 
-def test_coverage_failure_past_the_kernel_radius_names_it():
+def test_a_state_reaching_past_radius_37_6_reconstructs():
     # |alpha|^2 = 330 sits at x = 36.3 with unit variance, so about 0.5%
-    # of its mass lies past the radius where f_0 underflows; the grid
-    # spans the moment extents at the resolving density (76 points)
+    # of its mass lies past r = 37.6, where e^{-r^2/2} / (2 pi) is
+    # subnormal; the Laguerre functions carry a power-of-2 scale there
     rho = coherent_band(330.0, 4.0)
     grid = resolving_grid(rho)
-    with pytest.raises(GridCoverageError) as caught:
-        wigner_from_density(rho, grid)
-    message = str(caught.value)
-    assert f"past radius {wigner.KERNEL_RADIUS:.1f}" in message
-    assert "37.6" in message
-    assert "suggest" not in message
+    w = wigner_from_density(rho, grid)
+    assert w.mass == pytest.approx(1.0, abs=1e-4)
+    x, p = grid.mesh()
+    far = np.broadcast_to(x**2 + p**2 > 37.6**2, w.values.shape)
+    assert float(w.values[far].sum()) * grid.cell_area > 4e-3
+
+
+def displaced_squeezed(nbar, r, theta, phi):
+    """D(alpha) S |0> with |alpha|^2 = nbar at phase theta, squeezed by r
+    along phi, on the smallest of a few field_dims whose top tenth holds
+    < 1e-16: at 1e-12, a squeezed vacuum's truncation alone moves its W
+    by up to 5e-8 of the peak."""
+    gs = compose(GaussianDecomposition(
+        alpha=cmath.rect(math.sqrt(nbar), theta), phi=phi, r_tilde=r,
+        n_tilde=0.0))
+    field_dim = math.ceil((nbar + 8 * math.sqrt(nbar) + 10) / 0.9)
+    while True:
+        rho = to_fock(gs, HilbertSpace(n_qubits=0, field_dim=field_dim))
+        if truncation_edge(rho) < 1e-16:
+            return gs, rho
+        field_dim = math.ceil(1.2 * field_dim)
+
+
+@settings(max_examples=3, deadline=None)
+@given(nbar=st.floats(0, 20), r=st.floats(0, 1),
+       theta=st.floats(0, 2 * math.pi),
+       phi=st.sampled_from([0.0, math.pi / 2]))
+# centred at r = 34.6, with cells out to r = 40.6, past r = 37.6, where
+# e^{-r^2/2} / (2 pi) is subnormal
+@example(nbar=300.0, r=0.0, theta=0.0, phi=0.0)
+@example(nbar=20.0, r=1.0, theta=0.0, phi=0.0)
+def test_gaussians_match_their_closed_form_at_any_radius(nbar, r, theta,
+                                                         phi):
+    gs, rho = displaced_squeezed(nbar, r, theta, phi)
+    # 6 standard deviations of each quadrature, the axes of the squeezing,
+    # about the mean
+    sx, sp = 6 * np.sqrt(np.diag(gs.cov))
+    grid = PhaseGrid(x_min=gs.mean[0] - sx, x_max=gs.mean[0] + sx,
+                     p_min=gs.mean[1] - sp, p_max=gs.mean[1] + sp,
+                     nx=21, np=21)
+    exact = gaussian_wigner(gs, grid).values
+    error = np.max(np.abs(wigner_from_density(rho, grid).values - exact))
+    assert error <= 1e-8 * exact.max()
 
 
 def test_coverage_failure_of_a_heavy_tail_suggests_its_radius():
@@ -393,6 +431,9 @@ def random_state(field_dim, seed, real, near_cut):
          stretch=(1.0, 1.0, 1.0, 1.0), extra=(0, 0))
 @example(field_dim=1, seed=0, real=True, near_cut=False, centred=True,
          stretch=(1.0, 1.0, 1.0, 1.0), extra=(0, 0))
+# corners out to r = 30.7, where g_0 < 2^-512 takes the scaled path
+@example(field_dim=24, seed=2, real=False, near_cut=False, centred=False,
+         stretch=(1.3, 1.3, 1.3, 1.3), extra=(0, 0))
 def test_kernel_matches_the_per_cell_recurrence_bit_for_bit(
         field_dim, seed, real, near_cut, centred, stretch, extra):
     # the recurrence runs once per distinct radius; every value must be
