@@ -84,12 +84,11 @@ class Operator:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (self.space.dim, self.space.dim):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match space dim {self.space.dim}"
             )
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

@@ -82,22 +82,25 @@ roots it again, at the population that leaves fastest.
 
 The solve is split, as multifrontal solvers are (Duff & Reid, ACM TOMS
 9, 302 (1983)), into a symbolic plan and a numeric pass.  The plan
-(``_Plan``) holds all that depends on the bordered matrix's pattern, its
-mesh points and its trace row alone: those three, its lookup key; the
-trace row's block and where its entries sit among the bordered
-matrix's; and the block's fronts, their children, the entry order and
-the front cuts, each front's boundary, and each entry's and each child's
-place in its front, as int32.  It is built from one adjacency, in time
-linear in each front's lists plus a sort of its boundary.  Plans are
-kept in a memo of at most 32 MB (``_PLAN_BYTES``), least recently used
-out, and looked up by the exact pattern (the bordered matrix's rows and
-columns, in order), points and trace row, compared in full.  A sweep's
-points at one field_dim and band share a pattern, so each is analysed
-once.  ``splu`` is the numeric pass of the plan it is handed: front
-assembly, extend-add, the dense solves and back-substitution, in the
-same order on every solve, so a reused plan gives the result of a fresh
-one bit for bit.  The generator is assembled for every solve: its
-pattern depends on its values, because exact zeros are dropped.
+(``_Plan``) keeps the bordered matrix's pattern, its mesh points and its
+trace row as its lookup key, and what the numeric pass reads of them
+alone: the trace row's block, one gather index that lists the block's
+entries front by front by their places among the bordered matrix's,
+the block's fronts, their children and cuts, each front's boundary, and
+each entry's and each child's place in its front.  That is about 9 bytes
+per bordered entry at desk size, 14 at paper scale, where indices past
+2^15 take 4 bytes.  It is built from one adjacency, in time linear in
+each front's lists plus a sort of its boundary.  Plans are kept in a
+memo of at most 32 MB (``_PLAN_BYTES``), least recently used out, and
+looked up by the exact pattern (the bordered matrix's rows and columns,
+in order), points and trace row, compared in full.  A sweep's points at
+one field_dim and band share a pattern, so each is analysed once.
+``splu`` is the numeric pass of the plan it is handed, on the bordered
+matrix's values: one gather of the block's, front assembly, extend-add,
+the dense solves and back-substitution, in the same order on every
+solve, so a reused plan gives the result of a fresh one bit for bit.
+The generator is assembled for every solve: its pattern depends on its
+values, because exact zeros are dropped.
 """
 
 from __future__ import annotations
@@ -941,9 +944,7 @@ class _Plan:
     ``cols``, ``points``) and the trace row ``root``.  Only the
     coordinates that the trace row reaches can be nonzero: the rest form
     blocks with a zero right-hand side, so the solve runs on the block of
-    the trace row alone (``live``, root first), whose entries sit at
-    ``take`` among the bordered matrix's, in the pattern ``block_rows``,
-    ``block_cols``; the others stay 0.
+    the trace row alone (``live``, root first); the others stay 0.
 
     The block's unknown 0 is a root front of its own.  The rest are
     ordered by ``_dissect`` on the block's adjacency, or are one front
@@ -953,22 +954,29 @@ class _Plan:
     in that order) is the later unknowns that its pivots or its
     children's boundaries touch, found in time proportional to those
     lists (``_distinct``) and sorted; one position map then numbers the
-    pivots and the boundary inside the front.  The entries are listed
-    front by front (``order``), each at the front that eliminates its
-    earlier endpoint, and ``at`` holds each entry's flat place in its
-    front, ``child_at`` each child's boundary rows in its parent, as
-    int32 (a front past int32 places would have over 46,000 unknowns,
-    17 GB dense).
+    pivots and the boundary inside the front.  The block's entries are
+    listed front by front, each at the front that eliminates its earlier
+    endpoint, by their places among the bordered matrix's entries
+    (``gather``).  ``at`` holds each one's flat place in its front, and
+    ``child_at`` each child's boundary rows in its parent, as int32 (a
+    front past int32 places would have over 46,000 unknowns, 17 GB
+    dense).  The key and these take about 9 bytes per bordered entry at
+    desk size, 14 at paper scale.
     """
 
     def __init__(self, bordered: SparseMatrix, points: np.ndarray,
                  root: int):
+        self.rows = _narrow(bordered.rows, bordered.n)
+        self.cols = _narrow(bordered.cols, bordered.n)
+        self.points = _narrow(points, points.max(initial=0) + 1)
+        self.root = root
         indptr, indices = bordered.adjacency()
         live = _reached(indptr, indices, root)
         live = np.concatenate([[root], live[live != root]])
+        self.live = _narrow(live, bordered.n)
         # the block of the entries' numbers carries their places as its data
         block = SparseMatrix(bordered.rows, bordered.cols,
-                             np.arange(bordered.rows.size),
+                             np.arange(bordered.rows.size, dtype=np.int32),
                              bordered.n).submatrix(live)
         index = np.empty(bordered.n, dtype=np.int32)
         index[live] = np.arange(live.size, dtype=np.int32)
@@ -977,8 +985,6 @@ class _Plan:
         np.cumsum(stops - starts, out=block_indptr[1:])
         block_indices = index[indices[_ranges(starts, stops)]]
         n = live.size
-        self.block_rows = _narrow(block.rows, n)
-        self.block_cols = _narrow(block.cols, n)
         if n > 2 * _LEAF:
             fronts, parents = _dissect(points[live], block_indptr,
                                        block_indices, np.arange(1, n))
@@ -1024,22 +1030,13 @@ class _Plan:
             self.boundaries.append(_narrow(bound, n))
             self.steps.append((lo, hi, m, e0, e1))
         self.perm = _narrow(perm, n)
-        self.order = order.astype(np.int32)
-        # the lookup key and the block's place, made after the front
-        # analysis: made before it, they raised perfbench two_qubit's peak
-        # RSS in every pair measured (heap layout, not live memory)
-        self.rows = _narrow(bordered.rows, bordered.n)
-        self.cols = _narrow(bordered.cols, bordered.n)
-        self.points = _narrow(points, points.max(initial=0) + 1)
-        self.root = root
-        self.live = _narrow(live, bordered.n)
-        self.take = block.data.astype(np.int32)
+        self.gather = block.data[order]
 
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (
-            self.rows, self.cols, self.points, self.live, self.take,
-            self.block_rows, self.block_cols, self.perm, self.order, self.at,
-            *self.boundaries, *(at for ats in self.child_at for at in ats)))
+            self.rows, self.cols, self.points, self.live, self.gather,
+            self.perm, self.at, *self.boundaries,
+            *(at for ats in self.child_at for at in ats)))
 
     def fits(self, matrix: SparseMatrix, points: np.ndarray,
              root: int) -> bool:
@@ -1053,8 +1050,8 @@ class _Plan:
 # The plans kept for reuse, least recently used first, and the bytes they
 # may hold together.  A sweep's points at one field_dim and band share a
 # pattern: desk squeezed_sweep solves 2 patterns 5 times, paper-2013
-# fidelity_sweep 3 patterns 20 times.  A plan takes 13-20 bytes per
-# entry of the bordered matrix: 0.35-1.75 MB at desk size, 27 MB for the
+# fidelity_sweep 3 patterns 20 times.  A plan takes 9-14 bytes per
+# entry of the bordered matrix: 0.24-1.2 MB at desk size, 18.8 MB for the
 # fd-500 band of 66 at paper-2013 C' = 0.01.  32 MB keep every pattern of
 # a desk or fd-60 sweep, or that one fd-500 plan, and a new large pattern
 # drops the old ones rather than stacking on them: kept, the fd-500
@@ -1082,16 +1079,19 @@ def _plan(bordered: SparseMatrix, points: np.ndarray,
     return plan, False
 
 
-def splu(matrix: SparseMatrix, rhs: np.ndarray,
+def splu(values: np.ndarray, rhs: np.ndarray,
          plan: _Plan) -> Factorisation:
-    """Solve matrix x = rhs, the trace row's block of a bordered matrix
-    (``_Plan``), by a multifrontal LU in the plan's nested-dissection
-    order, on numpy alone.  The steady-state solve looks it up here.
+    """Solve block x = rhs, where block is the trace row's block of the
+    bordered matrix whose entries' ``values`` are given (``_Plan``), by a
+    multifrontal LU in the plan's nested-dissection order, on numpy
+    alone.  The steady-state solve looks it up here.
 
     This is the numeric pass: the order, the fronts and their boundaries
-    and where each entry lands are the plan's.  Each entry is assembled
-    at the front that eliminates its earlier endpoint, and each child's
-    Schur complement is extend-added into its parent.  A front with
+    and where each entry lands are the plan's.  One gather takes the
+    block's values from ``values``, front by front.  Each entry is
+    assembled at the front that eliminates its earlier endpoint, and
+    each child's Schur complement is extend-added into its parent.  A
+    front with
     pivots P and later unknowns B (its boundary) then runs one
     np.linalg.solve of its pivot block against [coupling to B |
     right-hand side], with partial pivoting inside the block, keeps that
@@ -1101,7 +1101,7 @@ def splu(matrix: SparseMatrix, rhs: np.ndarray,
     operations in the same order, so a reused plan gives the result of a
     fresh one bit for bit.
     """
-    v = matrix.data[plan.order]
+    v = values[plan.gather]
     b = rhs[plan.perm]
     updates, kept = {}, []
     for f, (lo, hi, m, e0, e1) in enumerate(plan.steps):
@@ -1123,11 +1123,11 @@ def splu(matrix: SparseMatrix, rhs: np.ndarray,
                 f"{p} unknowns") from exc
         updates[f] = front[p:, p:] - front[p:, :p] @ x
         kept.append(x)
-    y = np.zeros(matrix.n)
+    y = np.zeros(rhs.size)
     for (lo, hi, *_), x, bound in zip(reversed(plan.steps), reversed(kept),
                                       reversed(plan.boundaries)):
         y[lo:hi] = x[:, -1] - x[:, :-1] @ y[bound]
-    solution = np.empty(matrix.n)
+    solution = np.empty(rhs.size)
     solution[plan.perm] = y
     return Factorisation(solution, sum(x.size for x in kept))
 
@@ -1199,10 +1199,8 @@ def _rooted_solve(coords: _SectorCoordinates, lmat: SparseMatrix,
     plan, reused = _plan(bordered, points, root)
     b = np.zeros(plan.live.size)
     b[0] = 1.0
-    block = SparseMatrix(plan.block_rows, plan.block_cols,
-                         bordered.data[plan.take], plan.live.size)
     y = np.zeros(coords.n)
-    y[plan.live] = splu(block, b, plan).solution
+    y[plan.live] = splu(bordered.data, b, plan).solution
     log.info("field_dim %d, band %d: %d unknowns factored, pattern %s",
              coords.field_dim, coords.band, plan.live.size,
              "reused" if reused else "analysed")
@@ -1265,9 +1263,9 @@ def _checked_state(space: HilbertSpace, coords: _SectorCoordinates,
             "the stationary state is not unique or the solve is "
             "ill-conditioned")
     m = coords.hermitian(y)
+    m /= np.trace(m).real
     try:
-        return DensityMatrix(space, m / np.trace(m).real,
-                             blocks=coords.labels)
+        return DensityMatrix(space, m, blocks=coords.labels)
     except InvalidStateError as exc:
         raise DegenerateSteadyStateError(
             f"bordered solve returned an invalid state: {exc}") from exc

@@ -542,6 +542,21 @@ def resolve_point(params: dict, model: str) -> ResolvedPoint:
 # predicted past it is refused before it starts.
 _RWA_MAX_STEPS = 2_000_000
 
+# Bytes per field_dim^2 of the dense arrays that a run holds at the peak
+# of building its largest model: 112, 144 and 176 B per entry of d x d,
+# d = 2 field_dim (4 field_dim for the two-qubit model), measured by
+# tracemalloc at field_dim 150-500, the same at every size and both
+# presets.  The RWA run holds 320: its four stacked couplings and one
+# step's five H(t) and -i H(t).  A run predicted past _FIELD_MAX_BYTES at
+# the largest field_dim its truncation retries reach is refused before
+# it starts.  The dense work after the build (the state and its checks)
+# took up to 1.8 times the build's peak (fd-800 paper-2013 panels:
+# 667 MB), so this keeps a run inside an 8 GB machine; the fd-800 panels
+# at 2 retries predict 1.87e9 bytes (field_dim 1800).
+_DENSE_BYTES = {"single": 4 * 112, "effective": 4 * 144,
+                "two_qubit": 16 * 176, "rwa": 4 * 320}
+_FIELD_MAX_BYTES = 2**31
+
 
 @dataclass(frozen=True)
 class ResolvedDrives:
@@ -600,10 +615,31 @@ def _resolve_drives(params: dict, evolve: bool) -> ResolvedDrives:
     return ResolvedDrives(system, reference, gt_max, start_excited, t_final)
 
 
+def _check_field(numerics: NumericsSpec, models: set[str],
+                 retries: int) -> None:
+    """Refuse a run whose largest model, at its field_dim grown 1.5 times
+    by each of ``retries`` truncation retries, would hold more than
+    _FIELD_MAX_BYTES of dense arrays (``_DENSE_BYTES``), naming the key
+    that takes it there."""
+    rate = max(_DENSE_BYTES[m] for m in models)
+    fd = numerics.field_dim
+    for retry in range(retries + 1):
+        fd = math.ceil(fd * 1.5) if retry else fd
+        size = rate * float(fd) * fd
+        if size > _FIELD_MAX_BYTES:
+            key = "truncation_retries" if retry else "field_dim"
+            raise ConfigError(
+                f"numerics.{key} = {getattr(numerics, key)} asks for dense "
+                f"operators of about {size:.3g} bytes at field_dim {fd}; "
+                f"at most {_FIELD_MAX_BYTES:.3g} are accepted")
+
+
 def _resolve_run(config: RunConfig) -> tuple:
     """The record of each operation of a run: each sweep point, each
     Wigner panel's C', or the drives of a scenario that solves nothing."""
     params, scenario = config.params, config.scenario
+    if scenario == "rwa_validate":
+        _check_field(config.numerics, {"rwa"}, 0)
     if scenario in _DRIVE_SCENARIOS:
         return (_resolve_drives(params, scenario == "rwa_validate"),)
     if scenario == "wigner_panels":
@@ -617,6 +653,8 @@ def _resolve_run(config: RunConfig) -> tuple:
                     f"{_panel_stem(alt)!r}; set them further apart")
             panels.append(resolve_point(dict(params, c_prime=alt),
                                         "effective"))
+        _check_field(config.numerics, {"effective"},
+                     config.numerics.truncation_retries)
         return tuple(panels)
     include_full = params.get("include_full", 0.0)
     if include_full not in (0, 1):
@@ -638,6 +676,9 @@ def _resolve_run(config: RunConfig) -> tuple:
     if len(set(values)) > 1 and len(set(points)) == 1:
         raise ConfigError(f"sweeping {axis!r} changes nothing in {scenario}: "
                           "every value resolves to the same working point")
+    _check_field(config.numerics, {p.model for p in points}
+                 | {p.full.model for p in points if p.full is not None},
+                 config.numerics.truncation_retries)
     return tuple(points)
 
 

@@ -10,6 +10,8 @@ import pytest
 import squeezed_lasing
 from squeezed_lasing.cli import build_parser, main
 from squeezed_lasing.scenarios import (
+    PRESETS,
+    SCENARIO_NAMES,
     ConfigError,
     _merge,
     build_config,
@@ -369,7 +371,13 @@ def test_an_rwa_run_past_the_step_bound_exits_2(tmp_path, preset, key,
 @pytest.mark.parametrize("scenario, key, value, size", [
     ("wigner_panels", "grid_points", 10**7, "1e+14 cells"),
     ("rwa_validate", "store_points", 10**10, "1e+10 stored samples"),
-], ids=["grid_points", "store_points"])
+    ("wigner_panels", "field_dim", 10**6,
+     "dense operators of about 5.76e+14 bytes"),
+    # field_dim 60 grows 1.5 times per retry while the point stays
+    # truncation-limited, past the bound at its ninth
+    ("wigner_panels", "truncation_retries", 40,
+     "dense operators of about 3.1e+09 bytes"),
+], ids=["grid_points", "store_points", "field_dim", "truncation_retries"])
 def test_an_oversized_grid_or_sample_count_exits_2(tmp_path, scenario, key,
                                                    value, size):
     # refused when the config is built, before anything of that size
@@ -394,6 +402,23 @@ def test_dress_audit_accepts_a_gt_max_it_never_reads(tmp_path):
     # only the RWA run divides gt_max by g~
     assert main(["dress_audit", "--out", str(tmp_path / "o"),
                  "--set", "params.gt_max=1e308"]) == 0
+
+
+def test_the_field_bound_accepts_every_preset_and_the_paper_panels():
+    for preset in PRESETS:
+        for scenario in SCENARIO_NAMES:
+            build_config(scenario, preset=preset)
+    # the fd-800 panels may retry to field_dim 1800: 1.87e9 bytes
+    for field_dim in (500, 800):
+        build_config("wigner_panels", preset="paper-2013",
+                     overrides={"numerics": {"field_dim": field_dim}})
+    # dress_audit builds no field
+    build_config("dress_audit", overrides={"numerics": {
+        "field_dim": 10**6, "truncation_retries": 40}})
+    # the RWA run holds 320 B per entry of d x d, d = 2 field_dim
+    with pytest.raises(ConfigError, match="about 1.15e.10 bytes at field_d"):
+        build_config("rwa_validate",
+                     overrides={"numerics": {"field_dim": 3000}})
 
 
 @pytest.mark.parametrize("scenario, table, fragments", [

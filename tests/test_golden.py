@@ -15,8 +15,10 @@ may differ in the last digits (about 1e-13 relative in 7 of the 11 desk
 cases on one 2-CPU VM), inside the tolerances above.  So check a claim
 that a change keeps artefacts byte-identical with ``diff -r`` against a
 run of the parent commit on the same machine, not against these files.
-One command runs every case into ``DIR/<case>`` and touches nothing
-under ``tests/golden/``:
+One command runs every case into ``DIR/<case>``, and every scenario at
+each preset's own numerics into ``DIR/preset_<preset>_<scenario>``,
+with those runs' exit codes in ``DIR/exit_codes.txt``; it touches
+nothing under ``tests/golden/``:
 
     PYTHONPATH=src python tests/test_golden.py --write DIR
 
@@ -57,6 +59,7 @@ from pathlib import Path
 import pytest
 
 from squeezed_lasing.cli import main
+from squeezed_lasing.scenarios import PRESETS, SCENARIO_NAMES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-10
@@ -246,6 +249,27 @@ def test_compare_flags_a_move_past_the_tolerance(tmp_path, capsys, relative,
     assert "mismatch" in capsys.readouterr().out
 
 
+def test_write_runs_each_preset_and_records_its_exit_code(tmp_path,
+                                                          monkeypatch):
+    # the preset runs alone, through a stand-in main that exits 3 on one
+    module = sys.modules[__name__]
+    runs = []
+
+    def stand_in(argv):
+        runs.append(argv)
+        return 3 if argv[:3] == ["wigner_panels", "--preset",
+                                 "paper-2013"] else 0
+
+    monkeypatch.setattr(module, "CASES", {})
+    monkeypatch.setattr(module, "main", stand_in)
+    write(tmp_path)
+    assert len(runs) == len(PRESETS) * len(SCENARIO_NAMES) == 16
+    assert runs[0][-2:] == ["--out", str(tmp_path / "preset_desk_dress_audit")]
+    codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
+    assert len(codes) == 16 and "preset_desk_dress_audit 0" in codes
+    assert "preset_paper-2013_wigner_panels 3" in codes
+
+
 def _check_cases(cases: list[str]) -> None:
     unknown = sorted(set(cases) - set(CASES))
     if unknown:
@@ -298,9 +322,19 @@ def compare(old: Path, new: Path) -> int:
 
 
 def write(out: Path) -> None:
-    """Run every case into ``out/<case>``."""
+    """Run every case into ``out/<case>``, then every scenario at each
+    preset's own numerics into ``out/preset_<preset>_<scenario>``, with
+    those runs' exit codes in ``out/exit_codes.txt``."""
     for case in CASES:
         _run(case, out / case)
+    codes = []
+    for preset in PRESETS:
+        for scenario in SCENARIO_NAMES:
+            name = f"preset_{preset}_{scenario}"
+            code = main([scenario, "--preset", preset, "--out",
+                         str(out / name)])
+            codes.append(f"{name} {code}\n")
+    (out / "exit_codes.txt").write_text("".join(codes))
 
 
 def _dump_manifest(manifest: dict) -> str:

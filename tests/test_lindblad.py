@@ -576,9 +576,9 @@ def record_splu(monkeypatch) -> list:
     factored = []
     real = lindblad.splu
 
-    def recording(matrix, *args):
-        factored.append((matrix.n, matrix.data.dtype))
-        return real(matrix, *args)
+    def recording(values, rhs, plan):
+        factored.append((rhs.size, values.dtype))
+        return real(values, rhs, plan)
 
     monkeypatch.setattr(lindblad, "splu", recording)
     return factored
@@ -719,12 +719,16 @@ def test_detuning_joins_the_blocks(monkeypatch, kind, unknowns):
     assert trace_distance(rho, complex_full_steady(me)) <= 1e-12
 
 
-def scipy_block_solve(matrix, rhs, plan):
+def scipy_block_solve(values, rhs, plan):
     """lindblad.splu's stand-in: scipy's SuperLU, with its default
-    COLAMD order and threshold pivoting over the whole block."""
-    block = sp.csc_matrix((matrix.data, (matrix.rows, matrix.cols)),
-                          shape=(matrix.n, matrix.n))
-    return lindblad.Factorisation(scipy_splu(block).solve(rhs), 0)
+    COLAMD order and threshold pivoting over the whole block, which it
+    takes from the plan's key: the bordered pattern and the block's
+    coordinates."""
+    block = lindblad.SparseMatrix(plan.rows, plan.cols, values,
+                                  len(plan.points)).submatrix(plan.live)
+    matrix = sp.csc_matrix((block.data, (block.rows, block.cols)),
+                           shape=(block.n, block.n))
+    return lindblad.Factorisation(scipy_splu(matrix).solve(rhs), 0)
 
 
 @pytest.mark.parametrize("kind", MODELS)
@@ -999,15 +1003,13 @@ def test_a_plan_from_copied_arrays_solves_as_the_memos_did(monkeypatch):
     with plan_memo():
         lindblad._bordered_solve(me, None)
     [(bordered, points, root)] = made
-    [(block, b, plan)] = factored
+    [(values, b, plan)] = factored
     copy = real_plan(lindblad.SparseMatrix(
         bordered.rows.copy(), bordered.cols.copy(), bordered.data.copy(),
         bordered.n), points.copy(), root)
     assert copy is not plan and copy.fits(bordered, points, root)
-    again = lindblad.SparseMatrix(copy.block_rows, copy.block_cols,
-                                  bordered.data[copy.take], copy.live.size)
-    assert (real_splu(again, b, copy).solution.tobytes()
-            == real_splu(block, b, plan).solution.tobytes())
+    assert (real_splu(bordered.data, b, copy).solution.tobytes()
+            == real_splu(values, b, plan).solution.tobytes())
     # nbytes counts every array that the plan keeps, in lists or not
     kept = []
     for value in vars(copy).values():
@@ -1020,6 +1022,21 @@ def test_a_plan_from_copied_arrays_solves_as_the_memos_did(monkeypatch):
                 stack += item
     assert len(kept) > 10
     assert copy.nbytes() == sum(a.nbytes for a in kept)
+
+
+@pytest.mark.parametrize("scenario, field_dim", [
+    ("squeezed_laser", 60), ("two_qubit_full", 40)])
+def test_a_desk_plan_holds_at_most_10_bytes_per_bordered_entry(scenario,
+                                                               field_dim):
+    # the key, then what the numeric pass reads: one gather index, the
+    # order, and each entry's and each child's place in its front
+    cfg = build_config(scenario, preset="desk",
+                       overrides={"numerics": {"field_dim": field_dim}})
+    with plan_memo() as plans:
+        scenarios._Point(cfg.points[0], cfg.numerics, {})
+    assert plans
+    for plan in plans:
+        assert plan.nbytes() <= 10 * plan.rows.size
 
 
 def test_the_plan_memo_keeps_at_most_its_bytes(monkeypatch):

@@ -710,9 +710,9 @@ class TestSweeps:
         factored = []
         real_splu = lindblad.splu
 
-        def counting(*args):
-            factored.append(args[0].n)
-            return real_splu(*args)
+        def counting(values, rhs, plan):
+            factored.append(rhs.size)
+            return real_splu(values, rhs, plan)
 
         monkeypatch.setattr(lindblad, "splu", counting)
         assert main([*argv, "--out", str(tmp_path / "memo")]) == 0
