@@ -9,12 +9,23 @@ For each qubit, index 0 is the excited state |e> and index 1 the ground
 state |g>, so sigma = |g><e| lowers and sigma_z = diag(1, -1).  A flat
 basis index decodes as (q_1, ..., q_k, n) with the field index varying
 fastest.
+
+Operators are their nonzeros: an :class:`Operator` holds the triplets
+(row, column, value) of its nonzero entries, and its sums, products and
+adjoint are formed from them, by a sorted join on the shared index
+(``_join``) and a stable sort that sums repeated positions
+(``_coalesce``).  The ladders and qubit flips of the models have
+O(field_dim) nonzeros, and so do their sums and products, so a model
+is built in time and memory proportional to them, never to d^2.  States
+are dense: a :class:`DensityMatrix` is the one dense, validated type,
+and an operator is made dense (``Operator.matrix``) only where it meets
+one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,52 +87,132 @@ class HilbertSpace:
         return idx
 
 
-@dataclass(frozen=True)
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[k], stops[k]), in memory
+    proportional to their total length."""
+    counts = stops - starts
+    # the k-th entry of range r sits at starts[r] + (k - start of run r)
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.arange(shift.size) + shift
+
+
+def _join(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (ka, kb) with la[ka] == lb[kb], in the row-major
+    order of np.nonzero(la[:, None] == lb), in memory proportional to
+    their number.
+
+    A stable sort of lb keeps equal labels in index order, so for each
+    ka the run of lb's sorted labels that match la[ka] lists its kb in
+    ascending order.
+    """
+    order = np.argsort(lb, kind="stable")
+    sorted_lb = lb[order]
+    lo = np.searchsorted(sorted_lb, la, side="left")
+    hi = np.searchsorted(sorted_lb, la, side="right")
+    return np.repeat(np.arange(la.size), hi - lo), order[_ranges(lo, hi)]
+
+
+def _product(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triplets of A B from those of A and B: one per pair of
+    nonzeros A_ik B_kj, joined on k; repeated positions add up."""
+    ka, kb = _join(a[1], b[0])
+    return a[0][ka], b[1][kb], a[2][ka] * b[2][kb]
+
+
+def _coalesce(pieces: list[tuple[np.ndarray, np.ndarray]],
+              n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triplets (major, minor, value) of an n x n matrix given as
+    pieces of positions ``major * n + minor`` (int64) and values, with
+    repeated positions summed and exact zeros dropped, sorted by
+    position, indices as int32.  A stable sort keeps the repeats of a
+    position in the pieces' order, which fixes the last bits of each sum.
+    The list is emptied once the pieces are joined, so that each array
+    is freed as soon as the next one is formed."""
+    key, values = (np.concatenate(x) for x in zip(*pieces))
+    pieces.clear()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    values = values[order]
+    del order
+    first = np.flatnonzero(np.concatenate([[key.size > 0],
+                                           key[1:] != key[:-1]]))
+    values = np.add.reduceat(values, first) if first.size else values
+    keep = values != 0
+    key = key[first[keep]]
+    del first
+    return ((key // n).astype(np.int32), (key % n).astype(np.int32),
+            values[keep])
+
+
 class Operator:
-    """A linear operator on a :class:`HilbertSpace`, stored as a dense complex matrix."""
+    """A linear operator on a :class:`HilbertSpace`, held as its nonzeros:
+    ``rows``, ``cols`` and ``data``, sorted row by row, with no exact 0.
 
-    space: HilbertSpace
-    matrix: np.ndarray = field(repr=False)
+    The models' operators (ladders, qubit flips, their sums and products)
+    have O(field_dim) nonzeros, so they are formed and combined as
+    triplets and never as d x d arrays.  ``Operator(space, matrix)`` takes
+    a dense matrix; ``matrix`` forms the dense, read-only array on demand,
+    for the callers that need one.  States are dense: see
+    :class:`DensityMatrix`.
+    """
 
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (self.space.dim, self.space.dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match space dim {self.space.dim}"
-            )
+    def __init__(self, space: HilbertSpace, matrix: np.ndarray):
+        mat = _square(space, np.asarray(matrix, dtype=complex))
+        rows, cols = np.nonzero(mat)
+        self.space, self.rows, self.cols, self.data = (space, rows, cols,
+                                                       mat[rows, cols])
+
+    @classmethod
+    def _summed(cls, space: HilbertSpace, *pieces: tuple) -> "Operator":
+        """The operator whose triplets are the pieces', repeated positions
+        summed in the pieces' order and exact zeros dropped."""
+        op, d = cls.__new__(cls), space.dim
+        op.space, (op.rows, op.cols, op.data) = space, _coalesce(
+            [(rows.astype(np.int64) * d + cols, data) for rows, cols, data in pieces], d)
+        return op
+
+    @property
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.rows, self.cols, self.data
+
+    @property
+    def matrix(self) -> np.ndarray:
+        mat = np.zeros((self.space.dim,) * 2, dtype=complex)
+        mat[self.rows, self.cols] = self.data
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        return mat
 
     def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
+        return self._summed(self.space, (self.cols, self.rows, self.data.conj()))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+        return bool(np.abs((self - self.dag()).data).max(initial=0.0) <= tol)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_same_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
+        return self._summed(self.space, _product(self.triplets, other.triplets))
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_same_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
+        return self._summed(self.space, self.triplets, other.triplets)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
+        return self + (-1) * other
 
     def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, self.matrix * complex(scalar))
+        return self._summed(self.space, (self.rows, self.cols, self.data * complex(scalar)))
 
     __rmul__ = __mul__
 
-    def _check_same_space(self, other: "Operator"):
+    def _check_same_space(self, other):
         if self.space != other.space:
             raise ValueError(f"operator spaces differ: {self.space} vs {other.space}")
 
 
-class DensityMatrix(Operator):
-    """An Operator validated to be a physical state.
+class DensityMatrix:
+    """A physical state on a :class:`HilbertSpace`, and the one dense
+    type: ``matrix`` is a read-only complex copy of the input, checked
+    once to be finite, of trace 1, Hermitian and positive.
 
     ``blocks`` optionally gives a block label per basis state for a state
     known to be block diagonal, such as a steady state in its symmetry
@@ -131,12 +222,17 @@ class DensityMatrix(Operator):
 
     def __init__(self, space: HilbertSpace, matrix: np.ndarray,
                  blocks: np.ndarray | None = None):
-        super().__init__(space=space, matrix=matrix)
-        mat = self.matrix
+        mat = _square(space, np.array(matrix, dtype=complex))
+        mat.setflags(write=False)
+        self.space, self.matrix = space, mat
+        bad = np.argwhere(~np.isfinite(mat))
+        if bad.size:
+            raise InvalidStateError(f"non-finite entries at (row, column) "
+                                    f"{bad[:4].tolist()}, {len(bad)} in all")
         tr = np.trace(mat)
         if abs(tr - 1.0) > 1e-10:
             raise InvalidStateError(f"trace {tr} deviates from 1 by more than 1e-10")
-        herm_dev = np.max(np.abs(mat - mat.conj().T))
+        herm_dev = hermiticity_error(mat)
         if herm_dev > 1e-10:
             raise InvalidStateError(f"hermiticity deviation {herm_dev:.3e} exceeds 1e-10")
         if blocks is None:
@@ -145,6 +241,22 @@ class DensityMatrix(Operator):
             eigmin = _block_eigmin(mat, np.asarray(blocks))
         if eigmin < -1e-8:
             raise InvalidStateError(f"negative eigenvalue {eigmin:.3e} below -1e-8")
+
+
+def _square(space: HilbertSpace, mat: np.ndarray) -> np.ndarray:
+    if mat.shape != (space.dim, space.dim):
+        raise ValueError(
+            f"matrix shape {mat.shape} does not match space dim {space.dim}")
+    return mat
+
+
+def hermiticity_error(mat: np.ndarray) -> float:
+    """max |m_ij - conj(m_ji)| of a square matrix, 0 for a Hermitian one,
+    taken over blocks of rows of about 2^16 entries, so that it holds no
+    d x d temporary."""
+    step = max(1, 2**16 // len(mat))
+    return float(np.max([np.abs(mat[i:i + step] - mat[:, i:i + step].conj().T).max()
+                         for i in range(0, len(mat), step)], initial=0.0))
 
 
 def _block_eigmin(mat: np.ndarray, blocks: np.ndarray) -> float:
@@ -167,14 +279,13 @@ def _block_eigmin(mat: np.ndarray, blocks: np.ndarray) -> float:
 
 
 def annihilation(space: HilbertSpace) -> Operator:
-    """Field annihilation operator ``a`` embedded in the full space."""
+    """Field annihilation operator ``a`` embedded in the full space:
+    a|n+1> = sqrt(n+1)|n> in every qubit configuration."""
     if space.field_dim < 2:
         raise ValueError("annihilation requires field_dim >= 2")
-    a = np.diag(np.sqrt(np.arange(1, space.field_dim, dtype=float)), k=1)
-    full = a
-    for _ in range(space.n_qubits):
-        full = np.kron(np.eye(2), full)
-    return Operator(space, full)
+    d, states = space.field_dim, np.arange(space.dim)
+    lower = states[states % d != d - 1]
+    return Operator._summed(space, (lower, lower + 1, np.sqrt(lower % d + 1.0) + 0j))
 
 
 def qubit_ops(space: HilbertSpace, which: int) -> tuple[Operator, Operator, Operator]:
@@ -184,31 +295,27 @@ def qubit_ops(space: HilbertSpace, which: int) -> tuple[Operator, Operator, Oper
     """
     if not 0 <= which < space.n_qubits:
         raise ValueError(f"qubit index {which} out of range for {space.n_qubits} qubits")
-    sigma = np.array([[0.0, 0.0], [1.0, 0.0]])
-    sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]])
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-    def embed(m):
-        full = np.eye(1)
-        for q in range(space.n_qubits):
-            full = np.kron(full, m if q == which else np.eye(2))
-        return np.kron(full, np.eye(space.field_dim))
-
-    return (Operator(space, embed(sigma)),
-            Operator(space, embed(sigma_z)),
-            Operator(space, embed(sigma_x)))
+    # the qubit's label is the binary digit of weight dim / 2^(which + 1)
+    # in a state's index, so its k-th |e> state and k-th |g> state differ
+    # in that digit alone
+    states = np.arange(space.dim)
+    up = states // (space.dim >> (which + 1)) % 2 == 0
+    sigma = Operator._summed(space, (states[~up], states[up],
+                                     np.ones(space.dim // 2, dtype=complex)))
+    return (sigma, Operator._summed(space, (states, states, np.where(up, 1.0, -1.0) + 0j)),
+            sigma + sigma.dag())
 
 
 def matrix_exponential(op: Operator) -> Operator:
     """exp(G) of an anti-Hermitian G, a unitary: with -iG = V diag(w) V^dag
     from ``eigh``, exp(G) = V diag(e^{iw}) V^dag.  A G that is not
     anti-Hermitian raises ValueError."""
-    g = op.matrix
-    scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
-    if np.max(np.abs(g + g.conj().T), initial=0.0) > 1e-10 * scale:
+    h = -1j * op.matrix
+    scale = max(1.0, float(np.abs(op.data).max(initial=0.0)))
+    if hermiticity_error(h) > 1e-10 * scale:
         raise ValueError("matrix_exponential needs an anti-Hermitian "
                          "generator")
-    w, v = np.linalg.eigh(-1j * g)
+    w, v = np.linalg.eigh(h)
     result = (v * np.exp(1j * w)) @ v.conj().T
     if not np.all(np.isfinite(result)):
         raise FloatingPointError("matrix exponential produced non-finite entries")
@@ -314,32 +421,27 @@ def displacement_elements(magnitude: float, field_dim: int) -> np.ndarray:
     return lower + np.triu(lower.T * np.multiply.outer(sign, sign), 1)
 
 
-def expectation(op: Operator, rho: Operator) -> complex:
+def expectation(op: Operator, rho: DensityMatrix) -> complex:
     op._check_same_space(rho)
     return complex(np.trace(op.matrix @ rho.matrix))
 
 
-def fock_populations(rho: Operator) -> np.ndarray:
+def fock_populations(rho: DensityMatrix) -> np.ndarray:
     """Field-mode populations p(n), tracing out any qubits."""
-    space = rho.space
-    nq = space.n_qubits
-    d = space.field_dim
-    diag = np.real(np.diag(rho.matrix))
-    return diag.reshape((2**nq if nq else 1, d)).sum(axis=0)
+    return np.real(np.diag(rho.matrix)).reshape(-1, rho.space.field_dim).sum(axis=0)
 
 
-def coherence_profile(rho: Operator) -> np.ndarray:
+def coherence_profile(rho: DensityMatrix) -> np.ndarray:
     """Entry delta (0 .. field_dim - 1) is the sum of |rho_ij| over the
     pairs of basis states whose photon numbers differ by delta, either
     way round, over any qubits."""
-    space = rho.space
-    q, d = 2**space.n_qubits, space.field_dim
+    q, d = 2**rho.space.n_qubits, rho.space.field_dim
     field = np.abs(rho.matrix).reshape(q, d, q, d).sum(axis=(0, 2))
     delta = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
     return np.bincount(delta.ravel(), weights=field.ravel(), minlength=d)
 
 
-def truncation_edge(rho: Operator) -> float:
+def truncation_edge(rho: DensityMatrix) -> float:
     """Field population in the top tenth of the Fock ladder (at least one level).
 
     Summed over any qubits; zero when the ladder is too short to have an edge.

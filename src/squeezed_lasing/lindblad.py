@@ -22,9 +22,12 @@ relation a = A cosh r - A^dag sinh r.
 
 Vectorization is column-major: vec(A rho B) = (B^T kron A) vec(rho).
 The steady-state path runs on numpy alone: generators are kept as COO
-triplets (``SparseMatrix``), products of operators are formed from their
-nonzeros by the sorted join ``_join``, and the bordered system is solved
-by the package's own multifrontal LU (``splu``).  scipy's sparse
+triplets (``SparseMatrix``), assembled from the triplets that each
+operator holds (``fock.Operator``: ``MasterEquation`` reads them as they
+are, and O^dag O is formed from them by the sorted join ``fock._join``),
+and the bordered system is solved by the package's own multifrontal LU
+(``splu``).  Only ``dissipator`` makes an operator dense, for the
+dense states it is applied to.  scipy's sparse
 matrices serve only ``liouvillian_matrix``, the full complex generator
 that the tests' oracles use.
 
@@ -40,7 +43,7 @@ numbered column by column, and the number of pair (i, j) is start[j] +
 rank[i]: where column j's pairs begin, plus how many states of i's label
 come before i, shifted on a band by where column j's window begins in
 i's qubit configuration.  Each generator term A rho B^dag pairs the
-nonzeros of A and B, found once per master equation, on equal charge,
+nonzeros of A and B, which the operators hold, on equal charge,
 inside the band, by a join over B's rows sorted once by label (a stable
 argsort, then searchsorted and repeat), and numbers the joined pairs
 from length-d arrays, so assembly takes memory in proportion to the
@@ -118,8 +121,13 @@ from .fock import (
     HilbertSpace,
     InvalidStateError,
     Operator,
+    _coalesce,
+    _product,
+    _ranges,
+    _square,
     annihilation,
     coherence_profile,
+    hermiticity_error,
     qubit_ops,
 )
 
@@ -173,8 +181,6 @@ class MasterEquation:
     space: HilbertSpace = field(init=False)
     charge: np.ndarray | None = None
     modulus: int = 0
-    # the nonzeros of H, then of each jump operator (``_coo``), found once
-    nonzeros: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.hamiltonian, Operator):
@@ -185,12 +191,9 @@ class MasterEquation:
         for term in self.terms:
             if term.jump.space != self.space:
                 raise ValueError("jump operator lives on a different space")
-        scale = max(1.0, float(np.max(np.abs(self.hamiltonian.matrix))))
+        scale = max(1.0, float(np.abs(self.hamiltonian.data).max(initial=0.0)))
         if not self.hamiltonian.is_hermitian(tol=1e-10 * scale):
             raise ValueError("Hamiltonian is not Hermitian")
-        object.__setattr__(self, "nonzeros", tuple(
-            _coo(op.matrix)
-            for op in (self.hamiltonian, *(t.jump for t in self.terms))))
         if self.charge is not None:
             self._check_charge()
 
@@ -204,8 +207,8 @@ class MasterEquation:
         charge.setflags(write=False)
         object.__setattr__(self, "charge", charge)
 
-        h, *jumps = (self._reduce(charge[rows] - charge[cols])
-                     for rows, cols, _ in self.nonzeros)
+        h, *jumps = (self._reduce(charge[op.rows] - charge[op.cols])
+                     for op in (self.hamiltonian, *(t.jump for t in self.terms)))
         if np.any(h != 0):
             raise ValueError("Hamiltonian does not conserve the charge")
         for k, shift in enumerate(jumps):
@@ -254,15 +257,11 @@ class Liouvillian:
 
 
 def _as_matrix(rho, space: HilbertSpace) -> np.ndarray:
-    if isinstance(rho, Operator):
+    if isinstance(rho, (Operator, DensityMatrix)):
         if rho.space != space:
             raise ValueError("state lives on a different space")
         return rho.matrix
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (space.dim, space.dim):
-        raise ValueError(f"state shape {rho.shape} does not match space "
-                         f"dimension {space.dim}")
-    return rho
+    return _square(space, np.asarray(rho, dtype=complex))
 
 
 def dissipator(term: LindbladTerm, rho) -> np.ndarray:
@@ -272,70 +271,6 @@ def dissipator(term: LindbladTerm, rho) -> np.ndarray:
     o_rho = o @ rho
     odo = o.conj().T @ o
     return term.rate * (2.0 * (o_rho @ o.conj().T) - odo @ rho - rho @ odo)
-
-
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The concatenated ranges [starts[k], stops[k]), in memory
-    proportional to their total length."""
-    counts = stops - starts
-    # the k-th entry of range r sits at starts[r] + (k - start of run r)
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return np.arange(shift.size) + shift
-
-
-def _join(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (ka, kb) with la[ka] == lb[kb], in the row-major
-    order of np.nonzero(la[:, None] == lb), in memory proportional to
-    their number.
-
-    A stable sort of lb keeps equal labels in index order, so for each
-    ka the run of lb's sorted labels that match la[ka] lists its kb in
-    ascending order.
-    """
-    order = np.argsort(lb, kind="stable")
-    sorted_lb = lb[order]
-    lo = np.searchsorted(sorted_lb, la, side="left")
-    hi = np.searchsorted(sorted_lb, la, side="right")
-    return np.repeat(np.arange(la.size), hi - lo), order[_ranges(lo, hi)]
-
-
-def _coo(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, columns, values) of the nonzeros of a dense matrix, row by
-    row."""
-    rows, cols = np.nonzero(matrix)
-    return rows, cols, matrix[rows, cols]
-
-
-def _product(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The triplets of A B from those of A and B: one per pair of
-    nonzeros A_ik B_kj, joined on k; repeated positions add up."""
-    ka, kb = _join(a[1], b[0])
-    return a[0][ka], b[1][kb], a[2][ka] * b[2][kb]
-
-
-def _coalesce(pieces: list[tuple[np.ndarray, np.ndarray]],
-              n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The triplets (major, minor, value) of an n x n matrix given as
-    pieces of positions ``major * n + minor`` (int64) and values, with
-    repeated positions summed and exact zeros dropped, sorted by
-    position, indices as int32.  A stable sort keeps the repeats of a
-    position in the pieces' order, which fixes the last bits of each sum.
-    The list is emptied once the pieces are joined, so that each array
-    is freed as soon as the next one is formed."""
-    key, values = (np.concatenate(x) for x in zip(*pieces))
-    pieces.clear()
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    values = values[order]
-    del order
-    first = np.flatnonzero(np.concatenate([[key.size > 0],
-                                           key[1:] != key[:-1]]))
-    values = np.add.reduceat(values, first) if first.size else values
-    keep = values != 0
-    key = key[first[keep]]
-    del first
-    return ((key // n).astype(np.int32), (key % n).astype(np.int32),
-            values[keep])
 
 
 @dataclass(frozen=True)
@@ -497,7 +432,7 @@ class _SectorCoordinates:
     def join(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
                                                         np.ndarray]:
         """The index pairs (ka, kb) for which (a[ka], b[kb]) is a pair of
-        the band, in the row-major order of ``_join(labels[a],
+        the band, in the row-major order of ``fock._join(labels[a],
         labels[b])`` when b is non-decreasing, in memory proportional to
         their number.
 
@@ -536,10 +471,11 @@ class _SectorCoordinates:
         """
         d = self.labels.size
         eye = (np.arange(d), np.arange(d), np.ones(d, dtype=complex))
-        (rows, cols, vals), *jumps = me.nonzeros
-        g = [(rows, cols, -1j * vals)]
+        h = me.hamiltonian
+        g = [(h.rows, h.cols, -1j * h.data)]
         sandwiches = []
-        for term, o in zip(me.terms, jumps):
+        for term in me.terms:
+            o = term.jump.triplets
             rows, cols, vals = _product((o[1], o[0], o[2].conj()), o)
             g.append((rows, cols, -term.rate * vals))
             sandwiches.append(((o[0], o[1], (2.0 * term.rate) * o[2]), o))
@@ -1219,7 +1155,8 @@ _PROBE_RATIO = 4
 _BAND_GROWTH = 1.5
 
 
-def predicted_band(field_dim: int, predict: Callable[[], Operator]) -> int:
+def predicted_band(field_dim: int,
+                   predict: Callable[[], DensityMatrix]) -> int:
     """The narrowest band K >= _MIN_BAND at which ``predict()``, a state
     whose coherences fall off as the stationary one's, has its band edge
     below _BAND_TOL, else field_dim - 1; ``predict`` is called only when
@@ -1346,18 +1283,6 @@ def _excitations(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
     return labels[-1], np.sum(labels[:-1] == 0, axis=0)  # index 0 is |e>
 
 
-def _exchange(mode: Operator, sigma: Operator) -> np.ndarray:
-    """mode^dag sigma^dag + mode sigma, each product formed from the
-    factors' nonzeros.  A ladder times a qubit operator has one nonzero
-    product per entry, so this equals the dense product entry for entry."""
-    d = mode.space.dim
-    out = np.zeros((d, d), dtype=complex)
-    for a, b in [(mode.dag(), sigma.dag()), (mode, sigma)]:
-        rows, cols, vals = _product(_coo(a.matrix), _coo(b.matrix))
-        np.add.at(out, (rows, cols), vals)
-    return out
-
-
 def model_single_qubit_laser(g: float, gamma: float, kappa: float,
                              space: HilbertSpace) -> MasterEquation:
     """Inverted-coupling laser: H = -g(a^dag sigma^dag + a sigma).
@@ -1369,7 +1294,7 @@ def model_single_qubit_laser(g: float, gamma: float, kappa: float,
         raise ValueError("model needs exactly one qubit")
     a = annihilation(space)
     sigma, _, _ = qubit_ops(space, 0)
-    h = Operator(space, -g * _exchange(a, sigma))
+    h = -g * (a.dag() @ sigma.dag() + a @ sigma)
     terms = (LindbladTerm(sigma, gamma), LindbladTerm(a, kappa))
     photons, excited = _excitations(space)
     return MasterEquation(hamiltonian=h, terms=terms,
@@ -1395,7 +1320,7 @@ def model_squeezed_laser_effective(dressed: DressedCoupling, gamma: float,
                          "swap the drive depths")
     sigma, _, _ = qubit_ops(space, 0)
     mode = annihilation(space)  # the A ladder in its own Fock basis
-    h = Operator(space, -dressed.g_tilde * _exchange(mode, sigma))
+    h = -dressed.g_tilde * (mode.dag() @ sigma.dag() + mode @ sigma)
     terms = (LindbladTerm(sigma, gamma),
              LindbladTerm(dressed.bare_from_mode(space), kappa),
              LindbladTerm(mode, kappa * c_prime))
@@ -1429,8 +1354,9 @@ def model_two_qubit_full(dressed: DressedCoupling,
     # its Bogoliubov weights with a = u A - v A^dag; with exactly swapped
     # drive depths this collapses to A^dag and the coupling is rotating
     aux_mode = dressed_aux.u * bare + dressed_aux.v * bare.dag()
-    h = Operator(space, -dressed.g_tilde * _exchange(mode, sigma)
-                 - dressed_aux.g_tilde * _exchange(aux_mode, sigma_aux))
+    h = (-dressed.g_tilde * (mode.dag() @ sigma.dag() + mode @ sigma)
+         - dressed_aux.g_tilde * (aux_mode.dag() @ sigma_aux.dag()
+                                  + aux_mode @ sigma_aux))
     terms = (LindbladTerm(sigma, gamma), LindbladTerm(sigma_aux, gamma_prime),
              LindbladTerm(bare, kappa))
     photons, excited = _excitations(space)
@@ -1467,13 +1393,11 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
         if k not in keep:
             n_axes = tensor.ndim // 2
             tensor = np.trace(tensor, axis1=k, axis2=k + n_axes)
-    kept_dims = [space.factor_dims[k] for k in keep]
-    d_red = int(np.prod(kept_dims))
     field_kept = (nf - 1) in keep
     reduced_space = HilbertSpace(
         n_qubits=len(keep) - (1 if field_kept else 0),
         field_dim=space.field_dim if field_kept else 1)
-    return DensityMatrix(reduced_space, tensor.reshape(d_red, d_red))
+    return DensityMatrix(reduced_space, tensor.reshape((reduced_space.dim,) * 2))
 
 
 def _clip_spectrum(vals: np.ndarray, what: str) -> np.ndarray:
@@ -1488,7 +1412,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     r = _as_matrix(rho, rho.space)
     s = _as_matrix(sigma, rho.space)
     for name, m in (("rho", r), ("sigma", s)):
-        if np.max(np.abs(m - m.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(m))):
+        if hermiticity_error(m) > 1e-8 * max(1.0, np.max(np.abs(m))):
             raise ValueError(f"{name} is not Hermitian")
     vals, vecs = np.linalg.eigh(r)
     vals = _clip_spectrum(vals, "rho")

@@ -66,6 +66,7 @@ from .fock import (
     HilbertSpace,
     annihilation,
     expectation,
+    hermiticity_error,
     qubit_ops,
     truncation_edge,
 )
@@ -542,17 +543,22 @@ def resolve_point(params: dict, model: str) -> ResolvedPoint:
 # predicted past it is refused before it starts.
 _RWA_MAX_STEPS = 2_000_000
 
-# Bytes per field_dim^2 of the dense arrays that a run holds at the peak
-# of building its largest model: 112, 144 and 176 B per entry of d x d,
-# d = 2 field_dim (4 field_dim for the two-qubit model), measured by
-# tracemalloc at field_dim 150-500, the same at every size and both
-# presets.  The RWA run holds 320: its four stacked couplings and one
-# step's five H(t) and -i H(t).  A run predicted past _FIELD_MAX_BYTES at
-# the largest field_dim its truncation retries reach is refused before
-# it starts.  The dense work after the build (the state and its checks)
-# took up to 1.8 times the build's peak (fd-800 paper-2013 panels:
-# 667 MB), so this keeps a run inside an 8 GB machine; the fd-800 panels
-# at 2 retries predict 1.87e9 bytes (field_dim 1800).
+# Bytes per field_dim^2 of the dense arrays that a run holds at its
+# peak: 112, 144 and 176 B per entry of d x d, d = 2 field_dim (4
+# field_dim for the two-qubit model).  They were measured by tracemalloc
+# at field_dim 150-500 on the build of each model when its operators
+# were dense d x d arrays; the build now holds only their nonzeros
+# (``fock.Operator``, 0.5 MB at field_dim 800).  The values stay, so
+# that no run's refusal moves, and now stand in for the dense work after
+# the build: the state, its checks and the ansatz.  A whole fd-500
+# paper-2013 C' = 0.01 effective point (solve, checks and the ansatz's
+# fidelity) peaked at 679 B per field_dim^2 under tracemalloc (935 with
+# dense operators), against the 576 here.  The RWA run holds 320: its
+# four stacked couplings and one step's five H(t) and -i H(t).  A run
+# predicted past _FIELD_MAX_BYTES at the largest field_dim its truncation
+# retries reach is refused before it starts.  This keeps a run inside an
+# 8 GB machine; the fd-800 panels at 2 retries predict 1.87e9 bytes
+# (field_dim 1800).
 _DENSE_BYTES = {"single": 4 * 112, "effective": 4 * 144,
                 "two_qubit": 16 * 176, "rwa": 4 * 320}
 _FIELD_MAX_BYTES = 2**31
@@ -802,8 +808,7 @@ class _Point:
 
     @cached_property
     def hermiticity_error(self) -> float:
-        m = self.rho.matrix
-        return float(np.max(np.abs(m - m.conj().T)))
+        return hermiticity_error(self.rho.matrix)
 
     @cached_property
     def purity(self) -> float:
@@ -816,8 +821,11 @@ class _Point:
 
     @cached_property
     def n_bare(self) -> float:
-        a_op = self.dressed.bare_from_mode(self.field.space)
-        return expectation(a_op.dag() @ a_op, self.field).real
+        # a dense a^dag a: its diagonal entries sum two products each, in
+        # the order BLAS sums them
+        a = self.dressed.bare_from_mode(self.field.space)
+        return complex(np.trace(a.dag().matrix @ a.matrix
+                                @ self.field.matrix)).real
 
     @cached_property
     def inversion(self) -> float:

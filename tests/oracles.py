@@ -22,6 +22,9 @@ does not need, kept here with the numerics they always had:
   and ``commutator``;
 - the master equation's generator applied densely (``rhs``) and the
   trace distance (``trace_distance``);
+- the three models' operators as dense numpy products of ``np.kron``
+  embeddings (``KRON_MODELS``), against which the package's operators,
+  formed from their nonzeros, are checked;
 - Gaussian states built from moments or canonical factors
   (``from_moments``, ``compose``, ``vacuum``), their bare-mode form
   (``symplectic_change_to_a_basis``), and their Wigner functions in
@@ -94,6 +97,63 @@ def phase_rotation(space: HilbertSpace, phi: float) -> Operator:
 
 def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
+
+
+def kron_embedded(space: HilbertSpace, which: int,
+                  factor: np.ndarray) -> np.ndarray:
+    """``factor`` on tensor factor ``which`` of ``space`` (qubits first,
+    the field last), by np.kron with identities on the others."""
+    out = np.eye(1)
+    for k, dim in enumerate(space.factor_dims):
+        out = np.kron(out, factor if k == which else np.eye(dim))
+    return out
+
+
+def _kron_ops(space: HilbertSpace) -> list[np.ndarray]:
+    """The field ladder a, then sigma = |g><e| of each qubit."""
+    ladder = np.diag(np.sqrt(np.arange(1.0, space.field_dim)), k=1)
+    sigma = np.array([[0.0, 0.0], [1.0, 0.0]])
+    return [kron_embedded(space, space.n_qubits, ladder)] + [
+        kron_embedded(space, q, sigma) for q in range(space.n_qubits)]
+
+
+def _kron_exchange(g: float, mode: np.ndarray,
+                   sigma: np.ndarray) -> np.ndarray:
+    return -g * (mode.conj().T @ sigma.conj().T + mode @ sigma)
+
+
+def _kron_bare(dressed, mode: np.ndarray) -> np.ndarray:
+    return dressed.signature * (dressed.u * mode - dressed.v * mode.conj().T)
+
+
+def kron_single_qubit_laser(g, gamma, kappa, space):
+    """(H, [(jump, rate), ...]) of ``lindblad.model_single_qubit_laser``."""
+    a, sigma = _kron_ops(space)
+    return _kron_exchange(g, a, sigma), [(sigma, gamma), (a, kappa)]
+
+
+def kron_squeezed_laser_effective(dressed, gamma, kappa, c_prime, space):
+    """The same for ``lindblad.model_squeezed_laser_effective``."""
+    mode, sigma = _kron_ops(space)
+    return (_kron_exchange(dressed.g_tilde, mode, sigma),
+            [(sigma, gamma), (_kron_bare(dressed, mode), kappa),
+             (mode, kappa * c_prime)])
+
+
+def kron_two_qubit_full(dressed, dressed_aux, gamma, gamma_prime, kappa,
+                        space):
+    """The same for ``lindblad.model_two_qubit_full``."""
+    mode, sigma, sigma_aux = _kron_ops(space)
+    bare = _kron_bare(dressed, mode)
+    aux_mode = dressed_aux.u * bare + dressed_aux.v * bare.conj().T
+    return (_kron_exchange(dressed.g_tilde, mode, sigma)
+            + _kron_exchange(dressed_aux.g_tilde, aux_mode, sigma_aux),
+            [(sigma, gamma), (sigma_aux, gamma_prime), (bare, kappa)])
+
+
+KRON_MODELS = {"single_qubit_laser": kron_single_qubit_laser,
+               "squeezed_laser_effective": kron_squeezed_laser_effective,
+               "two_qubit_full": kron_two_qubit_full}
 
 
 def rhs(me: MasterEquation, rho) -> np.ndarray:

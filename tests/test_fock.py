@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from squeezed_lasing.fock import (
     displacement_elements,
     expectation,
     fock_populations,
+    hermiticity_error,
     laguerre_functions,
     qubit_ops,
     truncation_edge,
@@ -359,6 +361,57 @@ def test_density_matrix_checks_blocks():
     DensityMatrix(space, leak)  # without blocks only positivity counts
     with pytest.raises(ValueError, match="one label per basis state"):
         DensityMatrix(space, good, blocks=blocks[:3])
+
+
+@pytest.mark.parametrize("blocks", [None, np.array([0, 0, 1, 1])],
+                         ids=["whole", "blocks"])
+@pytest.mark.parametrize("entries, named", [
+    ({(0, 1): np.nan, (1, 0): np.nan}, r"\[\[0, 1\], \[1, 0\]\], 2 in all"),
+    ({(1, 1): np.nan}, r"\[\[1, 1\]\], 1 in all"),
+    ({(0, 1): np.inf, (1, 0): np.inf}, r"\[\[0, 1\], \[1, 0\]\], 2 in all"),
+], ids=["nan_coherence", "nan_population", "inf"])
+def test_density_matrix_refuses_non_finite_entries(entries, named, blocks):
+    # every comparison with NaN is False and eigvalsh returns NaN (or
+    # raises LinAlgError), so the checks after this one would pass such
+    # a state or fail it with an error that is no InvalidStateError
+    space = HilbertSpace(n_qubits=1, field_dim=2)
+    mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    mat[0, 1] = mat[1, 0] = 0.1
+    DensityMatrix(space, mat, blocks=blocks)
+    for at, value in entries.items():
+        mat[at] = value
+    with pytest.raises(InvalidStateError, match="non-finite entries at "
+                       r"\(row, column\) " + named):
+        DensityMatrix(space, mat, blocks=blocks)
+
+
+def test_a_blocked_state_check_holds_under_twice_the_state():
+    # the Hermiticity measure takes blocks of rows, so the check holds the
+    # state's copy and the parity blocks' eigenproblems, and no d x d
+    # temporary beside them
+    d = 1000
+    n = np.arange(d)
+    psi = np.where(n % 2 == 0, np.exp(-0.01 * (n - 300.0) ** 2), 0.0)
+    mat = np.outer(psi, psi) + np.diag(np.where(n % 2, 1e-3, 0.0))
+    mat = (mat / np.trace(mat)).astype(complex)
+    space = HilbertSpace(n_qubits=0, field_dim=d)
+    tracemalloc.start()
+    try:
+        rho = DensityMatrix(space, mat, blocks=n % 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rho.matrix, mat)
+    assert peak <= 2 * mat.nbytes
+
+
+def test_the_hermiticity_error_is_the_largest_entrywise_deviation():
+    rng = np.random.default_rng(5)
+    for d in (1, 3, 70, 300):
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = m + m.conj().T + 1e-9 * rng.normal(size=(d, d))
+        assert hermiticity_error(m) == np.max(np.abs(m - m.conj().T))
+    assert hermiticity_error(np.eye(4, dtype=complex)) == 0.0
 
 
 def test_truncation_edge_measures_top_tenth():

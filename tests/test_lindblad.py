@@ -10,7 +10,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
-from oracles import normalised_state, rhs, steady_evolve, trace_distance
+from oracles import (
+    KRON_MODELS,
+    normalised_state,
+    rhs,
+    steady_evolve,
+    trace_distance,
+)
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import splu as scipy_splu
@@ -48,7 +54,7 @@ from squeezed_lasing.lindblad import (
     schrodinger_evolve,
     steady_state,
 )
-from squeezed_lasing import scenarios
+from squeezed_lasing import fock, scenarios
 from squeezed_lasing.scenarios import build_config, resolve_point
 
 
@@ -171,22 +177,32 @@ def test_master_equation_rejects_callable_hamiltonian():
         MasterEquation(hamiltonian=np.zeros((3, 3)), terms=())
 
 
-def build_model(kind, g, gamma, kappa, c_prime, r, field_dim):
-    """One of the three model constructors at the given rates."""
+CONSTRUCTORS = {"single_qubit_laser": model_single_qubit_laser,
+                "squeezed_laser_effective": model_squeezed_laser_effective,
+                "two_qubit_full": model_two_qubit_full}
+
+
+def model_args(kind, g, gamma, kappa, c_prime, r, field_dim) -> tuple:
+    """The arguments of one of the three model constructors at the given
+    rates."""
     if kind == "single_qubit_laser":
-        return model_single_qubit_laser(
-            g, gamma, kappa, HilbertSpace(n_qubits=1, field_dim=field_dim))
+        return g, gamma, kappa, HilbertSpace(n_qubits=1, field_dim=field_dim)
     dressed = DressedCoupling.from_r(r, g_tilde=g)
     if kind == "squeezed_laser_effective":
-        return model_squeezed_laser_effective(
-            dressed, gamma, kappa, c_prime,
-            HilbertSpace(n_qubits=1, field_dim=field_dim))
+        return (dressed, gamma, kappa, c_prime,
+                HilbertSpace(n_qubits=1, field_dim=field_dim))
     # exactly swapped drive depths put the auxiliary coupling on the
     # u^2 - v^2 = -1 branch
     aux = DressedCoupling(u=math.sinh(r), v=math.cosh(r), r=r,
                           g_tilde=c_prime * g, norm_N=1.0)
-    return model_two_qubit_full(dressed, aux, gamma, c_prime * gamma, kappa,
-                                HilbertSpace(n_qubits=2, field_dim=field_dim))
+    return (dressed, aux, gamma, c_prime * gamma, kappa,
+            HilbertSpace(n_qubits=2, field_dim=field_dim))
+
+
+def build_model(kind, *rates):
+    """One of the three model constructors at the given rates
+    (``model_args``)."""
+    return CONSTRUCTORS[kind](*model_args(kind, *rates))
 
 
 rates = st.floats(0.01, 5.0)
@@ -303,7 +319,7 @@ label_arrays = st.lists(st.integers(-2, 2), max_size=25).map(
 def test_sorted_join_matches_dense_join(la, lb):
     # the dense join is the reference: the same pairs in the same order
     dense = np.nonzero(la[:, None] == lb)
-    for got, want in zip(lindblad._join(la, lb), dense, strict=True):
+    for got, want in zip(fock._join(la, lb), dense, strict=True):
         assert np.array_equal(got, want)
 
 
@@ -1063,38 +1079,71 @@ def test_the_plan_memo_keeps_at_most_its_bytes(monkeypatch):
     assert len(plans) == 1 and len(analysed) == len(bands) + 2
 
 
-def dense_hamiltonian(kind, me, g, c_prime, r):
-    """The model Hamiltonian from dense Operator products, as written in
-    the model docstrings."""
-    mode = annihilation(me.space)
-    sigma, _, _ = qubit_ops(me.space, 0)
-    h = -g * (mode.dag() @ sigma.dag() + mode @ sigma)
-    if kind != "two_qubit_full":
-        return h
-    bare = DressedCoupling.from_r(r, g_tilde=g).bare_from_mode(me.space)
-    aux_mode = math.sinh(r) * bare + math.cosh(r) * bare.dag()
-    sigma_aux, _, _ = qubit_ops(me.space, 1)
-    return h - c_prime * g * (aux_mode.dag() @ sigma_aux.dag()
-                              + aux_mode @ sigma_aux)
+def operators(me) -> list:
+    """H, then each jump operator."""
+    return [me.hamiltonian, *(term.jump for term in me.terms)]
+
+
+def kron_reference(kind, *rates):
+    """The model and its operators as numpy products of np.kron
+    embeddings (``oracles.KRON_MODELS``), as written in the model
+    docstrings: [(H, None), (jump, rate), ...]."""
+    args = model_args(kind, *rates)
+    h, jumps = KRON_MODELS[kind](*args)
+    return CONSTRUCTORS[kind](*args), [(h, None), *jumps]
 
 
 @pytest.mark.parametrize("kind", MODELS)
 def test_model_operators_equal_dense_products(kind):
-    me = build_model(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 10)
-    expected = dense_hamiltonian(kind, me, 0.7, 2.0, 0.5)
-    assert np.array_equal(me.hamiltonian.matrix, expected.matrix)
-    sigma, _, _ = qubit_ops(me.space, 0)
-    mode = annihilation(me.space)
-    bare = DressedCoupling.from_r(0.5, g_tilde=0.7).bare_from_mode(me.space)
-    if kind == "single_qubit_laser":
-        jumps = [sigma, mode]
-    elif kind == "squeezed_laser_effective":
-        jumps = [sigma, bare, mode]
-    else:
-        jumps = [sigma, qubit_ops(me.space, 1)[0], bare]
-    assert len(me.terms) == len(jumps)
-    for term, jump in zip(me.terms, jumps):
-        assert np.array_equal(term.jump.matrix, jump.matrix)
+    me, reference = kron_reference(kind, 0.7, 1.0, 0.3, 2.0, 0.5, 10)
+    for op, (dense, _) in zip(operators(me), reference, strict=True):
+        assert np.array_equal(op.matrix, dense)
+    assert [term.rate for term in me.terms] == [r for _, r in reference[1:]]
+
+
+@pytest.mark.parametrize("kind", MODELS)
+@settings(max_examples=20, deadline=None)
+@given(g=rates, gamma=rates, kappa=rates, c_prime=rates,
+       r=st.floats(0.0, 1.5), field_dim=st.integers(2, 30),
+       band=st.integers(1, 29))
+def test_model_triplets_and_generator_equal_the_kron_reference(
+        kind, g, gamma, kappa, c_prime, r, field_dim, band):
+    me, reference = kron_reference(kind, g, gamma, kappa, c_prime, r,
+                                   field_dim)
+    # each operator holds exactly the reference's nonzeros, row by row
+    for op, (dense, _) in zip(operators(me), reference, strict=True):
+        rows, cols = np.nonzero(dense)
+        assert np.array_equal(op.rows, rows)
+        assert np.array_equal(op.cols, cols)
+        assert np.array_equal(op.data, dense[rows, cols])
+    # so the band generator assembled from the reference's operators is
+    # the model's, bit for bit
+    space = me.space
+    (h, _), *jumps = reference
+    ref = MasterEquation(
+        hamiltonian=Operator(space, h),
+        terms=[LindbladTerm(Operator(space, j), rate) for j, rate in jumps],
+        charge=me.charge, modulus=me.modulus)
+    coords = lindblad._SectorCoordinates(me._labels(), field_dim, band)
+    got, want = coords.generator(me), coords.generator(ref)
+    for name in ("rows", "cols", "data"):
+        assert (getattr(got, name).tobytes()
+                == getattr(want, name).tobytes()), name
+
+
+def test_the_effective_model_builds_from_its_nonzeros():
+    # at field_dim 800 the model holds about 7,200 nonzeros; dense d x d
+    # operators there take 41 MB each
+    dressed = DressedCoupling.from_r(1.0)
+    space = HilbertSpace(n_qubits=1, field_dim=800)
+    tracemalloc.start()
+    try:
+        me = model_squeezed_laser_effective(dressed, 1.0, 1.0, 0.01, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+    assert sum(op.data.size for op in operators(me)) == 7192
 
 
 @pytest.mark.parametrize("kind", MODELS)

@@ -5,11 +5,15 @@ spans are recorded and that every wrapped name is put back."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from squeezed_lasing import cli, fock, scenarios
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PINNED_SPANS = {"fock.state_check": 8, "scenarios.model_build": 4,
+                "lindblad.steady": 4, "lindblad.lu": 4,
+                "lindblad.partial_trace": 4}
 
 
 def _tracing():
@@ -45,6 +49,11 @@ def test_tracer_records_a_small_sweep_and_restores_every_name(tmp_path):
     assert {"scenarios.point", "scenarios.steady_checked",
             "lindblad.steady"} <= names
     assert tracer.counts["points"] == 2
+    # the per-layer counts that the benchmark reports for this run: each
+    # point solves at field_dim 6 and again at 9, and validates each
+    # state and its reduced field
+    spans = Counter(span[0] for span in tracer.spans)
+    assert {name: spans[name] for name in PINNED_SPANS} == PINNED_SPANS
     for (owner, attrs), (_, after) in zip(before, _snapshot()):
         assert after.keys() == attrs.keys()
         changed = [key for key in attrs if after[key] is not attrs[key]]
