@@ -18,8 +18,10 @@ adjoint are formed from them, by a sorted join on the shared index
 O(field_dim) nonzeros, and so do their sums and products, so a model
 is built in time and memory proportional to them, never to d^2.  States
 are dense: a :class:`DensityMatrix` is the one dense, validated type,
-and an operator is made dense (``Operator.matrix``) only where it meets
-one.
+measured once, where it is built.  An observable reads only the
+operator's nonzeros (``expectation``); an operator is made dense
+(``Operator.matrix``) only in ``lindblad.dissipator``,
+``meanfield.mf_residual`` and the RWA run's H(t).
 """
 
 from __future__ import annotations
@@ -212,7 +214,9 @@ class Operator:
 class DensityMatrix:
     """A physical state on a :class:`HilbertSpace`, and the one dense
     type: ``matrix`` is a read-only complex copy of the input, checked
-    once to be finite, of trace 1, Hermitian and positive.
+    once to be finite, of trace 1, Hermitian and positive.  The checks
+    keep what they measure: ``trace_error`` is |Re tr - 1| and
+    ``hermiticity_error`` is max |m_ij - conj(m_ji)|, each at most 1e-10.
 
     ``blocks`` optionally gives a block label per basis state for a state
     known to be block diagonal, such as a steady state in its symmetry
@@ -232,9 +236,11 @@ class DensityMatrix:
         tr = np.trace(mat)
         if abs(tr - 1.0) > 1e-10:
             raise InvalidStateError(f"trace {tr} deviates from 1 by more than 1e-10")
-        herm_dev = hermiticity_error(mat)
-        if herm_dev > 1e-10:
-            raise InvalidStateError(f"hermiticity deviation {herm_dev:.3e} exceeds 1e-10")
+        self.trace_error = float(abs(tr.real - 1.0))
+        self.hermiticity_error = hermiticity_error(mat)
+        if self.hermiticity_error > 1e-10:
+            raise InvalidStateError(f"hermiticity deviation {self.hermiticity_error:.3e} "
+                                    "exceeds 1e-10")
         if blocks is None:
             eigmin = float(np.linalg.eigvalsh(mat)[0])
         else:
@@ -422,8 +428,10 @@ def displacement_elements(magnitude: float, field_dim: int) -> np.ndarray:
 
 
 def expectation(op: Operator, rho: DensityMatrix) -> complex:
+    """tr(op rho) = sum_k data_k rho[cols_k, rows_k], read off the
+    operator's nonzeros: O(nnz) work, and no dense copy of ``op``."""
     op._check_same_space(rho)
-    return complex(np.trace(op.matrix @ rho.matrix))
+    return complex((op.data * rho.matrix[op.cols, op.rows]).sum())
 
 
 def fock_populations(rho: DensityMatrix) -> np.ndarray:

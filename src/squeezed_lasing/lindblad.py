@@ -127,7 +127,6 @@ from .fock import (
     _square,
     annihilation,
     coherence_profile,
-    hermiticity_error,
     qubit_ops,
 )
 
@@ -257,7 +256,9 @@ class Liouvillian:
 
 
 def _as_matrix(rho, space: HilbertSpace) -> np.ndarray:
-    if isinstance(rho, (Operator, DensityMatrix)):
+    """The dense matrix of a state: a :class:`DensityMatrix` on ``space``
+    or a d x d array."""
+    if isinstance(rho, DensityMatrix):
         if rho.space != space:
             raise ValueError("state lives on a different space")
         return rho.matrix
@@ -1408,12 +1409,14 @@ def _clip_spectrum(vals: np.ndarray, what: str) -> np.ndarray:
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    r = _as_matrix(rho, rho.space)
-    s = _as_matrix(sigma, rho.space)
-    for name, m in (("rho", r), ("sigma", s)):
-        if hermiticity_error(m) > 1e-8 * max(1.0, np.max(np.abs(m))):
-            raise ValueError(f"{name} is not Hermitian")
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of two
+    states on one space.  Each is a :class:`DensityMatrix`, already
+    checked Hermitian; anything else raises TypeError."""
+    for state in (rho, sigma):
+        if not isinstance(state, DensityMatrix):
+            raise TypeError(f"fidelity takes DensityMatrix states, not "
+                            f"{type(state).__name__}")
+    r, s = rho.matrix, _as_matrix(sigma, rho.space)
     vals, vecs = np.linalg.eigh(r)
     vals = _clip_spectrum(vals, "rho")
     sqrt_r = (vecs * np.sqrt(vals)) @ vecs.conj().T

@@ -66,7 +66,6 @@ from .fock import (
     HilbertSpace,
     annihilation,
     expectation,
-    hermiticity_error,
     qubit_ops,
     truncation_edge,
 )
@@ -112,6 +111,14 @@ class ConfigError(ValueError):
     """The run configuration is malformed or incomplete."""
 
 
+# A sweep point costs at least about 5 ms: 4.5 ms each for a 200-point
+# single_laser sweep at field_dim 16, the cheapest measured on a 2-CPU
+# VM, after 35-45 us to resolve it when the config is built.  So this
+# many points take about a minute, and more are refused before any is
+# resolved.
+_SWEEP_MAX_STEPS = 10_000
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept parameter on a uniform grid."""
@@ -132,12 +139,14 @@ class SweepSpec:
             raise ConfigError("sweep stop must not precede start")
         if self.steps < 1:
             raise ConfigError("sweep needs at least one step")
+        if self.steps > _SWEEP_MAX_STEPS:
+            raise ConfigError(
+                f"sweep.steps = {self.steps} asks for {self.steps:.3g} "
+                f"points, at least {5e-3 * self.steps:.3g} s at 5 ms per "
+                f"point; at most {_SWEEP_MAX_STEPS} are accepted")
 
     def values(self) -> np.ndarray:
-        try:
-            return np.linspace(self.start, self.stop, self.steps)
-        except (ValueError, MemoryError) as exc:  # more than numpy holds
-            raise ConfigError(f"sweep.steps = {self.steps}: {exc}") from None
+        return np.linspace(self.start, self.stop, self.steps)
 
 
 # Past these a run would take about a gigabyte, and is refused when the
@@ -168,7 +177,9 @@ class NumericsSpec:
         if self.grid_points < 16:
             raise ConfigError("grid_points must be at least 16")
         if self.grid_points > _GRID_MAX_POINTS:
-            cells = float(self.grid_points) ** 2
+            # a float product: past 1.3e154 per axis it reads inf, where
+            # a float ** 2 raises OverflowError
+            cells = float(self.grid_points) * self.grid_points
             raise ConfigError(
                 f"numerics.grid_points = {self.grid_points} asks for "
                 f"{cells:.3g} cells per Wigner grid, about "
@@ -621,22 +632,29 @@ def _resolve_drives(params: dict, evolve: bool) -> ResolvedDrives:
     return ResolvedDrives(system, reference, gt_max, start_excited, t_final)
 
 
+def _retried(fd: int) -> int:
+    """The field_dim that a truncation retry tries after ``fd``."""
+    return math.ceil(fd * 1.5)
+
+
 def _check_field(numerics: NumericsSpec, models: set[str],
                  retries: int) -> None:
-    """Refuse a run whose largest model, at its field_dim grown 1.5 times
-    by each of ``retries`` truncation retries, would hold more than
-    _FIELD_MAX_BYTES of dense arrays (``_DENSE_BYTES``), naming the key
-    that takes it there."""
+    """Refuse a run whose largest model, at each field_dim that
+    ``retries`` truncation retries reach (``_retried``), would hold more
+    than _FIELD_MAX_BYTES of dense arrays (``_DENSE_BYTES``: the states
+    and their checks, or the RWA run's H(t)), naming the key that takes
+    it there."""
     rate = max(_DENSE_BYTES[m] for m in models)
+    what = "H(t) arrays" if "rwa" in models else "states and checks"
     fd = numerics.field_dim
     for retry in range(retries + 1):
-        fd = math.ceil(fd * 1.5) if retry else fd
+        fd = _retried(fd) if retry else fd
         size = rate * float(fd) * fd
         if size > _FIELD_MAX_BYTES:
             key = "truncation_retries" if retry else "field_dim"
             raise ConfigError(
                 f"numerics.{key} = {getattr(numerics, key)} asks for dense "
-                f"operators of about {size:.3g} bytes at field_dim {fd}; "
+                f"{what} of about {size:.3g} bytes at field_dim {fd}; "
                 f"at most {_FIELD_MAX_BYTES:.3g} are accepted")
 
 
@@ -741,7 +759,7 @@ def _solve_steady_checked(build, field_dim: int, retries: int,
         if edge < _TRUNCATION_TOL:
             return rho, reduced, fd, False
         if attempt < retries:
-            new_fd = math.ceil(fd * 1.5)
+            new_fd = _retried(fd)
             log.info("field_dim %d truncation-limited (edge %.2e); "
                      "retrying with %d", fd, edge, new_fd)
             fd = new_fd
@@ -803,16 +821,9 @@ class _Point:
                                               r.c_prime, space)
 
     @cached_property
-    def trace_error(self) -> float:
-        return float(abs(np.trace(self.rho.matrix).real - 1.0))
-
-    @cached_property
-    def hermiticity_error(self) -> float:
-        return hermiticity_error(self.rho.matrix)
-
-    @cached_property
     def purity(self) -> float:
-        return float(np.trace(self.field.matrix @ self.field.matrix).real)
+        m = self.field.matrix
+        return float(np.vdot(m, m).real)
 
     @cached_property
     def n_mode(self) -> float:
@@ -821,11 +832,8 @@ class _Point:
 
     @cached_property
     def n_bare(self) -> float:
-        # a dense a^dag a: its diagonal entries sum two products each, in
-        # the order BLAS sums them
         a = self.dressed.bare_from_mode(self.field.space)
-        return complex(np.trace(a.dag().matrix @ a.matrix
-                                @ self.field.matrix)).real
+        return expectation(a.dag() @ a, self.field).real
 
     @cached_property
     def inversion(self) -> float:
@@ -916,8 +924,8 @@ class _Point:
 # per scenario: the model, then each column as (name, attribute path on
 # _Point); the names and their order are the artefact format
 _CHECKS = (("field_dim", "field_dim"), ("truncation_flag", "truncation_flag"),
-           ("trace_error", "trace_error"),
-           ("hermiticity_error", "hermiticity_error"))
+           ("trace_error", "rho.trace_error"),
+           ("hermiticity_error", "rho.hermiticity_error"))
 _FIDELITY_SWEEP = (
     ("c_tilde", "resolved.c_tilde"), ("fidelity_effective", "fidelity_ansatz"),
     ("n_mode", "n_mode"), ("n_bare", "n_bare"), ("inversion_d", "inversion"),

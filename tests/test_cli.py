@@ -5,14 +5,21 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import math
+from dataclasses import fields
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import squeezed_lasing
 from squeezed_lasing.cli import build_parser, main
 from squeezed_lasing.scenarios import (
+    PARAM_KEYS,
     PRESETS,
     SCENARIO_NAMES,
     ConfigError,
+    NumericsSpec,
     _merge,
     build_config,
     parse_set_override,
@@ -370,14 +377,17 @@ def test_an_rwa_run_past_the_step_bound_exits_2(tmp_path, preset, key,
 
 @pytest.mark.parametrize("scenario, key, value, size", [
     ("wigner_panels", "grid_points", 10**7, "1e+14 cells"),
+    # past 1.3e154 per axis the cell count passes the float range
+    ("wigner_panels", "grid_points", int(1e300), "inf cells"),
     ("rwa_validate", "store_points", 10**10, "1e+10 stored samples"),
     ("wigner_panels", "field_dim", 10**6,
-     "dense operators of about 5.76e+14 bytes"),
+     "dense states and checks of about 5.76e+14 bytes"),
     # field_dim 60 grows 1.5 times per retry while the point stays
     # truncation-limited, past the bound at its ninth
     ("wigner_panels", "truncation_retries", 40,
-     "dense operators of about 3.1e+09 bytes"),
-], ids=["grid_points", "store_points", "field_dim", "truncation_retries"])
+     "dense states and checks of about 3.1e+09 bytes"),
+], ids=["grid_points", "grid_points_past_the_float_range", "store_points",
+        "field_dim", "truncation_retries"])
 def test_an_oversized_grid_or_sample_count_exits_2(tmp_path, scenario, key,
                                                    value, size):
     # refused when the config is built, before anything of that size
@@ -396,6 +406,77 @@ def test_an_oversized_grid_or_sample_count_exits_2(tmp_path, scenario, key,
     assert f"numerics.{key} = {value} asks for {size}" in str(refused.value)
     # the largest count the fd-500 paper panels have asked for is accepted
     build_config("wigner_panels", overrides={"numerics": {"grid_points": 1587}})
+
+
+def test_a_sweep_past_the_step_bound_exits_2(tmp_path):
+    # refused before np.linspace or any point is resolved: 1e9 steps would
+    # first allocate 8 GB
+    tracemalloc.start()
+    try:
+        assert main(["squeezed_laser", "--out", str(tmp_path / "o"),
+                     *FAST_SWEEP, "--set", "sweep.steps=1000000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError, match=r"sweep.steps = 10001 asks for "
+                       r"1e\+04 points, at least 50 s"):
+        build_config("squeezed_laser", overrides={"sweep": {
+            "param": "c_tilde", "start": 1, "stop": 2, "steps": 10001}})
+    build_config("squeezed_laser", overrides={"sweep": {
+        "param": "c_tilde", "start": 1, "stop": 2, "steps": 10_000}})
+
+
+# the values a config draw may set: non-finite, zero, tiny, huge, a
+# string and a bool, besides the key's typical value
+_EDGE_VALUES = (math.nan, math.inf, -math.inf, 0, 1e-300, -1e-300, 1e300,
+                -1e300, 1e20, "x", True)
+_NUMERICS_DEFAULTS = {f.name: f.default for f in fields(NumericsSpec)}
+
+
+@st.composite
+def _config_draws(draw):
+    scenario = draw(st.sampled_from(SCENARIO_NAMES))
+    preset = draw(st.sampled_from(sorted(PRESETS)))
+
+    def value(typical):
+        return draw(st.sampled_from((*_EDGE_VALUES, typical)))
+
+    keys = st.sampled_from(sorted(PARAM_KEYS))
+    params = {key: value(PRESETS[preset]["params"].get(key, 1.0))
+              for key in draw(st.lists(keys, min_size=1, max_size=3,
+                                       unique=True))}
+    numerics = {name: value(_NUMERICS_DEFAULTS[name])
+                for name in draw(st.lists(st.sampled_from(
+                    sorted(_NUMERICS_DEFAULTS)), max_size=2, unique=True))}
+    overrides = {"params": params, "numerics": numerics}
+    if draw(st.booleans()):
+        overrides["sweep"] = {"param": draw(keys), "start": value(1.0),
+                              "stop": value(2.0),
+                              "steps": draw(st.sampled_from((1, 3, 10**9)))}
+    return scenario, preset, overrides
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config_draws())
+@example(("wigner_panels", "desk", {"params": {"c_tilde": 5.0},
+                                    "numerics": {"grid_points": 1e300}}))
+def test_every_config_draw_is_built_or_refused(draw):
+    # config assembly either returns a config or raises ConfigError, and
+    # builds nothing large on the way: a refused size is refused before
+    # it is allocated
+    scenario, preset, overrides = draw
+    tracemalloc.start()
+    try:
+        try:
+            build_config(scenario, preset, overrides=overrides)
+        except ConfigError:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dress_audit_accepts_a_gt_max_it_never_reads(tmp_path):

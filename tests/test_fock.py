@@ -450,3 +450,30 @@ def test_expectation_number():
     mat[2, 2] = 1.0
     rho = DensityMatrix(space, mat)
     assert expectation(a.dag() @ a, rho) == pytest.approx(2.0)
+
+
+def test_expectation_is_the_dense_trace_read_off_the_nonzeros():
+    rng = np.random.default_rng(8)
+    space = HilbertSpace(n_qubits=1, field_dim=7)
+    a = annihilation(space)
+    sigma, sigma_z, _ = qubit_ops(space, 0)
+    v = rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))
+    rho = DensityMatrix(space, v @ v.conj().T / np.trace(v @ v.conj().T))
+    dense = rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))
+    for op in (a, a.dag() @ a, a @ a + 0.3j * sigma, sigma_z,
+               Operator(space, dense)):
+        assert expectation(op, rho) == pytest.approx(
+            np.trace(op.matrix @ rho.matrix), rel=1e-13, abs=1e-15)
+    with pytest.raises(ValueError, match="spaces differ"):
+        expectation(annihilation(HilbertSpace(0, 14)), rho)
+
+
+def test_a_density_matrix_keeps_what_its_checks_measure():
+    space = HilbertSpace(n_qubits=0, field_dim=3)
+    mat = np.diag([0.6, 0.3, 0.1 + 4e-11]).astype(complex)
+    mat[0, 1], mat[1, 0] = 0.1, 0.1 + 3e-11j
+    rho = DensityMatrix(space, mat)
+    assert rho.trace_error == abs(np.trace(mat).real - 1.0) > 0.0
+    assert rho.hermiticity_error == np.max(np.abs(mat - mat.conj().T)) > 0.0
+    exact = DensityMatrix(space, np.diag([0.5, 0.25, 0.25]))
+    assert exact.trace_error == exact.hermiticity_error == 0.0

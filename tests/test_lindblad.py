@@ -1488,17 +1488,27 @@ def test_fidelity_symmetric_and_validates():
     assert fidelity(rho, sigma) == pytest.approx(fidelity(sigma, rho),
                                                  abs=1e-8)
     assert 0.0 <= fidelity(rho, sigma) <= 1.0
+    # a non-Hermitian matrix is no state: DensityMatrix refuses it
+    # (test_density_matrix_validation), and fidelity takes states only
     bad = np.eye(6, dtype=complex)
     bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         fidelity(rho, Operator(space, bad))
+    with pytest.raises(ValueError, match="different space"):
+        fidelity(rho, random_density(HilbertSpace(n_qubits=0, field_dim=5), 33))
 
 
 def test_fidelity_rejects_deep_negativity():
+    # a negative matrix cannot be a DensityMatrix, and an Operator is not
+    # taken in its place, on either side
     space = HilbertSpace(n_qubits=0, field_dim=2)
     m = np.diag([1.2, -0.2]).astype(complex)
+    half = DensityMatrix(space, np.eye(2) / 2)
     with pytest.raises(InvalidStateError):
-        fidelity(Operator(space, m), Operator(space, np.eye(2) / 2))
+        DensityMatrix(space, m)
+    for pair in ((Operator(space, m), half), (half, Operator(space, m))):
+        with pytest.raises(TypeError):
+            fidelity(*pair)
 
 
 def test_trace_distance_basics():

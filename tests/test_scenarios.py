@@ -1145,3 +1145,29 @@ class TestWriters:
         assert lines[3].endswith(" 0.30000000000000004")
         w = np.array([float(ln.split()[2]) for ln in lines]).reshape(64, 64)
         assert w.tobytes() == field.values.tobytes()
+
+
+def _no_dense_operators(op):
+    raise AssertionError("an Operator was made dense on the steady-state path")
+
+
+@pytest.mark.parametrize("scenario, settings", [
+    ("single_laser", ["numerics.field_dim=16"]),
+    ("squeezed_laser", ["numerics.field_dim=16"]),
+    ("two_qubit_full", ["numerics.field_dim=8"]),
+    ("fidelity_sweep", ["numerics.field_dim=16", "params.include_full=1"]),
+    ("wigner_panels", ["numerics.field_dim=16", "numerics.grid_points=25"]),
+], ids=["single_laser", "squeezed_laser", "two_qubit_full", "fidelity_sweep",
+        "wigner_panels"])
+def test_steady_state_runs_make_no_operator_dense(tmp_path, monkeypatch,
+                                                  scenario, settings):
+    # observables read an operator's nonzeros and fidelity reads states, so
+    # no run of these scenarios forms Operator.matrix; mf_compare's
+    # gaussian_residual (dense dissipators) and rwa_validate's H(t) do
+    monkeypatch.setattr(fock.Operator, "matrix", property(_no_dense_operators))
+    sweep = ["sweep.param=c_tilde", "sweep.start=4", "sweep.stop=5",
+             "sweep.steps=2"] if scenario != "wigner_panels" else []
+    argv = [scenario, "--out", str(tmp_path / "o")]
+    for item in settings + sweep:
+        argv += ["--set", item]
+    assert main(argv) == 0
